@@ -354,6 +354,21 @@ impl TraceState for PackedState {
             tag => unreachable!("invalid packed tag {tag}"),
         }
     }
+
+    /// The class key is the word with everything but the class masked
+    /// off — the key layout mirrors this one, so no branch and no
+    /// compare: a ranked word (tag 0) keeps all of its bits, a phase
+    /// word keeps its tag and lane B, every other word keeps its tag.
+    #[inline]
+    fn class_key(&self) -> u64 {
+        let w = self.0;
+        let tag = w & TAG_MASK;
+        // All ones for TAG_RANKED; otherwise `tag - 1`, inside TAG_MASK.
+        let ranked = tag.wrapping_sub(1);
+        // Lane B for TAG_PHASE (the highest one-hot tag bit), else 0.
+        let phase = (tag >> 3).wrapping_neg() & (LANE_MASK << B_SHIFT);
+        w & (TAG_MASK | ranked | phase)
+    }
 }
 
 #[cfg(test)]
@@ -465,6 +480,28 @@ mod tests {
             );
         }
         assert_eq!(PackedState::ranked(7).agent_class(), AgentClass::Ranked(7));
+    }
+
+    #[test]
+    fn class_key_is_the_masked_word_over_the_whole_state_space() {
+        for n in [2usize, 3, 17, 64, 1000] {
+            let params = crate::Params::new(n);
+            for s in crate::audit::enumerate_states(&params) {
+                let w = PackedState::pack(&s);
+                assert_eq!(w.class_key(), w.agent_class().key(), "n={n}: {s:?}");
+                assert_eq!(w.class_key(), s.class_key(), "n={n}: {s:?}");
+            }
+        }
+        // Payload edges the enumerated spaces do not reach.
+        for w in [
+            PackedState::ranked((1 << 59) - 1),
+            PackedState::main(true, 0xFFFF, MainKind::Phase(0)),
+            PackedState::main(true, 0xFFFF, MainKind::Phase(0xFFFF)),
+            PackedState::main(true, 0xFFFF, MainKind::Waiting(0xFFFF)),
+            PackedState::reset(true, 0xFFFF, 0xFFFF),
+        ] {
+            assert_eq!(w.class_key(), w.agent_class().key(), "{w:?}");
+        }
     }
 
     #[test]

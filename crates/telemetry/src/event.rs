@@ -30,12 +30,79 @@ pub enum AgentClass {
     Phase(u32),
 }
 
+/// Number of low key bits holding the class tag (see [`AgentClass::key`]).
+const KEY_TAG_BITS: u32 = 4;
+/// Shift of a `Ranked` key's rank (above the tag and one spare bit).
+const KEY_RANK_SHIFT: u32 = KEY_TAG_BITS + 1;
+/// Shift of a `Phase` key's phase number.
+const KEY_PHASE_SHIFT: u32 = KEY_RANK_SHIFT + 16;
+const KEY_RESETTING: u64 = 1;
+const KEY_ELECTING: u64 = 2;
+const KEY_WAITING: u64 = 4;
+const KEY_PHASE: u64 = 8;
+
+impl AgentClass {
+    /// The key reserved for "no class seen yet": its tag bits are not
+    /// one-hot, so no [`key`](AgentClass::key) ever equals it.
+    pub const UNSEEN_KEY: u64 = u64::MAX;
+
+    /// An injective `u64` encoding of the class, laid out like the
+    /// packed state word so a packed lane can produce it with masks
+    /// alone: `Ranked(r)` → `r << 5`, `Resetting` → 1, `Electing` → 2,
+    /// `Waiting` → 4, `Phase(p)` → `8 | p << 21`. Two states have the
+    /// same class exactly when their keys are equal.
+    #[inline]
+    pub fn key(self) -> u64 {
+        match self {
+            AgentClass::Ranked(r) => {
+                debug_assert!(
+                    r < 1 << (64 - KEY_RANK_SHIFT),
+                    "rank {r} overflows the class key"
+                );
+                r << KEY_RANK_SHIFT
+            }
+            AgentClass::Resetting => KEY_RESETTING,
+            AgentClass::Electing => KEY_ELECTING,
+            AgentClass::Waiting => KEY_WAITING,
+            AgentClass::Phase(p) => KEY_PHASE | (u64::from(p) << KEY_PHASE_SHIFT),
+        }
+    }
+
+    /// Inverse of [`key`](AgentClass::key).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a value no class encodes to (including
+    /// [`UNSEEN_KEY`](AgentClass::UNSEEN_KEY)).
+    #[inline]
+    pub fn from_key(key: u64) -> Self {
+        match key & ((1 << KEY_TAG_BITS) - 1) {
+            0 => AgentClass::Ranked(key >> KEY_RANK_SHIFT),
+            KEY_RESETTING => AgentClass::Resetting,
+            KEY_ELECTING => AgentClass::Electing,
+            KEY_WAITING => AgentClass::Waiting,
+            KEY_PHASE => AgentClass::Phase((key >> KEY_PHASE_SHIFT) as u32),
+            tag => unreachable!("class key {key:#x} has invalid tag {tag:#b}"),
+        }
+    }
+}
+
 /// States that can classify themselves for tracing. Implemented by
 /// `StableState` and `PackedState` in the `ranking` crate; any protocol
 /// wanting recorded runs implements this for its state type.
 pub trait TraceState {
     /// This state's [`AgentClass`].
     fn agent_class(&self) -> AgentClass;
+
+    /// This state's class key, `agent_class().key()`. The recorder
+    /// compares keys on every agent after every block and decodes a
+    /// class only where the key changed, so representations that can
+    /// compute the key without building an [`AgentClass`] (packed
+    /// words: one mask) should override this.
+    #[inline]
+    fn class_key(&self) -> u64 {
+        self.agent_class().key()
+    }
 }
 
 /// The `agent` field value for population-wide events (faults, exchange
@@ -158,5 +225,45 @@ mod tests {
         dedup.sort_unstable();
         dedup.dedup();
         assert_eq!(dedup.len(), names.len());
+    }
+
+    #[test]
+    fn class_keys_roundtrip_and_never_collide_with_unseen() {
+        let n = 1u64 << 20;
+        let classes = [
+            AgentClass::Ranked(1),
+            AgentClass::Ranked(n),
+            AgentClass::Ranked((1 << 59) - 1),
+            AgentClass::Resetting,
+            AgentClass::Electing,
+            AgentClass::Waiting,
+            AgentClass::Phase(0),
+            AgentClass::Phase(1),
+            AgentClass::Phase(0xFFFF),
+            AgentClass::Phase(u32::MAX),
+        ];
+        for c in classes {
+            assert_eq!(AgentClass::from_key(c.key()), c, "{c:?}");
+            assert_ne!(c.key(), AgentClass::UNSEEN_KEY, "{c:?}");
+        }
+        let mut keys: Vec<u64> = classes.iter().map(|c| c.key()).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        assert_eq!(keys.len(), classes.len(), "keys must be injective");
+        assert_eq!(AgentClass::Phase(3).key(), 8 | (3 << 21));
+        assert_eq!(AgentClass::Ranked(7).key(), 7 << 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid tag")]
+    fn unseen_key_does_not_decode() {
+        AgentClass::from_key(AgentClass::UNSEEN_KEY);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "overflows the class key")]
+    fn oversized_ranks_are_rejected() {
+        AgentClass::Ranked(1 << 59).key();
     }
 }

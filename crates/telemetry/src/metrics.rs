@@ -253,7 +253,7 @@ impl Registry {
 }
 
 /// A point-in-time copy of a whole [`Registry`].
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Snapshot {
     /// `(name, value)` per counter, in registration order.
     pub counters: Vec<(&'static str, u64)>,

@@ -19,8 +19,10 @@ pub const DEFAULT_RING_CAPACITY: usize = 1 << 15;
 ///
 /// # What it records
 ///
-/// At every block boundary the recorder classifies the block's lane of
-/// agents and diffs against the previous classification, emitting:
+/// At every block boundary the recorder compares the class key
+/// ([`TraceState::class_key`]) of every agent in the block's lane with
+/// the key it stored last time, decodes the classes of the agents whose
+/// key changed, and emits:
 ///
 /// * [`EventKind::Reset`] — an agent entered the reset protocol;
 /// * [`EventKind::Elected`] — electing → waiting (a lottery win);
@@ -47,9 +49,10 @@ pub const DEFAULT_RING_CAPACITY: usize = 1 << 15;
 pub struct Recorder {
     capacity: usize,
     lanes: Vec<RingBuffer<Event>>,
-    /// Per-agent class at the last observed boundary; `None` until the
-    /// agent has been seen once.
-    classes: Vec<Option<AgentClass>>,
+    /// Per-agent class key ([`AgentClass::key`]) at the last observed
+    /// boundary; [`AgentClass::UNSEEN_KEY`] until the agent has been
+    /// seen once.
+    keys: Vec<u64>,
     /// Interaction count at which each agent claimed its current rank
     /// (meaningful only while its class is `Ranked`).
     claimed_at: Vec<u64>,
@@ -84,7 +87,7 @@ impl Recorder {
         Self {
             capacity: capacity.max(1),
             lanes: Vec::new(),
-            classes: Vec::new(),
+            keys: Vec::new(),
             claimed_at: Vec::new(),
             last_reset_wave: None,
             registry,
@@ -156,11 +159,11 @@ impl Recorder {
     /// diff will ever be observed for it.
     pub fn lifecycle(&mut self, t: u64, agent: u32, change: Membership) {
         if matches!(change, Membership::Leave | Membership::Hibernate) {
-            if let Some(slot) = self.classes.get_mut(agent as usize) {
-                if let Some(AgentClass::Ranked(_)) = *slot {
+            if let Some(slot) = self.keys.get_mut(agent as usize) {
+                if let Some(AgentClass::Ranked(_)) = stored_class(*slot) {
                     self.rank_dwell.record(t - self.claimed_at[agent as usize]);
                 }
-                *slot = None;
+                *slot = AgentClass::UNSEEN_KEY;
             }
         }
         let kind = match change {
@@ -208,6 +211,11 @@ impl Recorder {
     /// events into shard `shard`'s ring. `quiet` suppresses per-agent
     /// events (fault re-baselining) and returns the number of agents
     /// whose class changed.
+    ///
+    /// Keys are compared [`CHUNK`] agents at a time with one OR of XORs
+    /// and no branch; only a chunk holding a changed key is walked agent
+    /// by agent (in index order, so events come out exactly as a plain
+    /// per-agent diff would emit them).
     fn scan<S: TraceState>(
         &mut self,
         t: u64,
@@ -217,76 +225,100 @@ impl Recorder {
         quiet: bool,
     ) -> u32 {
         let end = start + lane.len();
-        if self.classes.len() < end {
-            self.classes.resize(end, None);
+        if self.keys.len() < end {
+            self.keys.resize(end, AgentClass::UNSEEN_KEY);
             self.claimed_at.resize(end, 0);
         }
         let mut hit = 0u32;
-        for (i, state) in lane.iter().enumerate() {
-            let agent = start + i;
-            let now = state.agent_class();
-            let prev = self.classes[agent];
-            if prev == Some(now) {
-                continue;
-            }
-            self.classes[agent] = Some(now);
-            let Some(prev) = prev else {
-                // First sight: baseline only, the initial configuration
-                // is not an event.
-                if let AgentClass::Ranked(_) = now {
-                    self.claimed_at[agent] = t;
+        for (c, chunk) in lane.chunks(CHUNK).enumerate() {
+            let at = start + c * CHUNK;
+            let dirty = chunk
+                .iter()
+                .zip(&self.keys[at..at + chunk.len()])
+                .fold(0, |d, (state, &key)| d | (state.class_key() ^ key));
+            if dirty != 0 {
+                for (i, state) in chunk.iter().enumerate() {
+                    hit += self.diff(t, shard, at + i, state.class_key(), quiet);
                 }
-                continue;
-            };
-            hit += 1;
-            if quiet {
-                // Fault re-baseline: keep dwell bookkeeping coherent,
-                // emit nothing per-agent.
-                if let AgentClass::Ranked(_) = now {
-                    self.claimed_at[agent] = t;
-                }
-                continue;
-            }
-            let agent32 = agent as u32;
-            if let AgentClass::Ranked(rank) = prev {
-                self.rank_dwell.record(t - self.claimed_at[agent]);
-                self.push(
-                    shard,
-                    Event {
-                        t,
-                        shard: shard as u32,
-                        agent: agent32,
-                        kind: EventKind::RankRelease { rank },
-                    },
-                );
-            }
-            let kind = match now {
-                AgentClass::Resetting => {
-                    self.note_reset_wave(t);
-                    Some(EventKind::Reset)
-                }
-                AgentClass::Waiting if prev == AgentClass::Electing => Some(EventKind::Elected),
-                AgentClass::Phase(phase) => Some(EventKind::PhaseEnter { phase }),
-                AgentClass::Ranked(rank) => {
-                    self.claimed_at[agent] = t;
-                    Some(EventKind::RankClaim { rank })
-                }
-                _ => None,
-            };
-            if let Some(kind) = kind {
-                self.push(
-                    shard,
-                    Event {
-                        t,
-                        shard: shard as u32,
-                        agent: agent32,
-                        kind,
-                    },
-                );
             }
         }
         hit
     }
+
+    /// Diff one agent's class key against its stored one; returns 1 if
+    /// a previously seen class changed, else 0.
+    fn diff(&mut self, t: u64, shard: usize, agent: usize, key: u64, quiet: bool) -> u32 {
+        let prev = self.keys[agent];
+        if prev == key {
+            return 0;
+        }
+        self.keys[agent] = key;
+        let now = AgentClass::from_key(key);
+        let Some(prev) = stored_class(prev) else {
+            // First sight: baseline only, the initial configuration is
+            // not an event.
+            if let AgentClass::Ranked(_) = now {
+                self.claimed_at[agent] = t;
+            }
+            return 0;
+        };
+        if quiet {
+            // Fault re-baseline: keep dwell bookkeeping coherent, emit
+            // nothing per-agent.
+            if let AgentClass::Ranked(_) = now {
+                self.claimed_at[agent] = t;
+            }
+            return 1;
+        }
+        let agent32 = agent as u32;
+        if let AgentClass::Ranked(rank) = prev {
+            self.rank_dwell.record(t - self.claimed_at[agent]);
+            self.push(
+                shard,
+                Event {
+                    t,
+                    shard: shard as u32,
+                    agent: agent32,
+                    kind: EventKind::RankRelease { rank },
+                },
+            );
+        }
+        let kind = match now {
+            AgentClass::Resetting => {
+                self.note_reset_wave(t);
+                Some(EventKind::Reset)
+            }
+            AgentClass::Waiting if prev == AgentClass::Electing => Some(EventKind::Elected),
+            AgentClass::Phase(phase) => Some(EventKind::PhaseEnter { phase }),
+            AgentClass::Ranked(rank) => {
+                self.claimed_at[agent] = t;
+                Some(EventKind::RankClaim { rank })
+            }
+            _ => None,
+        };
+        if let Some(kind) = kind {
+            self.push(
+                shard,
+                Event {
+                    t,
+                    shard: shard as u32,
+                    agent: agent32,
+                    kind,
+                },
+            );
+        }
+        1
+    }
+}
+
+/// Agents per key-compare unit in [`Recorder::scan`]: 16 keys are two
+/// cache lines of the key array and 128 bytes of a packed lane.
+const CHUNK: usize = 16;
+
+/// The class behind a stored key, `None` for an unseen agent.
+#[inline]
+fn stored_class(key: u64) -> Option<AgentClass> {
+    (key != AgentClass::UNSEEN_KEY).then(|| AgentClass::from_key(key))
 }
 
 impl<P: Protocol> Probe<P> for Recorder
@@ -513,6 +545,217 @@ mod tests {
                 EventKind::Join,
             ]
         );
+    }
+
+    /// The recorder as it was before class keys: one `Option<AgentClass>`
+    /// per agent, every agent decoded and compared after every block. It
+    /// shares `push`, `note_reset_wave` and the dwell bookkeeping with
+    /// the recorder it wraps; only the per-agent diff is its own.
+    struct Reference {
+        rec: Recorder,
+        classes: Vec<Option<AgentClass>>,
+    }
+
+    impl Reference {
+        fn new(capacity: usize) -> Self {
+            Self {
+                rec: Recorder::with_capacity(capacity),
+                classes: Vec::new(),
+            }
+        }
+
+        fn scan(
+            &mut self,
+            t: u64,
+            shard: usize,
+            start: usize,
+            lane: &[AgentClass],
+            quiet: bool,
+        ) -> u32 {
+            let rec = &mut self.rec;
+            let end = start + lane.len();
+            if self.classes.len() < end {
+                self.classes.resize(end, None);
+                rec.claimed_at.resize(end, 0);
+            }
+            let mut hit = 0u32;
+            for (i, state) in lane.iter().enumerate() {
+                let agent = start + i;
+                let now = state.agent_class();
+                let prev = self.classes[agent];
+                if prev == Some(now) {
+                    continue;
+                }
+                self.classes[agent] = Some(now);
+                let Some(prev) = prev else {
+                    if let AgentClass::Ranked(_) = now {
+                        rec.claimed_at[agent] = t;
+                    }
+                    continue;
+                };
+                hit += 1;
+                if quiet {
+                    if let AgentClass::Ranked(_) = now {
+                        rec.claimed_at[agent] = t;
+                    }
+                    continue;
+                }
+                let agent32 = agent as u32;
+                if let AgentClass::Ranked(rank) = prev {
+                    rec.rank_dwell.record(t - rec.claimed_at[agent]);
+                    rec.push(
+                        shard,
+                        Event {
+                            t,
+                            shard: shard as u32,
+                            agent: agent32,
+                            kind: EventKind::RankRelease { rank },
+                        },
+                    );
+                }
+                let kind = match now {
+                    AgentClass::Resetting => {
+                        rec.note_reset_wave(t);
+                        Some(EventKind::Reset)
+                    }
+                    AgentClass::Waiting if prev == AgentClass::Electing => Some(EventKind::Elected),
+                    AgentClass::Phase(phase) => Some(EventKind::PhaseEnter { phase }),
+                    AgentClass::Ranked(rank) => {
+                        rec.claimed_at[agent] = t;
+                        Some(EventKind::RankClaim { rank })
+                    }
+                    _ => None,
+                };
+                if let Some(kind) = kind {
+                    rec.push(
+                        shard,
+                        Event {
+                            t,
+                            shard: shard as u32,
+                            agent: agent32,
+                            kind,
+                        },
+                    );
+                }
+            }
+            hit
+        }
+
+        fn lifecycle(&mut self, t: u64, agent: u32, change: Membership) {
+            if matches!(change, Membership::Leave | Membership::Hibernate) {
+                if let Some(slot) = self.classes.get_mut(agent as usize) {
+                    if let Some(AgentClass::Ranked(_)) = *slot {
+                        self.rec
+                            .rank_dwell
+                            .record(t - self.rec.claimed_at[agent as usize]);
+                    }
+                    *slot = None;
+                }
+            }
+            // The stored keys of the wrapped recorder stay empty, so its
+            // own lifecycle only pushes the membership event.
+            self.rec.lifecycle(t, agent, change);
+        }
+    }
+
+    /// SplitMix64: the op script of one differential case.
+    struct Script(u64);
+
+    impl Script {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        fn class(&mut self) -> AgentClass {
+            match self.below(5) {
+                0 => AgentClass::Ranked(1 + self.below(8)),
+                1 => AgentClass::Resetting,
+                2 => AgentClass::Electing,
+                3 => AgentClass::Waiting,
+                _ => AgentClass::Phase(self.below(4) as u32),
+            }
+        }
+    }
+
+    /// The key-diffing recorder is bit-identical to the reference on
+    /// random multi-shard lanes (lengths around the chunk width, lanes at
+    /// nonzero starts), with quiet fault scans and departures mixed in,
+    /// and small rings so drops happen.
+    #[test]
+    fn key_diff_matches_the_per_agent_reference() {
+        for seed in 0..48 {
+            let mut script = Script(seed);
+            let lens = [1usize, 15, 16, 17, 4097];
+            let shards = 1 + script.below(3) as usize;
+            let lanes: Vec<usize> = (0..shards)
+                .map(|_| lens[script.below(lens.len() as u64) as usize])
+                .collect();
+            let starts: Vec<usize> = lanes
+                .iter()
+                .scan(0, |at, &len| {
+                    let s = *at;
+                    *at += len;
+                    Some(s)
+                })
+                .collect();
+            let n = starts[shards - 1] + lanes[shards - 1];
+            let capacity = [8usize, 64, 1 << 12][script.below(3) as usize];
+            // Per-agent change probability per step, in 1/64ths: from
+            // almost-quiet (most chunks skipped) to churning.
+            let churn = [1u64, 4, 32][script.below(3) as usize];
+            let mut states: Vec<AgentClass> = (0..n).map(|_| script.class()).collect();
+            let (mut rec, mut reference) =
+                (Recorder::with_capacity(capacity), Reference::new(capacity));
+            let mut t = 0u64;
+            for _ in 0..40 {
+                t += 1 + script.below(3);
+                for s in states.iter_mut() {
+                    if script.below(64) < churn {
+                        *s = script.class();
+                    }
+                }
+                match script.below(8) {
+                    0 => {
+                        let hit = rec.scan(t, 0, 0, &states, true);
+                        assert_eq!(hit, reference.scan(t, 0, 0, &states, true), "seed {seed}");
+                    }
+                    1 => {
+                        let agent = script.below(n as u64 + 2) as u32;
+                        let change = [
+                            Membership::Leave,
+                            Membership::Hibernate,
+                            Membership::Join,
+                            Membership::Revive,
+                        ][script.below(4) as usize];
+                        rec.lifecycle(t, agent, change);
+                        reference.lifecycle(t, agent, change);
+                    }
+                    _ => {
+                        for (shard, (&start, &len)) in starts.iter().zip(&lanes).enumerate() {
+                            let lane = &states[start..start + len];
+                            rec.scan(t, shard, start, lane, false);
+                            reference.scan(t, shard, start, lane, false);
+                        }
+                    }
+                }
+            }
+            assert_eq!(rec.events(), reference.rec.events(), "seed {seed}");
+            assert_eq!(rec.recorded(), reference.rec.recorded(), "seed {seed}");
+            assert_eq!(rec.dropped(), reference.rec.dropped(), "seed {seed}");
+            assert_eq!(
+                rec.metrics().snapshot(),
+                reference.rec.metrics().snapshot(),
+                "seed {seed}"
+            );
+        }
     }
 
     #[test]

@@ -211,6 +211,42 @@ fn kernel_faulted_runs_are_probe_inert_for_every_injector() {
     }
 }
 
+/// The trace is representation-agnostic: the enum path and the packed
+/// kernel, run faulted from the same seed under the same injector,
+/// record the same events — same kinds, times, agents and fault hits.
+#[test]
+fn enum_and_kernel_faulted_runs_record_identical_events() {
+    let n = 24;
+    for kind in ranking_faults::KINDS {
+        for seed in [4u64, 19] {
+            let init = protocol(n).legal();
+            let mut enum_sim = Simulator::new(protocol(n), init.clone(), seed);
+            let mut enum_plan = faulted_plan(kind, n, seed);
+            let mut enum_rec = Recorder::new();
+            enum_sim.run_faulted_probed(budget(n), &mut enum_plan, &mut enum_rec);
+
+            let packed = Packed(protocol(n));
+            let packed_init = packed.pack_all(&init);
+            let mut kernel_sim = Simulator::new(packed, packed_init, seed);
+            let mut kernel_plan = UnpackedHook::new(faulted_plan(kind, n, seed));
+            let mut kernel_rec = Recorder::new();
+            kernel_sim.run_faulted_probed(budget(n), &mut kernel_plan, &mut kernel_rec);
+
+            assert!(enum_rec.recorded() > 0, "{kind}: no events traced");
+            assert_eq!(
+                enum_rec.events(),
+                kernel_rec.events(),
+                "enum and kernel traces differ ({kind}, seed={seed})"
+            );
+            assert_eq!(enum_rec.recorded(), kernel_rec.recorded());
+            assert_eq!(
+                enum_rec.metrics().snapshot(),
+                kernel_rec.metrics().snapshot()
+            );
+        }
+    }
+}
+
 #[test]
 fn sharded_faulted_runs_are_probe_inert() {
     let n = 32;
