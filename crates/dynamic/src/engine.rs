@@ -39,8 +39,8 @@ use std::collections::VecDeque;
 
 use population::schedule::BLOCK_PAIRS;
 use population::{
-    CursorSource, FaultHook, Frame, Membership, NoFaults, NullProbe, PackedProtocol, Probe,
-    Protocol, RankOutput, Schedule, ScheduleCursor, WordState,
+    drive, CursorSource, Engine, FaultHook, Frame, Membership, NoFaults, NoPoll, NoSaves,
+    NullProbe, PackedProtocol, Probe, Protocol, RankOutput, Schedule, ScheduleCursor, WordState,
 };
 use ranking::stable::{PackedState, StableRanking, StableState};
 use ranking::{EpochParams, Params};
@@ -307,110 +307,17 @@ impl<P: DynRanking> DynamicPopulation<P> {
         self.run_faulted_probed(count, &mut NoFaults, probe);
     }
 
-    /// Run under a fault hook *and* a probe. The batched loop splits
-    /// exactly at fault fire points and lifecycle event times; at a
-    /// shared boundary faults fire first (matching the fixed-n
-    /// engine's fault/checkpoint ordering), then membership changes
-    /// apply.
+    /// Run under a fault hook *and* a probe. The run splits exactly at
+    /// fault fire points and lifecycle event times; at a shared count
+    /// faults fire first (matching the fixed-n engine's fault/checkpoint
+    /// ordering), then membership changes apply.
     pub fn run_faulted_probed<H: FaultHook<P>, B: Probe<P>>(
         &mut self,
         count: u64,
         hook: &mut H,
         probe: &mut B,
     ) {
-        let deadline = self.interactions.saturating_add(count);
-        loop {
-            while let Some(at) = hook.next_fire(self.interactions) {
-                if at > self.interactions {
-                    break;
-                }
-                hook.fire(&self.protocol, self.interactions, &mut self.states);
-                if B::ACTIVE {
-                    probe.fault(&self.protocol, self.interactions, &self.states);
-                }
-            }
-            self.process_due(probe);
-            if self.interactions >= deadline {
-                return;
-            }
-            let mut stop = deadline;
-            if let Some(t) = hook.next_fire(self.interactions) {
-                stop = stop.min(t);
-            }
-            if let Some(t) = self.next_lifecycle_event() {
-                stop = stop.min(t);
-            }
-            debug_assert!(stop > self.interactions, "event scheduled in the past");
-            let mut remaining = stop - self.interactions;
-            while remaining > 0 {
-                let want = remaining.min(BLOCK_PAIRS as u64) as usize;
-                let block = self.schedule.sample_block(want);
-                let changed = self.protocol.transition_block(&mut self.states, block);
-                let executed = block.len() as u64;
-                self.interactions += executed;
-                remaining -= executed;
-                if B::ACTIVE {
-                    probe.block(
-                        &self.protocol,
-                        self.interactions,
-                        changed,
-                        0,
-                        0,
-                        &self.states,
-                    );
-                }
-            }
-        }
-    }
-
-    /// Earliest pending lifecycle event (arrival or roster due time),
-    /// strictly in the future after [`process_due`](Self::process_due).
-    fn next_lifecycle_event(&self) -> Option<u64> {
-        let mut next = self.churn.next_arrival();
-        for rec in &self.roster {
-            if rec.due == u64::MAX {
-                continue;
-            }
-            if matches!(
-                rec.phase,
-                Lifecycle::Active | Lifecycle::Hibernating | Lifecycle::Dormant
-            ) {
-                next = Some(next.map_or(rec.due, |t| t.min(rec.due)));
-            }
-        }
-        next
-    }
-
-    /// Apply every lifecycle event due at the current interaction
-    /// count, in a fixed deterministic order: roster transitions in
-    /// ascending agent id, then arrivals. Rebuilds the schedule and
-    /// checks the epoch band afterwards if anything changed.
-    fn process_due<B: Probe<P>>(&mut self, probe: &mut B) {
-        let now = self.interactions;
-        let mut dirty = false;
-        for id in 0..self.roster.len() as u32 {
-            let rec = &self.roster[id as usize];
-            if rec.due > now {
-                continue;
-            }
-            match rec.phase {
-                Lifecycle::Active => self.depart(id, now, probe),
-                Lifecycle::Hibernating => self.go_dormant(id, now),
-                Lifecycle::Dormant => self.revive(id, now, probe),
-                // Spawning/Departed records never carry due times.
-                Lifecycle::Spawning | Lifecycle::Departed => {}
-            }
-            dirty = true;
-        }
-        while self.churn.next_arrival().is_some_and(|t| t <= now) {
-            self.churn.pop_arrival();
-            self.spawn(now, probe);
-            dirty = true;
-        }
-        if dirty {
-            self.resize_schedule();
-            self.reparameterize();
-        }
+        drive(self, count, hook, &mut NoSaves, &mut NoPoll, probe);
     }
 
     /// An active agent's lifetime ended: hibernate or leave for good.
@@ -951,6 +858,101 @@ impl<P: DynRanking> DynamicPopulation<P> {
             epochs,
             rank_reuse_dwell,
         })
+    }
+}
+
+/// Lifecycle events are the engine's own due source: the driver splits
+/// the run at the next one and applies them after the faults due at the
+/// same count.
+impl<P: DynRanking> Engine for DynamicPopulation<P> {
+    type Protocol = P;
+
+    fn protocol(&self) -> &P {
+        &self.protocol
+    }
+
+    fn interactions(&self) -> u64 {
+        self.interactions
+    }
+
+    fn advance<B: Probe<P>>(&mut self, count: u64, probe: &mut B) {
+        let mut remaining = count;
+        while remaining > 0 {
+            let want = remaining.min(BLOCK_PAIRS as u64) as usize;
+            let block = self.schedule.sample_block(want);
+            let changed = self.protocol.transition_block(&mut self.states, block);
+            let executed = block.len() as u64;
+            self.interactions += executed;
+            remaining -= executed;
+            if B::ACTIVE {
+                probe.block(
+                    &self.protocol,
+                    self.interactions,
+                    changed,
+                    0,
+                    0,
+                    &self.states,
+                );
+            }
+        }
+    }
+
+    fn view<R>(&self, f: impl FnOnce(&[P::State]) -> R) -> R {
+        f(&self.states)
+    }
+
+    fn edit(&mut self, f: impl FnOnce(&P, &mut [P::State])) {
+        f(&self.protocol, &mut self.states);
+    }
+
+    /// Earliest pending lifecycle event (arrival or roster due time),
+    /// strictly in the future after [`settle`](Engine::settle).
+    fn next_event(&self) -> Option<u64> {
+        let mut next = self.churn.next_arrival();
+        for rec in &self.roster {
+            if rec.due == u64::MAX {
+                continue;
+            }
+            if matches!(
+                rec.phase,
+                Lifecycle::Active | Lifecycle::Hibernating | Lifecycle::Dormant
+            ) {
+                next = Some(next.map_or(rec.due, |t| t.min(rec.due)));
+            }
+        }
+        next
+    }
+
+    /// Apply every lifecycle event due at the current interaction
+    /// count, in a fixed deterministic order: roster transitions in
+    /// ascending agent id, then arrivals. Rebuilds the schedule and
+    /// checks the epoch band afterwards if anything changed.
+    fn settle<B: Probe<P>>(&mut self, probe: &mut B) {
+        let now = self.interactions;
+        let mut dirty = false;
+        for id in 0..self.roster.len() as u32 {
+            let rec = &self.roster[id as usize];
+            if rec.due > now {
+                continue;
+            }
+            match rec.phase {
+                Lifecycle::Active => self.depart(id, now, probe),
+                Lifecycle::Hibernating => self.go_dormant(id, now),
+                Lifecycle::Dormant => self.revive(id, now, probe),
+                // Spawning/Departed records never carry due times.
+                Lifecycle::Spawning | Lifecycle::Departed => {}
+            }
+            dirty = true;
+        }
+        while self.churn.next_arrival().is_some_and(|t| t <= now) {
+            self.churn.pop_arrival();
+            self.spawn(now, probe);
+            dirty = true;
+        }
+        if dirty {
+            self.resize_schedule();
+            self.reparameterize();
+        }
     }
 }
 

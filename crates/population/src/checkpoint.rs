@@ -3,10 +3,9 @@
 //! state export ([`HookState`]), and the [`Checkpointer`] driver hook.
 //!
 //! Like the [`Probe`](crate::Probe) seam, checkpointing is **zero-cost
-//! when off**: the `run_checkpointed` / `run_faulted_checkpointed` paths
-//! gate on [`Checkpointer::ACTIVE`] and delegate to the plain run loops
-//! for [`NullCheckpointer`], so the un-checkpointed hot path is the
-//! identical machine code, not a loop of no-op saves.
+//! when off**: the run driver ([`drive`](fn@crate::drive)) gates on
+//! [`Checkpointer::ACTIVE`], so for [`NullCheckpointer`] the save calls
+//! compile away and the hot path is not a loop of no-op saves.
 //!
 //! The seam deliberately knows nothing about files, formats, or
 //! checksums — a [`Checkpointer`] receives a [`Frame`] (interaction
@@ -186,9 +185,8 @@ impl<H: HookState> HookState for crate::UnpackedHook<H> {
 /// is its own deterministic trajectory: reproducible given the same
 /// cadence, compared against a checkpointed-but-uninterrupted twin.
 pub trait Checkpointer {
-    /// `false` for [`NullCheckpointer`]: the checkpointed run paths
-    /// delegate to the plain loops before entering their own, so the
-    /// disabled seam costs nothing.
+    /// `false` for [`NullCheckpointer`]: the driver then never asks for
+    /// a due time, so the disabled seam costs nothing.
     const ACTIVE: bool;
 
     /// The earliest interaction count at (or after) `now` where the
@@ -200,8 +198,7 @@ pub trait Checkpointer {
 }
 
 /// The inactive checkpointer: `run_checkpointed` with this type *is*
-/// `run_batched` — the delegation happens before the checkpointed loop,
-/// so the hot path is untouched machine code.
+/// `run_batched` — its save calls compile away.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NullCheckpointer;
 

@@ -30,9 +30,11 @@
 //!   interaction; [`Simulator::run_batched`] is the hot path, executing
 //!   interactions in blocks with no per-interaction bookkeeping. The two
 //!   are bit-for-bit trajectory-equivalent under the same seed.
-//!   [`Simulator::run_faulted`] splits the batched loop at exact
-//!   interaction counts where a [`FaultHook`] wants to corrupt the
-//!   configuration — the seam the fault-injection subsystem drives.
+//! * **Driving** — every `run*` method of every engine is one call into
+//!   [`drive`](fn@drive), which splits a run wherever a fault, save,
+//!   observer poll or engine event is due and lets each engine advance
+//!   between those counts ([`Engine::advance`]); see [`drive`](mod@drive)
+//!   for the hook order at a shared count.
 //! * **Observation** — the [`observe::Observer`] pipeline. The engine
 //!   polls observers at checkpoints (every `check_every` interactions);
 //!   observers decide when to stop and what to record. Convergence
@@ -41,13 +43,13 @@
 //!   [`observe::Sampler`]), threshold crossings
 //!   ([`observe::Thresholds`]), and counters ([`observe::Meter`]) are
 //!   all observers, and tuples of observers compose. The entry point is
-//!   [`Simulator::run_observed`]; [`Simulator::run_until`] and
-//!   [`Simulator::run_sampled`] are sugar for the two most common cases.
+//!   [`Simulator::run_observed`]; [`Simulator::run_until`] is sugar for
+//!   the most common case.
 //!   Orthogonal to observers, the [`Probe`] seam lets a flight recorder
 //!   watch runs at block, exchange, checkpoint, and fault boundaries
-//!   through the `*_probed` run paths — read-only by construction, and
-//!   compiled out entirely for [`NullProbe`] (the `telemetry` crate's
-//!   `Recorder` is the canonical recording probe).
+//!   — read-only by construction, and compiled out entirely for
+//!   [`NullProbe`] (the `telemetry` crate's `Recorder` is the canonical
+//!   recording probe).
 //!
 //! * **State representation** — protocols whose state space fits in a
 //!   machine word implement [`PackedProtocol`] (a lossless codec plus a
@@ -66,13 +68,13 @@
 //!
 //! * [`Protocol`] — the transition function and population size.
 //! * [`Simulator`] — the seeded, deterministic executor described above.
+//! * [`drive`](mod@drive) — the run driver and its hook slots.
 //! * [`schedule`] — the uniform scheduler with block pre-sampling.
 //! * [`checkpoint`] — the checkpoint/restore seam: [`WordState`] state
 //!   serialization, [`schedule::ScheduleCursor`] position capture, and
-//!   the [`Checkpointer`] hook driven by
-//!   [`Simulator::run_checkpointed`] (zero-cost when off, like the
-//!   [`Probe`] seam; the `snapshot` crate provides the durable
-//!   implementation).
+//!   the [`Checkpointer`] hook the driver calls at save points
+//!   (zero-cost when off, like the [`Probe`] seam; the `snapshot` crate
+//!   provides the durable implementation).
 //! * [`observe`] — the composable observer pipeline.
 //! * [`silence`] — an exhaustive checker for the *silent* property: a
 //!   configuration is silent iff no ordered pair of agents would change
@@ -145,6 +147,7 @@ mod protocol;
 mod sim;
 
 pub mod checkpoint;
+pub mod drive;
 pub mod modelcheck;
 pub mod observe;
 pub mod primitives;
@@ -156,6 +159,7 @@ pub use checkpoint::{
     Cadence, Checkpointer, FaultState, Frame, HookState, MemoryCheckpointer, NullCheckpointer,
     WordState,
 };
+pub use drive::{drive, Capture, Engine, Every, NoPoll, NoSaves, Poll, Saves};
 pub use observe::{
     Control, HonestRanking, Observer, ShardObserver, ShardedRanking, ShardedSilence,
 };

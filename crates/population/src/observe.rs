@@ -19,9 +19,8 @@
 //! Observers compose as tuples: `(&mut a, &mut b)` polls both and stops
 //! as soon as *any* member requests a stop. The engine entry point is
 //! [`Simulator::run_observed`](crate::Simulator::run_observed);
-//! [`run_until`](crate::Simulator::run_until) and
-//! [`run_sampled`](crate::Simulator::run_sampled) are thin sugar over
-//! this pipeline.
+//! [`run_until`](crate::Simulator::run_until) is thin sugar over this
+//! pipeline.
 
 use crate::protocol::{BatchedProtocol, Packed, PackedProtocol, Protocol};
 use crate::silence::is_silent;

@@ -1,18 +1,17 @@
-//! The instrumentation seam: a read-only [`Probe`] the probed run paths
-//! ([`Simulator::run_probed`](crate::Simulator::run_probed) and friends,
-//! plus the `shard` crate's probed engine) invoke at block, exchange,
-//! checkpoint, and fault boundaries.
+//! The instrumentation seam: a read-only [`Probe`] the run driver
+//! ([`drive`](fn@crate::drive)) and the engines' block loops invoke at
+//! block, exchange, checkpoint, and fault boundaries.
 //!
 //! # Zero cost when disabled
 //!
-//! Probes are a compile-time seam, not a runtime one: the probed run
-//! paths are generic over the probe type and check the associated
-//! constant [`Probe::ACTIVE`] first. For [`NullProbe`] (`ACTIVE =
-//! false`) they immediately delegate to the *unprobed* twin
-//! (`run_batched`, `run_faulted`, …), so a `NullProbe` run executes
-//! exactly today's hot-loop code — the same machine code, not merely
-//! equivalent code. The CI throughput smoke guards this contract with a
-//! paired A/B measurement (`probe_floor`, default `0.95×`).
+//! Probes are a compile-time seam, not a runtime one: the driver and
+//! every engine's block loop are generic over the probe type and guard
+//! each call with the associated constant [`Probe::ACTIVE`]. For
+//! [`NullProbe`] (`ACTIVE = false`) the guards are constant-false, so a
+//! `NullProbe` run is the unprobed block loop — the same machine code,
+//! not a loop of no-op calls. The CI throughput smoke guards this
+//! contract with a paired A/B measurement (`probe_floor`, default
+//! `0.95×`).
 //!
 //! # Read-only by contract
 //!
@@ -54,10 +53,9 @@ pub enum Membership {
 /// [`NullProbe`] does) so the engine can statically skip probed
 /// bookkeeping and run the unprobed hot path.
 pub trait Probe<P: Protocol> {
-    /// Whether this probe observes anything. When `false`, probed run
-    /// paths delegate to their unprobed twins and none of the methods
-    /// below are ever called. This is an associated *constant* so the
-    /// check monomorphizes away.
+    /// Whether this probe observes anything. When `false`, none of the
+    /// methods below are ever called. This is an associated *constant*
+    /// so the check monomorphizes away.
     const ACTIVE: bool = true;
 
     /// A schedule block finished executing. `t` is the engine's
@@ -88,8 +86,9 @@ pub trait Probe<P: Protocol> {
         let _ = (protocol, t, pairs);
     }
 
-    /// An observer checkpoint was polled at interaction count `t`;
-    /// `stopping` reports whether the run is about to stop there.
+    /// An observer was polled at interaction count `t`. Fires exactly
+    /// once per poll; `stopping` is true on the run's final poll,
+    /// whether an observer stop or the end of the budget ends it.
     fn checkpoint(&mut self, protocol: &P, t: u64, stopping: bool) {
         let _ = (protocol, t, stopping);
     }
@@ -114,10 +113,9 @@ pub trait Probe<P: Protocol> {
 
 /// The disabled probe: observes nothing, costs nothing.
 ///
-/// `ACTIVE = false` makes every probed run path delegate to its
-/// unprobed twin before entering the loop, so `run_probed(count, &mut
-/// NullProbe)` *is* `run_batched(count)` — the identical code path, not
-/// an instrumented loop with no-op calls.
+/// `ACTIVE = false` compiles every probe call away, so
+/// `run_probed(count, &mut NullProbe)` *is* `run_batched(count)` — the
+/// identical code path, not an instrumented loop with no-op calls.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NullProbe;
 

@@ -1,7 +1,8 @@
 use crate::checkpoint::{Checkpointer, Frame, HookState, WordState};
-use crate::observe::{Convergence, Observer, Sampler};
+use crate::drive::{drive, Capture, Engine, Every, NoPoll, NoSaves};
+use crate::observe::{Convergence, Observer};
 use crate::pairs::pair_mut;
-use crate::probe::Probe;
+use crate::probe::{NullProbe, Probe};
 use crate::protocol::{BatchedProtocol, Packed, Protocol};
 use crate::schedule::{CursorSource, PairSource, Schedule, BLOCK_PAIRS};
 
@@ -38,6 +39,10 @@ impl StopReason {
 /// trajectory-equivalent to [`Simulator::run_batched`] (faults only ever
 /// mutate states, never the pair stream).
 pub trait FaultHook<P: Protocol> {
+    /// `false` for [`NoFaults`]: the driver then never asks the hook for
+    /// a fire time, so the disabled hook costs nothing.
+    const ACTIVE: bool = true;
+
     /// The earliest interaction count at (or after) `now` where the hook
     /// wants to fire, or `None` if it never will again. The engine stops
     /// the batched loop exactly there.
@@ -59,6 +64,8 @@ pub trait FaultHook<P: Protocol> {
 pub struct NoFaults;
 
 impl<P: Protocol> FaultHook<P> for NoFaults {
+    const ACTIVE: bool = false;
+
     fn next_fire(&mut self, _now: u64) -> Option<u64> {
         None
     }
@@ -106,6 +113,8 @@ impl<H> UnpackedHook<H> {
 }
 
 impl<P: BatchedProtocol, H: FaultHook<P>> FaultHook<Packed<P>> for UnpackedHook<H> {
+    const ACTIVE: bool = H::ACTIVE;
+
     fn next_fire(&mut self, now: u64) -> Option<u64> {
         self.inner.next_fire(now)
     }
@@ -126,6 +135,8 @@ impl<P: BatchedProtocol, H: FaultHook<P>> FaultHook<Packed<P>> for UnpackedHook<
 impl<P: BatchedProtocol, H: FaultHook<P>> FaultHook<crate::ScalarBlock<Packed<P>>>
     for UnpackedHook<H>
 {
+    const ACTIVE: bool = H::ACTIVE;
+
     fn next_fire(&mut self, now: u64) -> Option<u64> {
         self.inner.next_fire(now)
     }
@@ -152,9 +163,8 @@ impl<P: BatchedProtocol, H: FaultHook<P>> FaultHook<crate::ScalarBlock<Packed<P>
 ///
 /// Observation happens through the [`Observer`] pipeline via
 /// [`run_observed`](Simulator::run_observed), with
-/// [`run_until`](Simulator::run_until) and
-/// [`run_sampled`](Simulator::run_sampled) as sugar for the two most
-/// common observers.
+/// [`run_until`](Simulator::run_until) as sugar for the most common
+/// observer.
 ///
 /// ```
 /// use population::{Protocol, Simulator};
@@ -269,15 +279,7 @@ impl<P: Protocol, S: PairSource> Simulator<P, S> {
     /// (kernels skip the write-back of unchanged words); this is why
     /// the `changed` flag's "no false negatives" contract exists.
     pub fn run_batched(&mut self, count: u64) {
-        let mut remaining = count;
-        while remaining > 0 {
-            let want = remaining.min(BLOCK_PAIRS as u64) as usize;
-            let block = self.schedule.sample_block(want);
-            self.protocol.transition_block(&mut self.states, block);
-            let executed = block.len() as u64;
-            self.interactions += executed;
-            remaining -= executed;
-        }
+        self.run_probed(count, &mut NullProbe);
     }
 
     /// Execute exactly `count` interactions (batched).
@@ -286,42 +288,17 @@ impl<P: Protocol, S: PairSource> Simulator<P, S> {
     }
 
     /// [`run_batched`](Simulator::run_batched) with an instrumentation
-    /// [`Probe`] invoked after every executed block.
-    ///
-    /// Trajectory-inert: probes only ever see `&`-references, so the
-    /// final configuration and interaction count are bit-for-bit those
-    /// of `run_batched` under the same seed, whatever the probe records.
-    /// For an inactive probe ([`Probe::ACTIVE`]` == false`, e.g.
-    /// [`NullProbe`](crate::NullProbe)) this method *delegates* to
-    /// `run_batched` before entering the loop — the untraced path is the
-    /// identical machine code, not an instrumented loop of no-ops.
+    /// [`Probe`] invoked after every executed block. Trajectory-inert:
+    /// probes only ever see `&`-references. For an inactive probe
+    /// ([`NullProbe`]) the probe calls compile away.
     pub fn run_probed<B: Probe<P>>(&mut self, count: u64, probe: &mut B) {
-        if !B::ACTIVE {
-            return self.run_batched(count);
-        }
-        let mut remaining = count;
-        while remaining > 0 {
-            let want = remaining.min(BLOCK_PAIRS as u64) as usize;
-            let block = self.schedule.sample_block(want);
-            let changed = self.protocol.transition_block(&mut self.states, block);
-            let executed = block.len() as u64;
-            self.interactions += executed;
-            remaining -= executed;
-            probe.block(
-                &self.protocol,
-                self.interactions,
-                changed,
-                0,
-                0,
-                &self.states,
-            );
-        }
+        self.run_faulted_probed(count, &mut NoFaults, probe);
     }
 
     /// Drive the simulation under an [`Observer`]: the observer is
-    /// polled once before the first step and then every `check_every`
-    /// interactions, until it stops the run or `max_interactions` have
-    /// been executed.
+    /// polled once before the first step, then every `check_every`
+    /// interactions and at the end of the budget, until it stops the
+    /// run or `max_interactions` have been executed.
     ///
     /// # Panics
     ///
@@ -332,34 +309,12 @@ impl<P: Protocol, S: PairSource> Simulator<P, S> {
         check_every: u64,
         observer: &mut O,
     ) -> StopReason {
-        assert!(check_every > 0, "check_every must be positive");
-        if observer
-            .observe(&self.protocol, self.interactions, &self.states)
-            .is_stop()
-        {
-            return StopReason::Converged(self.interactions);
-        }
-        let deadline = self.interactions + max_interactions;
-        while self.interactions < deadline {
-            let burst = check_every.min(deadline - self.interactions);
-            self.run_batched(burst);
-            if observer
-                .observe(&self.protocol, self.interactions, &self.states)
-                .is_stop()
-            {
-                return StopReason::Converged(self.interactions);
-            }
-        }
-        StopReason::BudgetExhausted
+        self.run_observed_probed(max_interactions, check_every, observer, &mut NullProbe)
     }
 
     /// [`run_observed`](Simulator::run_observed) with an
-    /// instrumentation [`Probe`]: bursts run through
-    /// [`run_probed`](Simulator::run_probed), and the probe's
-    /// [`checkpoint`](Probe::checkpoint) hook fires at every observer
-    /// poll (with `stopping` reporting the observer's verdict).
-    /// Delegates to `run_observed` for inactive probes; trajectory-inert
-    /// otherwise, exactly like `run_probed`.
+    /// instrumentation [`Probe`], whose [`checkpoint`](Probe::checkpoint)
+    /// hook fires at every observer poll.
     ///
     /// # Panics
     ///
@@ -371,30 +326,15 @@ impl<P: Protocol, S: PairSource> Simulator<P, S> {
         observer: &mut O,
         probe: &mut B,
     ) -> StopReason {
-        if !B::ACTIVE {
-            return self.run_observed(max_interactions, check_every, observer);
-        }
-        assert!(check_every > 0, "check_every must be positive");
-        let stop = observer
-            .observe(&self.protocol, self.interactions, &self.states)
-            .is_stop();
-        probe.checkpoint(&self.protocol, self.interactions, stop);
-        if stop {
-            return StopReason::Converged(self.interactions);
-        }
-        let deadline = self.interactions + max_interactions;
-        while self.interactions < deadline {
-            let burst = check_every.min(deadline - self.interactions);
-            self.run_probed(burst, probe);
-            let stop = observer
-                .observe(&self.protocol, self.interactions, &self.states)
-                .is_stop();
-            probe.checkpoint(&self.protocol, self.interactions, stop);
-            if stop {
-                return StopReason::Converged(self.interactions);
-            }
-        }
-        StopReason::BudgetExhausted
+        let mut poll = Every(check_every, observer);
+        drive(
+            self,
+            max_interactions,
+            &mut NoFaults,
+            &mut NoSaves,
+            &mut poll,
+            probe,
+        )
     }
 
     /// Run until `converged` returns true (polled every `check_every`
@@ -416,97 +356,27 @@ impl<P: Protocol, S: PairSource> Simulator<P, S> {
         self.run_observed(max_interactions, check_every, &mut observer)
     }
 
-    /// Run `max_interactions` interactions, invoking `observe` on the
-    /// configuration every `sample_every` interactions (and once at the
-    /// start). Sugar for [`run_observed`](Simulator::run_observed) with
-    /// a [`Sampler`] observer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sample_every == 0`.
-    pub fn run_sampled(
-        &mut self,
-        max_interactions: u64,
-        sample_every: u64,
-        observe: impl FnMut(u64, &[P::State]),
-    ) {
-        let mut observer = Sampler::new(observe);
-        let stop = self.run_observed(max_interactions, sample_every, &mut observer);
-        debug_assert_eq!(stop, StopReason::BudgetExhausted, "samplers never stop");
-    }
-
     /// Execute exactly `count` interactions (batched), handing control
-    /// to `hook` at every interaction count where it asks to fire.
-    ///
-    /// The batched loop is split *exactly* at fire points, so faults are
-    /// injected at precise interaction counts — a fault scheduled at `t`
-    /// sees the configuration after exactly `t` interactions. Because
-    /// the pair stream is FIFO regardless of batch decomposition, and
-    /// hooks only mutate states, `run_faulted` with a hook that never
-    /// fires is **bit-for-bit trajectory-equivalent** to
-    /// [`run_batched`](Simulator::run_batched) (property-tested in
-    /// `tests/fault_recovery.rs`).
-    ///
-    /// Hooks due at the moment this method is entered fire before any
-    /// interaction executes; hooks due exactly at the end of the run
-    /// fire before it returns.
+    /// to `hook` at every interaction count where it asks to fire — a
+    /// fault scheduled at `t` sees the configuration after exactly `t`
+    /// interactions. Hooks only mutate states and the pair stream is
+    /// FIFO, so a hook that never fires leaves the trajectory
+    /// bit-for-bit that of [`run_batched`](Simulator::run_batched)
+    /// (property-tested in `tests/fault_recovery.rs`).
     pub fn run_faulted<H: FaultHook<P>>(&mut self, count: u64, hook: &mut H) {
-        let deadline = self.interactions + count;
-        loop {
-            // Fire everything due at the current interaction count. The
-            // hook contract (fire advances past `t`) makes this loop
-            // finite.
-            while hook
-                .next_fire(self.interactions)
-                .is_some_and(|t| t <= self.interactions)
-            {
-                hook.fire(&self.protocol, self.interactions, &mut self.states);
-            }
-            if self.interactions >= deadline {
-                return;
-            }
-            let stop = match hook.next_fire(self.interactions) {
-                Some(t) if t < deadline => t,
-                _ => deadline,
-            };
-            self.run_batched(stop - self.interactions);
-        }
+        self.run_faulted_probed(count, hook, &mut NullProbe);
     }
 
     /// [`run_faulted`](Simulator::run_faulted) with an instrumentation
-    /// [`Probe`]: bursts run through
-    /// [`run_probed`](Simulator::run_probed), and the probe's
-    /// [`fault`](Probe::fault) hook fires after every hook firing with
-    /// the post-mutation configuration. Delegates to `run_faulted` for
-    /// inactive probes; trajectory-inert otherwise (the same fire
-    /// points, the same pair stream).
+    /// [`Probe`], whose [`fault`](Probe::fault) hook sees the
+    /// configuration after every firing.
     pub fn run_faulted_probed<H: FaultHook<P>, B: Probe<P>>(
         &mut self,
         count: u64,
         hook: &mut H,
         probe: &mut B,
     ) {
-        if !B::ACTIVE {
-            return self.run_faulted(count, hook);
-        }
-        let deadline = self.interactions + count;
-        loop {
-            while hook
-                .next_fire(self.interactions)
-                .is_some_and(|t| t <= self.interactions)
-            {
-                hook.fire(&self.protocol, self.interactions, &mut self.states);
-                probe.fault(&self.protocol, self.interactions, &self.states);
-            }
-            if self.interactions >= deadline {
-                return;
-            }
-            let stop = match hook.next_fire(self.interactions) {
-                Some(t) if t < deadline => t,
-                _ => deadline,
-            };
-            self.run_probed(stop - self.interactions, probe);
-        }
+        drive(self, count, hook, &mut NoSaves, &mut NoPoll, probe);
     }
 
     /// Consume the simulator, returning the final configuration.
@@ -557,75 +427,79 @@ impl<P: WordState, S: CursorSource> Simulator<P, S> {
     }
 
     /// [`run_batched`](Simulator::run_batched) with periodic state
-    /// saves through a [`Checkpointer`]. Sugar for
-    /// [`run_faulted_checkpointed`](Simulator::run_faulted_checkpointed)
-    /// with [`NoFaults`]; delegates to `run_batched` for an inactive
-    /// checkpointer (identical hot path, like the [`Probe`] seam).
+    /// saves through a [`Checkpointer`].
     pub fn run_checkpointed<C: Checkpointer>(&mut self, count: u64, ckpt: &mut C) {
-        if !C::ACTIVE {
-            return self.run_batched(count);
-        }
         self.run_faulted_checkpointed(count, &mut NoFaults, ckpt);
     }
 
     /// [`run_faulted`](Simulator::run_faulted) with periodic state
-    /// saves: the batched loop splits at both fault fire points *and*
-    /// checkpoint due points, so saves land at exact interaction
-    /// counts. At a count where both are due, faults fire **first** —
-    /// the saved frame then reflects the post-fault configuration and a
-    /// hook already advanced past `t`, so a resume from it replays
-    /// nothing. Delegates to `run_faulted` for an inactive
-    /// checkpointer.
-    ///
-    /// Checkpointing is trajectory-inert here: the pair stream is FIFO,
-    /// so splitting bursts at save points leaves the sequential
-    /// trajectory bit-for-bit unchanged (property-tested in
+    /// saves at exact interaction counts. At a count where both are due
+    /// the fault fires first, so the saved frame holds the post-fault
+    /// configuration and a hook already advanced past it: a resume
+    /// replays nothing. Saving is trajectory-inert here, because the
+    /// pair stream is FIFO (property-tested in
     /// `tests/snapshot_resume.rs`).
     pub fn run_faulted_checkpointed<H, C>(&mut self, count: u64, hook: &mut H, ckpt: &mut C)
     where
         H: FaultHook<P> + HookState,
         C: Checkpointer,
     {
-        if !C::ACTIVE {
-            return self.run_faulted(count, hook);
+        drive(self, count, hook, ckpt, &mut NoPoll, &mut NullProbe);
+    }
+}
+
+impl<P: Protocol, S: PairSource> Engine for Simulator<P, S> {
+    type Protocol = P;
+
+    fn protocol(&self) -> &P {
+        &self.protocol
+    }
+
+    fn interactions(&self) -> u64 {
+        self.interactions
+    }
+
+    fn advance<B: Probe<P>>(&mut self, count: u64, probe: &mut B) {
+        let mut remaining = count;
+        while remaining > 0 {
+            let want = remaining.min(BLOCK_PAIRS as u64) as usize;
+            let block = self.schedule.sample_block(want);
+            let changed = self.protocol.transition_block(&mut self.states, block);
+            let executed = block.len() as u64;
+            self.interactions += executed;
+            remaining -= executed;
+            if B::ACTIVE {
+                probe.block(
+                    &self.protocol,
+                    self.interactions,
+                    changed,
+                    0,
+                    0,
+                    &self.states,
+                );
+            }
         }
-        let deadline = self.interactions + count;
-        loop {
-            while hook
-                .next_fire(self.interactions)
-                .is_some_and(|t| t <= self.interactions)
-            {
-                hook.fire(&self.protocol, self.interactions, &mut self.states);
-            }
-            while ckpt
-                .next_due(self.interactions)
-                .is_some_and(|t| t <= self.interactions)
-            {
-                let frame = self.frame();
-                ckpt.save(&frame, hook.export_state().as_ref());
-            }
-            if self.interactions >= deadline {
-                return;
-            }
-            let next_event = [
-                hook.next_fire(self.interactions),
-                ckpt.next_due(self.interactions),
-            ]
-            .into_iter()
-            .flatten()
-            .min();
-            let stop = match next_event {
-                Some(t) if t < deadline => t,
-                _ => deadline,
-            };
-            self.run_batched(stop - self.interactions);
-        }
+    }
+
+    fn view<R>(&self, f: impl FnOnce(&[P::State]) -> R) -> R {
+        f(&self.states)
+    }
+
+    fn edit(&mut self, f: impl FnOnce(&P, &mut [P::State])) {
+        f(&self.protocol, &mut self.states);
+    }
+}
+
+impl<P: WordState, S: CursorSource> Capture for Simulator<P, S> {
+    fn frame(&self) -> Frame {
+        Simulator::frame(self)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observe::Sampler;
 
     /// Counts interactions on each side; never changes "converged" flag.
     struct Count;
@@ -754,10 +628,11 @@ mod tests {
     }
 
     #[test]
-    fn run_sampled_observes_start_and_end() {
+    fn sampler_observes_start_and_end() {
         let mut sim = Simulator::new(Count, vec![(0, 0); 16], 5);
         let mut samples = Vec::new();
-        sim.run_sampled(200, 60, |t, _| samples.push(t));
+        let mut sampler = Sampler::new(|t, _: &[(u64, u64)]| samples.push(t));
+        sim.run_observed(200, 60, &mut sampler);
         assert_eq!(samples, vec![0, 60, 120, 180, 200]);
     }
 

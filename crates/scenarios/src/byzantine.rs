@@ -792,10 +792,8 @@ where
     honest.converged_at()
 }
 
-/// [`run_honest`] over the sharded engine — the counterpart of
-/// [`run_recovery_sharded`](crate::recovery::run_recovery_sharded) for
-/// persistent adversaries. Observation goes through the copy-free
-/// [`run_merged`](shard::ShardedSimulator::run_merged) path
+/// [`run_honest`] over the sharded engine. Observation goes through the
+/// copy-free [`run_merged`](shard::ShardedSimulator::run_merged) path
 /// ([`HonestRanking`](population::HonestRanking) is a
 /// [`ShardObserver`](population::ShardObserver): each lane contributes
 /// its honest-rank bitmap). With `shards = 1` this is bit-for-bit

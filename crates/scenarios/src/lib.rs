@@ -45,10 +45,9 @@
 //! * **Recovery measurement** ([`recovery`]) — [`recovery::Recovery`]
 //!   pairs each fired fault with the first checkpoint at which legality
 //!   holds again; [`recovery::run_recovery`] is the driver the `recovery`
-//!   bench binary (and `BENCH_recovery.json`) is built on, and
-//!   [`recovery::run_recovery_sharded`] is its counterpart over the
-//!   `shard` crate's multi-threaded single-run engine (fault plans fire
-//!   at the same exact interaction counts there), and
+//!   bench binary (and `BENCH_recovery.json`) is built on — over any
+//!   engine, sequential, sharded or dynamic (fault plans fire at the
+//!   same exact interaction counts on each) — and
 //!   [`traced::run_recovery_traced`] is the same driver with a
 //!   [`telemetry::Recorder`] riding the engine's probe seam — a
 //!   structured event trace and metrics alongside the recovery log.
@@ -92,6 +91,6 @@ pub use byzantine::{
     Tolerance,
 };
 pub use fault::{DuplicateRank, EraseRank, Fault, FaultPlan, FiredFault, MapStates, StateRewrite};
-pub use recovery::{run_recovery, run_recovery_sharded, Recovery, RecoveryEvent};
+pub use recovery::{run_recovery, Recovery, RecoveryEvent};
 pub use sched::{BiasedSchedule, ClusteredSchedule, RoundRobinSchedule};
 pub use traced::run_recovery_traced;

@@ -10,14 +10,17 @@
 //! `recovered_at − injected_at` intervals are the recovery times the
 //! `recovery` bench binary aggregates.
 //!
-//! [`run_recovery`] is the driver: it interleaves
-//! [`Simulator::run_faulted`](population::Simulator::run_faulted)
-//! bursts (faults fire at exact interaction counts) with legality
-//! checkpoints every `check_every` interactions, so — as everywhere else
-//! in the engine — recorded recovery times overshoot the true
-//! re-stabilization time by less than the polling period.
+//! [`run_recovery`] runs any engine through the run driver
+//! ([`drive`](fn@population::drive)) with the plan as its fault hook
+//! (faults fire at exact interaction counts) and legality polls every
+//! `check_every` interactions, so — as everywhere else in the engine —
+//! recorded recovery times overshoot the true re-stabilization time by
+//! less than the polling period.
 
-use population::{Control, Observer, PairSource, Protocol, Simulator};
+use population::drive::StateOf;
+use population::{
+    drive, Control, Engine, FaultHook, NoSaves, NullProbe, Observer, Poll, Probe, Protocol,
+};
 
 use crate::fault::FaultPlan;
 
@@ -112,153 +115,132 @@ impl<P: Protocol, F: FnMut(&P, &[P::State]) -> bool> Observer<P> for Recovery<F>
     }
 }
 
-/// Drive `sim` for up to `max_interactions` under `plan`, recording
-/// every fault → re-stabilization interval into `recovery`.
+/// Drive `sim` — any engine: sequential, sharded or dynamic — for up to
+/// `max_interactions` under `plan`, recording every fault →
+/// re-stabilization interval into `recovery`.
 ///
-/// Faults fire at their exact scheduled interaction counts (the engine
-/// splits its batched loop there); legality is polled every
-/// `check_every` interactions and once up front. Returns early once
-/// every injected fault has recovered and no further fault can fire
-/// within the budget — so single-shot plans don't burn the full budget
-/// after re-stabilizing.
-///
-/// # Panics
-///
-/// Panics if `check_every == 0`.
-pub fn run_recovery<P, S, F>(
-    sim: &mut Simulator<P, S>,
-    plan: &mut FaultPlan<P::State>,
-    recovery: &mut Recovery<F>,
-    max_interactions: u64,
-    check_every: u64,
-) where
-    P: Protocol,
-    S: PairSource,
-    F: FnMut(&P, &[P::State]) -> bool,
-{
-    drive(sim, plan, recovery, max_interactions, check_every);
-}
-
-/// The engine operations the recovery driver needs, implemented for the
-/// sequential and the sharded simulator so the driver loop ([`drive`])
-/// exists exactly once and cannot diverge between the two.
-trait RecoveryEngine<P: Protocol> {
-    /// Interactions executed so far.
-    fn interactions(&self) -> u64;
-
-    /// Execute exactly `burst` interactions under the plan (faults fire
-    /// at their exact scheduled counts).
-    fn run_faulted_burst(&mut self, burst: u64, plan: &mut FaultPlan<P::State>);
-
-    /// Poll the recovery observer on the current configuration.
-    fn observe_into<F: FnMut(&P, &[P::State]) -> bool>(&self, recovery: &mut Recovery<F>);
-}
-
-impl<P: Protocol, S: PairSource> RecoveryEngine<P> for Simulator<P, S> {
-    fn interactions(&self) -> u64 {
-        Simulator::interactions(self)
-    }
-
-    fn run_faulted_burst(&mut self, burst: u64, plan: &mut FaultPlan<P::State>) {
-        self.run_faulted(burst, plan);
-    }
-
-    fn observe_into<F: FnMut(&P, &[P::State]) -> bool>(&self, recovery: &mut Recovery<F>) {
-        recovery.observe(
-            self.protocol(),
-            Simulator::interactions(self),
-            self.states(),
-        );
-    }
-}
-
-impl<P> RecoveryEngine<P> for shard::ShardedSimulator<P>
-where
-    P: Protocol + Sync,
-    P::State: Send,
-{
-    fn interactions(&self) -> u64 {
-        shard::ShardedSimulator::interactions(self)
-    }
-
-    fn run_faulted_burst(&mut self, burst: u64, plan: &mut FaultPlan<P::State>) {
-        self.run_faulted(burst, plan);
-    }
-
-    fn observe_into<F: FnMut(&P, &[P::State]) -> bool>(&self, recovery: &mut Recovery<F>) {
-        recovery.observe(
-            self.protocol(),
-            shard::ShardedSimulator::interactions(self),
-            &self.states(),
-        );
-    }
-}
-
-/// The shared driver loop behind [`run_recovery`] and
-/// [`run_recovery_sharded`].
-fn drive<P, E, F>(
-    sim: &mut E,
-    plan: &mut FaultPlan<P::State>,
-    recovery: &mut Recovery<F>,
-    max_interactions: u64,
-    check_every: u64,
-) where
-    P: Protocol,
-    E: RecoveryEngine<P>,
-    F: FnMut(&P, &[P::State]) -> bool,
-{
-    assert!(check_every > 0, "check_every must be positive");
-    let deadline = sim.interactions() + max_interactions;
-    sim.observe_into(recovery);
-    while sim.interactions() < deadline {
-        let burst = check_every.min(deadline - sim.interactions());
-        let seen = plan.fired().len();
-        sim.run_faulted_burst(burst, plan);
-        for f in plan.fired()[seen..].iter().copied() {
-            recovery.note_fault(f.at, f.name);
-        }
-        sim.observe_into(recovery);
-        let more_faults_due = plan.peek_next().is_some_and(|t| t <= deadline);
-        if recovery.all_recovered() && !more_faults_due {
-            break;
-        }
-    }
-}
-
-/// Drive a **sharded** run for up to `max_interactions` under `plan`,
-/// recording every fault → re-stabilization interval into `recovery` —
-/// the sharded counterpart of [`run_recovery`], built on
-/// [`ShardedSimulator::run_faulted`](shard::ShardedSimulator::run_faulted).
-///
-/// Faults still fire at their exact scheduled interaction counts (the
-/// sharded engine splits its blocks there, just like the sequential
-/// one), and legality is polled on configuration snapshots every
-/// `check_every` interactions. With `shards = 1` this is
-/// trajectory-equivalent to [`run_recovery`] over a uniform
+/// Faults fire at their exact scheduled interaction counts (the driver
+/// splits the run there); legality is polled once up front, every
+/// `check_every` interactions, and at the end of the budget, always after
+/// the faults due at the same count. The poll stops the run once every
+/// injected fault has recovered and no further fault can fire within the
+/// budget — so single-shot plans don't burn the full budget after
+/// re-stabilizing. On a sharded engine with `shards = 1` this is
+/// trajectory-equivalent to the sequential run over a uniform
 /// [`Schedule`](population::Schedule).
 ///
 /// # Panics
 ///
 /// Panics if `check_every == 0`.
-pub fn run_recovery_sharded<P, F>(
-    sim: &mut shard::ShardedSimulator<P>,
-    plan: &mut FaultPlan<P::State>,
+pub fn run_recovery<E, F>(
+    sim: &mut E,
+    plan: &mut FaultPlan<StateOf<E>>,
     recovery: &mut Recovery<F>,
     max_interactions: u64,
     check_every: u64,
 ) where
-    P: Protocol + Sync,
-    P::State: Send,
-    F: FnMut(&P, &[P::State]) -> bool,
+    E: Engine,
+    F: FnMut(&E::Protocol, &[StateOf<E>]) -> bool,
 {
-    drive(sim, plan, recovery, max_interactions, check_every);
+    let plan_of: PlanOf<_, _> = |plan| plan;
+    recover(
+        sim,
+        plan,
+        plan_of,
+        recovery,
+        max_interactions,
+        check_every,
+        &mut NullProbe,
+    );
+}
+
+/// Reads the [`FaultPlan`] behind a fault hook.
+pub(crate) type PlanOf<H, S> = fn(&H) -> &FaultPlan<S>;
+
+/// [`run_recovery`] for a fault hook that wraps its plan, with a probe.
+pub(crate) fn recover<E, H, S, F, B>(
+    engine: &mut E,
+    faults: &mut H,
+    plan_of: PlanOf<H, S>,
+    recovery: &mut Recovery<F>,
+    max_interactions: u64,
+    check_every: u64,
+    probe: &mut B,
+) where
+    E: Engine,
+    H: FaultHook<E::Protocol>,
+    F: FnMut(&E::Protocol, &[StateOf<E>]) -> bool,
+    B: Probe<E::Protocol>,
+{
+    let start = engine.interactions();
+    let mut poll = RecoveryPoll {
+        every: check_every,
+        seen: plan_of(faults).fired().len(),
+        start,
+        deadline: start.saturating_add(max_interactions),
+        recovery,
+        plan_of,
+    };
+    drive(
+        engine,
+        max_interactions,
+        faults,
+        &mut NoSaves,
+        &mut poll,
+        probe,
+    );
+}
+
+/// The recovery poll: notes the faults fired since the last poll, polls
+/// legality, and stops the run once every fault has recovered and none
+/// remains due within the budget. The up-front poll only observes: faults
+/// due at the start are noted at the next poll, and the run always takes
+/// its first step.
+struct RecoveryPoll<'a, F, H, S> {
+    every: u64,
+    /// Fired faults already noted.
+    seen: usize,
+    start: u64,
+    deadline: u64,
+    recovery: &'a mut Recovery<F>,
+    plan_of: PlanOf<H, S>,
+}
+
+impl<E, H, S, F> Poll<E, H> for RecoveryPoll<'_, F, H, S>
+where
+    E: Engine,
+    F: FnMut(&E::Protocol, &[StateOf<E>]) -> bool,
+{
+    fn every(&self) -> u64 {
+        self.every
+    }
+
+    fn poll(&mut self, engine: &E, faults: &H) -> Control {
+        let t = engine.interactions();
+        if t == self.start {
+            engine.view(|states| self.recovery.observe(engine.protocol(), t, states));
+            return Control::Continue;
+        }
+        let plan = (self.plan_of)(faults);
+        for f in &plan.fired()[self.seen..] {
+            self.recovery.note_fault(f.at, f.name);
+        }
+        self.seen = plan.fired().len();
+        engine.view(|states| self.recovery.observe(engine.protocol(), t, states));
+        let more_faults_due = plan.peek_next().is_some_and(|t| t <= self.deadline);
+        if self.recovery.all_recovered() && !more_faults_due {
+            Control::Stop
+        } else {
+            Control::Continue
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fault::StateRewrite;
-    use population::Protocol;
+    use population::Simulator;
     use rand::rngs::SmallRng;
 
     /// "Infection" protocol: state counts down to 0; legal iff all zero.
@@ -350,7 +332,7 @@ mod tests {
         let mut sharded = shard::ShardedSimulator::new(Decay(n), vec![0; n], 3, 1);
         let mut sh_plan = make_plan();
         let mut sh_rec = Recovery::new(legal);
-        run_recovery_sharded(&mut sharded, &mut sh_plan, &mut sh_rec, 100_000, 100);
+        run_recovery(&mut sharded, &mut sh_plan, &mut sh_rec, 100_000, 100);
 
         assert_eq!(sh_rec.events(), seq_rec.events());
         assert_eq!(sharded.states(), seq.states());
@@ -363,7 +345,7 @@ mod tests {
         let mut sim = shard::ShardedSimulator::new(Decay(n), vec![0; n], 7, 4);
         let mut plan = FaultPlan::new(1).once(500, corrupt_to(40, 6));
         let mut rec = Recovery::new(|_: &Decay, s: &[u32]| s.iter().all(|&x| x == 0));
-        run_recovery_sharded(&mut sim, &mut plan, &mut rec, 100_000, 100);
+        run_recovery(&mut sim, &mut plan, &mut rec, 100_000, 100);
 
         let events = rec.events();
         assert_eq!(events.len(), 1);

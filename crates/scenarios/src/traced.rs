@@ -1,6 +1,6 @@
 //! Flight-recorded recovery runs: the [`recovery`](crate::recovery)
 //! driver with a [`telemetry::Recorder`] riding the engine's
-//! [`Probe`] seam.
+//! [`Probe`](population::Probe) seam.
 //!
 //! [`run_recovery_traced`] drives a **packed** simulation (so the block
 //! kernel — the production hot path — is what gets traced) under a
@@ -15,33 +15,25 @@
 //! * the recorder's metric registry (reset-interval and rank-dwell
 //!   histograms, event counters).
 //!
-//! The probe seam is read-only and the probed engine paths delegate to
-//! the unprobed ones under a
-//! [`NullProbe`](population::NullProbe), so a traced run follows the
-//! **bit-for-bit identical trajectory** of the equivalent untraced run
-//! — property-tested in `tests/telemetry_inert.rs` at the workspace
-//! root.
+//! The probe seam is read-only, so a traced run follows the **bit-for-bit
+//! identical trajectory** of the equivalent untraced run —
+//! property-tested in `tests/telemetry_inert.rs` at the workspace root.
 
-use population::{BatchedProtocol, Observer, Packed, PairSource, Probe, Simulator, UnpackedHook};
+use population::{BatchedProtocol, Packed, PairSource, Simulator, UnpackedHook};
 use telemetry::{Recorder, TraceState};
 
 use crate::fault::FaultPlan;
-use crate::recovery::Recovery;
+use crate::recovery::{recover, PlanOf, Recovery};
 
 /// Drive a packed simulation for up to `max_interactions` under `plan`,
 /// recording fault → re-stabilization intervals into `recovery` **and**
 /// a structured event trace into `recorder`.
 ///
-/// The loop mirrors [`run_recovery`](crate::run_recovery) exactly —
-/// faults fire at their exact scheduled interaction counts, legality is
-/// polled every `check_every` interactions and once up front, and the
-/// run exits early once every fault has recovered and none remain due —
-/// with three additions: bursts go through
-/// [`Simulator::run_faulted_probed`] so the recorder sees every block,
-/// each legality poll is mirrored to the recorder as a
-/// [`Checkpoint`](telemetry::EventKind::Checkpoint) event (its
+/// This is [`run_recovery`](crate::run_recovery) with the recorder on
+/// the probe seam: it sees every block and fault, each legality poll
+/// becomes a [`Checkpoint`](telemetry::EventKind::Checkpoint) event (its
 /// `stopping` flag marks the final poll), and fired injector names are
-/// joined onto the recorder's fault events after every burst.
+/// joined onto the recorder's fault events when the run ends.
 ///
 /// # Panics
 ///
@@ -59,34 +51,18 @@ pub fn run_recovery_traced<P, S, F>(
     S: PairSource,
     F: FnMut(&Packed<P>, &[P::Packed]) -> bool,
 {
-    assert!(check_every > 0, "check_every must be positive");
-    let deadline = sim.interactions() + max_interactions;
-    recovery.observe(sim.protocol(), sim.interactions(), sim.states());
-    loop {
-        let t = sim.interactions();
-        if t >= deadline {
-            recorder.checkpoint(sim.protocol(), t, true);
-            return;
-        }
-        let burst = check_every.min(deadline - t);
-        let seen = plan.inner().fired().len();
-        sim.run_faulted_probed(burst, plan, recorder);
-        let fired: Vec<(u64, &'static str)> = plan.inner().fired()[seen..]
-            .iter()
-            .map(|f| (f.at, f.name))
-            .collect();
-        for &(at, name) in &fired {
-            recovery.note_fault(at, name);
-        }
-        recorder.name_faults(fired);
-        recovery.observe(sim.protocol(), sim.interactions(), sim.states());
-        let more_faults_due = plan.inner().peek_next().is_some_and(|t| t <= deadline);
-        let done = recovery.all_recovered() && !more_faults_due;
-        recorder.checkpoint(sim.protocol(), sim.interactions(), done);
-        if done {
-            return;
-        }
-    }
+    let seen = plan.inner().fired().len();
+    let plan_of: PlanOf<_, _> = UnpackedHook::inner;
+    recover(
+        sim,
+        plan,
+        plan_of,
+        recovery,
+        max_interactions,
+        check_every,
+        recorder,
+    );
+    recorder.name_faults(plan.inner().fired()[seen..].iter().map(|f| (f.at, f.name)));
 }
 
 #[cfg(test)]
@@ -94,7 +70,7 @@ mod tests {
     use super::*;
     use crate::ranking_faults;
     use population::is_valid_ranking;
-    use ranking::stable::{PackedState, StableRanking};
+    use ranking::stable::{PackedState, StableRanking, StableState};
     use ranking::Params;
     use telemetry::EventKind;
 
@@ -162,43 +138,21 @@ mod tests {
     fn traced_trajectory_matches_untraced_run_recovery() {
         let n = 16;
         let seed = 11;
-        // Untraced reference over the same packed engine and plan.
+        // Untraced reference: run_recovery on the same plan over the
+        // structured engine, which the packed kernel matches bit for bit.
         let protocol = StableRanking::new(Params::new(n));
-        let plan_protocol = protocol.clone();
-        let packed = Packed(protocol);
-        let init = packed.pack_all(&plan_protocol.legal());
-        let mut reference = Simulator::new(packed, init, seed);
-        let mut ref_plan = UnpackedHook::new(
-            FaultPlan::new(seed ^ 0xFA01).once(100, ranking_faults::corrupt(&plan_protocol, 4)),
-        );
+        let mut ref_plan =
+            FaultPlan::new(seed ^ 0xFA01).once(100, ranking_faults::corrupt(&protocol, 4));
+        let mut reference = Simulator::new(protocol.clone(), protocol.legal(), seed);
         let mut ref_recovery =
-            Recovery::new(|_: &Packed<StableRanking>, s: &[PackedState]| is_valid_ranking(s));
-        // The untraced drive loop, verbatim: run_faulted bursts between
-        // legality polls, early exit once recovered with no fault due.
-        let check_every = n as u64;
-        let deadline = reference.interactions() + 50_000_000;
-        ref_recovery.observe(
-            reference.protocol(),
-            reference.interactions(),
-            reference.states(),
+            Recovery::new(|_: &StableRanking, s: &[StableState]| is_valid_ranking(s));
+        crate::run_recovery(
+            &mut reference,
+            &mut ref_plan,
+            &mut ref_recovery,
+            50_000_000,
+            n as u64,
         );
-        while reference.interactions() < deadline {
-            let burst = check_every.min(deadline - reference.interactions());
-            let seen = ref_plan.inner().fired().len();
-            reference.run_faulted(burst, &mut ref_plan);
-            for f in ref_plan.inner().fired()[seen..].iter().copied() {
-                ref_recovery.note_fault(f.at, f.name);
-            }
-            ref_recovery.observe(
-                reference.protocol(),
-                reference.interactions(),
-                reference.states(),
-            );
-            let more = ref_plan.inner().peek_next().is_some_and(|t| t <= deadline);
-            if ref_recovery.all_recovered() && !more {
-                break;
-            }
-        }
 
         let (recovery, _, t) = traced_run(n, seed);
         assert_eq!(recovery.events(), ref_recovery.events());

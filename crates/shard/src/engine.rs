@@ -2,11 +2,12 @@
 
 use std::sync::{Barrier, Mutex};
 
-use population::observe::{Convergence, ShardObserver};
+use population::observe::{Control, Convergence, ShardObserver};
 use population::schedule::{Pair, ScheduleCursor, SubSchedule, BLOCK_PAIRS};
 use population::{
-    Checkpointer, CursorSource, FaultHook, Frame, HookState, NoFaults, Observer, PairSource, Probe,
-    Protocol, StopReason, WordState,
+    drive, Capture, Checkpointer, CursorSource, Engine, Every, FaultHook, Frame, HookState,
+    NoFaults, NoPoll, NoSaves, NullProbe, Observer, PairSource, Poll, Probe, Protocol, StopReason,
+    WordState,
 };
 
 use crate::partition::{bounds, rounds, OwnerMap};
@@ -452,38 +453,7 @@ where
     /// Execute exactly `count` interactions through the sharded block
     /// loop (see the type-level docs for the execution model).
     pub fn run(&mut self, count: u64) {
-        let workers = self.workers();
-        if workers <= 1 {
-            self.run_inline(count);
-        } else {
-            self.run_threaded(count, workers);
-        }
-        self.interactions += count;
-    }
-
-    /// The single-worker path: same blocks, same phases, same order —
-    /// executed on the calling thread with no synchronization at all.
-    fn run_inline(&mut self, count: u64) {
-        let cap = (self.shards * self.block_pairs) as u64;
-        let mut remaining = count;
-        while remaining > 0 {
-            let total = remaining.min(cap);
-            let rot = ((self.interactions + (count - remaining)) % self.shards as u64) as usize;
-            for s in 0..self.shards {
-                intra_phase(
-                    &self.protocol,
-                    &self.owners,
-                    &self.slots[s],
-                    quota(total, self.shards, s, rot),
-                );
-            }
-            for round in &self.rounds {
-                for &(a, b) in round {
-                    exchange(&self.protocol, &self.slots[a], &self.slots[b], a, b);
-                }
-            }
-            remaining -= total;
-        }
+        self.run_probed(count, &mut NullProbe);
     }
 
     /// The multi-worker path: persistent scoped workers advance through
@@ -491,7 +461,7 @@ where
     /// phases; within a phase every worker touches only lanes it
     /// exclusively owns (its shards in the intra phase, its matches'
     /// lane pairs in an exchange round), so the trajectory is identical
-    /// to [`run_inline`](Self::run_inline) regardless of scheduling.
+    /// to the inline loop of [`Engine::advance`] regardless of scheduling.
     fn run_threaded(&mut self, count: u64, workers: usize) {
         let cap = (self.shards * self.block_pairs) as u64;
         let num_blocks = count.div_ceil(cap);
@@ -530,10 +500,10 @@ where
     }
 
     /// Drive the sharded run under a whole-configuration [`Observer`]:
-    /// polled once up front and then every `check_every` interactions
-    /// (each poll snapshots the configuration), until it stops the run
-    /// or the budget is exhausted. Checkpoint times match the
-    /// sequential engine's exactly.
+    /// polled once up front, then every `check_every` interactions and
+    /// at the end of the budget (each poll snapshots the configuration),
+    /// until it stops the run. Poll times match the sequential engine's
+    /// exactly.
     ///
     /// # Panics
     ///
@@ -544,27 +514,15 @@ where
         check_every: u64,
         observer: &mut O,
     ) -> StopReason {
-        assert!(check_every > 0, "check_every must be positive");
-        let snapshot = self.states();
-        if observer
-            .observe(&self.protocol, self.interactions, &snapshot)
-            .is_stop()
-        {
-            return StopReason::Converged(self.interactions);
-        }
-        let deadline = self.interactions + max_interactions;
-        while self.interactions < deadline {
-            let burst = check_every.min(deadline - self.interactions);
-            self.run(burst);
-            let snapshot = self.states();
-            if observer
-                .observe(&self.protocol, self.interactions, &snapshot)
-                .is_stop()
-            {
-                return StopReason::Converged(self.interactions);
-            }
-        }
-        StopReason::BudgetExhausted
+        let mut poll = Every(check_every, observer);
+        drive(
+            self,
+            max_interactions,
+            &mut NoFaults,
+            &mut NoSaves,
+            &mut poll,
+            &mut NullProbe,
+        )
     }
 
     /// Run until `converged` holds over a snapshot (polled every
@@ -582,10 +540,10 @@ where
         self.run_observed(max_interactions, check_every, &mut observer)
     }
 
-    /// Drive the sharded run under a [`ShardObserver`]: at every
-    /// checkpoint each lane is summarized in place (no concatenated
-    /// snapshot; lanes summarize in parallel on the worker pool) and
-    /// the summaries are merged into the global verdict.
+    /// [`run_observed`](Self::run_observed) under a [`ShardObserver`]:
+    /// at every poll each lane is summarized in place (no concatenated
+    /// snapshot; lanes summarize in parallel on the worker pool) and the
+    /// summaries are merged into the global verdict.
     ///
     /// # Panics
     ///
@@ -596,22 +554,18 @@ where
         check_every: u64,
         observer: &mut O,
     ) -> StopReason {
-        assert!(check_every > 0, "check_every must be positive");
-        if self.merge_checkpoint(observer) {
-            return StopReason::Converged(self.interactions);
-        }
-        let deadline = self.interactions + max_interactions;
-        while self.interactions < deadline {
-            let burst = check_every.min(deadline - self.interactions);
-            self.run(burst);
-            if self.merge_checkpoint(observer) {
-                return StopReason::Converged(self.interactions);
-            }
-        }
-        StopReason::BudgetExhausted
+        let mut poll = Merged(check_every, observer);
+        drive(
+            self,
+            max_interactions,
+            &mut NoFaults,
+            &mut NoSaves,
+            &mut poll,
+            &mut NullProbe,
+        )
     }
 
-    /// Summarize every lane and merge; returns `true` on a stop
+    /// Summarize every lane and merge the summaries into the observer's
     /// verdict. On large populations the lanes are summarized on
     /// short-lived scoped worker threads (summaries are `Send`,
     /// `summarize` takes `&self`), so a checkpoint costs one parallel
@@ -619,7 +573,7 @@ where
     /// point of the merge path. Small populations summarize inline:
     /// below [`PARALLEL_SUMMARIZE_MIN_N`] the per-checkpoint thread
     /// spawns would cost more than the scan they parallelize.
-    fn merge_checkpoint<O: ShardObserver<P> + Sync>(&self, observer: &mut O) -> bool {
+    fn merge_checkpoint<O: ShardObserver<P> + Sync>(&self, observer: &mut O) -> Control {
         /// Population size below which a summarize pass is cheaper than
         /// spawning threads for it (a lane scan is ~µs work; a thread
         /// spawn+join is ~tens of µs).
@@ -657,85 +611,115 @@ where
                     .map(|s| s.expect("every lane summarized"))
                     .collect()
             };
-        observer
-            .merge(&self.protocol, self.interactions, summaries)
-            .is_stop()
+        observer.merge(&self.protocol, self.interactions, summaries)
     }
 
-    /// Execute exactly `count` interactions, handing control to `hook`
-    /// at every interaction count where it asks to fire — the sharded
+    /// Execute exactly `count` interactions, handing the concatenated
+    /// configuration to `hook` at every interaction count where it asks
+    /// to fire (the lanes are re-scattered afterwards) — the sharded
     /// counterpart of
-    /// [`Simulator::run_faulted`](population::Simulator::run_faulted).
-    /// Blocks are split *exactly* at fire points (a fault scheduled at
-    /// `t` sees the configuration after exactly `t` interactions); the
-    /// hook receives the concatenated configuration and the lanes are
-    /// re-scattered afterwards, so `scenarios` fault plans (wrapped in
-    /// [`UnpackedHook`](population::UnpackedHook) for packed runs)
-    /// drive sharded runs unchanged.
+    /// [`Simulator::run_faulted`](population::Simulator::run_faulted), so
+    /// `scenarios` fault plans (wrapped in
+    /// [`UnpackedHook`](population::UnpackedHook) for packed runs) drive
+    /// sharded runs unchanged.
     pub fn run_faulted<H: FaultHook<P>>(&mut self, count: u64, hook: &mut H) {
-        let deadline = self.interactions + count;
-        loop {
-            while hook
-                .next_fire(self.interactions)
-                .is_some_and(|t| t <= self.interactions)
-            {
-                let mut all = self.states();
-                hook.fire(&self.protocol, self.interactions, &mut all);
-                self.scatter(&all);
-            }
-            if self.interactions >= deadline {
-                return;
-            }
-            let stop = match hook.next_fire(self.interactions) {
-                Some(t) if t < deadline => t,
-                _ => deadline,
-            };
-            let burst = stop - self.interactions;
-            self.run(burst);
-        }
+        self.run_faulted_probed(count, hook, &mut NullProbe);
     }
 
     /// Execute exactly `count` interactions while reporting each block
-    /// to `probe` — the sharded counterpart of
-    /// [`Simulator::run_probed`](population::Simulator::run_probed).
-    ///
-    /// When `B::ACTIVE` is `false` (the [`population::NullProbe`]
-    /// build) this delegates to [`run`](Self::run) immediately, so the
-    /// untraced hot path is exactly today's code. An active probe runs
-    /// the same block sequence single-threaded (the determinism
-    /// contract makes worker count irrelevant to the trajectory): after
-    /// each block's exchange rounds, [`Probe::block`] fires once per
-    /// lane with the lane's intra-phase `changed` count, its global
-    /// `start` offset, and its post-block states, followed by one
-    /// [`Probe::exchange`] carrying the block's boundary-pair count.
-    /// Block timestamps are the interaction count at the end of the
-    /// block.
+    /// to `probe`: after each block's exchange rounds, [`Probe::block`]
+    /// fires once per lane with the lane's intra-phase `changed` count,
+    /// its global `start` offset, and its post-block states, followed by
+    /// one [`Probe::exchange`] carrying the block's boundary-pair count.
+    /// An active probe runs the blocks on the calling thread (the
+    /// trajectory does not depend on the worker count).
     pub fn run_probed<B: Probe<P>>(&mut self, count: u64, probe: &mut B) {
-        if !B::ACTIVE {
-            return self.run(count);
+        self.run_faulted_probed(count, &mut NoFaults, probe);
+    }
+
+    /// [`run_faulted`](Self::run_faulted) with a probe seam:
+    /// [`Probe::fault`] fires after every firing with the post-fault
+    /// concatenated configuration.
+    pub fn run_faulted_probed<H: FaultHook<P>, B: Probe<P>>(
+        &mut self,
+        count: u64,
+        hook: &mut H,
+        probe: &mut B,
+    ) {
+        drive(self, count, hook, &mut NoSaves, &mut NoPoll, probe);
+    }
+}
+
+/// A [`ShardObserver`] polled every `.0` interactions through per-lane
+/// summaries.
+struct Merged<'a, O>(u64, &'a mut O);
+
+impl<P: Protocol + Sync, H, O: ShardObserver<P> + Sync> Poll<ShardedSimulator<P>, H>
+    for Merged<'_, O>
+where
+    P::State: Send,
+{
+    fn every(&self) -> u64 {
+        self.0
+    }
+
+    fn poll(&mut self, engine: &ShardedSimulator<P>, _faults: &H) -> Control {
+        engine.merge_checkpoint(self.1)
+    }
+}
+
+impl<P: Protocol + Sync> Engine for ShardedSimulator<P>
+where
+    P::State: Send,
+{
+    type Protocol = P;
+
+    fn protocol(&self) -> &P {
+        &self.protocol
+    }
+
+    fn interactions(&self) -> u64 {
+        self.interactions
+    }
+
+    /// Without a probe and with more than one worker, the blocks run on
+    /// the threaded path; otherwise on this inline loop — same blocks,
+    /// same phases, same order, on the calling thread.
+    fn advance<B: Probe<P>>(&mut self, count: u64, probe: &mut B) {
+        let workers = self.workers();
+        if !B::ACTIVE && workers > 1 {
+            self.run_threaded(count, workers);
+            self.interactions += count;
+            return;
         }
         let cap = (self.shards * self.block_pairs) as u64;
-        let mut changed = vec![0u64; self.shards];
+        let mut changed = vec![0u64; if B::ACTIVE { self.shards } else { 0 }];
         let mut remaining = count;
         while remaining > 0 {
             let total = remaining.min(cap);
             let rot = (self.interactions % self.shards as u64) as usize;
             for (s, slot) in self.slots.iter().enumerate() {
-                changed[s] = intra_phase(
+                let lane_changed = intra_phase(
                     &self.protocol,
                     &self.owners,
                     slot,
                     quota(total, self.shards, s, rot),
                 );
+                if B::ACTIVE {
+                    changed[s] = lane_changed;
+                }
             }
-            let boundary: u64 = self
-                .slots
-                .iter()
-                .map(|slot| {
-                    let guard = slot.lock().expect("shard lane poisoned");
-                    guard.outbox.iter().map(|o| o.len() as u64).sum::<u64>()
-                })
-                .sum();
+            let boundary: u64 = if B::ACTIVE {
+                self.slots
+                    .iter()
+                    .map(|slot| {
+                        let guard = slot.lock().expect("shard lane poisoned");
+                        guard.outbox.iter().map(|o| o.len() as u64).sum::<u64>()
+                    })
+                    .sum()
+            } else {
+                0
+            };
             for round in &self.rounds {
                 for &(a, b) in round {
                     exchange(&self.protocol, &self.slots[a], &self.slots[b], a, b);
@@ -743,58 +727,31 @@ where
             }
             self.interactions += total;
             remaining -= total;
-            for (s, slot) in self.slots.iter().enumerate() {
-                let guard = slot.lock().expect("shard lane poisoned");
-                probe.block(
-                    &self.protocol,
-                    self.interactions,
-                    changed[s],
-                    s,
-                    guard.start,
-                    &guard.states,
-                );
+            if B::ACTIVE {
+                for (s, slot) in self.slots.iter().enumerate() {
+                    let guard = slot.lock().expect("shard lane poisoned");
+                    probe.block(
+                        &self.protocol,
+                        self.interactions,
+                        changed[s],
+                        s,
+                        guard.start,
+                        &guard.states,
+                    );
+                }
+                probe.exchange(&self.protocol, self.interactions, boundary);
             }
-            probe.exchange(&self.protocol, self.interactions, boundary);
         }
     }
 
-    /// [`run_faulted`](Self::run_faulted) with a probe seam: blocks are
-    /// split at the exact same fire points, [`Probe::fault`] fires
-    /// after every `hook.fire` with the post-fault concatenated
-    /// configuration, and the bursts in between run through
-    /// [`run_probed`](Self::run_probed). Delegates to
-    /// [`run_faulted`](Self::run_faulted) when `B::ACTIVE` is `false`,
-    /// and follows the identical trajectory when it is not.
-    pub fn run_faulted_probed<H: FaultHook<P>, B: Probe<P>>(
-        &mut self,
-        count: u64,
-        hook: &mut H,
-        probe: &mut B,
-    ) {
-        if !B::ACTIVE {
-            return self.run_faulted(count, hook);
-        }
-        let deadline = self.interactions + count;
-        loop {
-            while hook
-                .next_fire(self.interactions)
-                .is_some_and(|t| t <= self.interactions)
-            {
-                let mut all = self.states();
-                hook.fire(&self.protocol, self.interactions, &mut all);
-                self.scatter(&all);
-                probe.fault(&self.protocol, self.interactions, &all);
-            }
-            if self.interactions >= deadline {
-                return;
-            }
-            let stop = match hook.next_fire(self.interactions) {
-                Some(t) if t < deadline => t,
-                _ => deadline,
-            };
-            let burst = stop - self.interactions;
-            self.run_probed(burst, probe);
-        }
+    fn view<R>(&self, f: impl FnOnce(&[P::State]) -> R) -> R {
+        f(&self.states())
+    }
+
+    fn edit(&mut self, f: impl FnOnce(&P, &mut [P::State])) {
+        let mut all = self.states();
+        f(&self.protocol, &mut all);
+        self.scatter(&all);
     }
 }
 
@@ -821,6 +778,15 @@ impl<P: WordState> ShardedSimulator<P> {
     }
 }
 
+impl<P: WordState + Sync> Capture for ShardedSimulator<P>
+where
+    P::State: Send,
+{
+    fn frame(&self) -> Frame {
+        ShardedSimulator::frame(self)
+    }
+}
+
 impl<P: WordState + Sync> ShardedSimulator<P>
 where
     P::State: Send,
@@ -830,24 +796,17 @@ where
     /// sharded counterpart of
     /// [`Simulator::run_checkpointed`](population::Simulator::run_checkpointed).
     ///
-    /// Delegates to [`run`](Self::run) when `C::ACTIVE` is `false`
-    /// ([`NullCheckpointer`](population::NullCheckpointer)), so the
-    /// un-checkpointed hot path is untouched. Unlike the sequential
-    /// engine, saving is **not** trajectory-inert here: bursts split at
-    /// save points, and the sharded trajectory depends on block
-    /// structure. A checkpointed sharded run is its own deterministic
-    /// trajectory — resume comparisons run against a
+    /// Unlike the sequential engine, saving is **not** trajectory-inert
+    /// here: bursts split at save points, and the sharded trajectory
+    /// depends on block structure. A checkpointed sharded run is its own
+    /// deterministic trajectory — resume comparisons run against a
     /// checkpointed-but-uninterrupted twin with the same cadence.
     pub fn run_checkpointed<C: Checkpointer>(&mut self, count: u64, ckpt: &mut C) {
-        if !C::ACTIVE {
-            return self.run(count);
-        }
         self.run_faulted_checkpointed(count, &mut NoFaults, ckpt);
     }
 
     /// [`run_faulted`](Self::run_faulted) and
-    /// [`run_checkpointed`](Self::run_checkpointed) merged: bursts split
-    /// at the earlier of the next fault and the next save. At equal
+    /// [`run_checkpointed`](Self::run_checkpointed) merged: at equal
     /// times the fault fires first, so a frame saved at `t` reflects the
     /// post-fault configuration with the hook's exported state already
     /// advanced past `t` — a resume from it replays nothing.
@@ -856,42 +815,7 @@ where
         H: FaultHook<P> + HookState,
         C: Checkpointer,
     {
-        if !C::ACTIVE {
-            return self.run_faulted(count, hook);
-        }
-        let deadline = self.interactions + count;
-        loop {
-            while hook
-                .next_fire(self.interactions)
-                .is_some_and(|t| t <= self.interactions)
-            {
-                let mut all = self.states();
-                hook.fire(&self.protocol, self.interactions, &mut all);
-                self.scatter(&all);
-            }
-            while ckpt
-                .next_due(self.interactions)
-                .is_some_and(|t| t <= self.interactions)
-            {
-                let frame = self.frame();
-                ckpt.save(&frame, hook.export_state().as_ref());
-            }
-            if self.interactions >= deadline {
-                return;
-            }
-            let next_event = [
-                hook.next_fire(self.interactions),
-                ckpt.next_due(self.interactions),
-            ]
-            .into_iter()
-            .flatten()
-            .min();
-            let stop = match next_event {
-                Some(t) if t < deadline => t,
-                _ => deadline,
-            };
-            self.run(stop - self.interactions);
-        }
+        drive(self, count, hook, ckpt, &mut NoPoll, &mut NullProbe);
     }
 }
 

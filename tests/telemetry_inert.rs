@@ -304,3 +304,79 @@ fn observed_runs_are_probe_inert_and_stop_at_the_same_time() {
         assert!(recorder.recorded() > 0);
     }
 }
+
+// ----------------------------------------------------------------------
+// Poll contract: one checkpoint event per poll, `stopping` on the last
+// ----------------------------------------------------------------------
+
+/// The recorder's checkpoint events must be exactly one per poll — at
+/// `0`, every `check_every` interactions, and at `end` — with `stopping`
+/// set on the final one only.
+fn assert_one_checkpoint_per_poll(recorder: &Recorder, check_every: u64, end: u64, case: &str) {
+    use silent_ranking::telemetry::EventKind;
+    let got: Vec<(u64, bool)> = recorder
+        .events()
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::Checkpoint { stopping } => Some((e.t, stopping)),
+            _ => None,
+        })
+        .collect();
+    let mut want: Vec<(u64, bool)> = (0..end.div_ceil(check_every))
+        .map(|k| (k * check_every, false))
+        .collect();
+    want.push((end, true));
+    assert_eq!(got, want, "{case}");
+}
+
+#[test]
+fn every_run_ending_records_one_checkpoint_per_poll() {
+    use silent_ranking::population::is_valid_ranking;
+    use silent_ranking::population::observe::Convergence;
+    use silent_ranking::scenarios::{run_recovery_traced, Recovery};
+    let n = 16;
+    let check_every = 100;
+    let kernel = |init: Vec<StableState>| {
+        let p = Packed(protocol(n));
+        let init = p.pack_all(&init);
+        Simulator::new(p, init, 5)
+    };
+
+    // An observer stop, and a budget that runs out first.
+    for (case, budget) in [("observer stop", u64::MAX), ("budget exhaustion", 1_000)] {
+        let mut sim = kernel(protocol(n).adversarial_uniform(5));
+        let mut obs = Convergence::new(|s: &[_]| is_valid_ranking(s));
+        let mut recorder = Recorder::new();
+        sim.run_observed_probed(budget, check_every, &mut obs, &mut recorder);
+        assert_eq!(budget == u64::MAX, sim.interactions() < budget, "{case}");
+        assert_one_checkpoint_per_poll(&recorder, check_every, sim.interactions(), case);
+    }
+
+    // A recovery run that exits early once recovered, and one whose
+    // budget runs out before it recovers.
+    for (case, budget) in [
+        ("recovery early exit", 50_000_000),
+        ("recovery budget", 500),
+    ] {
+        let mut sim = kernel(protocol(n).legal());
+        let mut plan = UnpackedHook::new(
+            FaultPlan::new(3).once(100, ranking_faults::corrupt(&protocol(n), 4)),
+        );
+        let mut recovery = Recovery::new(|_: &Packed<StableRanking>, s: &[_]| is_valid_ranking(s));
+        let mut recorder = Recorder::new();
+        run_recovery_traced(
+            &mut sim,
+            &mut plan,
+            &mut recovery,
+            &mut recorder,
+            budget,
+            check_every,
+        );
+        assert_eq!(
+            recovery.all_recovered(),
+            sim.interactions() < budget,
+            "{case}"
+        );
+        assert_one_checkpoint_per_poll(&recorder, check_every, sim.interactions(), case);
+    }
+}
