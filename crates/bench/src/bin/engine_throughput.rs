@@ -25,7 +25,19 @@
 //!   fully ranked population is silent, every meeting is a
 //!   ranked×ranked null pair, and a stabilized simulation spends all
 //!   further interactions there — the regime the kernel's null fast
-//!   path targets.
+//!   path targets. Every kernel row (these, the transient one and the
+//!   probe rows below) runs through [`Executes`], which hides the
+//!   protocol's silence certificate, so it keeps timing the kernel
+//!   rather than the engine's fast-forward once a run is silent;
+//! * the engine's silent fast-forward itself
+//!   (`stable_ranking_fastforward_silent`, at `n ∈ {10³, …, 10⁶}`
+//!   whatever `sizes=` says): the same converged configuration run in
+//!   bursts of `n` interactions (the cadence of a validity poll every
+//!   `n`), each burst skipped by jumping the scheduler. Every sample
+//!   times the kernel row's workload and the fast-forward back to back;
+//!   the "scalar" column holds the paired kernel throughput, and the
+//!   JSON's `fastforward` block records each size's median paired ratio
+//!   with its spread across samples (the noise floor).
 //!
 //! All paths execute the identical trajectory, so every comparison is
 //! pure representation/engine overhead.
@@ -67,13 +79,17 @@ use std::time::Instant;
 use bench::timing::time_runs;
 use bench::{f3, Experiment, Json, Table};
 use population::primitives::epidemic::Epidemic;
-use population::{NullProbe, Packed, Protocol, ScalarBlock, Simulator};
+use population::schedule::Pair;
+use population::{CursorSource, NullProbe, Packed, Protocol, ScalarBlock, Simulator};
 use ranking::stable::state::StableState;
 use ranking::stable::StableRanking;
 use ranking::Params;
 
 /// Smoke floor on the best paired recorded/unprobed ratio at `n = 10⁴`.
 const RECORD_FLOOR: f64 = 0.7;
+
+/// Population sizes of the fast-forward rows.
+const FASTFORWARD_SIZES: [usize; 4] = [1_000, 10_000, 100_000, 1_000_000];
 
 struct Measurement {
     protocol: &'static str,
@@ -201,6 +217,82 @@ fn ranked_init(n: usize) -> Vec<StableState> {
     (1..=n as u64).map(StableState::Ranked).collect()
 }
 
+/// A protocol with its silence certificate hidden: only the methods
+/// that execute interactions are forwarded, so the engine never
+/// fast-forwards it and every interaction reaches the kernel.
+struct Executes<P>(P);
+
+impl<P: Protocol> Protocol for Executes<P> {
+    type State = P::State;
+
+    fn n(&self) -> usize {
+        self.0.n()
+    }
+
+    fn transition(&self, u: &mut P::State, v: &mut P::State) -> bool {
+        self.0.transition(u, v)
+    }
+
+    fn transition_block(&self, states: &mut [P::State], pairs: &[Pair]) -> u64 {
+        self.0.transition_block(states, pairs)
+    }
+}
+
+/// The silent kernel row and the fast-forward row at one size, from
+/// interleaved paired samples.
+struct FastForward {
+    n: usize,
+    interactions: u64,
+    kernel_ips: f64,
+    skip_ips: f64,
+    /// Per-sample `t_kernel / t_fastforward`, sorted.
+    ratios: Vec<f64>,
+}
+
+/// Time `interactions` silent interactions in bursts of `n` through the
+/// kernel (certificate hidden) and through the fast-forward, back to
+/// back in every sample.
+fn measure_fastforward(n: usize, interactions: u64, samples: usize) -> FastForward {
+    let p = Packed(StableRanking::new(Params::new(n)));
+    let init = p.pack_all(&ranked_init(n));
+    let mut kernel = Simulator::new(Executes(p.clone()), init.clone(), 7);
+    let mut skip = Simulator::new(p, init, 7);
+    let bursts = interactions.div_ceil(n as u64);
+    let interactions = bursts * n as u64;
+    let timed = |run: &mut dyn FnMut(u64)| {
+        let t0 = Instant::now();
+        for _ in 0..bursts {
+            run(n as u64);
+        }
+        t0.elapsed().as_secs_f64()
+    };
+    let (mut kernel_t, mut skip_t, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..samples {
+        let tk = timed(&mut |c| kernel.run_batched(c));
+        let ts = timed(&mut |c| skip.run_batched(c));
+        kernel_t.push(tk);
+        skip_t.push(ts);
+        ratios.push(tk / ts);
+    }
+    assert_eq!(
+        skip.source().cursor(),
+        kernel.source().cursor(),
+        "the fast-forward must land where the kernel does"
+    );
+    let median = |mut v: Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    ratios.sort_by(f64::total_cmp);
+    FastForward {
+        n,
+        interactions,
+        kernel_ips: interactions as f64 / median(kernel_t),
+        skip_ips: interactions as f64 / median(skip_t),
+        ratios,
+    }
+}
+
 /// Probe-seam overhead rows, measured by **interleaved paired
 /// sampling**.
 ///
@@ -232,7 +324,7 @@ fn measure_probe_rows(n: usize, interactions: u64, samples: usize) -> ProbeRows 
     let fresh = || {
         let p = Packed(StableRanking::new(Params::new(n)));
         let init = p.pack_all(&p.inner().initial());
-        Simulator::new(p, init, 7)
+        Simulator::new(Executes(p), init, 7)
     };
     let mut plain_sim = fresh();
     let mut null_sim = fresh();
@@ -344,9 +436,9 @@ fn main() -> ExitCode {
             || {
                 let p = Packed(StableRanking::new(Params::new(n)));
                 let init = p.pack_all(&p.inner().initial());
-                (p, init)
+                (Executes(p), init)
             },
-            kernel_mix,
+            |p, executed| kernel_mix(&p.0, executed),
         ));
         // The converged regime, no warmup needed: a pre-built valid
         // ranking starts silent and stays silent.
@@ -369,10 +461,27 @@ fn main() -> ExitCode {
             || {
                 let p = Packed(StableRanking::new(Params::new(n)));
                 let init = p.pack_all(&ranked_init(n));
-                (p, init)
+                (Executes(p), init)
             },
-            kernel_mix,
+            |p, executed| kernel_mix(&p.0, executed),
         ));
+    }
+
+    // Silent fast-forward rows, paired against the silent kernel path;
+    // the "scalar" column is the paired kernel throughput.
+    let ff_rows: Vec<FastForward> = FASTFORWARD_SIZES
+        .iter()
+        .map(|&n| measure_fastforward(n, interactions / 4, samples))
+        .collect();
+    for f in &ff_rows {
+        results.push(Measurement {
+            protocol: "stable_ranking_fastforward_silent",
+            n: f.n,
+            interactions: f.interactions,
+            scalar_ips: f.kernel_ips,
+            batched_ips: f.skip_ips,
+            dispatch_mix: None,
+        });
     }
 
     // Probe-seam overhead rows: paired unprobed vs NullProbe vs
@@ -471,6 +580,23 @@ fn main() -> ExitCode {
                             ("n", p.n.into()),
                             ("best_null_paired_ratio", p.best_null_ratio.into()),
                             ("best_recorded_paired_ratio", p.best_recorded_ratio.into()),
+                        ])
+                    })
+                    .collect(),
+            ),
+        ),
+        (
+            "fastforward",
+            Json::Arr(
+                ff_rows
+                    .iter()
+                    .map(|f| {
+                        let at = |q: f64| f.ratios[((f.ratios.len() - 1) as f64 * q) as usize];
+                        Json::obj([
+                            ("n", f.n.into()),
+                            ("median_paired_ratio", at(0.5).into()),
+                            ("min_paired_ratio", at(0.0).into()),
+                            ("max_paired_ratio", at(1.0).into()),
                         ])
                     })
                     .collect(),

@@ -79,7 +79,7 @@
 //! repeated-agent blocks, faulted and sharded runs).
 
 use population::schedule::Pair;
-use population::{pair_mut, BatchedProtocol, PackedProtocol};
+use population::{is_valid_ranking, pair_mut, BatchedProtocol, PackedProtocol};
 
 use crate::stable::packed::{PackedState, A_SHIFT, COIN_BIT, TAG_ELECT, TAG_MASK, TAG_RESET};
 use crate::stable::ranking_plus::ranking_plus_step_packed;
@@ -224,6 +224,19 @@ impl BatchedProtocol for StableRanking {
         }
         changed
     }
+
+    /// A valid ranking is silent: every agent is ranked and the ranks
+    /// are distinct, so every pair takes the main/main null exit above.
+    /// `n = 2` runs the scalar loop, which counts no dispatch class, so
+    /// it is never certified.
+    fn silent(&self, words: &[PackedState]) -> bool {
+        self.params.n() != 2 && is_valid_ranking(words)
+    }
+
+    /// Skipped pairs are main/main null pairs, as the kernel counts them.
+    fn count_null(&self, pairs: u64) {
+        self.metrics.classes[3].add(pairs);
+    }
 }
 
 #[cfg(test)]
@@ -327,6 +340,30 @@ mod tests {
                 "case {case}: reset instrumentation"
             );
         }
+    }
+
+    /// The certificate holds exactly on valid rankings (never at n = 2),
+    /// and skipped pairs land in the main/main counter.
+    #[test]
+    fn valid_rankings_certify_silence_and_skips_count_as_main_main() {
+        let p = Packed(protocol(32));
+        let legal = p.pack_all(&p.inner().legal());
+        assert!(Protocol::silent(&p, &legal));
+        assert!(Protocol::silent(p.inner(), &p.inner().legal()));
+        let mut duplicate = legal.clone();
+        duplicate[0] = duplicate[1];
+        assert!(!Protocol::silent(&p, &duplicate));
+        let initial = p.pack_all(&p.inner().initial());
+        assert!(!Protocol::silent(&p, &initial));
+        let two = Packed(protocol(2));
+        assert!(!Protocol::silent(&two, &two.pack_all(&two.inner().legal())));
+
+        let mut words = legal.clone();
+        let pairs: Vec<Pair> = (0..31).map(|i| (i, i + 1)).collect();
+        Protocol::transition_block(&p, &mut words, &pairs);
+        assert_eq!(words, legal, "a valid ranking is silent");
+        Protocol::count_null(&p, 5);
+        assert_eq!(p.inner().dispatch_mix(), [0, 0, 0, 36]);
     }
 
     /// The dispatch-mix counters account for every kernel-executed pair.

@@ -25,7 +25,7 @@ pub mod tables;
 pub mod words;
 
 use leader_election::fast::{FastLe, FastLeEffect};
-use population::{PackedProtocol, Protocol};
+use population::{is_valid_ranking, PackedProtocol, Protocol};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 
@@ -177,6 +177,9 @@ impl StableRanking {
     /// ([`transition`](Protocol::transition),
     /// [`transition_packed`](PackedProtocol::transition_packed), and the
     /// kernel's `n = 2` fallback) don't classify, so they don't count.
+    /// Pairs an engine skips in a valid ranking (silent fast-forward,
+    /// see `population`'s crate docs) count as main/main, exactly as
+    /// the kernel would have counted them.
     /// The `engine_throughput` bench records this dispatch mix alongside
     /// kernel throughput: a perf regression that coincides with a mix
     /// shift is a workload change, not a kernel change. Same relaxed
@@ -454,6 +457,13 @@ impl Protocol for StableRanking {
         }
 
         (*u, *v) != before
+    }
+
+    /// A valid ranking is silent: every agent is ranked with a distinct
+    /// rank, and Ranking⁺ leaves two distinct ranked agents alone. The
+    /// structured path counts no dispatch class, so nothing is credited.
+    fn silent(&self, states: &[StableState]) -> bool {
+        is_valid_ranking(states)
     }
 }
 

@@ -64,6 +64,26 @@
 //!   [`Packed`] dispatches every block there, and [`ScalarBlock`]
 //!   forces the scalar reference loop for A/B comparison.
 //!
+//! * **Silent fast-forward** — a silent protocol spends all its time on
+//!   null interactions once it converges. When a protocol certifies
+//!   that every pair of its configuration is null
+//!   ([`Protocol::silent`]), [`Simulator`] and the `shard` crate's
+//!   engine skip the rest of each run segment ([`Engine::advance`])
+//!   instead of executing it. The pair source advances exactly as far
+//!   as the segment would have drawn ([`PairSource::skip`]), and the
+//!   protocol credits the skipped pairs to its instrumentation
+//!   ([`Protocol::count_null`]). The uniform schedulers skip in
+//!   O(log k) by jumping their xoshiro256++ generator ahead; other
+//!   sources draw and discard. A null pair changes no state, and the
+//!   generator lands on the state `k` draws would reach, so states,
+//!   cursors, snapshots and counters stay bit-for-bit those of the
+//!   executing run (`tests/fast_forward.rs`). It applies only without
+//!   an active [`Probe`], which must see every block, and only to
+//!   protocols with a certificate (`StableRanking` certifies a valid
+//!   ranking); the engine retries a failed certificate after
+//!   [`silence::RETRY_PER_AGENT`]`·n` interactions and drops it when a
+//!   fault edits the configuration. The dynamic engine does not skip.
+//!
 //! # Components
 //!
 //! * [`Protocol`] — the transition function and population size.

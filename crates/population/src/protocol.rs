@@ -71,6 +71,25 @@ pub trait Protocol {
         }
         changed
     }
+
+    /// A certificate that `states` is silent: `true` must imply that
+    /// every ordered pair of agents is a null interaction, so an engine
+    /// may skip interactions without executing them (advancing its pair
+    /// source by as many pairs). `false` promises nothing. The default
+    /// never certifies.
+    fn silent(&self, states: &[Self::State]) -> bool {
+        let _ = states;
+        false
+    }
+
+    /// Credit `pairs` null interactions that an engine skipped under
+    /// [`silent`](Protocol::silent) instead of passing them to
+    /// [`transition_block`](Protocol::transition_block). Protocols that
+    /// count what their blocks execute must count these exactly as those
+    /// calls would have. The default does nothing.
+    fn count_null(&self, pairs: u64) {
+        let _ = pairs;
+    }
 }
 
 /// A [`Protocol`] that additionally offers a *packed* machine-word
@@ -158,6 +177,18 @@ pub trait BatchedProtocol: PackedProtocol {
         }
         changed
     }
+
+    /// [`Protocol::silent`] over the packed words; [`Packed`] forwards it.
+    fn silent(&self, words: &[Self::Packed]) -> bool {
+        let _ = words;
+        false
+    }
+
+    /// [`Protocol::count_null`] for the block kernel's counters;
+    /// [`Packed`] forwards it.
+    fn count_null(&self, pairs: u64) {
+        let _ = pairs;
+    }
 }
 
 /// Adapter running a [`PackedProtocol`] over its packed words: the
@@ -210,6 +241,14 @@ impl<P: BatchedProtocol> Protocol for Packed<P> {
         // protocol's kernel (or the scalar default).
         BatchedProtocol::transition_block(&self.0, states, pairs)
     }
+
+    fn silent(&self, states: &[Self::State]) -> bool {
+        BatchedProtocol::silent(&self.0, states)
+    }
+
+    fn count_null(&self, pairs: u64) {
+        BatchedProtocol::count_null(&self.0, pairs)
+    }
 }
 
 /// Adapter forcing the default *scalar* block path for a protocol,
@@ -234,7 +273,8 @@ impl<P: Protocol> Protocol for ScalarBlock<P> {
         self.0.transition(u, v)
     }
     // No `transition_block` override: blocks run through the provided
-    // scalar split-borrow loop regardless of the inner protocol.
+    // scalar split-borrow loop regardless of the inner protocol. Nor a
+    // `silent` one: the reference twin executes every interaction.
 }
 
 /// Output map for ranking protocols: the rank an agent currently outputs,

@@ -27,6 +27,13 @@
 //! how protocols are run *off* the uniform-scheduler assumption. The
 //! [`BlockBuffer`] helper implements the FIFO buffering contract once so
 //! every source gets interleaving-safety for free.
+//!
+//! [`PairSource::skip`] advances a stream without producing its pairs,
+//! for engines that fast-forward a certified-silent configuration. The
+//! uniform sources skip in O(log k) by jumping their generator ahead
+//! (Haramoto et al., 2008); other sources draw and discard.
+
+mod jump;
 
 use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
@@ -64,6 +71,18 @@ pub trait PairSource {
     /// (batched path). The returned slice is nonempty for `max > 0`;
     /// callers loop until they have consumed as many pairs as they need.
     fn sample_block(&mut self, max: usize) -> &[Pair];
+
+    /// Consume the next `count` pairs of the stream without returning
+    /// them, leaving the source exactly where `count` draws would.
+    /// The default draws and discards them block by block.
+    fn skip(&mut self, count: u64) {
+        let mut left = count;
+        while left > 0 {
+            left -= self
+                .sample_block(left.min(BLOCK_PAIRS as u64) as usize)
+                .len() as u64;
+        }
+    }
 }
 
 /// The FIFO block buffer shared by every [`PairSource`] implementation.
@@ -119,6 +138,15 @@ impl BlockBuffer {
     /// Number of pairs currently buffered but not yet consumed.
     pub fn buffered(&self) -> usize {
         self.block.len() - self.pos
+    }
+
+    /// Consume up to `max` buffered pairs, returning them.
+    pub fn drain(&mut self, max: u64) -> &[Pair] {
+        let start = self.pos;
+        self.pos += self
+            .buffered()
+            .min(usize::try_from(max).unwrap_or(usize::MAX));
+        &self.block[start..self.pos]
     }
 
     /// The buffered-but-unconsumed tail of the stream, in FIFO order —
@@ -323,6 +351,13 @@ impl PairSource for Schedule {
     fn sample_block(&mut self, max: usize) -> &[Pair] {
         Schedule::sample_block(self, max)
     }
+
+    /// Drains the buffer, then jumps the generator past the rest: one
+    /// `next_u64` per pair.
+    fn skip(&mut self, count: u64) {
+        let rest = count - self.buf.drain(count).len() as u64;
+        jump::advance(&mut self.rng, rest);
+    }
 }
 
 /// Seed stride between sibling [`SubSchedule`]s of one split: shard `s`
@@ -433,6 +468,20 @@ impl SubSchedule {
     pub fn range(&self) -> (usize, usize) {
         (self.start, self.start + self.len)
     }
+
+    /// [`skip`](PairSource::skip) `count` pairs, returning how many of
+    /// them have their responder inside the initiator range. Telling
+    /// takes every draw, so this steps the generator instead of jumping.
+    pub fn skip_local(&mut self, count: u64) -> u64 {
+        let (n, start, len) = (self.n, self.start, self.len);
+        let local = |(_, j): Pair| u64::from((j as usize).wrapping_sub(start) < len);
+        let drained = self.buf.drain(count);
+        let mut hits: u64 = drained.iter().map(|&p| local(p)).sum();
+        for _ in drained.len() as u64..count {
+            hits += local(draw_sub_pair(&mut self.rng, n, start, len));
+        }
+        hits
+    }
 }
 
 impl CursorSource for SubSchedule {
@@ -489,6 +538,13 @@ impl PairSource for SubSchedule {
         let (rng, n, start, len) = (&mut self.rng, self.n, self.start, self.len);
         self.buf
             .sample_block(max, || draw_sub_pair(rng, n, start, len))
+    }
+
+    /// Drains the buffer, then jumps the generator past the rest, like
+    /// [`Schedule`]'s.
+    fn skip(&mut self, count: u64) {
+        let rest = count - self.buf.drain(count).len() as u64;
+        jump::advance(&mut self.rng, rest);
     }
 }
 
@@ -826,6 +882,114 @@ mod tests {
         let mut cursor = SubSchedule::new(20, 5, 5, 1).cursor();
         cursor.start = 18;
         let _ = SubSchedule::from_cursor(cursor);
+    }
+
+    /// A schedule `buffered` pairs into its stream with those pairs still
+    /// pending in its buffer, as a restored cursor leaves it.
+    fn with_pending(seed: u64, buffered: usize) -> Schedule {
+        let mut s = Schedule::new(1000, seed);
+        let pending: Vec<Pair> = (0..buffered)
+            .map(|_| {
+                let (i, j) = s.next_pair();
+                (i as u32, j as u32)
+            })
+            .collect();
+        let mut cursor = s.cursor();
+        cursor.pending = pending;
+        Schedule::from_cursor(cursor)
+    }
+
+    /// `skip(k)` leaves the source where `k` draws leave it: same RNG
+    /// words, same pending pairs, same continuation.
+    fn assert_skip_matches<S: CursorSource>(mut drawn: S, mut skipped: S, k: u64) {
+        for _ in 0..k {
+            drawn.next_pair();
+        }
+        skipped.skip(k);
+        assert_eq!(skipped.cursor(), drawn.cursor(), "k = {k}");
+        for _ in 0..10 {
+            assert_eq!(skipped.next_pair(), drawn.next_pair(), "k = {k}");
+        }
+    }
+
+    #[test]
+    fn skip_equals_draws() {
+        const BUFFERED: u64 = 37;
+        let mut random = SmallRng::seed_from_u64(11);
+        let fixed = [
+            0,
+            1,
+            BUFFERED - 1,
+            BUFFERED,
+            BUFFERED + 1,
+            255,
+            256,
+            4096,
+            (1 << 16) - 1,
+            (1 << 16) + 1,
+            1 << 20,
+        ];
+        let drawn: Vec<u64> = (0..6).map(|_| random.next_u64() % (1 << 21)).collect();
+        for (seed, k) in fixed.into_iter().chain(drawn).enumerate() {
+            let seed = seed as u64;
+            assert_skip_matches(
+                with_pending(seed, BUFFERED as usize),
+                with_pending(seed, BUFFERED as usize),
+                k,
+            );
+            assert_skip_matches(Schedule::new(64, seed), Schedule::new(64, seed), k);
+            assert_skip_matches(
+                SubSchedule::new(64, 16, 16, seed),
+                SubSchedule::new(64, 16, 16, seed),
+                k,
+            );
+        }
+    }
+
+    /// A source that keeps the default `skip`.
+    struct Plain(Schedule);
+
+    impl PairSource for Plain {
+        fn n(&self) -> usize {
+            self.0.n()
+        }
+        fn next_pair(&mut self) -> (usize, usize) {
+            self.0.next_pair()
+        }
+        fn sample_block(&mut self, max: usize) -> &[Pair] {
+            self.0.sample_block(max)
+        }
+    }
+
+    #[test]
+    fn default_skip_draws_and_discards() {
+        for k in [0, 1, 4095, 4097, 10_000] {
+            let mut drawn = with_pending(k, 5);
+            let mut skipped = Plain(with_pending(k, 5));
+            for _ in 0..k {
+                drawn.next_pair();
+            }
+            skipped.skip(k);
+            assert_eq!(skipped.0.cursor(), drawn.cursor(), "k = {k}");
+        }
+    }
+
+    #[test]
+    fn skip_local_counts_the_lane_local_responders() {
+        let (start, len) = (10, 7);
+        for k in [0, 3, 1000, 5000] {
+            let mut drawn = SubSchedule::new(40, start, len, k);
+            let _ = drawn.sample_block(1);
+            let mut cursor = drawn.cursor();
+            cursor.pending = vec![(12, 13), (11, 30)];
+            let mut drawn = SubSchedule::from_cursor(cursor.clone());
+            let mut skipped = SubSchedule::from_cursor(cursor);
+            let local = (0..k)
+                .filter(|_| (start..start + len).contains(&drawn.next_pair().1))
+                .count() as u64;
+            assert_eq!(skipped.skip_local(k), local, "k = {k}");
+            assert_eq!(skipped.cursor(), drawn.cursor(), "k = {k}");
+        }
     }
 
     #[test]

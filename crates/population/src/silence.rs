@@ -6,6 +6,10 @@
 //! all `n(n-1)` ordered pairs against the transition function on cloned
 //! states, so it is `O(n²)` and intended for tests and end-of-run
 //! verification rather than inner loops.
+//!
+//! Engines fast-forward instead on the protocol's own `O(n)` sufficient
+//! condition, [`Protocol::silent`], cached between runs in a
+//! [`Certificate`].
 
 use crate::protocol::Protocol;
 
@@ -58,6 +62,50 @@ pub fn first_active_pair<P: Protocol>(protocol: &P, states: &[P::State]) -> Opti
     None
 }
 
+/// After a failed certificate attempt, an engine runs at least this
+/// many interactions per agent before trying again, so the `O(n)` test
+/// costs at most 1/16 of a word read per interaction.
+pub const RETRY_PER_AGENT: u64 = 16;
+
+/// An engine's cached verdict of [`Protocol::silent`] on its current
+/// configuration. It holds until the engine edits the configuration
+/// ([`clear`](Certificate::clear)); null interactions cannot break it.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Certificate {
+    holds: bool,
+    retry_at: u64,
+}
+
+impl Certificate {
+    /// Whether the configuration is certified silent at interaction
+    /// count `now`. Runs `test` if the certificate does not hold and the
+    /// last failed attempt is [`RETRY_PER_AGENT`]`·n` interactions old.
+    pub fn check(&mut self, now: u64, n: usize, test: impl FnOnce() -> bool) -> bool {
+        if !self.holds && now >= self.retry_at {
+            self.holds = test();
+            if !self.holds {
+                self.retry_at = now.saturating_add(RETRY_PER_AGENT * n as u64);
+            }
+        }
+        self.holds
+    }
+
+    /// Interactions from `now` until the next try of a certificate that
+    /// does not hold, rounded up to whole blocks of `block`: how far an
+    /// engine executes before it checks again.
+    pub fn retry_in(&self, now: u64, block: u64) -> u64 {
+        self.retry_at
+            .saturating_sub(now)
+            .max(1)
+            .next_multiple_of(block)
+    }
+
+    /// Forget the verdict: the configuration changed.
+    pub fn clear(&mut self) {
+        self.holds = false;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -91,6 +139,28 @@ mod tests {
         // First active ordered pair scanning row-major: (0,2) has u=5,v=3 ->
         // becomes (3,5), a change.
         assert_eq!(first_active_pair(&Sort, &states), Some((0, 2)));
+    }
+
+    #[test]
+    fn certificate_retries_after_sixteen_n_and_clears_on_edit() {
+        let mut cert = Certificate::default();
+        let mut tries = 0;
+        let mut test = |verdict: bool| {
+            tries += 1;
+            verdict
+        };
+        assert!(!cert.check(0, 4, || test(false)));
+        assert!(!cert.check(63, 4, || test(true)), "retried too early");
+        assert_eq!(cert.retry_in(10, 16), 64);
+        assert_eq!(cert.retry_in(60, 16), 16);
+        assert!(cert.check(64, 4, || test(true)));
+        assert!(
+            cert.check(65, 4, || test(false)),
+            "a holding verdict is cached"
+        );
+        cert.clear();
+        assert!(!cert.check(66, 4, || test(false)));
+        assert_eq!(tries, 3);
     }
 
     #[test]

@@ -5,6 +5,7 @@ use crate::pairs::pair_mut;
 use crate::probe::{NullProbe, Probe};
 use crate::protocol::{BatchedProtocol, Packed, Protocol};
 use crate::schedule::{CursorSource, PairSource, Schedule, BLOCK_PAIRS};
+use crate::silence::Certificate;
 
 /// Why a bounded run stopped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -194,6 +195,7 @@ pub struct Simulator<P: Protocol, S: PairSource = Schedule> {
     states: Vec<P::State>,
     schedule: S,
     interactions: u64,
+    silence: Certificate,
 }
 
 impl<P: Protocol> Simulator<P> {
@@ -237,6 +239,7 @@ impl<P: Protocol, S: PairSource> Simulator<P, S> {
             states: initial,
             schedule: source,
             interactions: 0,
+            silence: Certificate::default(),
         }
     }
 
@@ -459,24 +462,45 @@ impl<P: Protocol, S: PairSource> Engine for Simulator<P, S> {
         self.interactions
     }
 
+    /// Without an active probe, a configuration the protocol certifies
+    /// silent ([`Protocol::silent`]) skips the rest of `count`: the pair
+    /// source jumps past it and the protocol credits the null pairs.
+    /// Until then the blocks run in stretches that end where the
+    /// certificate is due for another try.
     fn advance<B: Probe<P>>(&mut self, count: u64, probe: &mut B) {
-        let mut remaining = count;
-        while remaining > 0 {
-            let want = remaining.min(BLOCK_PAIRS as u64) as usize;
-            let block = self.schedule.sample_block(want);
-            let changed = self.protocol.transition_block(&mut self.states, block);
-            let executed = block.len() as u64;
-            self.interactions += executed;
-            remaining -= executed;
-            if B::ACTIVE {
-                probe.block(
-                    &self.protocol,
-                    self.interactions,
-                    changed,
-                    0,
-                    0,
-                    &self.states,
-                );
+        let end = self.interactions + count;
+        while self.interactions < end {
+            let (now, n) = (self.interactions, self.states.len());
+            let mut remaining = end - now;
+            if !B::ACTIVE {
+                if self
+                    .silence
+                    .check(now, n, || self.protocol.silent(&self.states))
+                {
+                    self.schedule.skip(remaining);
+                    self.protocol.count_null(remaining);
+                    self.interactions = end;
+                    return;
+                }
+                remaining = remaining.min(self.silence.retry_in(now, BLOCK_PAIRS as u64));
+            }
+            while remaining > 0 {
+                let want = remaining.min(BLOCK_PAIRS as u64) as usize;
+                let block = self.schedule.sample_block(want);
+                let changed = self.protocol.transition_block(&mut self.states, block);
+                let executed = block.len() as u64;
+                self.interactions += executed;
+                remaining -= executed;
+                if B::ACTIVE {
+                    probe.block(
+                        &self.protocol,
+                        self.interactions,
+                        changed,
+                        0,
+                        0,
+                        &self.states,
+                    );
+                }
             }
         }
     }
@@ -486,6 +510,7 @@ impl<P: Protocol, S: PairSource> Engine for Simulator<P, S> {
     }
 
     fn edit(&mut self, f: impl FnOnce(&P, &mut [P::State])) {
+        self.silence.clear();
         f(&self.protocol, &mut self.states);
     }
 }

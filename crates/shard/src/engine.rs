@@ -4,6 +4,7 @@ use std::sync::{Barrier, Mutex};
 
 use population::observe::{Control, Convergence, ShardObserver};
 use population::schedule::{Pair, ScheduleCursor, SubSchedule, BLOCK_PAIRS};
+use population::silence::Certificate;
 use population::{
     drive, Capture, Checkpointer, CursorSource, Engine, Every, FaultHook, Frame, HookState,
     NoFaults, NoPoll, NoSaves, NullProbe, Observer, PairSource, Poll, Probe, Protocol, StopReason,
@@ -105,7 +106,13 @@ pub struct ShardedSimulator<P: Protocol> {
     workers: usize,
     block_pairs: usize,
     interactions: u64,
+    silence: Certificate,
 }
+
+/// Blocks an uncertified run executes at least between two tries of the
+/// silence certificate: the threaded path starts its workers once per
+/// stretch, which costs far more than the certificate's `O(n)` test.
+const RETRY_BLOCKS: u64 = 64;
 
 /// The share of a block's `total` interactions executed by shard `s`:
 /// an even split, with `total mod shards` shards taking one extra —
@@ -269,6 +276,7 @@ impl<P: Protocol> ShardedSimulator<P> {
             workers,
             block_pairs: BLOCK_PAIRS,
             interactions: 0,
+            silence: Certificate::default(),
         }
     }
 
@@ -434,6 +442,7 @@ impl<P: Protocol> ShardedSimulator<P> {
             workers,
             block_pairs: BLOCK_PAIRS,
             interactions,
+            silence: Certificate::default(),
         }
     }
 
@@ -456,12 +465,111 @@ where
         self.run_probed(count, &mut NullProbe);
     }
 
+    /// Execute exactly `count` interactions. Without a probe and with
+    /// more than one worker, the blocks run on the threaded path;
+    /// otherwise on this inline loop — same blocks, same phases, same
+    /// order, on the calling thread.
+    fn execute<B: Probe<P>>(&mut self, count: u64, probe: &mut B) {
+        let workers = self.workers();
+        if !B::ACTIVE && workers > 1 {
+            self.run_threaded(count, workers);
+            self.interactions += count;
+            return;
+        }
+        let cap = (self.shards * self.block_pairs) as u64;
+        let mut changed = vec![0u64; if B::ACTIVE { self.shards } else { 0 }];
+        let mut remaining = count;
+        while remaining > 0 {
+            let total = remaining.min(cap);
+            let rot = (self.interactions % self.shards as u64) as usize;
+            for (s, slot) in self.slots.iter().enumerate() {
+                let lane_changed = intra_phase(
+                    &self.protocol,
+                    &self.owners,
+                    slot,
+                    quota(total, self.shards, s, rot),
+                );
+                if B::ACTIVE {
+                    changed[s] = lane_changed;
+                }
+            }
+            let boundary: u64 = if B::ACTIVE {
+                self.slots
+                    .iter()
+                    .map(|slot| {
+                        let guard = slot.lock().expect("shard lane poisoned");
+                        guard.outbox.iter().map(|o| o.len() as u64).sum::<u64>()
+                    })
+                    .sum()
+            } else {
+                0
+            };
+            for round in &self.rounds {
+                for &(a, b) in round {
+                    exchange(&self.protocol, &self.slots[a], &self.slots[b], a, b);
+                }
+            }
+            self.interactions += total;
+            remaining -= total;
+            if B::ACTIVE {
+                for (s, slot) in self.slots.iter().enumerate() {
+                    let guard = slot.lock().expect("shard lane poisoned");
+                    probe.block(
+                        &self.protocol,
+                        self.interactions,
+                        changed[s],
+                        s,
+                        guard.start,
+                        &guard.states,
+                    );
+                }
+                probe.exchange(&self.protocol, self.interactions, boundary);
+            }
+        }
+    }
+
+    /// Whether the protocol certifies the configuration silent
+    /// ([`Certificate::check`]).
+    fn certified(&mut self) -> bool {
+        let (now, n) = (self.interactions, self.n);
+        let mut silence = self.silence;
+        let holds = silence.check(now, n, || self.protocol.silent(&self.states()));
+        self.silence = silence;
+        holds
+    }
+
+    /// Skip `count` interactions of a certified-silent configuration:
+    /// each shard's pair stream advances by the pairs its quotas would
+    /// draw over the same blocks (full blocks × `block_pairs`, plus its
+    /// quota of the last block), so the run continues exactly as if the
+    /// null pairs had executed. The protocol is credited with the pairs
+    /// that would have reached [`Protocol::transition_block`]: all of
+    /// them with one shard, only the lane-local ones with more — which
+    /// takes every draw, so multi-shard streams step rather than jump.
+    fn skip_silent(&mut self, count: u64) {
+        let cap = (self.shards * self.block_pairs) as u64;
+        let (full, last) = (count / cap, count % cap);
+        let rot = ((self.interactions + full * cap) % self.shards as u64) as usize;
+        for (s, slot) in self.slots.iter().enumerate() {
+            let pairs = full * self.block_pairs as u64 + quota(last, self.shards, s, rot);
+            let sched = &mut slot.lock().expect("shard lane poisoned").sched;
+            let local = if self.shards == 1 {
+                sched.skip(pairs);
+                pairs
+            } else {
+                sched.skip_local(pairs)
+            };
+            self.protocol.count_null(local);
+        }
+        self.interactions += count;
+    }
+
     /// The multi-worker path: persistent scoped workers advance through
     /// the same block sequence in lock step. Barriers separate the
     /// phases; within a phase every worker touches only lanes it
     /// exclusively owns (its shards in the intra phase, its matches'
     /// lane pairs in an exchange round), so the trajectory is identical
-    /// to the inline loop of [`Engine::advance`] regardless of scheduling.
+    /// to the inline loop of [`execute`](Self::execute) regardless of scheduling.
     fn run_threaded(&mut self, count: u64, workers: usize) {
         let cap = (self.shards * self.block_pairs) as u64;
         let num_blocks = count.div_ceil(cap);
@@ -682,65 +790,27 @@ where
         self.interactions
     }
 
-    /// Without a probe and with more than one worker, the blocks run on
-    /// the threaded path; otherwise on this inline loop — same blocks,
-    /// same phases, same order, on the calling thread.
+    /// Without a probe, a configuration the protocol certifies silent
+    /// skips the rest of `count` (`skip_silent`); until then the blocks
+    /// run in stretches of at least `RETRY_BLOCKS` whole blocks that end
+    /// where the certificate is due for another try. Splitting at block
+    /// boundaries leaves every block, and so the trajectory, as it was.
     fn advance<B: Probe<P>>(&mut self, count: u64, probe: &mut B) {
-        let workers = self.workers();
-        if !B::ACTIVE && workers > 1 {
-            self.run_threaded(count, workers);
-            self.interactions += count;
-            return;
+        if B::ACTIVE {
+            return self.execute(count, probe);
         }
         let cap = (self.shards * self.block_pairs) as u64;
-        let mut changed = vec![0u64; if B::ACTIVE { self.shards } else { 0 }];
-        let mut remaining = count;
-        while remaining > 0 {
-            let total = remaining.min(cap);
-            let rot = (self.interactions % self.shards as u64) as usize;
-            for (s, slot) in self.slots.iter().enumerate() {
-                let lane_changed = intra_phase(
-                    &self.protocol,
-                    &self.owners,
-                    slot,
-                    quota(total, self.shards, s, rot),
-                );
-                if B::ACTIVE {
-                    changed[s] = lane_changed;
-                }
+        let end = self.interactions + count;
+        while self.interactions < end {
+            if self.certified() {
+                self.skip_silent(end - self.interactions);
+                return;
             }
-            let boundary: u64 = if B::ACTIVE {
-                self.slots
-                    .iter()
-                    .map(|slot| {
-                        let guard = slot.lock().expect("shard lane poisoned");
-                        guard.outbox.iter().map(|o| o.len() as u64).sum::<u64>()
-                    })
-                    .sum()
-            } else {
-                0
-            };
-            for round in &self.rounds {
-                for &(a, b) in round {
-                    exchange(&self.protocol, &self.slots[a], &self.slots[b], a, b);
-                }
-            }
-            self.interactions += total;
-            remaining -= total;
-            if B::ACTIVE {
-                for (s, slot) in self.slots.iter().enumerate() {
-                    let guard = slot.lock().expect("shard lane poisoned");
-                    probe.block(
-                        &self.protocol,
-                        self.interactions,
-                        changed[s],
-                        s,
-                        guard.start,
-                        &guard.states,
-                    );
-                }
-                probe.exchange(&self.protocol, self.interactions, boundary);
-            }
+            let stretch = self
+                .silence
+                .retry_in(self.interactions, cap)
+                .max(RETRY_BLOCKS * cap);
+            self.execute(stretch.min(end - self.interactions), probe);
         }
     }
 
@@ -749,6 +819,7 @@ where
     }
 
     fn edit(&mut self, f: impl FnOnce(&P, &mut [P::State])) {
+        self.silence.clear();
         let mut all = self.states();
         f(&self.protocol, &mut all);
         self.scatter(&all);
