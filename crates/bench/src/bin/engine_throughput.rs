@@ -16,7 +16,10 @@
 //! * `StableRanking` through its block transition kernel
 //!   (`Packed<StableRanking>`, see `ranking::stable::kernel`): whole
 //!   schedule blocks walked in one in-order pass with branchless
-//!   classification and per-class branchless cores. The kernel rows
+//!   classification and per-class branchless cores, each pair drawn
+//!   from the schedule as the pass pulls it (the scalar packed rows
+//!   read a pre-sampled block, so the pair is an A/B of both the
+//!   kernel and the pair feed). The kernel rows
 //!   also record the *dispatch mix* — the fraction of interactions
 //!   each transition class executed — so a throughput shift can be
 //!   attributed to a workload shift vs a kernel change;
@@ -80,7 +83,7 @@ use bench::timing::time_runs;
 use bench::{f3, Experiment, Json, Table};
 use population::primitives::epidemic::Epidemic;
 use population::schedule::Pair;
-use population::{CursorSource, NullProbe, Packed, Protocol, ScalarBlock, Simulator};
+use population::{CursorSource, NullProbe, Packed, PairSource, Protocol, ScalarBlock, Simulator};
 use ranking::stable::state::StableState;
 use ranking::stable::StableRanking;
 use ranking::Params;
@@ -219,7 +222,10 @@ fn ranked_init(n: usize) -> Vec<StableState> {
 
 /// A protocol with its silence certificate hidden: only the methods
 /// that execute interactions are forwarded, so the engine never
-/// fast-forwards it and every interaction reaches the kernel.
+/// fast-forwards it and every interaction reaches the kernel. Blocks
+/// keep the inner protocol's feed: the kernel pulls pairs as the
+/// schedule draws them, while the `ScalarBlock` rows read a sampled
+/// block.
 struct Executes<P>(P);
 
 impl<P: Protocol> Protocol for Executes<P> {
@@ -235,6 +241,15 @@ impl<P: Protocol> Protocol for Executes<P> {
 
     fn transition_block(&self, states: &mut [P::State], pairs: &[Pair]) -> u64 {
         self.0.transition_block(states, pairs)
+    }
+
+    fn transition_from<S: PairSource>(
+        &self,
+        states: &mut [P::State],
+        source: &mut S,
+        max: usize,
+    ) -> (usize, u64) {
+        self.0.transition_from(states, source, max)
     }
 }
 

@@ -79,7 +79,7 @@
 //! repeated-agent blocks, faulted and sharded runs).
 
 use population::schedule::Pair;
-use population::{is_valid_ranking, pair_mut, BatchedProtocol, PackedProtocol};
+use population::{is_valid_ranking, pair_mut, BatchedProtocol, PackedProtocol, PairSource};
 
 use crate::stable::packed::{PackedState, A_SHIFT, COIN_BIT, TAG_ELECT, TAG_MASK, TAG_RESET};
 use crate::stable::ranking_plus::ranking_plus_step_packed;
@@ -134,15 +134,20 @@ fn elect_step_word(t: &StepTables, half: u64, u: u64, v: u64) -> (u64, bool) {
     (w, false)
 }
 
-impl BatchedProtocol for StableRanking {
-    fn transition_block(&self, words: &mut [PackedState], pairs: &[Pair]) -> u64 {
+impl StableRanking {
+    /// The kernel's in-order pass over `pairs`, returning the number of
+    /// word-changing interactions. Both [`BatchedProtocol`] entries run
+    /// this one body: a sampled block feeds it a slice, and the uniform
+    /// schedule feeds it pairs drawn as they are pulled.
+    #[inline(always)]
+    fn kernel(&self, words: &mut [PackedState], pairs: impl Iterator<Item = Pair>) -> u64 {
         // n = 2 routes through the deterministic-election special case
         // inside `transition_packed`, which reads `params.n()`; keep it
         // on the scalar loop rather than teaching the kernel a case the
         // schedule only produces for a two-agent population.
         if self.params.n() == 2 {
             let mut changed = 0;
-            for &(i, j) in pairs {
+            for (i, j) in pairs {
                 let (u, v) = pair_mut(words, i as usize, j as usize);
                 changed += u64::from(self.transition_packed(u, v));
             }
@@ -156,7 +161,7 @@ impl BatchedProtocol for StableRanking {
         let mut resets = 0u64;
         let mut mix = [0u64; 4];
 
-        for &(i, j) in pairs {
+        for (i, j) in pairs {
             let (u, v) = pair_mut(words, i as usize, j as usize);
             let (pu, pv) = (u.0, v.0);
 
@@ -224,6 +229,23 @@ impl BatchedProtocol for StableRanking {
         }
         changed
     }
+}
+
+impl BatchedProtocol for StableRanking {
+    fn transition_block(&self, words: &mut [PackedState], pairs: &[Pair]) -> u64 {
+        self.kernel(words, pairs.iter().copied())
+    }
+
+    fn transition_from<S: PairSource>(
+        &self,
+        words: &mut [PackedState],
+        source: &mut S,
+        max: usize,
+    ) -> (usize, u64) {
+        let pairs = source.pairs(max);
+        let executed = pairs.len();
+        (executed, self.kernel(words, pairs))
+    }
 
     /// A valid ranking is silent: every agent is ranked and the ranks
     /// are distinct, so every pair takes the main/main null exit above.
@@ -245,7 +267,8 @@ mod tests {
     use crate::params::Params;
     use crate::stable::state::{StableState, UnRole, UnState};
     use leader_election::fast::FastLeState;
-    use population::{Packed, Protocol};
+    use population::schedule::BLOCK_PAIRS;
+    use population::{CursorSource, Packed, Protocol, Schedule, ScheduleCursor};
 
     fn protocol(n: usize) -> StableRanking {
         StableRanking::new(Params::new(n))
@@ -307,7 +330,10 @@ mod tests {
     /// Crafted blocks with repeated agents: the kernel's in-order pass
     /// must reproduce the scalar loop exactly — including the
     /// degenerate all-same-pair block, where every pair reads the
-    /// previous pair's writes.
+    /// previous pair's writes — through both feeds. The slice feed runs
+    /// each block as given. The drawn feed runs a schedule restored
+    /// with the block pending, which serves it as one block, then one
+    /// block it draws itself, which at n = 16 repeats agents throughout.
     #[test]
     fn repeated_agent_blocks_reproduce_the_scalar_loop() {
         let n = 16u32;
@@ -318,27 +344,70 @@ mod tests {
         ];
         for (case, pairs) in pair_sets.into_iter().enumerate() {
             let pairs: Vec<Pair> = pairs.into_iter().filter(|&(i, j)| i != j).collect();
-            let p = Packed(protocol(n as usize));
-            let init = p.pack_all(&p.inner().adversarial_uniform(case as u64 + 5));
+            let init = {
+                let p = Packed(protocol(n as usize));
+                p.pack_all(&p.inner().adversarial_uniform(case as u64 + 5))
+            };
+            let cursor = ScheduleCursor {
+                pending: pairs.clone(),
+                ..Schedule::new(n as usize, case as u64).cursor()
+            };
+            let mut reference = Schedule::from_cursor(cursor.clone());
+            let first = reference.sample_block(BLOCK_PAIRS).to_vec();
+            let blocks = [first, reference.sample_block(BLOCK_PAIRS).to_vec()];
+            assert_eq!(blocks[0], pairs, "case {case}: pending pairs come first");
 
-            let mut kernel_words = init.clone();
-            let kernel_changed = Protocol::transition_block(&p, &mut kernel_words, &pairs);
-
-            let mut scalar_words = init;
-            let mut scalar_changed = 0u64;
             let q = Packed(protocol(n as usize));
-            for &(i, j) in &pairs {
-                let (u, v) = pair_mut(&mut scalar_words, i as usize, j as usize);
-                scalar_changed += u64::from(q.inner().transition_packed(u, v));
-            }
+            let mut scalar_words = init.clone();
+            let scalar: Vec<u64> = blocks
+                .iter()
+                .map(|block| {
+                    let mut changed = 0u64;
+                    for &(i, j) in block {
+                        let (u, v) = pair_mut(&mut scalar_words, i as usize, j as usize);
+                        changed += u64::from(q.inner().transition_packed(u, v));
+                    }
+                    changed
+                })
+                .collect();
 
-            assert_eq!(kernel_words, scalar_words, "case {case}: words diverged");
-            assert_eq!(kernel_changed, scalar_changed, "case {case}: changed count");
-            assert_eq!(
-                p.inner().resets_triggered(),
-                q.inner().resets_triggered(),
-                "case {case}: reset instrumentation"
-            );
+            let slice = Packed(protocol(n as usize));
+            let mut slice_words = init.clone();
+            let slice_changed: Vec<u64> = blocks
+                .iter()
+                .map(|block| Protocol::transition_block(&slice, &mut slice_words, block))
+                .collect();
+
+            let drawn = Packed(protocol(n as usize));
+            let mut drawn_words = init;
+            let mut schedule = Schedule::from_cursor(cursor);
+            let drawn_changed: Vec<u64> = blocks
+                .iter()
+                .map(|block| {
+                    let (executed, changed) = Protocol::transition_from(
+                        &drawn,
+                        &mut drawn_words,
+                        &mut schedule,
+                        BLOCK_PAIRS,
+                    );
+                    assert_eq!(executed, block.len(), "case {case}: block length");
+                    changed
+                })
+                .collect();
+            assert_eq!(schedule.cursor(), reference.cursor(), "case {case}: cursor");
+
+            for (feed, p, words, changed) in [
+                ("slice", &slice, &slice_words, &slice_changed),
+                ("drawn", &drawn, &drawn_words, &drawn_changed),
+            ] {
+                assert_eq!(words, &scalar_words, "case {case}: {feed} words diverged");
+                assert_eq!(changed, &scalar, "case {case}: {feed} changed counts");
+                assert_eq!(
+                    p.inner().resets_triggered(),
+                    q.inner().resets_triggered(),
+                    "case {case}: {feed} reset instrumentation"
+                );
+            }
         }
     }
 

@@ -879,9 +879,10 @@ impl<P: DynRanking> Engine for DynamicPopulation<P> {
         let mut remaining = count;
         while remaining > 0 {
             let want = remaining.min(BLOCK_PAIRS as u64) as usize;
-            let block = self.schedule.sample_block(want);
-            let changed = self.protocol.transition_block(&mut self.states, block);
-            let executed = block.len() as u64;
+            let (pairs, changed) =
+                self.protocol
+                    .transition_from(&mut self.states, &mut self.schedule, want);
+            let executed = pairs as u64;
             self.interactions += executed;
             remaining -= executed;
             if B::ACTIVE {

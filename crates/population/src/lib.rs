@@ -18,10 +18,14 @@
 //!   sources (biased, clustered, round-robin — see the `scenarios`
 //!   crate) plug into the same engine via
 //!   [`Simulator::with_source`]. Every source serves the same pair
-//!   stream two ways: one pair at a time (scalar stepping) or
-//!   pre-sampled in cache-sized blocks (the batched hot path). Because
-//!   both styles consume the stream in FIFO order, *every execution
-//!   mode yields the identical trajectory for a given seed*. For
+//!   stream one pair at a time (scalar stepping) or in cache-sized
+//!   blocks (the batched hot path). A block is pre-sampled into a
+//!   buffer, except where the uniform [`Schedule`] feeds a kernel that
+//!   opts in to its pair feed ([`PairSource::pairs`], pulled through
+//!   [`Protocol::transition_from`]): there each pair is drawn as the
+//!   kernel consumes it. All styles consume the stream in FIFO order,
+//!   so *every execution mode yields the identical trajectory for a
+//!   given seed*. For
 //!   parallel single-run execution, [`schedule::SubSchedule::split`]
 //!   partitions the uniform scheduler into balanced per-shard
 //!   sub-streams (the `shard` crate's engine is built on it).
@@ -60,9 +64,9 @@
 //!   The packed path is bit-for-bit trajectory-equivalent to the
 //!   structured one — a pure optimization, exactly like batching.
 //!   Packed protocols may additionally override the per-block seam
-//!   ([`BatchedProtocol`]) with a gather/classify/lane *block kernel*;
-//!   [`Packed`] dispatches every block there, and [`ScalarBlock`]
-//!   forces the scalar reference loop for A/B comparison.
+//!   ([`BatchedProtocol`]) with an in-order *block kernel*; [`Packed`]
+//!   dispatches every block there, and [`ScalarBlock`] forces the
+//!   scalar reference loop for A/B comparison.
 //!
 //! * **Silent fast-forward** — a silent protocol spends all its time on
 //!   null interactions once it converges. When a protocol certifies
@@ -89,7 +93,8 @@
 //! * [`Protocol`] — the transition function and population size.
 //! * [`Simulator`] — the seeded, deterministic executor described above.
 //! * [`drive`](mod@drive) — the run driver and its hook slots.
-//! * [`schedule`] — the uniform scheduler with block pre-sampling.
+//! * [`schedule`] — the uniform scheduler with block pre-sampling and
+//!   a lazily drawn pair feed.
 //! * [`checkpoint`] — the checkpoint/restore seam: [`WordState`] state
 //!   serialization, [`schedule::ScheduleCursor`] position capture, and
 //!   the [`Checkpointer`] hook the driver calls at save points

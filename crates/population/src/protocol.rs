@@ -1,7 +1,7 @@
 use std::fmt::Debug;
 
 use crate::pairs::pair_mut;
-use crate::schedule::Pair;
+use crate::schedule::{Pair, PairSource};
 
 /// A population protocol: a state space and a common transition function
 /// over ordered pairs of agents.
@@ -72,6 +72,29 @@ pub trait Protocol {
         changed
     }
 
+    /// Execute the next at-most-`max` pairs of `source` on `states`,
+    /// returning how many pairs ran and how many of them changed a state.
+    /// This is the sequential engines' per-block entry point
+    /// ([`Simulator`](crate::Simulator) and the `dynamic` crate's engine
+    /// call it once per block).
+    ///
+    /// The default samples a block ([`PairSource::sample_block`]) and
+    /// hands it to [`transition_block`](Protocol::transition_block).
+    /// A protocol may override it to pull pairs from the source's
+    /// [`pairs`](PairSource::pairs) feed instead, so a source that draws
+    /// pairs lazily (the uniform [`Schedule`](crate::Schedule)) never
+    /// writes the block to memory. The override must execute exactly
+    /// the pairs `sample_block(max)` would return, in the same order.
+    fn transition_from<S: PairSource>(
+        &self,
+        states: &mut [Self::State],
+        source: &mut S,
+        max: usize,
+    ) -> (usize, u64) {
+        let block = source.sample_block(max);
+        (block.len(), self.transition_block(states, block))
+    }
+
     /// A certificate that `states` is silent: `true` must imply that
     /// every ordered pair of agents is a null interaction, so an engine
     /// may skip interactions without executing them (advancing its pair
@@ -139,27 +162,33 @@ pub trait PackedProtocol: Protocol {
 /// The block-kernel seam: a [`PackedProtocol`] that can execute a whole
 /// schedule block of interactions over the flat word array in one call.
 ///
-/// Running pair-at-a-time, every interaction pays the full dispatch
-/// cost — role classification branches, hazard-free but serialized
-/// loads — and the branch predictor sees an unpredictable interleaving
-/// of transition classes. A block kernel instead *gathers* the words
-/// for a block of pairs, classifies every pair with branchless mask
-/// tests, partitions the block into per-class lanes, and runs each lane
-/// as a tight uniform loop (see `StableRanking`'s
-/// `ranking::stable::kernel`). [`Packed`] routes
-/// [`Protocol::transition_block`] here, so a packed simulation picks up
+/// Running pair-at-a-time through
+/// [`transition_packed`](PackedProtocol::transition_packed), every
+/// interaction pays a full call and dispatch. A block kernel runs the
+/// block as one in-order pass over the pairs: each pair is classified
+/// with mask tests on its two loaded words and executed before the next
+/// one is read (see `StableRanking`'s `ranking::stable::kernel`).
+/// [`Packed`] routes [`Protocol::transition_block`] and
+/// [`Protocol::transition_from`] here, so a packed simulation picks up
 /// the kernel automatically wherever blocks are executed
 /// ([`Simulator::run_batched`](crate::Simulator::run_batched),
 /// `run_faulted`, the sharded intra-phase lanes).
 ///
-/// The contract is exact trajectory equivalence: the override must be
+/// The contract is exact trajectory equivalence: an override must be
 /// bit-for-bit equal to running
 /// [`transition_packed`](PackedProtocol::transition_packed) over the
-/// pairs in draw order — including *intra-block hazards*, where a pair
-/// touches an agent an earlier pair in the same block also touched and
-/// must observe its writes (kernels split the block at such conflicts).
-/// The provided default is exactly that scalar loop, so
-/// `impl BatchedProtocol for X {}` is always a correct starting point.
+/// pairs in draw order. A pair that repeats an agent of an earlier pair
+/// in the same block must observe that pair's writes, which an in-order
+/// pass gives by construction. The provided defaults are exactly that
+/// scalar loop, so `impl BatchedProtocol for X {}` is always a correct
+/// starting point.
+///
+/// A kernel written once over an iterator of pairs can serve both
+/// entries: [`transition_block`](BatchedProtocol::transition_block)
+/// feeds it a slice, and
+/// [`transition_from`](BatchedProtocol::transition_from) feeds it the
+/// source's [`pairs`](PairSource::pairs), which the uniform
+/// [`Schedule`](crate::Schedule) draws as the kernel consumes them.
 ///
 /// To run a packed protocol *without* its kernel (A/B benchmarking,
 /// differential tests), wrap it in [`ScalarBlock`].
@@ -176,6 +205,22 @@ pub trait BatchedProtocol: PackedProtocol {
             changed += u64::from(self.transition_packed(u, v));
         }
         changed
+    }
+
+    /// [`Protocol::transition_from`] over the packed words; [`Packed`]
+    /// forwards it. The default samples a block and runs
+    /// [`transition_block`](BatchedProtocol::transition_block) on it.
+    fn transition_from<S: PairSource>(
+        &self,
+        words: &mut [Self::Packed],
+        source: &mut S,
+        max: usize,
+    ) -> (usize, u64) {
+        let block = source.sample_block(max);
+        (
+            block.len(),
+            BatchedProtocol::transition_block(self, words, block),
+        )
     }
 
     /// [`Protocol::silent`] over the packed words; [`Packed`] forwards it.
@@ -242,6 +287,15 @@ impl<P: BatchedProtocol> Protocol for Packed<P> {
         BatchedProtocol::transition_block(&self.0, states, pairs)
     }
 
+    fn transition_from<S: PairSource>(
+        &self,
+        states: &mut [Self::State],
+        source: &mut S,
+        max: usize,
+    ) -> (usize, u64) {
+        BatchedProtocol::transition_from(&self.0, states, source, max)
+    }
+
     fn silent(&self, states: &[Self::State]) -> bool {
         BatchedProtocol::silent(&self.0, states)
     }
@@ -272,9 +326,10 @@ impl<P: Protocol> Protocol for ScalarBlock<P> {
     fn transition(&self, u: &mut Self::State, v: &mut Self::State) -> bool {
         self.0.transition(u, v)
     }
-    // No `transition_block` override: blocks run through the provided
-    // scalar split-borrow loop regardless of the inner protocol. Nor a
-    // `silent` one: the reference twin executes every interaction.
+    // No `transition_block` or `transition_from` override: blocks are
+    // sampled and run through the provided scalar split-borrow loop
+    // regardless of the inner protocol. Nor a `silent` one: the
+    // reference twin executes every interaction.
 }
 
 /// Output map for ranking protocols: the rank an agent currently outputs,

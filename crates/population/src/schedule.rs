@@ -14,10 +14,18 @@
 //! Both styles consume pairs from the same underlying sequence in FIFO
 //! order, so a simulation is **bit-for-bit trajectory-equivalent**
 //! whether it is stepped one interaction at a time, run in batches, or
-//! any interleaving of the two. Pre-sampling exists purely to make the
-//! hot path faster: the source's state stays in registers across a whole
-//! block instead of being reloaded per interaction, and the transition
-//! loop that follows runs without the sampler's branches in it.
+//! any interleaving of the two. Pre-sampling keeps the source's state
+//! in registers across a whole block, and the transition loop that
+//! follows runs without the sampler's branches in it.
+//!
+//! A third style, [`PairSource::pairs`], serves the same block as an
+//! iterator for a kernel to pull from
+//! ([`Protocol::transition_from`](crate::Protocol::transition_from)).
+//! Its default iterates a sampled block. [`Schedule`] overrides it to
+//! draw each pair as it is pulled, so a kernel that opts in
+//! (`StableRanking`'s) runs without writing the block to memory and
+//! reading it back. Every other source, and every protocol that keeps
+//! the default entry, stays on the buffer.
 //!
 //! [`Schedule`] is the canonical implementation — the paper's uniform
 //! scheduler. Adversarial sources (biased, clustered/partitioned,
@@ -53,12 +61,13 @@ pub const BLOCK_PAIRS: usize = 4096;
 ///
 /// 1. **Validity** — every produced pair `(i, j)` satisfies
 ///    `i < n`, `j < n`, `i != j`.
-/// 2. **Single stream** — [`next_pair`](PairSource::next_pair) and
-///    [`sample_block`](PairSource::sample_block) consume the *same*
-///    underlying pair sequence in FIFO order, so scalar and batched
-///    execution (and any interleaving) follow the identical trajectory.
-///    Embedding a [`BlockBuffer`] and drawing pairs through one
-///    canonical function gives this property by construction.
+/// 2. **Single stream** — [`next_pair`](PairSource::next_pair),
+///    [`sample_block`](PairSource::sample_block) and
+///    [`pairs`](PairSource::pairs) consume the *same* underlying pair
+///    sequence in FIFO order, so scalar and batched execution (and any
+///    interleaving) follow the identical trajectory. Embedding a
+///    [`BlockBuffer`] and drawing pairs through one canonical function
+///    gives this property by construction.
 pub trait PairSource {
     /// Population size the source draws pairs for.
     fn n(&self) -> usize;
@@ -71,6 +80,21 @@ pub trait PairSource {
     /// (batched path). The returned slice is nonempty for `max > 0`;
     /// callers loop until they have consumed as many pairs as they need.
     fn sample_block(&mut self, max: usize) -> &[Pair];
+
+    /// The next at-most-`max` pairs of the stream as an iterator: the
+    /// same pairs, and as many, as [`sample_block`](PairSource::sample_block)
+    /// would return. This is the feed a block kernel pulls from
+    /// ([`Protocol::transition_from`](crate::Protocol::transition_from)).
+    /// The default iterates a sampled block; [`Schedule`] overrides it
+    /// to draw each pair as it is pulled, so the pairs never pass
+    /// through its buffer. The iterator must be run to completion: its
+    /// length is the number of pairs taken from the stream.
+    fn pairs(&mut self, max: usize) -> impl ExactSizeIterator<Item = Pair> + '_
+    where
+        Self: Sized,
+    {
+        self.sample_block(max).iter().copied()
+    }
 
     /// Consume the next `count` pairs of the stream without returning
     /// them, leaving the source exactly where `count` draws would.
@@ -91,6 +115,9 @@ pub trait PairSource {
 /// exhausted, the owner refills it from its canonical pair-drawing
 /// function. Routing *both* the scalar and the batched path through the
 /// same buffer is what makes interleaved consumption seamless.
+/// [`Schedule`]'s [`pairs`](PairSource::pairs) feed bypasses the
+/// buffer for fresh draws but serves its pending pairs first, so it
+/// keeps the same FIFO order.
 #[derive(Debug, Clone, Default)]
 pub struct BlockBuffer {
     block: Vec<Pair>,
@@ -305,6 +332,37 @@ impl Schedule {
     }
 }
 
+/// [`Schedule`]'s pair feed: either the `pending` buffered pairs or
+/// `fresh` pairs drawn one per pull, never both.
+struct Drawn<'a> {
+    pending: std::slice::Iter<'a, Pair>,
+    rng: &'a mut SmallRng,
+    n: usize,
+    fresh: usize,
+}
+
+impl Iterator for Drawn<'_> {
+    type Item = Pair;
+
+    #[inline]
+    fn next(&mut self) -> Option<Pair> {
+        // Testing the fresh count first keeps the buffer check out of
+        // the drawing loop.
+        if self.fresh > 0 {
+            self.fresh -= 1;
+            return Some(draw_pair(self.rng, self.n));
+        }
+        self.pending.next().copied()
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let len = self.pending.len() + self.fresh;
+        (len, Some(len))
+    }
+}
+
+impl ExactSizeIterator for Drawn<'_> {}
+
 impl CursorSource for Schedule {
     fn cursor(&self) -> ScheduleCursor {
         ScheduleCursor {
@@ -350,6 +408,25 @@ impl PairSource for Schedule {
     #[inline]
     fn sample_block(&mut self, max: usize) -> &[Pair] {
         Schedule::sample_block(self, max)
+    }
+
+    /// Serves the buffered pairs (only a restored cursor leaves any)
+    /// exactly as [`sample_block`](Schedule::sample_block) would, and
+    /// otherwise draws `max.min(BLOCK_PAIRS)` pairs lazily.
+    #[inline]
+    fn pairs(&mut self, max: usize) -> impl ExactSizeIterator<Item = Pair> + '_ {
+        let pending = self.buf.drain(max as u64);
+        let fresh = if pending.is_empty() {
+            max.min(BLOCK_PAIRS)
+        } else {
+            0
+        };
+        Drawn {
+            pending: pending.iter(),
+            rng: &mut self.rng,
+            n: self.n,
+            fresh,
+        }
     }
 
     /// Drains the buffer, then jumps the generator past the rest: one

@@ -269,16 +269,17 @@ impl<P: Protocol, S: PairSource> Simulator<P, S> {
     /// Execute exactly `count` interactions through the batched hot
     /// path. Trajectory-equivalent to calling [`step`](Simulator::step)
     /// `count` times (same seed ⇒ same pairs ⇒ same configuration), but
-    /// substantially faster: pairs are pre-sampled in blocks of
-    /// [`BLOCK_PAIRS`], amortizing scheduler overhead, and each block is
-    /// handed whole to
+    /// substantially faster: pairs run in blocks of [`BLOCK_PAIRS`]
+    /// through [`Protocol::transition_from`], which by default
+    /// pre-samples each block and hands it whole to
     /// [`Protocol::transition_block`](Protocol::transition_block). For
     /// plain protocols that is the copy-free scalar loop (split-borrow
     /// via [`pair_mut`], no per-pair clones); packed protocols with a
     /// [`BatchedProtocol`](crate::BatchedProtocol) kernel (e.g.
-    /// `StableRanking`) execute the block through their
-    /// gather/classify/lane kernel instead — same trajectory bit for
-    /// bit. Null interactions dirty no cache lines on either path
+    /// `StableRanking`) execute the block through their in-order
+    /// kernel instead, which on the uniform [`Schedule`] pulls each
+    /// pair as it is drawn — same trajectory bit for bit. Null
+    /// interactions dirty no cache lines on either path
     /// (kernels skip the write-back of unchanged words); this is why
     /// the `changed` flag's "no false negatives" contract exists.
     pub fn run_batched(&mut self, count: u64) {
@@ -486,9 +487,10 @@ impl<P: Protocol, S: PairSource> Engine for Simulator<P, S> {
             }
             while remaining > 0 {
                 let want = remaining.min(BLOCK_PAIRS as u64) as usize;
-                let block = self.schedule.sample_block(want);
-                let changed = self.protocol.transition_block(&mut self.states, block);
-                let executed = block.len() as u64;
+                let (pairs, changed) =
+                    self.protocol
+                        .transition_from(&mut self.states, &mut self.schedule, want);
+                let executed = pairs as u64;
                 self.interactions += executed;
                 remaining -= executed;
                 if B::ACTIVE {
