@@ -27,11 +27,16 @@ struct Slot<S> {
     /// Boundary pairs drawn this block, bucketed by the responder's
     /// shard; drained (in draw order) by the exchange phase.
     outbox: Vec<Vec<Pair>>,
-    /// Reusable buffer of lane-local pairs (indices rebased to the
-    /// lane), collected per sampled block and executed with one
-    /// [`Protocol::transition_block`] call — so a packed protocol's
-    /// block kernel runs on the shard hot path too.
+    /// Routing scratch (see [`intra_phase`]): a sampled sub-block's
+    /// pairs rebased to the lane, whose prefix holds its lane-local
+    /// pairs in draw order for one [`Protocol::transition_block`] call,
+    /// so a packed protocol's block kernel runs on the shard hot path
+    /// too. Grown on first use and reused across blocks.
     local: Vec<Pair>,
+    /// Routing scratch like `local`, in global indices, whose prefix
+    /// holds the sub-block's boundary pairs until they are bucketed
+    /// into `outbox`.
+    boundary: Vec<Pair>,
 }
 
 /// A multi-threaded, deterministic executor for a single run of a
@@ -131,16 +136,21 @@ fn quota(total: u64, shards: usize, s: usize, rot: usize) -> u64 {
 }
 
 /// Intra phase for one shard: draw `quota` pairs from the shard's
-/// sub-stream; partition each sampled block into lane-local pairs
-/// (executed in draw order with a single
+/// sub-stream in sub-blocks of at most [`BLOCK_PAIRS`] and route each
+/// sub-block without a data-dependent branch. Every pair is written to
+/// both scratch buffers — rebased to the lane in `local`, in global
+/// indices in `boundary` — and exactly one of the two cursors advances,
+/// by the integer test "responder in this lane". (At 2 shards that test
+/// is a coin flip, and a branch on it mispredicts half the time.) The
+/// boundary prefix is then bucketed into the outbox by responder shard,
+/// in draw order, and the local prefix executes in draw order with one
 /// [`Protocol::transition_block`] call, which dispatches to a packed
-/// protocol's block kernel) and boundary pairs (deferred into the
-/// outbox). Only this shard's lane is read or written. Deferring a
-/// boundary pair executes nothing, so the draw-order trajectory is
-/// identical to the old pair-at-a-time loop. Returns the number of
-/// lane-local interactions that changed at least one state (callers on
-/// the plain hot path discard it; the probed path feeds it to
-/// [`Probe::block`]).
+/// protocol's block kernel. Only this shard's lane is read or written,
+/// and deferring a boundary pair executes nothing, so the trajectory is
+/// that of executing the local pairs one at a time as drawn. Returns the
+/// number of lane-local interactions that changed at least one state
+/// (callers on the plain hot path discard it; the probed path feeds it
+/// to [`Probe::block`]).
 fn intra_phase<P: Protocol>(
     protocol: &P,
     owners: &OwnerMap,
@@ -154,23 +164,31 @@ fn intra_phase<P: Protocol>(
         sched,
         outbox,
         local,
+        boundary,
     } = &mut *guard;
     let (start, len) = (*start, states.len());
     let mut remaining = quota;
     let mut changed = 0;
     while remaining > 0 {
         let want = remaining.min(BLOCK_PAIRS as u64) as usize;
+        if local.len() < want {
+            local.resize(want, (0, 0));
+            boundary.resize(want, (0, 0));
+        }
         let block = sched.sample_block(want);
+        let (mut nl, mut nb) = (0, 0);
         for &(i, j) in block {
             let lj = (j as usize).wrapping_sub(start);
-            if lj < len {
-                local.push(((i as usize - start) as u32, lj as u32));
-            } else {
-                outbox[owners.owner(j)].push((i, j));
-            }
+            let inside = usize::from(lj < len);
+            local[nl] = ((i as usize - start) as u32, lj as u32);
+            boundary[nb] = (i, j);
+            nl += inside;
+            nb += 1 - inside;
         }
-        changed += protocol.transition_block(states, local);
-        local.clear();
+        for &(i, j) in &boundary[..nb] {
+            outbox[owners.owner(j)].push((i, j));
+        }
+        changed += protocol.transition_block(states, &local[..nl]);
         remaining -= block.len() as u64;
     }
     changed
@@ -262,6 +280,7 @@ impl<P: Protocol> ShardedSimulator<P> {
                     sched,
                     outbox: vec![Vec::new(); shards],
                     local: Vec::new(),
+                    boundary: Vec::new(),
                 })
             })
             .collect();
@@ -428,6 +447,7 @@ impl<P: Protocol> ShardedSimulator<P> {
                     sched,
                     outbox: vec![Vec::new(); shards],
                     local: Vec::new(),
+                    boundary: Vec::new(),
                 })
             })
             .collect();
@@ -894,6 +914,7 @@ where
 mod tests {
     use super::*;
     use population::{NoFaults, Simulator};
+    use proptest::prelude::*;
 
     /// Counts interactions on each side, like the engine's own test
     /// protocol.
@@ -1368,5 +1389,128 @@ mod tests {
     #[should_panic(expected = "shard count must be within")]
     fn resume_rejects_empty_cursor_set() {
         let _ = ShardedSimulator::resume(Mark(8), marks(8), Vec::new(), 0);
+    }
+
+    /// Logs every block of pairs handed to `transition_block`, so a test
+    /// sees exactly which pairs the intra phase routed to the lane, and
+    /// in which sub-blocks.
+    struct Log(usize, Mutex<Vec<Vec<Pair>>>);
+    impl Protocol for Log {
+        type State = ();
+        fn n(&self) -> usize {
+            self.0
+        }
+        fn transition(&self, _: &mut (), _: &mut ()) -> bool {
+            false
+        }
+        fn transition_block(&self, _: &mut [()], pairs: &[Pair]) -> u64 {
+            self.1.lock().unwrap().push(pairs.to_vec());
+            0
+        }
+    }
+
+    /// The pair-at-a-time router the intra phase used before it was made
+    /// branch-free, kept as the reference.
+    fn branchy_route(
+        block: &[Pair],
+        start: usize,
+        len: usize,
+        owners: &OwnerMap,
+        local: &mut Vec<Pair>,
+        outbox: &mut [Vec<Pair>],
+    ) {
+        for &(i, j) in block {
+            let lj = (j as usize).wrapping_sub(start);
+            if lj < len {
+                local.push(((i as usize - start) as u32, lj as u32));
+            } else {
+                outbox[owners.owner(j)].push((i, j));
+            }
+        }
+    }
+
+    /// Quotas around one sub-block of [`BLOCK_PAIRS`].
+    const QUOTAS: [u64; 4] = [1, 4095, 4096, 4097];
+
+    proptest! {
+        #![proptest_config(ProptestConfig {
+            cases: 48,
+            ..ProptestConfig::default()
+        })]
+
+        /// The branch-free router hands `transition_block` the same local
+        /// pairs in the same sub-blocks, and fills every peer's outbox
+        /// with the same pairs in the same order, as the branchy loop —
+        /// on first, last and random lanes, with 1, 2, n and random
+        /// shard counts (so 1-agent lanes), over two phases whose quotas
+        /// grow and shrink the reused buffers.
+        #[test]
+        fn router_matches_the_branchy_reference(
+            n in 2usize..64,
+            shape in 0usize..4,
+            lane in 0usize..3,
+            first in 0usize..4,
+            second in 0usize..4,
+            seed in any::<u64>(),
+        ) {
+            let shards = match shape {
+                0 => 1,
+                1 => 2,
+                2 => n,
+                _ => 1 + (seed % n as u64) as usize,
+            };
+            let s = match lane {
+                0 => 0,
+                1 => shards - 1,
+                _ => ((seed >> 32) % shards as u64) as usize,
+            };
+            let quotas = [QUOTAS[first], QUOTAS[second]];
+            let owners = OwnerMap::new(n, shards);
+            let (start, end) = bounds(n, shards, s);
+
+            let mut reference = SubSchedule::split(n, seed, shards).swap_remove(s);
+            let mut ref_local = Vec::new();
+            let mut ref_outbox = vec![Vec::new(); shards];
+            let mut responders = vec![false; n];
+            for quota in quotas {
+                let mut left = quota;
+                while left > 0 {
+                    let block = reference.sample_block(left.min(BLOCK_PAIRS as u64) as usize);
+                    let mut local = Vec::new();
+                    branchy_route(block, start, end - start, &owners, &mut local, &mut ref_outbox);
+                    for &(_, j) in block {
+                        responders[j as usize] = true;
+                    }
+                    ref_local.push(local);
+                    left -= block.len() as u64;
+                }
+            }
+
+            let protocol = Log(n, Mutex::default());
+            let slot = Mutex::new(Slot {
+                start,
+                states: vec![(); end - start],
+                sched: SubSchedule::split(n, seed, shards).swap_remove(s),
+                outbox: vec![Vec::new(); shards],
+                local: Vec::new(),
+                boundary: Vec::new(),
+            });
+            for quota in quotas {
+                intra_phase(&protocol, &owners, &slot, quota);
+            }
+            prop_assert_eq!(protocol.1.into_inner().unwrap(), ref_local);
+            prop_assert_eq!(&slot.lock().unwrap().outbox, &ref_outbox);
+
+            // Thousands of draws over fewer than 64 agents reach every
+            // possible responder, so the agents just inside and just
+            // outside the lane were routed. (A 1-agent lane's only agent
+            // initiates every pair, so it is never a responder.)
+            if quotas.iter().sum::<u64>() >= 4095 {
+                let inside = if end - start > 1 { vec![start, end - 1] } else { vec![] };
+                for j in inside.into_iter().chain([start.wrapping_sub(1), end]) {
+                    prop_assert!(j >= n || responders[j], "responder {} never drawn", j);
+                }
+            }
+        }
     }
 }

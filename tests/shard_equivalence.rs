@@ -15,6 +15,10 @@
 //! 4. **Semantics** — sharded runs still stabilize: Theorem 2 holds on
 //!    the sharded scheduler family, and `scenarios` fault plans drive
 //!    sharded runs to recovery.
+//! 5. **Pinned trajectories** — `shards > 1` runs end at recorded CRC-64
+//!    digests of their frame and dispatch mix, so a change to the routing
+//!    or the order in which pairs execute cannot pass as merely
+//!    "deterministic".
 
 use proptest::prelude::*;
 
@@ -25,6 +29,8 @@ use silent_ranking::ranking::stable::{PackedState, StableRanking};
 use silent_ranking::ranking::Params;
 use silent_ranking::scenarios::{ranking_faults, FaultPlan};
 use silent_ranking::shard::ShardedSimulator;
+use silent_ranking::snapshot::Crc64;
+use silent_ranking::telemetry::Recorder;
 
 fn packed_protocol(n: usize) -> Packed<StableRanking> {
     Packed(StableRanking::new(Params::new(n)))
@@ -233,6 +239,115 @@ fn merged_observers_agree_with_whole_configuration_observers() {
             "seed={seed} shards={shards}: silence verdicts diverged"
         );
     }
+}
+
+/// CRC-64 over everything that pins a packed sharded run's position:
+/// the frame (interaction count, shard count, block size, every state
+/// word, every cursor with its pending pairs) and the kernel's dispatch
+/// mix.
+fn digest(sim: &ShardedSimulator<Packed<StableRanking>>) -> u64 {
+    let frame = sim.frame();
+    let mut crc = Crc64::new();
+    crc.update_u64(frame.interactions);
+    crc.update_u64(u64::from(frame.shards));
+    crc.update_u64(frame.block_pairs);
+    for &w in &frame.words {
+        crc.update_u64(w);
+    }
+    for c in &frame.cursors {
+        for word in c.rng.into_iter().chain([c.n, c.start, c.len]) {
+            crc.update_u64(word);
+        }
+        crc.update_u64(c.pending.len() as u64);
+        for &(a, b) in &c.pending {
+            crc.update_u64(u64::from(a));
+            crc.update_u64(u64::from(b));
+        }
+    }
+    for count in sim.protocol().inner().dispatch_mix() {
+        crc.update_u64(count);
+    }
+    crc.finish()
+}
+
+/// Population size of the pinned runs: not divisible by 3, 4 or 7, so
+/// those lanes differ in length.
+const PINNED_N: usize = 250;
+
+/// Bursts that split blocks unevenly: a single pair, one past a full
+/// sub-block, and sizes that end partway through a block.
+const UNEVEN: &[u64] = &[1, 4097, 12_345, 33_333, 50_224];
+
+#[test]
+fn multi_shard_trajectories_match_their_pinned_digests() {
+    // (shards, block_pairs, bursts, digest). `None` keeps the default
+    // block size; 10 000 pairs per shard span three sub-blocks. The
+    // digests were recorded before the lane router was made branch-free
+    // and must never move without a deliberate trajectory change.
+    let cases: [(usize, Option<usize>, &[u64], u64); 10] = [
+        (2, None, &[100_000], 0x4f5dd477dce8f40c),
+        (3, None, &[100_000], 0xbf58bc9fe903805f),
+        (4, None, &[100_000], 0x2f96e5194ade7b51),
+        (7, None, &[100_000], 0xb3f8e63ab647c4a4),
+        (2, Some(37), &[100_000], 0xcc1eb103065d3f2d),
+        (7, Some(37), &[60_000], 0xc4296913dc3cdf5d),
+        (3, Some(10_000), &[100_000], 0x4bf3e9380c98e594),
+        (4, Some(10_000), &[100_000], 0xd0ea6f4b16240b16),
+        (3, None, UNEVEN, 0xf95ef2846ed4c6d0),
+        (7, Some(37), UNEVEN, 0xc6a0f930e4d1f171),
+    ];
+    let mut actual = Vec::new();
+    for (k, &(shards, block_pairs, bursts, _)) in cases.iter().enumerate() {
+        let run = |workers: usize| {
+            let protocol = packed_protocol(PINNED_N);
+            let init = packed_init(&protocol, 40 + k as u64);
+            let mut sim =
+                ShardedSimulator::new(protocol, init, 60 + k as u64, shards).with_workers(workers);
+            if let Some(b) = block_pairs {
+                sim = sim.with_block_pairs(b);
+            }
+            for &burst in bursts {
+                sim.run(burst);
+            }
+            digest(&sim)
+        };
+        let inline = run(1);
+        assert_eq!(inline, run(2), "case {k}: workers must not matter");
+        actual.push(inline);
+    }
+    let expected: Vec<u64> = cases.iter().map(|c| c.3).collect();
+    assert_eq!(
+        actual, expected,
+        "pinned sharded trajectories moved (actual first)"
+    );
+}
+
+#[test]
+fn faulted_probed_sharded_run_matches_its_pinned_digest() {
+    // A legal ranking, an erase_rank fault, a Recorder watching every
+    // block: the recovery trajectory is pinned too.
+    let n = PINNED_N;
+    let run = |workers: usize| {
+        let protocol = packed_protocol(n);
+        let legal = protocol.pack_all(&protocol.inner().legal());
+        let plan_protocol = StableRanking::new(Params::new(n));
+        let mut plan = UnpackedHook::new(FaultPlan::new(31).once(
+            20_000,
+            ranking_faults::standard("erase_rank", &plan_protocol, n),
+        ));
+        let mut recorder = Recorder::new();
+        let mut sim = ShardedSimulator::new(protocol, legal, 17, 4).with_workers(workers);
+        sim.run_faulted_probed(150_000, &mut plan, &mut recorder);
+        assert_eq!(plan.inner().fired().len(), 1, "the fault must fire");
+        assert!(recorder.recorded() > 0, "the recorder must trace");
+        digest(&sim)
+    };
+    let inline = run(1);
+    assert_eq!(inline, run(2), "workers must not matter");
+    assert_eq!(
+        inline, 0x9db5c6c61ee01716,
+        "pinned faulted sharded trajectory moved"
+    );
 }
 
 proptest! {
