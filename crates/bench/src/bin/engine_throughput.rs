@@ -36,11 +36,14 @@
 //!   (`stable_ranking_fastforward_silent`, at `n ∈ {10³, …, 10⁶}`
 //!   whatever `sizes=` says): the same converged configuration run in
 //!   bursts of `n` interactions (the cadence of a validity poll every
-//!   `n`), each burst skipped by jumping the scheduler. Every sample
-//!   times the kernel row's workload and the fast-forward back to back;
-//!   the "scalar" column holds the paired kernel throughput, and the
-//!   JSON's `fastforward` block records each size's median paired ratio
-//!   with its spread across samples (the noise floor).
+//!   `n`), each burst skipped by owing its draws to the scheduler,
+//!   which pays them with one jump when its stream is next read (the
+//!   timed loop never reads it; the closing cursor check jumps a copy).
+//!   Every sample times the kernel row's workload and the fast-forward
+//!   back to back; the "scalar" column holds the paired kernel
+//!   throughput, and the JSON's `fastforward` block records each
+//!   size's median paired ratio with its spread across samples (the
+//!   noise floor).
 //!
 //! All paths execute the identical trajectory, so every comparison is
 //! pure representation/engine overhead.

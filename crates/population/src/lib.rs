@@ -76,12 +76,15 @@
 //!   instead of executing it. The pair source advances exactly as far
 //!   as the segment would have drawn ([`PairSource::skip`]), and the
 //!   protocol credits the skipped pairs to its instrumentation
-//!   ([`Protocol::count_null`]). The uniform schedulers skip in
-//!   O(log k) by jumping their xoshiro256++ generator ahead; other
+//!   ([`Protocol::count_null`]). The uniform schedulers skip in O(1):
+//!   they owe their xoshiro256++ generator the skipped draws and pay
+//!   them with one O(log k) jump when the pair stream is next read, so
+//!   a silent stretch run as many short segments costs one jump. Other
 //!   sources draw and discard. A null pair changes no state, and the
-//!   generator lands on the state `k` draws would reach, so states,
-//!   cursors, snapshots and counters stay bit-for-bit those of the
-//!   executing run (`tests/fast_forward.rs`). It applies only without
+//!   generator lands on the state `k` draws would reach (a cursor
+//!   reports it settled, jumped on a copy), so states, cursors,
+//!   snapshots and counters stay bit-for-bit those of the executing run
+//!   (`tests/fast_forward.rs`). It applies only without
 //!   an active [`Probe`], which must see every block, and only to
 //!   protocols with a certificate (`StableRanking` certifies a valid
 //!   ranking); the engine retries a failed certificate after

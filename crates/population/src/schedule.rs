@@ -37,9 +37,19 @@
 //! every source gets interleaving-safety for free.
 //!
 //! [`PairSource::skip`] advances a stream without producing its pairs,
-//! for engines that fast-forward a certified-silent configuration. The
-//! uniform sources skip in O(log k) by jumping their generator ahead
-//! (Haramoto et al., 2008); other sources draw and discard.
+//! for engines that fast-forward a certified-silent configuration.
+//! Other sources draw and discard. The uniform sources skip in O(1):
+//! they drain their buffered pairs, then add the rest to a count of
+//! *owed* draws kept next to their generator. The next read of the
+//! stream (a `next_pair`, `sample_block`, `pairs` or
+//! [`SubSchedule::skip_local`]) settles the debt with one O(log k) jump
+//! of the generator (Haramoto et al., 2008). A silent stretch that an
+//! engine skips in many short calls therefore costs one jump, not one
+//! per call. Because a skip drains the buffer before it owes, owed
+//! draws imply an empty buffer, and the pending pairs always come first
+//! in the stream. [`CursorSource::cursor`] reports the settled state,
+//! jumped on a copy: a cursor holds the RNG words and pending pairs an
+//! executing run would hold, so its format has no field for the debt.
 
 mod jump;
 
@@ -98,7 +108,10 @@ pub trait PairSource {
 
     /// Consume the next `count` pairs of the stream without returning
     /// them, leaving the source exactly where `count` draws would.
-    /// The default draws and discards them block by block.
+    /// The default draws and discards them block by block. The uniform
+    /// sources only record the draws as owed and pay them with one jump
+    /// when the stream is next read, so consecutive skips cost one jump
+    /// together.
     fn skip(&mut self, count: u64) {
         let mut left = count;
         while left > 0 {
@@ -206,7 +219,8 @@ impl BlockBuffer {
 /// replays `pending`, then draws from the restored RNG.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScheduleCursor {
-    /// Raw xoshiro256++ state words of the source's RNG.
+    /// Raw xoshiro256++ state words of the source's RNG, with any draws
+    /// a uniform source owes already paid.
     pub rng: [u64; 4],
     /// Population size the source draws pairs for.
     pub n: u64,
@@ -250,10 +264,58 @@ pub trait CursorSource: PairSource + Sized {
     fn from_cursor(cursor: ScheduleCursor) -> Self;
 }
 
+/// The uniform sources' xoshiro256++ generator and the draws skips
+/// have owed it.
+///
+/// A skip adds to `owed`; [`settled`](Self::settled) pays the whole
+/// debt with one [`jump::advance`] before the next draw. The sources
+/// owe only once their buffer is drained, so `owed > 0` implies an
+/// empty buffer.
+#[derive(Debug, Clone)]
+struct Generator {
+    rng: SmallRng,
+    owed: u64,
+}
+
+impl Generator {
+    fn new(rng: SmallRng) -> Self {
+        Self { rng, owed: 0 }
+    }
+
+    /// The generator with every owed draw paid; every draw goes
+    /// through here.
+    #[inline]
+    fn settled(&mut self) -> &mut SmallRng {
+        if self.owed > 0 {
+            self.pay();
+        }
+        &mut self.rng
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn pay(&mut self) {
+        jump::advance(&mut self.rng, std::mem::take(&mut self.owed));
+    }
+
+    /// Owe `count` more draws.
+    fn owe(&mut self, count: u64) {
+        if self.owed.checked_add(count).is_none() {
+            self.pay();
+        }
+        self.owed += count;
+    }
+
+    /// The state words of the settled generator, jumped on a copy.
+    fn state(&self) -> [u64; 4] {
+        self.clone().settled().state()
+    }
+}
+
 /// Seeded generator of uniform ordered pairs of distinct agents.
 #[derive(Debug, Clone)]
 pub struct Schedule {
-    rng: SmallRng,
+    rng: Generator,
     n: usize,
     buf: BlockBuffer,
 }
@@ -294,7 +356,7 @@ impl Schedule {
         assert!(n >= 2, "population needs at least two agents");
         assert!(u32::try_from(n).is_ok(), "population size exceeds u32");
         Self {
-            rng: SmallRng::seed_from_u64(seed),
+            rng: Generator::new(SmallRng::seed_from_u64(seed)),
             n,
             buf: BlockBuffer::new(),
         }
@@ -310,7 +372,7 @@ impl Schedule {
     /// freely without perturbing the stream.
     #[inline]
     pub fn next_pair(&mut self) -> (usize, usize) {
-        let (rng, n) = (&mut self.rng, self.n);
+        let (rng, n) = (self.rng.settled(), self.n);
         self.buf.next_pair(|| draw_pair(rng, n))
     }
 
@@ -322,7 +384,7 @@ impl Schedule {
     /// they have consumed as many pairs as they need.
     #[inline]
     pub fn sample_block(&mut self, max: usize) -> &[Pair] {
-        let (rng, n) = (&mut self.rng, self.n);
+        let (rng, n) = (self.rng.settled(), self.n);
         self.buf.sample_block(max, || draw_pair(rng, n))
     }
 
@@ -388,7 +450,7 @@ impl CursorSource for Schedule {
         assert!(n >= 2, "population needs at least two agents");
         assert!(u32::try_from(n).is_ok(), "population size exceeds u32");
         Self {
-            rng: SmallRng::from_state(cursor.rng),
+            rng: Generator::new(SmallRng::from_state(cursor.rng)),
             n,
             buf: BlockBuffer::with_pending(cursor.pending),
         }
@@ -423,17 +485,17 @@ impl PairSource for Schedule {
         };
         Drawn {
             pending: pending.iter(),
-            rng: &mut self.rng,
+            rng: self.rng.settled(),
             n: self.n,
             fresh,
         }
     }
 
-    /// Drains the buffer, then jumps the generator past the rest: one
-    /// `next_u64` per pair.
+    /// Drains the buffer, then owes the generator the rest: one
+    /// `next_u64` per pair, paid when the stream is next read.
     fn skip(&mut self, count: u64) {
         let rest = count - self.buf.drain(count).len() as u64;
-        jump::advance(&mut self.rng, rest);
+        self.rng.owe(rest);
     }
 }
 
@@ -466,7 +528,7 @@ pub const SHARD_SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(4);
 /// uniform only through the ≤ 1 agent size imbalance between shards.
 #[derive(Debug, Clone)]
 pub struct SubSchedule {
-    rng: SmallRng,
+    rng: Generator,
     n: usize,
     start: usize,
     len: usize,
@@ -506,7 +568,7 @@ impl SubSchedule {
             start + len
         );
         Self {
-            rng: SmallRng::seed_from_u64(seed),
+            rng: Generator::new(SmallRng::seed_from_u64(seed)),
             n,
             start,
             len,
@@ -548,14 +610,15 @@ impl SubSchedule {
 
     /// [`skip`](PairSource::skip) `count` pairs, returning how many of
     /// them have their responder inside the initiator range. Telling
-    /// takes every draw, so this steps the generator instead of jumping.
+    /// takes every draw, so this steps the generator instead of owing.
     pub fn skip_local(&mut self, count: u64) -> u64 {
         let (n, start, len) = (self.n, self.start, self.len);
         let local = |(_, j): Pair| u64::from((j as usize).wrapping_sub(start) < len);
+        let rng = self.rng.settled();
         let drained = self.buf.drain(count);
         let mut hits: u64 = drained.iter().map(|&p| local(p)).sum();
         for _ in drained.len() as u64..count {
-            hits += local(draw_sub_pair(&mut self.rng, n, start, len));
+            hits += local(draw_sub_pair(rng, n, start, len));
         }
         hits
     }
@@ -590,7 +653,7 @@ impl CursorSource for SubSchedule {
             start + len
         );
         Self {
-            rng: SmallRng::from_state(cursor.rng),
+            rng: Generator::new(SmallRng::from_state(cursor.rng)),
             n,
             start,
             len,
@@ -606,22 +669,22 @@ impl PairSource for SubSchedule {
 
     #[inline]
     fn next_pair(&mut self) -> (usize, usize) {
-        let (rng, n, start, len) = (&mut self.rng, self.n, self.start, self.len);
+        let (rng, n, start, len) = (self.rng.settled(), self.n, self.start, self.len);
         self.buf.next_pair(|| draw_sub_pair(rng, n, start, len))
     }
 
     #[inline]
     fn sample_block(&mut self, max: usize) -> &[Pair] {
-        let (rng, n, start, len) = (&mut self.rng, self.n, self.start, self.len);
+        let (rng, n, start, len) = (self.rng.settled(), self.n, self.start, self.len);
         self.buf
             .sample_block(max, || draw_sub_pair(rng, n, start, len))
     }
 
-    /// Drains the buffer, then jumps the generator past the rest, like
+    /// Drains the buffer, then owes the generator the rest, like
     /// [`Schedule`]'s.
     fn skip(&mut self, count: u64) {
         let rest = count - self.buf.drain(count).len() as u64;
-        jump::advance(&mut self.rng, rest);
+        self.rng.owe(rest);
     }
 }
 
@@ -1066,6 +1129,123 @@ mod tests {
                 .count() as u64;
             assert_eq!(skipped.skip_local(k), local, "k = {k}");
             assert_eq!(skipped.cursor(), drawn.cursor(), "k = {k}");
+        }
+    }
+
+    /// A uniform source as an owed-draw script drives it.
+    trait Scripted: CursorSource + Clone {
+        /// [`SubSchedule::skip_local`], where the source has it.
+        fn tell_local(&mut self, _count: u64) -> Option<u64> {
+            None
+        }
+    }
+
+    impl Scripted for Schedule {}
+
+    impl Scripted for SubSchedule {
+        fn tell_local(&mut self, count: u64) -> Option<u64> {
+            Some(self.skip_local(count))
+        }
+    }
+
+    /// Skip lengths around the buffer, the jump threshold and beyond.
+    const SKIPS: [u64; 7] = [0, 1, 511, 512, (1 << 14) - 1, 1 << 14, 1 << 20];
+
+    /// `source` with its next `count` pairs drawn and left pending, as a
+    /// restored cursor of a differently buffered source holds them.
+    fn pend<S: Scripted>(source: &S, count: usize) -> S {
+        let mut ahead = source.clone();
+        let mut pending: Vec<Pair> = (0..count)
+            .map(|_| {
+                let (i, j) = ahead.next_pair();
+                (i as u32, j as u32)
+            })
+            .collect();
+        let mut cursor = ahead.cursor();
+        pending.append(&mut cursor.pending);
+        cursor.pending = pending;
+        S::from_cursor(cursor)
+    }
+
+    /// Run a random script of `ops` operations on `fast` and on `twin`,
+    /// which draws every pair that `fast` skips. After each operation
+    /// the two must report the same cursor and the same next pairs, read
+    /// from copies so that `fast`'s owed draws stay owed.
+    fn run_script<S: Scripted>(mut fast: S, mut twin: S, script: &mut SmallRng, ops: usize) {
+        let mut roll = |below: u64| script.next_u64() % below;
+        for step in 0..ops {
+            let op = roll(8);
+            match op {
+                0 | 1 => {
+                    for _ in 0..=roll(4) {
+                        let k = match roll(9) {
+                            7 => roll(1 << 18),
+                            8 => roll(fast.cursor().pending.len() as u64 + 1),
+                            i => SKIPS[i as usize],
+                        };
+                        fast.skip(k);
+                        for _ in 0..k {
+                            twin.next_pair();
+                        }
+                    }
+                }
+                2 => assert_eq!(fast.next_pair(), twin.next_pair(), "step {step}"),
+                3 => {
+                    let m = 1 + roll(5000) as usize;
+                    let got = fast.sample_block(m).to_vec();
+                    assert_eq!(got, twin.sample_block(m), "step {step}");
+                }
+                4 => {
+                    let m = 1 + roll(5000) as usize;
+                    let take = roll(m as u64 + 1) as usize;
+                    let got: Vec<Pair> = fast.pairs(m).take(take).collect();
+                    let want: Vec<Pair> = twin.pairs(m).take(take).collect();
+                    assert_eq!(got, want, "step {step}");
+                }
+                5 => {
+                    let k = roll(5000);
+                    assert_eq!(fast.tell_local(k), twin.tell_local(k), "step {step}");
+                }
+                6 => {
+                    fast = if roll(2) == 0 {
+                        fast.clone()
+                    } else {
+                        S::from_cursor(fast.cursor())
+                    };
+                }
+                _ => {
+                    let count = roll(600) as usize;
+                    fast = pend(&fast, count);
+                    twin = pend(&twin, count);
+                }
+            }
+            assert_eq!(fast.cursor(), twin.cursor(), "step {step}, op {op}");
+            let (mut a, mut b) = (fast.clone(), twin.clone());
+            for _ in 0..3 {
+                assert_eq!(a.next_pair(), b.next_pair(), "step {step}, op {op}");
+            }
+        }
+    }
+
+    #[test]
+    fn owed_draws_match_a_twin_that_draws_every_pair() {
+        let mut script = SmallRng::seed_from_u64(17);
+        for seed in 0..12 {
+            let n = 2 + (script.next_u64() % 2000) as usize;
+            run_script(
+                Schedule::new(n, seed),
+                Schedule::new(n, seed),
+                &mut script,
+                40,
+            );
+            let len = 1 + (script.next_u64() % n as u64) as usize;
+            let start = (script.next_u64() % (n - len + 1) as u64) as usize;
+            run_script(
+                SubSchedule::new(n, start, len, seed),
+                SubSchedule::new(n, start, len, seed),
+                &mut script,
+                40,
+            );
         }
     }
 

@@ -3,8 +3,9 @@
 //! interaction does.
 //!
 //! The reference runs the protocol through [`Executes`], which
-//! forwards only the methods that execute interactions, so it never
-//! certifies and never skips. The certified run forwards everything
+//! forwards only the methods that execute interactions (the drawn pair
+//! feed of `transition_from` among them), so it never certifies and
+//! never skips. The certified run forwards everything
 //! through [`Certifies`], which also counts the pairs it is credited
 //! with skipping, so each case can show that it really skipped.
 //!
@@ -16,7 +17,10 @@
 //! (states, RNG words, pending pairs), the dispatch mix, the reset count,
 //! and everything the hooks saw. More cases resume from a checkpoint
 //! taken mid-silence and from cursors holding pending pairs, and run the
-//! structured `StableState` path, which certifies too.
+//! structured `StableState` path, which certifies too. One more case
+//! skips several runs in a row, so the uniform pair source owes their
+//! draws, and checks the frame, a save, a fault and a resume taken
+//! while the draws are still owed.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -24,8 +28,8 @@ use silent_ranking::population::observe::Control;
 use silent_ranking::population::schedule::{Pair, Schedule, SubSchedule};
 use silent_ranking::population::{
     drive, is_valid_ranking, Capture, CursorSource, Every, FaultHook, FaultState, Frame, HookState,
-    MemoryCheckpointer, NoFaults, NoPoll, NoSaves, NullProbe, Observer, Packed, Protocol,
-    Simulator, UnpackedHook, WordState,
+    MemoryCheckpointer, NoFaults, NoPoll, NoSaves, NullProbe, Observer, Packed, PairSource,
+    Protocol, Simulator, UnpackedHook, WordState,
 };
 use silent_ranking::ranking::stable::{PackedState, StableRanking, StableState};
 use silent_ranking::ranking::Params;
@@ -79,6 +83,15 @@ impl<Q: Protocol> Protocol for Executes<Q> {
     fn transition_block(&self, states: &mut [Q::State], pairs: &[Pair]) -> u64 {
         self.0.transition_block(states, pairs)
     }
+
+    fn transition_from<S: PairSource>(
+        &self,
+        states: &mut [Q::State],
+        source: &mut S,
+        max: usize,
+    ) -> (usize, u64) {
+        self.0.transition_from(states, source, max)
+    }
 }
 
 impl<Q: WordState> WordState for Executes<Q> {
@@ -121,6 +134,15 @@ impl<Q: Protocol> Protocol for Certifies<Q> {
 
     fn transition_block(&self, states: &mut [Q::State], pairs: &[Pair]) -> u64 {
         self.0.transition_block(states, pairs)
+    }
+
+    fn transition_from<S: PairSource>(
+        &self,
+        states: &mut [Q::State],
+        source: &mut S,
+        max: usize,
+    ) -> (usize, u64) {
+        self.0.transition_from(states, source, max)
     }
 
     fn silent(&self, states: &[Q::State]) -> bool {
@@ -541,4 +563,100 @@ fn the_structured_states_fast_forward_exactly() {
         "the faults must break silence"
     );
     assert!(is_valid_ranking(got.states()));
+}
+
+/// Runs made as separate calls on a silent configuration: each skips
+/// all of its pairs, so the draws the pair source owes pile up across
+/// them until the stream is next read.
+const PILE: [u64; 4] = [1, 511, 4_096, 20_000];
+
+/// A rank erasure in the silent stretch after the [`PILE`] runs.
+fn piled_plan() -> PackedPlan {
+    Plan(UnpackedHook::new(
+        FaultPlan::new(SEED ^ 0xFF).once(45_000, ranking_faults::erase_rank(&protocol(), 2)),
+    ))
+}
+
+/// Run the [`PILE`] on `engine`, then a faulted, saving run to
+/// [`BUDGET`] whose first save lands right after the pile. Returns the
+/// frame after the pile, the pairs credited to skips by then, and what
+/// the rest of the run saw.
+fn pile_up<E>(engine: &mut E) -> (Frame, u64, Outcome)
+where
+    E: Capture,
+    E::Protocol: Kernel,
+{
+    for count in PILE {
+        drive(
+            engine,
+            count,
+            &mut NoFaults,
+            &mut NoSaves,
+            &mut NoPoll,
+            &mut NullProbe,
+        );
+    }
+    let piled = engine.frame();
+    let credited = engine.protocol().credited();
+    (piled, credited, run(engine, FAULTS | SAVES, piled_plan()))
+}
+
+/// A certified engine that owes its pile of draws must read the same
+/// frame, save the same frames, take the same fault and resume from its
+/// first save to the same end as the engine executing every pair.
+fn owed_draws_settle_exactly<C, R>(
+    label: &str,
+    mut certified: C,
+    mut reference: R,
+    resume: impl FnOnce(&Frame) -> C,
+) where
+    C: Capture<Protocol = Certifies<P>>,
+    R: Capture<Protocol = Executes<P>>,
+{
+    let (got_piled, credited, got) = pile_up(&mut certified);
+    let (want_piled, _, want) = pile_up(&mut reference);
+    let piled: u64 = PILE.iter().sum();
+    assert_eq!(credited, piled, "{label}: every piled run must skip");
+    assert_eq!(got_piled, want_piled, "{label}: frame after the pile");
+    assert_eq!(want.saves[0].interactions, piled, "{label}");
+    assert_eq!(got, want, "{label}: saves, fault and end");
+    assert_eq!(want.fired, [45_000], "{label}");
+    assert!(want.mix[0] > 0, "{label}: the fault must break silence");
+
+    let mut resumed = resume(&got.saves[0]);
+    let again = run(&mut resumed, FAULTS | SAVES, piled_plan());
+    assert_eq!(again.frame, want.frame, "{label}: resumed end");
+    assert_eq!(again.fired, want.fired, "{label}: resumed fault");
+    assert_eq!(again.saves, want.saves, "{label}: resumed saves");
+}
+
+#[test]
+fn owed_draws_pile_up_across_runs_and_settle_exactly() {
+    owed_draws_settle_exactly(
+        "sequential",
+        sequential(certifies(packed())),
+        sequential(executes()),
+        |frame| {
+            Simulator::resume(
+                certifies(packed()),
+                decode(frame),
+                Schedule::from_cursor(frame.cursors[0].clone()),
+                frame.interactions,
+            )
+        },
+    );
+    owed_draws_settle_exactly(
+        "one shard",
+        sharded(certifies(packed()), (1, 1)),
+        sharded(executes(), (1, 1)),
+        |frame| {
+            ShardedSimulator::resume(
+                certifies(packed()),
+                decode(frame),
+                frame.cursors.clone(),
+                frame.interactions,
+            )
+            .with_block_pairs(SHARD_BLOCK)
+        },
+    );
 }
