@@ -22,7 +22,7 @@
 //!    full re-ranking; the lag is a whole stabilization).
 //!
 //! `--smoke` runs the CI gate instead: zero-churn bit-equivalence
-//! against the fixed-n engine on all three execution shapes,
+//! against the fixed-n engine on both execution shapes (enum, kernel),
 //! bit-identical rerun determinism under churn, and a steady-state
 //! validity floor at modest λ. Any failure exits nonzero.
 //!
@@ -34,7 +34,7 @@
 
 use bench::{f3, Experiment, Json, Table};
 use dynamic::{ChurnConfig, DynamicPopulation};
-use population::{Packed, ScalarBlock, Simulator};
+use population::{Packed, Simulator};
 use ranking::stable::StableRanking;
 use ranking::Params;
 
@@ -131,7 +131,7 @@ fn smoke(exp: &Experiment) {
     let steps = 50_000;
 
     // Gate 1: zero-churn runs are bit-for-bit the fixed-n engine, on
-    // all three execution shapes.
+    // both execution shapes.
     let params = || Params::new(n);
     let quiet = ChurnConfig::quiescent;
     {
@@ -145,18 +145,6 @@ fn smoke(exp: &Experiment) {
         }
     }
     {
-        let mut d =
-            DynamicPopulation::<ScalarBlock<Packed<StableRanking>>>::new(params(), quiet(), seed);
-        let p = ScalarBlock(Packed(StableRanking::new(params())));
-        let init = p.0.pack_all(&p.0.inner().initial());
-        let mut s = Simulator::new(p, init, seed);
-        d.run(steps);
-        s.run_batched(steps);
-        if d.states() != s.states() {
-            die("smoke: zero-churn packed-scalar trajectory diverged from Simulator");
-        }
-    }
-    {
         let mut d = DynamicPopulation::<Packed<StableRanking>>::new(params(), quiet(), seed);
         let p = Packed(StableRanking::new(params()));
         let init = p.pack_all(&p.inner().initial());
@@ -167,7 +155,7 @@ fn smoke(exp: &Experiment) {
             die("smoke: zero-churn kernel trajectory diverged from Simulator");
         }
     }
-    exp.note("smoke: zero-churn equivalence holds on enum, packed-scalar, and kernel");
+    exp.note("smoke: zero-churn equivalence holds on enum and kernel");
 
     // Gate 2: a churning run is a pure function of the seed.
     let churny = || {

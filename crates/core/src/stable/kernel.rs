@@ -1,91 +1,80 @@
-//! The block transition kernel: `StableRanking`'s implementation of the
-//! [`BatchedProtocol`] seam.
+//! Protocol 3 on packed words: `StableRanking`'s implementation of the
+//! [`PackedProtocol`] seam.
 //!
-//! The scalar packed path (`transition_packed`) already replaced enum
-//! walks with tag tests and table lookups, but per pair it still pays
-//! the `FastLe::step_bits` field unpack / effect-enum round trip, a
-//! full `ranking_plus_step_packed` call on every main/main meeting —
-//! including the null meetings a converged population consists of —
-//! and an atomic RMW per instrumented event. The kernel processes a
-//! whole schedule block in one in-order pass with those costs
-//! restructured away:
+//! One `#[inline(always)]` word step, `step`, is the only packed
+//! implementation of the transition. Every packed entry runs it:
 //!
 //! ```text
-//!  schedule block (≤ 4096 pairs)
-//!        │  in-order pass, one pair at a time
-//!        ▼
-//!  classify: branchless one-hot mask tests over the two loaded words
+//!  transition_packed ── one pair ──────────────┐  (Simulator::step,
+//!                                              │   sharded boundary pairs)
+//!  transition_block ─┐                         ▼
+//!                    ├─ in-order pass ──► step(t, half, u, v, tally)
+//!  transition_from ──┘  (≤ 4096 pairs)         │
+//!                                              ▼
+//!  classify: one-hot mask tests over the two loaded words
 //!        │    reset: (u|v) & TAG_RESET       both-elect: u & v & TAG_ELECT
 //!        │    one-elect: (u|v) & TAG_ELECT   main/main: otherwise
 //!        ▼
-//!  dispatch (same skewed branch chain as the scalar dispatcher)
+//!  dispatch (skewed branch chain, Protocol 3 line order)
 //!        ├─ reset-involved → propagate_step_packed
 //!        ├─ both-electing  → branchless lottery word step
+//!        │                   (n = 2: the initiator wins outright)
 //!        ├─ one-electing   → mask-selected join_phase1 rebirth
-//!        └─ main/main      → ranked×ranked null fast path (no store),
+//!        └─ main/main      → ranked×ranked null exit (no store),
 //!        │                   else ranking_plus
 //!        ▼  shared tail: branchless coin toggle + changed compare
 //!  words (flat SoA Vec<PackedState>)
 //! ```
 //!
-//! Because the pass executes pairs in draw order, it is bit-for-bit the
-//! scalar packed loop by construction: repeated agents inside a block
-//! need no special handling — a pair reads whatever the previous pair
-//! wrote, exactly as the scalar loop does. (An earlier revision of this
-//! kernel instead split blocks into hazard-free segments with an
-//! occupancy bitset and ran per-class stashed lanes, so each class body
-//! became a tight homogeneous loop. Measured on the `engine_throughput`
-//! workload it *lost* to the scalar packed loop by ~2× — the per-pair
-//! bookkeeping (six bitset updates, a 24-byte stash write + read) and
-//! the short expected segment length (≈ √(πn/8) pairs before the first
-//! repeated agent, ~63 at `n = 10⁴`) cost more than the removed
-//! dispatch branches, while the reset and Ranking⁺ lanes still ran the
-//! same helper bodies as the scalar path. The in-order form keeps every
-//! per-class win and pays none of the segmentation tax.)
+//! The step adds reset events and its dispatch class to a local
+//! `Tally`. The block pass flushes the tally to the metrics registry
+//! once per block: one relaxed `fetch_add` per counter per block, not
+//! one per event. `transition_packed` flushes only the reset count, so
+//! the dispatch mix ([`StableRanking::dispatch_mix`]) counts what blocks
+//! execute.
 //!
-//! The per-class wins over `transition_packed`:
+//! Where the time goes, per class:
 //!
-//! * **main/main**: two distinct ranked agents are a null pair —
-//!   detected with one mask test, no store, no coin to toggle. This is
-//!   the silent-configuration fast path: a converged population takes
-//!   it on essentially every interaction, and there the kernel measures
-//!   ~1.3–1.5× the scalar packed loop (~80% of the engine-bound
-//!   epidemic ceiling; the `*_silent` rows of `BENCH_engine.json`).
+//! * **main/main**: two distinct ranked agents are a null pair,
+//!   detected with one mask test, with no store and no coin to toggle.
+//!   A converged population takes this exit on essentially every
+//!   interaction (about 95% of perfbench `stabilize`'s pairs).
 //! * **both-electing**: the embedded Protocol 5 lottery runs as
 //!   straight-line mask arithmetic directly on the packed word
-//!   (`elect_step_word`) — no field unpack, no effect enum — with
-//!   real branches only for the two rare effects (leader rebirth,
-//!   timeout reset).
+//!   (`elect_step_word`), with no field unpack and no effect enum.
+//!   Only the two rare effects (leader rebirth, timeout reset) are
+//!   real branches.
 //! * **everywhere**: the responder coin toggle is a branchless
-//!   mask-multiply, the changed flag is a non-shortcircuit compare, and
-//!   reset-event / dispatch-mix instrumentation is accumulated in
-//!   locals and flushed with one relaxed `fetch_add` per counter per
-//!   block (the scalar dispatcher pays one per event). The mix feeds
-//!   [`StableRanking::dispatch_mix`] so `engine_throughput` can
-//!   attribute a kernel regression to a workload shift.
+//!   mask-multiply and the changed flag is a non-shortcircuit compare.
 //!
-//! On the churn-heavy transient from a clean start (the non-`silent`
-//! bench rows) the kernel measures within ~10–20% of the scalar loop
-//! either way: those interactions are dominated by the branchy
-//! propagate / Ranking⁺ helper bodies both paths share, and paired A/B
-//! runs show that even a bit-identical copy of the scalar loop reached
-//! through the kernel's call route measures ~0.9× on the benchmark
-//! host, so much of the residual is codegen/layout noise rather than
-//! algorithmic cost.
+//! Because the pass executes pairs in draw order, a block is bit-for-bit
+//! the same pairs run one at a time: repeated agents inside a block
+//! need no special handling, since a pair reads whatever the previous
+//! pair wrote. (An earlier revision instead split blocks into
+//! hazard-free segments with an occupancy bitset and ran per-class
+//! stashed lanes, so each class body became a tight homogeneous loop.
+//! Measured on the `engine_throughput` workload it *lost* to the
+//! pair-at-a-time loop by ~2×: the per-pair bookkeeping (six bitset
+//! updates, a 24-byte stash write + read) and the short expected
+//! segment length (≈ √(πn/8) pairs before the first repeated agent,
+//! ~63 at `n = 10⁴`) cost more than the removed dispatch branches,
+//! while the reset and Ranking⁺ lanes still ran the same helper bodies.
+//! The in-order form pays none of that segmentation tax.)
 //!
-//! Equivalence with the scalar packed loop — and, through it, with the
-//! structured enum path — is property-tested in
-//! `tests/packed_equivalence.rs` (random runs, block boundaries,
-//! repeated-agent blocks, faulted and sharded runs).
+//! Equivalence with the structured enum path
+//! ([`Protocol::transition`](population::Protocol::transition), the
+//! readable reference) is property-tested in
+//! `tests/packed_equivalence.rs`: random runs including n = 2 and 3,
+//! block boundaries, repeated-agent blocks, faulted and sharded runs.
 
 use population::schedule::Pair;
-use population::{is_valid_ranking, pair_mut, BatchedProtocol, PackedProtocol, PairSource};
+use population::{is_valid_ranking, pair_mut, PackedProtocol, PairSource};
 
 use crate::stable::packed::{PackedState, A_SHIFT, COIN_BIT, TAG_ELECT, TAG_MASK, TAG_RESET};
 use crate::stable::ranking_plus::ranking_plus_step_packed;
 use crate::stable::reset;
 use crate::stable::tables::StepTables;
-use crate::stable::StableRanking;
+use crate::stable::{StableRanking, StableState};
 
 /// `LECount` position inside an elect word (16 bits).
 const LE_SHIFT: u32 = A_SHIFT;
@@ -102,9 +91,9 @@ const FIELD_MASK: u64 = 0xFFFF;
 /// Protocol 5 lottery update of `FastLe::step` with the branches
 /// replaced by mask selects, operating directly on the packed word.
 /// Returns the initiator's new word and whether a timeout reset was
-/// triggered. Must match `FastLe::step_bits` through the word layout
-/// exactly (pinned by a unit test below and by the trajectory
-/// equivalence suite).
+/// triggered. Must match `FastLe::step` through the codec exactly
+/// (pinned by a unit test below and by the trajectory equivalence
+/// suite).
 #[inline(always)]
 fn elect_step_word(t: &StepTables, half: u64, u: u64, v: u64) -> (u64, bool) {
     // Line 1: LECount ← LECount − 1 (saturating).
@@ -134,95 +123,105 @@ fn elect_step_word(t: &StepTables, half: u64, u: u64, v: u64) -> (u64, bool) {
     (w, false)
 }
 
+/// Instrumentation a run of [`step`] calls accumulates in locals:
+/// reset events, and interactions per dispatch class, indexed like
+/// [`StableRanking::dispatch_mix`].
+#[derive(Default)]
+struct Tally {
+    resets: u64,
+    mix: [u64; 4],
+}
+
+/// One Protocol 3 interaction on packed words, returning whether either
+/// word changed. `half` is the lottery's `L_max / 2` (Protocol 5
+/// line 9), hoisted by the callers.
+#[inline(always)]
+fn step(
+    t: &StepTables,
+    half: u64,
+    u: &mut PackedState,
+    v: &mut PackedState,
+    tally: &mut Tally,
+) -> bool {
+    let (pu, pv) = (u.0, v.0);
+    // One-hot classification over the two loaded words — each test is
+    // a single fused mask op — feeding a skewed branch chain, which the
+    // predictor tracks far better than a computed jump (a `match` on
+    // the arithmetic class index measured ~5% slower). Only the
+    // class-specific core lives in each arm; the responder coin toggle
+    // and the changed compare are one shared tail.
+    let or = pu | pv;
+    if or & TAG_RESET != 0 {
+        // Line 1: propagate resets / wake dormant agents.
+        tally.mix[0] += 1;
+        reset::propagate_step_packed(t, u, v);
+    } else if pu & pv & TAG_ELECT != 0 {
+        // Lines 2–3: both electing — the initiator's lottery step.
+        tally.mix[1] += 1;
+        if t.n == 2 {
+            // Two-agent special case (see `Protocol::transition`): the
+            // lottery cannot be won against a single alternating coin,
+            // so the initiator becomes the waiting leader outright.
+            u.0 = t.leader_wait.bits() | (pu & COIN_BIT);
+        } else {
+            let (nu, reset_triggered) = elect_step_word(t, half, pu, pv);
+            tally.resets += u64::from(reset_triggered);
+            u.0 = nu;
+        }
+    } else if or & TAG_ELECT != 0 {
+        // Lines 4–6: exactly one electing — precomposed phase-1 rebirth
+        // for the electing side, mask-selected so the
+        // initiator/responder distinction costs no branch.
+        tally.mix[2] += 1;
+        let join = t.join_phase1.bits();
+        let ue = pu & TAG_ELECT != 0;
+        u.0 = if ue { join | (pu & COIN_BIT) } else { pu };
+        v.0 = if ue { pv } else { join | (pv & COIN_BIT) };
+    } else {
+        // Lines 7–8: both in main states. The null exit first — two
+        // distinct ranked agents leave each other alone (no state
+        // change, no coin to toggle, no store), and once ranking
+        // stabilizes almost every interaction takes it — full Ranking⁺
+        // otherwise.
+        tally.mix[3] += 1;
+        if or & TAG_MASK == 0 && pu != pv {
+            return false;
+        }
+        let out = ranking_plus_step_packed(t, u, v);
+        tally.resets += u64::from(out.reset_triggered);
+    }
+    // Lines 9–10: the responder coin toggles if it has one (unranked ⇔
+    // some tag bit set) — a branchless mask-multiply — and the changed
+    // flag is a non-shortcircuit compare against the loaded words.
+    v.0 ^= COIN_BIT * u64::from(v.0 & TAG_MASK != 0);
+    (u.0 != pu) | (v.0 != pv)
+}
+
 impl StableRanking {
-    /// The kernel's in-order pass over `pairs`, returning the number of
-    /// word-changing interactions. Both [`BatchedProtocol`] entries run
-    /// this one body: a sampled block feeds it a slice, and the uniform
-    /// schedule feeds it pairs drawn as they are pulled.
+    /// The lottery's `L_max / 2` as [`step`] takes it.
+    fn half(&self) -> u64 {
+        u64::from(self.fast.l_max / 2)
+    }
+
+    /// The in-order pass of [`step`] over `pairs`, returning the number
+    /// of word-changing interactions. Both block entries run this one
+    /// body: a sampled block feeds it a slice, and the uniform schedule
+    /// feeds it pairs drawn as they are pulled.
     #[inline(always)]
     fn kernel(&self, words: &mut [PackedState], pairs: impl Iterator<Item = Pair>) -> u64 {
-        // n = 2 routes through the deterministic-election special case
-        // inside `transition_packed`, which reads `params.n()`; keep it
-        // on the scalar loop rather than teaching the kernel a case the
-        // schedule only produces for a two-agent population.
-        if self.params.n() == 2 {
-            let mut changed = 0;
-            for (i, j) in pairs {
-                let (u, v) = pair_mut(words, i as usize, j as usize);
-                changed += u64::from(self.transition_packed(u, v));
-            }
-            return changed;
-        }
-
-        let t = &self.tables;
-        let half = u64::from(self.fast.l_max / 2);
-        let join = t.join_phase1.bits();
+        let (t, half) = (&self.tables, self.half());
+        let mut tally = Tally::default();
         let mut changed = 0u64;
-        let mut resets = 0u64;
-        let mut mix = [0u64; 4];
-
         for (i, j) in pairs {
             let (u, v) = pair_mut(words, i as usize, j as usize);
-            let (pu, pv) = (u.0, v.0);
-
-            // One-hot classification over the two loaded words — each
-            // test is a single fused mask op — feeding the same skewed
-            // branch chain as the scalar dispatcher (which the
-            // predictor tracks far better than a computed jump: a
-            // `match` on the arithmetic class index measured ~5%
-            // slower on the same workload). Only the class-specific
-            // core lives in each arm; the responder coin toggle and
-            // the changed compare are one shared tail, so the loop
-            // body stays compact.
-            let or = pu | pv;
-            if or & TAG_RESET != 0 {
-                // Reset-involved: Protocol 3 line 1.
-                mix[0] += 1;
-                reset::propagate_step_packed(t, u, v);
-            } else if pu & pv & TAG_ELECT != 0 {
-                // Both electing: the branchless lottery word step, no
-                // field unpack / effect-enum round trip.
-                mix[1] += 1;
-                let (nu, reset_triggered) = elect_step_word(t, half, pu, pv);
-                resets += u64::from(reset_triggered);
-                u.0 = nu;
-            } else if or & TAG_ELECT != 0 {
-                // Exactly one electing: precomposed phase-1 rebirth
-                // for the electing side (Protocol 3 lines 4–6),
-                // mask-selected so the initiator/responder distinction
-                // costs no branch.
-                mix[2] += 1;
-                let ue = pu & TAG_ELECT != 0;
-                u.0 = if ue { join | (pu & COIN_BIT) } else { pu };
-                v.0 = if ue { pv } else { join | (pv & COIN_BIT) };
-            } else {
-                // Both in main states: the silent-configuration fast
-                // path first — two distinct ranked agents are a null
-                // pair (no state change, no coin to toggle, no store),
-                // and once ranking stabilizes almost every interaction
-                // takes this exit — full Ranking⁺ otherwise.
-                mix[3] += 1;
-                if or & TAG_MASK == 0 && pu != pv {
-                    continue;
-                }
-                let out = ranking_plus_step_packed(t, u, v);
-                resets += u64::from(out.reset_triggered);
-            }
-            // Shared tail, Protocol 3 lines 9–10: the responder coin
-            // toggles if it has one (unranked ⇔ some tag bit set) — a
-            // branchless mask-multiply — and the changed flag is a
-            // non-shortcircuit compare against the loaded words.
-            v.0 ^= COIN_BIT * u64::from(v.0 & TAG_MASK != 0);
-            changed += u64::from((u.0 != pu) | (v.0 != pv));
+            changed += u64::from(step(t, half, u, v, &mut tally));
         }
-
-        // Flush the locally accumulated instrumentation to the metrics
-        // registry: one relaxed RMW per counter per block instead of
-        // one per event.
-        if resets > 0 {
-            self.metrics.resets.add(resets);
+        // Flush the locally accumulated instrumentation: one relaxed
+        // RMW per counter per block instead of one per event.
+        if tally.resets > 0 {
+            self.metrics.resets.add(tally.resets);
         }
-        for (hits, count) in self.metrics.classes.iter().zip(mix) {
+        for (hits, count) in self.metrics.classes.iter().zip(tally.mix) {
             if count > 0 {
                 hits.add(count);
             }
@@ -231,7 +230,30 @@ impl StableRanking {
     }
 }
 
-impl BatchedProtocol for StableRanking {
+impl PackedProtocol for StableRanking {
+    type Packed = PackedState;
+
+    fn pack(&self, state: &StableState) -> PackedState {
+        PackedState::pack(state)
+    }
+
+    fn unpack(&self, word: PackedState) -> StableState {
+        word.unpack()
+    }
+
+    /// One pair through the kernel's word step. Only the reset count is
+    /// flushed: the dispatch mix counts what blocks execute, not single
+    /// pairs.
+    #[inline]
+    fn transition_packed(&self, u: &mut PackedState, v: &mut PackedState) -> bool {
+        let mut tally = Tally::default();
+        let changed = step(&self.tables, self.half(), u, v, &mut tally);
+        if tally.resets > 0 {
+            self.metrics.resets.add(tally.resets);
+        }
+        changed
+    }
+
     fn transition_block(&self, words: &mut [PackedState], pairs: &[Pair]) -> u64 {
         self.kernel(words, pairs.iter().copied())
     }
@@ -249,10 +271,8 @@ impl BatchedProtocol for StableRanking {
 
     /// A valid ranking is silent: every agent is ranked and the ranks
     /// are distinct, so every pair takes the main/main null exit above.
-    /// `n = 2` runs the scalar loop, which counts no dispatch class, so
-    /// it is never certified.
     fn silent(&self, words: &[PackedState]) -> bool {
-        self.params.n() != 2 && is_valid_ranking(words)
+        is_valid_ranking(words)
     }
 
     /// Skipped pairs are main/main null pairs, as the kernel counts them.
@@ -265,8 +285,8 @@ impl BatchedProtocol for StableRanking {
 mod tests {
     use super::*;
     use crate::params::Params;
-    use crate::stable::state::{StableState, UnRole, UnState};
-    use leader_election::fast::FastLeState;
+    use crate::stable::state::{MainKind, UnRole, UnState};
+    use leader_election::fast::{FastLeEffect, FastLeState};
     use population::schedule::BLOCK_PAIRS;
     use population::{CursorSource, Packed, Protocol, Schedule, ScheduleCursor};
 
@@ -274,68 +294,84 @@ mod tests {
         StableRanking::new(Params::new(n))
     }
 
-    /// The branchless lottery word step must agree with
-    /// `FastLe::step_bits` (and the dispatcher built on it) over the
-    /// full elect state space × both responder coins.
+    /// The branchless lottery word step must agree with the enum
+    /// `FastLe::step` through the codec over the full elect state space
+    /// × both responder coins, rebirths included.
     #[test]
-    fn elect_step_word_matches_the_scalar_dispatcher() {
+    fn elect_step_word_matches_fast_le_step() {
         let p = protocol(64);
-        let t = p.tables();
-        let half = u64::from(p.fast_le().l_max / 2);
+        let params = p.params();
         for le in 0..=p.fast_le().l_max {
             for cc in 0..=p.fast_le().coin_target {
                 for (done, lead) in [(false, false), (true, false), (true, true)] {
                     for (u_coin, v_coin) in [(false, false), (false, true), (true, false)] {
-                        let state = StableState::Un(UnState {
-                            coin: u_coin,
-                            role: UnRole::Elect(FastLeState {
-                                le_count: le,
-                                coin_count: cc,
-                                leader_done: done,
-                                is_leader: lead,
+                        let mut lottery = FastLeState {
+                            le_count: le,
+                            coin_count: cc,
+                            leader_done: done,
+                            is_leader: lead,
+                        };
+                        let u = PackedState::elect(u_coin, lottery);
+                        let v = PackedState::elect(v_coin, p.fast_le().initial_state());
+                        let effect = p.fast_le().step(&mut lottery, v_coin);
+                        let expected = match effect {
+                            FastLeEffect::None => StableState::Un(UnState {
+                                coin: u_coin,
+                                role: UnRole::Elect(lottery),
                             }),
-                        });
-                        let u = PackedState::pack(&state);
-                        let v = PackedState::elect(
-                            v_coin,
-                            FastLeState {
-                                le_count: 1,
-                                coin_count: 0,
-                                leader_done: true,
-                                is_leader: false,
-                            },
-                        );
-                        let mut su = u;
-                        let mut sv = v;
-                        let resets_before = p.resets_triggered();
-                        p.transition_packed(&mut su, &mut sv);
-                        let (nu, reset) = elect_step_word(t, half, u.0, v.0);
-                        assert_eq!(
-                            nu, su.0,
-                            "initiator diverged at le={le} cc={cc} done={done} \
-                             lead={lead} v_coin={v_coin}"
-                        );
-                        assert_eq!(
-                            reset,
-                            p.resets_triggered() == resets_before + 1,
-                            "reset flag diverged at le={le} cc={cc} done={done} lead={lead}"
-                        );
-                        assert_eq!(sv.0, v.0 ^ COIN_BIT, "responder must only toggle its coin");
+                            FastLeEffect::BecomeWaitingLeader => StableState::Un(UnState {
+                                coin: u_coin,
+                                role: UnRole::Main {
+                                    alive: params.l_max(),
+                                    kind: MainKind::Waiting(params.wait_max()),
+                                },
+                            }),
+                            FastLeEffect::TimedOut => {
+                                let mut s = u.unpack();
+                                reset::trigger_reset(params.r_max(), params.d_max(), &mut s);
+                                s
+                            }
+                        };
+                        let (nu, reset) = elect_step_word(p.tables(), p.half(), u.0, v.0);
+                        let at = format!("le={le} cc={cc} done={done} lead={lead} v_coin={v_coin}");
+                        assert_eq!(PackedState(nu).unpack(), expected, "initiator at {at}");
+                        assert_eq!(reset, effect == FastLeEffect::TimedOut, "reset at {at}");
                     }
                 }
             }
         }
     }
 
+    /// The one-pair entry runs the same step and counts its resets, but
+    /// adds nothing to the dispatch mix, which counts blocks only.
+    #[test]
+    fn transition_packed_counts_resets_but_no_dispatch_class() {
+        let p = protocol(16);
+        let (mut u, mut v) = (PackedState::ranked(3), PackedState::ranked(3));
+        assert!(
+            p.transition_packed(&mut u, &mut v),
+            "a duplicate rank resets"
+        );
+        assert_eq!(p.resets_triggered(), 1);
+        let words = p
+            .initial()
+            .iter()
+            .map(PackedState::pack)
+            .collect::<Vec<_>>();
+        let (mut u, mut v) = (words[0], words[1]);
+        p.transition_packed(&mut u, &mut v);
+        assert_eq!(p.dispatch_mix(), [0; 4]);
+    }
+
     /// Crafted blocks with repeated agents: the kernel's in-order pass
-    /// must reproduce the scalar loop exactly — including the
+    /// must reproduce the enum reference loop exactly — including the
     /// degenerate all-same-pair block, where every pair reads the
     /// previous pair's writes — through both feeds. The slice feed runs
     /// each block as given. The drawn feed runs a schedule restored
     /// with the block pending, which serves it as one block, then one
     /// block it draws itself, which at n = 16 repeats agents throughout.
     #[test]
-    fn repeated_agent_blocks_reproduce_the_scalar_loop() {
+    fn repeated_agent_blocks_reproduce_the_enum_loop() {
         let n = 16u32;
         let pair_sets: Vec<Vec<Pair>> = vec![
             vec![(0, 1); 64],
@@ -344,10 +380,7 @@ mod tests {
         ];
         for (case, pairs) in pair_sets.into_iter().enumerate() {
             let pairs: Vec<Pair> = pairs.into_iter().filter(|&(i, j)| i != j).collect();
-            let init = {
-                let p = Packed(protocol(n as usize));
-                p.pack_all(&p.inner().adversarial_uniform(case as u64 + 5))
-            };
+            let init = protocol(n as usize).adversarial_uniform(case as u64 + 5);
             let cursor = ScheduleCursor {
                 pending: pairs.clone(),
                 ..Schedule::new(n as usize, case as u64).cursor()
@@ -357,29 +390,22 @@ mod tests {
             let blocks = [first, reference.sample_block(BLOCK_PAIRS).to_vec()];
             assert_eq!(blocks[0], pairs, "case {case}: pending pairs come first");
 
-            let q = Packed(protocol(n as usize));
-            let mut scalar_words = init.clone();
-            let scalar: Vec<u64> = blocks
+            let q = protocol(n as usize);
+            let mut enum_states = init.clone();
+            let enum_changed: Vec<u64> = blocks
                 .iter()
-                .map(|block| {
-                    let mut changed = 0u64;
-                    for &(i, j) in block {
-                        let (u, v) = pair_mut(&mut scalar_words, i as usize, j as usize);
-                        changed += u64::from(q.inner().transition_packed(u, v));
-                    }
-                    changed
-                })
+                .map(|block| Protocol::transition_block(&q, &mut enum_states, block))
                 .collect();
 
             let slice = Packed(protocol(n as usize));
-            let mut slice_words = init.clone();
+            let mut slice_words = slice.pack_all(&init);
             let slice_changed: Vec<u64> = blocks
                 .iter()
                 .map(|block| Protocol::transition_block(&slice, &mut slice_words, block))
                 .collect();
 
             let drawn = Packed(protocol(n as usize));
-            let mut drawn_words = init;
+            let mut drawn_words = drawn.pack_all(&init);
             let mut schedule = Schedule::from_cursor(cursor);
             let drawn_changed: Vec<u64> = blocks
                 .iter()
@@ -400,18 +426,22 @@ mod tests {
                 ("slice", &slice, &slice_words, &slice_changed),
                 ("drawn", &drawn, &drawn_words, &drawn_changed),
             ] {
-                assert_eq!(words, &scalar_words, "case {case}: {feed} words diverged");
-                assert_eq!(changed, &scalar, "case {case}: {feed} changed counts");
+                assert_eq!(
+                    p.unpack_all(words),
+                    enum_states,
+                    "case {case}: {feed} words"
+                );
+                assert_eq!(changed, &enum_changed, "case {case}: {feed} changed counts");
                 assert_eq!(
                     p.inner().resets_triggered(),
-                    q.inner().resets_triggered(),
+                    q.resets_triggered(),
                     "case {case}: {feed} reset instrumentation"
                 );
             }
         }
     }
 
-    /// The certificate holds exactly on valid rankings (never at n = 2),
+    /// The certificate holds exactly on valid rankings, n = 2 included,
     /// and skipped pairs land in the main/main counter.
     #[test]
     fn valid_rankings_certify_silence_and_skips_count_as_main_main() {
@@ -425,7 +455,7 @@ mod tests {
         let initial = p.pack_all(&p.inner().initial());
         assert!(!Protocol::silent(&p, &initial));
         let two = Packed(protocol(2));
-        assert!(!Protocol::silent(&two, &two.pack_all(&two.inner().legal())));
+        assert!(Protocol::silent(&two, &two.pack_all(&two.inner().legal())));
 
         let mut words = legal.clone();
         let pairs: Vec<Pair> = (0..31).map(|i| (i, i + 1)).collect();
@@ -435,16 +465,23 @@ mod tests {
         assert_eq!(p.inner().dispatch_mix(), [0, 0, 0, 36]);
     }
 
-    /// The dispatch-mix counters account for every kernel-executed pair.
+    /// The dispatch-mix counters account for every kernel-executed
+    /// pair, at n = 2 as everywhere else.
     #[test]
     fn dispatch_mix_counts_every_pair() {
-        let p = Packed(protocol(32));
-        let init = p.pack_all(&p.inner().initial());
-        let mut sim = population::Simulator::new(p, init, 3);
-        sim.run_batched(10_000);
-        let mix = sim.protocol().inner().dispatch_mix();
-        assert_eq!(mix.iter().sum::<u64>(), 10_000, "mix must cover the run");
-        // A clean start is all-electing: the hot lane dominates early.
-        assert!(mix[1] > 0, "both-elect lane never ran");
+        for n in [2, 32] {
+            let p = Packed(protocol(n));
+            let init = p.pack_all(&p.inner().initial());
+            let mut sim = population::Simulator::new(p, init, 3);
+            sim.run_batched(10_000);
+            let mix = sim.protocol().inner().dispatch_mix();
+            assert_eq!(
+                mix.iter().sum::<u64>(),
+                10_000,
+                "mix must cover the run at n = {n}"
+            );
+            // A clean start is all-electing: the hot lane runs early.
+            assert!(mix[1] > 0, "both-elect lane never ran at n = {n}");
+        }
     }
 }

@@ -25,14 +25,13 @@ pub mod tables;
 pub mod words;
 
 use leader_election::fast::{FastLe, FastLeEffect};
-use population::{is_valid_ranking, PackedProtocol, Protocol};
+use population::{is_valid_ranking, Protocol};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 
 use crate::fseq::FSeq;
 use crate::params::Params;
-use crate::stable::packed::{A_SHIFT, COIN_BIT, TAG_ELECT, TAG_MASK, TAG_RESET};
-use crate::stable::ranking_plus::{ranking_plus_step, ranking_plus_step_packed, RpCtx};
+use crate::stable::ranking_plus::{ranking_plus_step, RpCtx};
 use crate::stable::state::{MainKind, UnRole, UnState};
 use crate::stable::tables::StepTables;
 use telemetry::{Counter, Registry};
@@ -169,14 +168,19 @@ impl StableRanking {
         self.metrics.resets.get()
     }
 
-    /// Per-class interaction counts executed through the block kernel's
-    /// classified lanes ([`kernel`]), indexed
+    /// Per-class interaction counts executed through the block kernel
+    /// ([`kernel`]), indexed
     /// `[reset-involved, both-electing, one-electing, main/main]`.
     ///
-    /// Only block-kernel interactions are counted — the scalar paths
-    /// ([`transition`](Protocol::transition),
-    /// [`transition_packed`](PackedProtocol::transition_packed), and the
-    /// kernel's `n = 2` fallback) don't classify, so they don't count.
+    /// Every pair of a block (`transition_block`, `transition_from`) is
+    /// counted, at every `n` including the two-agent special case. The
+    /// one-pair entries are not: the enum
+    /// [`transition`](Protocol::transition) does not classify, and
+    /// [`transition_packed`](population::PackedProtocol::transition_packed)
+    /// runs the same word step as the kernel but flushes only its reset
+    /// count. Single pairs are what [`Simulator::step`] and the sharded
+    /// engine's boundary pairs execute, so a sharded run's mix covers
+    /// its lane-local pairs only.
     /// Pairs an engine skips in a valid ranking (silent fast-forward,
     /// see `population`'s crate docs) count as main/main, exactly as
     /// the kernel would have counted them.
@@ -187,6 +191,8 @@ impl StableRanking {
     /// [`resets_triggered`](StableRanking::resets_triggered); a view of
     /// the [`DISPATCH_COUNTERS`] counters on the
     /// [metrics registry](StableRanking::metrics).
+    ///
+    /// [`Simulator::step`]: population::Simulator::step
     pub fn dispatch_mix(&self) -> [u64; 4] {
         [0, 1, 2, 3].map(|c| self.metrics.classes[c].get())
     }
@@ -464,88 +470,6 @@ impl Protocol for StableRanking {
     /// structured path counts no dispatch class, so nothing is credited.
     fn silent(&self, states: &[StableState]) -> bool {
         is_valid_ranking(states)
-    }
-}
-
-impl PackedProtocol for StableRanking {
-    type Packed = PackedState;
-
-    fn pack(&self, state: &StableState) -> PackedState {
-        PackedState::pack(state)
-    }
-
-    fn unpack(&self, word: PackedState) -> StableState {
-        word.unpack()
-    }
-
-    /// The Protocol 3 dispatcher over packed words — same branch
-    /// structure as [`transition`](Protocol::transition), but every
-    /// threshold comes from the precomputed [`StepTables`], role tests
-    /// are tag compares, and the "forget everything" rebirths (lottery
-    /// winner, phase-1 joiner, triggered agent, fresh elector) are
-    /// single precomposed words OR-ed with the surviving coin bit.
-    /// Bit-for-bit trajectory-equivalent to the structured path
-    /// (property-tested in `tests/packed_equivalence.rs`).
-    #[inline]
-    fn transition_packed(&self, u: &mut PackedState, v: &mut PackedState) -> bool {
-        let before = (*u, *v);
-        let t = &self.tables;
-
-        // The one-hot tags make the dispatch tests single fused bit
-        // operations over the two words.
-        if (u.0 | v.0) & TAG_RESET != 0 {
-            // Protocol 3 line 1: propagate resets / wake dormant agents.
-            reset::propagate_step_packed(t, u, v);
-        } else if u.0 & v.0 & TAG_ELECT != 0 {
-            if self.params.n() == 2 {
-                // Two-agent special case (see `transition`): the lottery
-                // cannot be won against a single alternating coin, so the
-                // initiator of the first elect–elect meeting becomes the
-                // waiting leader deterministically.
-                u.0 = t.leader_wait.bits() | (u.0 & COIN_BIT);
-            } else {
-                // Lines 2–3: both electing — run FASTLEADERELECTION for
-                // the initiator, observing the responder's coin.
-                let (bits, effect) = self.fast.step_bits(u.le_bits(), v.coin());
-                match effect {
-                    FastLeEffect::None => {
-                        u.0 = (u.0 & (TAG_MASK | COIN_BIT)) | (bits << A_SHIFT);
-                    }
-                    FastLeEffect::BecomeWaitingLeader => {
-                        // Protocol 5 lines 10–11: forget the LE state and
-                        // start the main phase; the coin is maintained.
-                        u.0 = t.leader_wait.bits() | (u.0 & COIN_BIT);
-                    }
-                    FastLeEffect::TimedOut => {
-                        // Protocol 5 lines 13–15: trigger a reset.
-                        reset::trigger_reset_packed(t, u);
-                        self.count_reset();
-                    }
-                }
-            }
-        } else if (u.0 | v.0) & TAG_ELECT != 0 {
-            // Lines 4–6: an electing agent meets a main-state agent and
-            // joins as a phase-1 agent, keeping only its coin.
-            if u.0 & TAG_ELECT != 0 {
-                u.0 = t.join_phase1.bits() | (u.0 & COIN_BIT);
-            } else {
-                v.0 = t.join_phase1.bits() | (v.0 & COIN_BIT);
-            }
-        } else {
-            // Lines 7–8: both in main states — run Ranking⁺.
-            let outcome = ranking_plus_step_packed(t, u, v);
-            if outcome.reset_triggered {
-                self.count_reset();
-            }
-        }
-
-        // Lines 9–10: the responder's coin toggles if it has one
-        // (unranked ⇔ some tag bit set).
-        if v.0 & TAG_MASK != 0 {
-            v.toggle_coin();
-        }
-
-        (*u, *v) != before
     }
 }
 

@@ -6,8 +6,8 @@
 //! reference representation, but it occupies 24 bytes and its
 //! transition walks a tree of matches; [`PackedState`] is the
 //! simulation representation: 8 bytes, flat structure-of-arrays
-//! storage, and a branch-reduced transition (`StableRanking`'s
-//! `transition_packed`) driven by the precomputed
+//! storage, and a branch-reduced transition (the word step of
+//! [`kernel`](crate::stable::kernel)) driven by the precomputed
 //! [`StepTables`](crate::stable::tables::StepTables).
 //!
 //! # Layout

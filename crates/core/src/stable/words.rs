@@ -2,10 +2,9 @@
 //! `StableRanking` execution shape.
 //!
 //! The impl here covers the readable enum path (`StableRanking`
-//! itself); the packed kernel path (`Packed<StableRanking>`) and the
-//! scalar-reference twin (`ScalarBlock<Packed<StableRanking>>`) get
-//! theirs from `population`'s blanket impls, which route through this
-//! one — so every shape serializes through the *same* parameter-free
+//! itself); the packed kernel path (`Packed<StableRanking>`) gets its
+//! impl from `population`'s blanket impl, which routes through this
+//! one — so both shapes serialize through the *same* parameter-free
 //! [`PackedState`] codec. A snapshot is therefore
 //! execution-shape-agnostic: words written by a kernel run restore into
 //! an enum run and vice versa, which is what lets the resume property
@@ -30,7 +29,7 @@ use crate::stable::packed::PackedState;
 use crate::stable::{StableRanking, StableState};
 
 /// Decode `word` and check it against the state space for `protocol`'s
-/// parameters — the shared body of all three impls.
+/// parameters — the shared body of both impls.
 fn decode(protocol: &StableRanking, word: u64) -> Result<StableState, String> {
     let state = PackedState(word).try_unpack()?;
     if !state.is_valid_for(protocol.params()) {
@@ -57,21 +56,19 @@ mod tests {
     use super::*;
     use crate::audit::enumerate_states;
     use crate::params::Params;
-    use population::{Packed, ScalarBlock};
+    use population::Packed;
 
     #[test]
     fn every_legal_state_round_trips_on_all_shapes() {
         let params = Params::new(24);
         let enum_p = StableRanking::new(params.clone());
         let packed_p = Packed(StableRanking::new(params.clone()));
-        let scalar_p = ScalarBlock(Packed(StableRanking::new(params.clone())));
         for state in enumerate_states(&params) {
             let w = enum_p.state_to_word(&state);
             assert_eq!(enum_p.state_from_word(w).unwrap(), state);
             let pw = PackedState::pack(&state);
             assert_eq!(packed_p.state_to_word(&pw), w);
             assert_eq!(packed_p.state_from_word(w).unwrap(), pw);
-            assert_eq!(scalar_p.state_from_word(w).unwrap(), pw);
         }
     }
 

@@ -27,7 +27,7 @@
 //! sequence. Under a quiescent config nothing ever changes the live
 //! count, the schedule is never rebuilt, and the trajectory is
 //! **bit-for-bit** the fixed-n engine's (property-tested in
-//! `tests/dynamic_equivalence.rs` across the enum, packed-scalar, and
+//! `tests/dynamic_equivalence.rs` across the enum and
 //! kernel shapes).
 //!
 //! Everything observable goes through the engine's [`Registry`]
@@ -56,10 +56,9 @@ use crate::lifecycle::{AgentRecord, Lifecycle};
 /// clean-start elector and direct-entry ranked states (for arrivals),
 /// and rank-readable (for release and the validity metric).
 ///
-/// Implemented for all three fixed-n execution shapes — the structured
-/// enum (`StableRanking`), the packed scalar loop
-/// (`ScalarBlock<Packed<StableRanking>>`), and the block kernel
-/// (`Packed<StableRanking>`) — so dynamic runs inherit the same
+/// Implemented for both fixed-n execution shapes — the structured enum
+/// (`StableRanking`, the readable reference) and the packed block
+/// kernel (`Packed<StableRanking>`) — so dynamic runs inherit the same
 /// representation/performance menu as static ones.
 pub trait DynRanking: Protocol + WordState {
     /// Build the protocol for the given parameters.
@@ -113,24 +112,6 @@ impl DynRanking for population::Packed<StableRanking> {
 
     fn rank_of(&self, state: &PackedState) -> Option<u64> {
         state.rank()
-    }
-}
-
-impl DynRanking for population::ScalarBlock<population::Packed<StableRanking>> {
-    fn with_params(params: Params) -> Self {
-        population::ScalarBlock(population::Packed(StableRanking::new(params)))
-    }
-
-    fn fresh(&self, coin: bool) -> PackedState {
-        self.0.fresh(coin)
-    }
-
-    fn ranked(&self, rank: u64) -> PackedState {
-        self.0.ranked(rank)
-    }
-
-    fn rank_of(&self, state: &PackedState) -> Option<u64> {
-        self.0.rank_of(state)
     }
 }
 
@@ -1175,12 +1156,14 @@ mod tests {
     }
 
     #[test]
-    fn packed_and_kernel_shapes_run_under_churn() {
-        let mut packed = DynamicPopulation::<
-            population::ScalarBlock<population::Packed<StableRanking>>,
-        >::new(Params::new(32), ChurnConfig::poisson(150.0, 40_000.0), 11);
-        packed.run(50_000);
-        assert!(packed.live() >= MIN_LIVE);
+    fn enum_and_kernel_shapes_run_under_churn() {
+        let mut structured = DynamicPopulation::<StableRanking>::new(
+            Params::new(32),
+            ChurnConfig::poisson(150.0, 40_000.0),
+            11,
+        );
+        structured.run(50_000);
+        assert!(structured.live() >= MIN_LIVE);
 
         let mut kernel = DynamicPopulation::<population::Packed<StableRanking>>::new(
             Params::new(32),
@@ -1189,8 +1172,11 @@ mod tests {
         );
         kernel.run(50_000);
         assert!(kernel.live() >= MIN_LIVE);
-        // Same seed, same config: the two packed shapes share one trajectory.
-        assert_eq!(packed.states(), kernel.states());
-        assert_eq!(packed.ids(), kernel.ids());
+        // Same seed, same config: both shapes share one trajectory.
+        assert_eq!(
+            structured.states(),
+            &kernel.protocol.unpack_all(kernel.states())[..]
+        );
+        assert_eq!(structured.ids(), kernel.ids());
     }
 }

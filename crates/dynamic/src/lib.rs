@@ -16,7 +16,7 @@
 //!
 //! The design invariant, property-tested in
 //! `tests/dynamic_equivalence.rs`: **a zero-churn dynamic run is
-//! bit-for-bit a fixed-n run** on all three execution shapes. Churn is
+//! bit-for-bit a fixed-n run** on both execution shapes. Churn is
 //! purely additive machinery at block boundaries, never a perturbation
 //! of the hot loop.
 

@@ -93,18 +93,6 @@ impl FastLe {
         }
         FastLeEffect::None
     }
-
-    /// [`step`](FastLe::step) over the packed representation of
-    /// [`FastLeState::to_bits`]: unpacks into registers, steps, and
-    /// repacks, so the word-packed simulation path shares the exact
-    /// Protocol 5 logic (equivalence is by construction, and pinned by
-    /// a property test).
-    #[inline]
-    pub fn step_bits(&self, bits: u64, responder_coin: bool) -> (u64, FastLeEffect) {
-        let mut s = FastLeState::from_bits(bits);
-        let effect = self.step(&mut s, responder_coin);
-        (s.to_bits(), effect)
-    }
 }
 
 /// Per-agent state of Protocol 5 (the synthetic coin lives in the
@@ -423,22 +411,6 @@ mod tests {
                     assert!(bits < 1 << FastLeState::BITS);
                     assert_eq!(FastLeState::from_bits(bits), s);
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn step_bits_matches_step() {
-        let p = params();
-        for coin in [false, true] {
-            let mut s = p.initial_state();
-            let mut bits = s.to_bits();
-            for _ in 0..p.l_max {
-                let effect = p.step(&mut s, coin);
-                let (next_bits, bits_effect) = p.step_bits(bits, coin);
-                assert_eq!(bits_effect, effect);
-                assert_eq!(FastLeState::from_bits(next_bits), s);
-                bits = next_bits;
             }
         }
     }

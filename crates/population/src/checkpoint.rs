@@ -39,10 +39,10 @@ use crate::schedule::ScheduleCursor;
 /// concrete — the state space is a closed, locally checkable predicate,
 /// so restored state can be validated, not just trusted.
 ///
-/// All three StableRanking execution shapes (enum, packed-scalar,
-/// kernel) implement this against the same packed codec, which is what
-/// makes their snapshots interchangeable: a snapshot written by a kernel
-/// run restores into an enum run and vice versa.
+/// Both StableRanking execution shapes (enum, packed kernel) implement
+/// this against the same packed codec, which is what makes their
+/// snapshots interchangeable: a snapshot written by a kernel run
+/// restores into an enum run and vice versa.
 pub trait WordState: Protocol {
     /// Encode one agent state as a word.
     fn state_to_word(&self, state: &Self::State) -> u64;
@@ -61,7 +61,7 @@ pub trait WordState: Protocol {
 /// reject-garbage-words guarantee as the structured one.
 impl<P> WordState for crate::Packed<P>
 where
-    P: crate::BatchedProtocol + WordState,
+    P: crate::PackedProtocol + WordState,
 {
     fn state_to_word(&self, state: &P::Packed) -> u64 {
         self.inner().state_to_word(&self.inner().unpack(*state))
@@ -71,18 +71,6 @@ where
         self.inner()
             .state_from_word(word)
             .map(|s| self.inner().pack(&s))
-    }
-}
-
-/// The scalar-reference twin serializes exactly like the protocol it
-/// wraps — snapshots are execution-shape-agnostic.
-impl<P: WordState> WordState for crate::ScalarBlock<P> {
-    fn state_to_word(&self, state: &P::State) -> u64 {
-        self.0.state_to_word(state)
-    }
-
-    fn state_from_word(&self, word: u64) -> Result<P::State, String> {
-        self.0.state_from_word(word)
     }
 }
 

@@ -56,17 +56,17 @@
 //!   recording probe).
 //!
 //! * **State representation** — protocols whose state space fits in a
-//!   machine word implement [`PackedProtocol`] (a lossless codec plus a
-//!   transition over packed words); wrapping such a protocol in
-//!   [`Packed`] runs the whole simulation over a flat `Vec` of words
-//!   (structure-of-arrays layout), unpacking only at observation
-//!   ([`observe::Unpacked`]) and fault ([`UnpackedHook`]) boundaries.
-//!   The packed path is bit-for-bit trajectory-equivalent to the
-//!   structured one — a pure optimization, exactly like batching.
-//!   Packed protocols may additionally override the per-block seam
-//!   ([`BatchedProtocol`]) with an in-order *block kernel*; [`Packed`]
-//!   dispatches every block there, and [`ScalarBlock`] forces the
-//!   scalar reference loop for A/B comparison.
+//!   machine word implement [`PackedProtocol`]: a lossless codec, a
+//!   transition over packed words, and an in-order *block kernel* over
+//!   the flat word array. Wrapping such a protocol in [`Packed`] runs
+//!   the whole simulation over a flat `Vec` of words
+//!   (structure-of-arrays layout), hands every block to the kernel, and
+//!   unpacks only at observation ([`observe::Unpacked`]) and fault
+//!   ([`UnpackedHook`]) boundaries. The packed path is bit-for-bit
+//!   trajectory-equivalent to the structured one — a pure optimization,
+//!   exactly like batching — and the structured
+//!   [`Protocol::transition`] stays the readable reference every
+//!   equivalence test compares against.
 //!
 //! * **Silent fast-forward** — a silent protocol spends all its time on
 //!   null interactions once it converges. When a protocol certifies
@@ -193,9 +193,7 @@ pub use observe::{
 };
 pub use pairs::pair_mut;
 pub use probe::{Membership, NullProbe, Probe};
-pub use protocol::{
-    BatchedProtocol, HonestOutput, Packed, PackedProtocol, Protocol, RankOutput, ScalarBlock,
-};
+pub use protocol::{HonestOutput, Packed, PackedProtocol, Protocol, RankOutput};
 pub use schedule::{CursorSource, PairSource, Schedule, ScheduleCursor, SubSchedule};
 pub use sim::{FaultHook, NoFaults, Simulator, StopReason, UnpackedHook};
 

@@ -22,7 +22,7 @@
 //! [`run_until`](crate::Simulator::run_until) is thin sugar over this
 //! pipeline.
 
-use crate::protocol::{BatchedProtocol, Packed, PackedProtocol, Protocol};
+use crate::protocol::{Packed, PackedProtocol, Protocol};
 use crate::silence::is_silent;
 
 /// Verdict returned by an observer at a checkpoint.
@@ -316,7 +316,7 @@ impl<P: PackedProtocol, O> Unpacked<P, O> {
     }
 }
 
-impl<P: BatchedProtocol, O: Observer<P>> Observer<Packed<P>> for Unpacked<P, O> {
+impl<P: PackedProtocol, O: Observer<P>> Observer<Packed<P>> for Unpacked<P, O> {
     fn observe(&mut self, protocol: &Packed<P>, t: u64, words: &[P::Packed]) -> Control {
         self.scratch.clear();
         self.scratch

@@ -53,7 +53,7 @@ pub trait Protocol {
     /// bit-for-bit what `count` calls of
     /// [`step`](crate::Simulator::step) would do. Implementations may
     /// override it with a block kernel (see
-    /// [`BatchedProtocol`] and `StableRanking`'s transition kernel), but
+    /// [`PackedProtocol`] and `StableRanking`'s transition kernel), but
     /// must preserve exact trajectory equivalence with the scalar loop —
     /// including when `pairs` repeats an agent index, where the later
     /// pair must observe the earlier pair's writes.
@@ -116,7 +116,8 @@ pub trait Protocol {
 }
 
 /// A [`Protocol`] that additionally offers a *packed* machine-word
-/// state representation with its own transition path.
+/// state representation, with its transition and block kernel over the
+/// packed words.
 ///
 /// Structured state types (nested enums with per-role counters) are the
 /// readable reference representation, but they cost the hot loop dearly:
@@ -130,17 +131,31 @@ pub trait Protocol {
 ///
 /// * `unpack(pack(s)) == s` for every valid state `s`, and
 ///   `pack(unpack(w)) == w` for every word `w` produced by `pack`;
-/// * [`transition_packed`](PackedProtocol::transition_packed) commutes
-///   with the codec: packing, stepping packed, and unpacking yields
-///   exactly what [`Protocol::transition`] yields — bit-for-bit, so the
-///   packed path is a pure optimization exactly like the batched loop.
+/// * every packed entry commutes with the codec: packing, stepping
+///   packed, and unpacking yields exactly what [`Protocol::transition`]
+///   yields, pair by pair in draw order — bit-for-bit, so the packed
+///   path is a pure optimization exactly like the batched loop. A pair
+///   that repeats an agent of an earlier pair in the same block must
+///   observe that pair's writes, which an in-order pass gives by
+///   construction.
+///
+/// A block kernel written once over an iterator of pairs can serve both
+/// block entries: [`transition_block`](PackedProtocol::transition_block)
+/// feeds it a slice, and
+/// [`transition_from`](PackedProtocol::transition_from) feeds it the
+/// source's [`pairs`](PairSource::pairs), which the uniform
+/// [`Schedule`](crate::Schedule) draws as the kernel consumes them
+/// (see `StableRanking`'s `ranking::stable::kernel`, whose one word step
+/// also serves [`transition_packed`](PackedProtocol::transition_packed)).
+/// The provided block defaults are the pair-at-a-time loop over
+/// `transition_packed`.
 ///
 /// Run a protocol packed by wrapping it in [`Packed`], which implements
 /// [`Protocol`] over the packed words: the simulator then stores the
-/// population as a flat `Vec` of words (structure-of-arrays layout) and
-/// never unpacks on the hot path. Observation and fault injection
-/// unpack only at their boundaries — see
-/// [`observe::Unpacked`](crate::observe::Unpacked) and
+/// population as a flat `Vec` of words (structure-of-arrays layout),
+/// hands every block to the kernel, and never unpacks on the hot path.
+/// Observation and fault injection unpack only at their boundaries —
+/// see [`observe::Unpacked`](crate::observe::Unpacked) and
 /// [`UnpackedHook`](crate::UnpackedHook).
 pub trait PackedProtocol: Protocol {
     /// The packed word type (typically a `#[repr(transparent)]` wrapper
@@ -157,47 +172,9 @@ pub trait PackedProtocol: Protocol {
     /// trajectory-equivalent to [`Protocol::transition`] through the
     /// codec. Returns `true` iff either word changed.
     fn transition_packed(&self, u: &mut Self::Packed, v: &mut Self::Packed) -> bool;
-}
 
-/// The block-kernel seam: a [`PackedProtocol`] that can execute a whole
-/// schedule block of interactions over the flat word array in one call.
-///
-/// Running pair-at-a-time through
-/// [`transition_packed`](PackedProtocol::transition_packed), every
-/// interaction pays a full call and dispatch. A block kernel runs the
-/// block as one in-order pass over the pairs: each pair is classified
-/// with mask tests on its two loaded words and executed before the next
-/// one is read (see `StableRanking`'s `ranking::stable::kernel`).
-/// [`Packed`] routes [`Protocol::transition_block`] and
-/// [`Protocol::transition_from`] here, so a packed simulation picks up
-/// the kernel automatically wherever blocks are executed
-/// ([`Simulator::run_batched`](crate::Simulator::run_batched),
-/// `run_faulted`, the sharded intra-phase lanes).
-///
-/// The contract is exact trajectory equivalence: an override must be
-/// bit-for-bit equal to running
-/// [`transition_packed`](PackedProtocol::transition_packed) over the
-/// pairs in draw order. A pair that repeats an agent of an earlier pair
-/// in the same block must observe that pair's writes, which an in-order
-/// pass gives by construction. The provided defaults are exactly that
-/// scalar loop, so `impl BatchedProtocol for X {}` is always a correct
-/// starting point.
-///
-/// A kernel written once over an iterator of pairs can serve both
-/// entries: [`transition_block`](BatchedProtocol::transition_block)
-/// feeds it a slice, and
-/// [`transition_from`](BatchedProtocol::transition_from) feeds it the
-/// source's [`pairs`](PairSource::pairs), which the uniform
-/// [`Schedule`](crate::Schedule) draws as the kernel consumes them.
-///
-/// To run a packed protocol *without* its kernel (A/B benchmarking,
-/// differential tests), wrap it in [`ScalarBlock`].
-pub trait BatchedProtocol: PackedProtocol {
-    /// Apply a whole block of scheduled `pairs` to the packed `words`,
-    /// in draw order; returns the number of word-changing interactions.
-    /// Must be bit-for-bit trajectory-equivalent to the scalar
-    /// [`transition_packed`](PackedProtocol::transition_packed) loop
-    /// (the provided default).
+    /// [`Protocol::transition_block`] over the packed words; [`Packed`]
+    /// forwards it.
     fn transition_block(&self, words: &mut [Self::Packed], pairs: &[Pair]) -> u64 {
         let mut changed = 0;
         for &(i, j) in pairs {
@@ -209,7 +186,7 @@ pub trait BatchedProtocol: PackedProtocol {
 
     /// [`Protocol::transition_from`] over the packed words; [`Packed`]
     /// forwards it. The default samples a block and runs
-    /// [`transition_block`](BatchedProtocol::transition_block) on it.
+    /// [`transition_block`](PackedProtocol::transition_block) on it.
     fn transition_from<S: PairSource>(
         &self,
         words: &mut [Self::Packed],
@@ -219,7 +196,7 @@ pub trait BatchedProtocol: PackedProtocol {
         let block = source.sample_block(max);
         (
             block.len(),
-            BatchedProtocol::transition_block(self, words, block),
+            PackedProtocol::transition_block(self, words, block),
         )
     }
 
@@ -237,8 +214,9 @@ pub trait BatchedProtocol: PackedProtocol {
 }
 
 /// Adapter running a [`PackedProtocol`] over its packed words: the
-/// simulator's state vector becomes a flat `Vec<P::Packed>` and every
-/// interaction dispatches to
+/// simulator's state vector becomes a flat `Vec<P::Packed>`, every
+/// block runs through the protocol's kernel, and single interactions
+/// dispatch to
 /// [`transition_packed`](PackedProtocol::transition_packed).
 ///
 /// ```ignore
@@ -268,7 +246,7 @@ impl<P: PackedProtocol> Packed<P> {
     }
 }
 
-impl<P: BatchedProtocol> Protocol for Packed<P> {
+impl<P: PackedProtocol> Protocol for Packed<P> {
     type State = P::Packed;
 
     fn n(&self) -> usize {
@@ -279,12 +257,11 @@ impl<P: BatchedProtocol> Protocol for Packed<P> {
         self.0.transition_packed(u, v)
     }
 
+    // UFCS below: `Protocol` and `PackedProtocol` both name these
+    // methods, and here they operate on the same word type.
+
     fn transition_block(&self, states: &mut [Self::State], pairs: &[Pair]) -> u64 {
-        // UFCS: both `Protocol` and `BatchedProtocol` name a
-        // `transition_block`, and here they operate on the same word
-        // type — this is the dispatch point that hands blocks to the
-        // protocol's kernel (or the scalar default).
-        BatchedProtocol::transition_block(&self.0, states, pairs)
+        PackedProtocol::transition_block(&self.0, states, pairs)
     }
 
     fn transition_from<S: PairSource>(
@@ -293,43 +270,16 @@ impl<P: BatchedProtocol> Protocol for Packed<P> {
         source: &mut S,
         max: usize,
     ) -> (usize, u64) {
-        BatchedProtocol::transition_from(&self.0, states, source, max)
+        PackedProtocol::transition_from(&self.0, states, source, max)
     }
 
     fn silent(&self, states: &[Self::State]) -> bool {
-        BatchedProtocol::silent(&self.0, states)
+        PackedProtocol::silent(&self.0, states)
     }
 
     fn count_null(&self, pairs: u64) {
-        BatchedProtocol::count_null(&self.0, pairs)
+        PackedProtocol::count_null(&self.0, pairs)
     }
-}
-
-/// Adapter forcing the default *scalar* block path for a protocol,
-/// bypassing any [`BatchedProtocol`] kernel it may have.
-///
-/// `ScalarBlock(Packed(p))` runs the packed representation with the
-/// pair-at-a-time reference loop — the A/B twin of `Packed(p)` (which
-/// dispatches blocks to the kernel). Used by the `engine_throughput`
-/// bench to report kernel and scalar-packed rows side by side, and by
-/// the differential tests in `tests/packed_equivalence.rs`.
-#[derive(Debug, Clone)]
-pub struct ScalarBlock<P>(pub P);
-
-impl<P: Protocol> Protocol for ScalarBlock<P> {
-    type State = P::State;
-
-    fn n(&self) -> usize {
-        self.0.n()
-    }
-
-    fn transition(&self, u: &mut Self::State, v: &mut Self::State) -> bool {
-        self.0.transition(u, v)
-    }
-    // No `transition_block` or `transition_from` override: blocks are
-    // sampled and run through the provided scalar split-borrow loop
-    // regardless of the inner protocol. Nor a `silent` one: the
-    // reference twin executes every interaction.
 }
 
 /// Output map for ranking protocols: the rank an agent currently outputs,

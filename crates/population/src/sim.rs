@@ -3,7 +3,7 @@ use crate::drive::{drive, Capture, Engine, Every, NoPoll, NoSaves};
 use crate::observe::{Convergence, Observer};
 use crate::pairs::pair_mut;
 use crate::probe::{NullProbe, Probe};
-use crate::protocol::{BatchedProtocol, Packed, Protocol};
+use crate::protocol::{Packed, PackedProtocol, Protocol};
 use crate::schedule::{CursorSource, PairSource, Schedule, BLOCK_PAIRS};
 use crate::silence::Certificate;
 
@@ -113,7 +113,7 @@ impl<H> UnpackedHook<H> {
     }
 }
 
-impl<P: BatchedProtocol, H: FaultHook<P>> FaultHook<Packed<P>> for UnpackedHook<H> {
+impl<P: PackedProtocol, H: FaultHook<P>> FaultHook<Packed<P>> for UnpackedHook<H> {
     const ACTIVE: bool = H::ACTIVE;
 
     fn next_fire(&mut self, now: u64) -> Option<u64> {
@@ -126,24 +126,6 @@ impl<P: BatchedProtocol, H: FaultHook<P>> FaultHook<Packed<P>> for UnpackedHook<
         for (w, s) in words.iter_mut().zip(&states) {
             *w = protocol.inner().pack(s);
         }
-    }
-}
-
-/// The same adaptation for the scalar-reference twin
-/// ([`ScalarBlock`](crate::ScalarBlock)`<`[`Packed`]`<P>>`), so the
-/// kernel differential tests can run identical fault plans against both
-/// block paths.
-impl<P: BatchedProtocol, H: FaultHook<P>> FaultHook<crate::ScalarBlock<Packed<P>>>
-    for UnpackedHook<H>
-{
-    const ACTIVE: bool = H::ACTIVE;
-
-    fn next_fire(&mut self, now: u64) -> Option<u64> {
-        self.inner.next_fire(now)
-    }
-
-    fn fire(&mut self, protocol: &crate::ScalarBlock<Packed<P>>, t: u64, words: &mut [P::Packed]) {
-        FaultHook::<Packed<P>>::fire(self, &protocol.0, t, words);
     }
 }
 
@@ -274,10 +256,9 @@ impl<P: Protocol, S: PairSource> Simulator<P, S> {
     /// pre-samples each block and hands it whole to
     /// [`Protocol::transition_block`](Protocol::transition_block). For
     /// plain protocols that is the copy-free scalar loop (split-borrow
-    /// via [`pair_mut`], no per-pair clones); packed protocols with a
-    /// [`BatchedProtocol`](crate::BatchedProtocol) kernel (e.g.
-    /// `StableRanking`) execute the block through their in-order
-    /// kernel instead, which on the uniform [`Schedule`] pulls each
+    /// via [`pair_mut`], no per-pair clones); [`Packed`] protocols
+    /// (e.g. `StableRanking`) execute the block through their in-order
+    /// [`PackedProtocol`] kernel instead, which on the uniform [`Schedule`] pulls each
     /// pair as it is drawn — same trajectory bit for bit. Null
     /// interactions dirty no cache lines on either path
     /// (kernels skip the write-back of unchanged words); this is why

@@ -19,7 +19,7 @@
 //! identical trajectory** of the equivalent untraced run —
 //! property-tested in `tests/telemetry_inert.rs` at the workspace root.
 
-use population::{BatchedProtocol, Packed, PairSource, Simulator, UnpackedHook};
+use population::{Packed, PackedProtocol, PairSource, Simulator, UnpackedHook};
 use telemetry::{Recorder, TraceState};
 
 use crate::fault::FaultPlan;
@@ -46,7 +46,7 @@ pub fn run_recovery_traced<P, S, F>(
     max_interactions: u64,
     check_every: u64,
 ) where
-    P: BatchedProtocol,
+    P: PackedProtocol,
     P::Packed: TraceState,
     S: PairSource,
     F: FnMut(&Packed<P>, &[P::Packed]) -> bool,

@@ -11,7 +11,7 @@
 //! a rotation directory. The keystone property, enforced by
 //! `tests/snapshot_resume.rs`: **a run resumed from a snapshot at
 //! interaction count `t` is bit-for-bit identical to the run that never
-//! crashed** — on the enum, packed-scalar, kernel, and sharded execution
+//! crashed** — on the enum, kernel, and sharded execution
 //! paths, under every fault injector.
 //!
 //! Components, bottom up:

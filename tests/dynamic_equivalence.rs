@@ -4,7 +4,6 @@
 //! stream, same final configuration and interaction count — across
 //!
 //! * the structured enum path (`DynamicPopulation<StableRanking>`),
-//! * the packed scalar block loop (`ScalarBlock<Packed<StableRanking>>`),
 //! * the block transition kernel (`Packed<StableRanking>`).
 //!
 //! Churn must be purely additive machinery: lifecycle events at block
@@ -17,7 +16,7 @@
 use proptest::prelude::*;
 
 use silent_ranking::dynamic::{ChurnConfig, DynamicPopulation};
-use silent_ranking::population::{Packed, ScalarBlock, Simulator};
+use silent_ranking::population::{Packed, Simulator};
 use silent_ranking::ranking::stable::StableRanking;
 use silent_ranking::ranking::Params;
 use silent_ranking::telemetry::Recorder;
@@ -54,22 +53,6 @@ proptest! {
         prop_assert_eq!(dynpop.states(), sim.states());
         prop_assert_eq!(dynpop.interactions(), sim.interactions());
         prop_assert_eq!(dynpop.live(), n);
-    }
-
-    #[test]
-    fn zero_churn_packed_scalar_path_is_bit_for_bit(n in 8usize..40, seed in 0u64..5000) {
-        let mut dynpop = DynamicPopulation::<ScalarBlock<Packed<StableRanking>>>::new(
-            Params::new(n),
-            ChurnConfig::quiescent(),
-            seed,
-        );
-        let p = ScalarBlock(Packed(protocol(n)));
-        let init = p.0.pack_all(&protocol(n).initial());
-        let mut sim = Simulator::new(p, init, seed);
-        dynpop.run(budget(n));
-        sim.run_batched(budget(n));
-        prop_assert_eq!(dynpop.states(), sim.states());
-        prop_assert_eq!(dynpop.interactions(), sim.interactions());
     }
 
     #[test]

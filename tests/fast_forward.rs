@@ -17,7 +17,8 @@
 //! (states, RNG words, pending pairs), the dispatch mix, the reset count,
 //! and everything the hooks saw. More cases resume from a checkpoint
 //! taken mid-silence and from cursors holding pending pairs, and run the
-//! structured `StableState` path, which certifies too. One more case
+//! structured `StableState` path and the two-agent population, which
+//! certify too. One more case
 //! skips several runs in a row, so the uniform pair source owes their
 //! draws, and checks the frame, a save, a fault and a resume taken
 //! while the draws are still owed.
@@ -562,6 +563,32 @@ fn the_structured_states_fast_forward_exactly() {
         got.protocol().credited() < BUDGET,
         "the faults must break silence"
     );
+    assert!(is_valid_ranking(got.states()));
+}
+
+/// The two-agent population certifies too: the kernel counts its
+/// classes like any other size, so skipped stretches credit the
+/// dispatch mix exactly as executing them does.
+#[test]
+fn two_agents_fast_forward_exactly() {
+    let p = || Packed(StableRanking::new(Params::new(2)));
+    let legal = p().pack_all(&p().inner().legal());
+    let plan = || {
+        Plan(UnpackedHook::new(
+            FaultPlan::new(SEED).once(FAULT_AT[0], ranking_faults::duplicate_rank(1)),
+        ))
+    };
+    let mut got = Simulator::new(certifies(p()), legal.clone(), SEED);
+    let mut want = Simulator::new(Executes(p()), legal, SEED);
+    got.run_faulted(BUDGET, &mut plan());
+    want.run_faulted(BUDGET, &mut plan());
+    assert_eq!(got.frame(), want.frame());
+    let (g, w) = (got.protocol().0.inner(), want.protocol().0.inner());
+    assert_eq!(g.dispatch_mix(), w.dispatch_mix());
+    assert_eq!(g.dispatch_mix().iter().sum::<u64>(), BUDGET);
+    assert_eq!(g.resets_triggered(), w.resets_triggered());
+    assert!(w.resets_triggered() > 0, "the fault must break silence");
+    assert!(got.protocol().credited() > 0, "nothing skipped");
     assert!(is_valid_ranking(got.states()));
 }
 

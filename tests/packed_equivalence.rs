@@ -6,12 +6,15 @@
 //!    produces, and `pack` is injective (it refines the mixed-radix
 //!    `encode` audit).
 //! 2. **Trajectory** — running `StableRanking` over packed words
-//!    (`Packed<StableRanking>`) is bit-for-bit trajectory-equivalent to
-//!    the structured enum path through `run_batched` *and* through
-//!    `run_faulted` under every injector kind, for multiple population
-//!    sizes and seeds. The packed path must be a pure optimization,
-//!    exactly like batching — or every throughput number it produces
-//!    would be a number for a different protocol.
+//!    (`Packed<StableRanking>`, whose blocks run the word-step kernel
+//!    of `ranking::stable::kernel`) is bit-for-bit trajectory-equivalent
+//!    to the structured enum path, the readable reference, through
+//!    `run_batched` *and* through `run_faulted` under every injector
+//!    kind, for multiple population sizes and seeds, across block
+//!    boundaries, on blocks that repeat agents, and through the sharded
+//!    engine. The packed path must be a pure optimization, exactly like
+//!    batching — or every throughput number it produces would be a
+//!    number for a different protocol.
 
 use std::collections::HashSet;
 
@@ -117,9 +120,11 @@ fn packed_rank_output_matches_structured_rank_output() {
     }
 }
 
-/// Run the same trajectory twice — structured enum states vs packed
-/// words — and assert exact agreement of configurations, interaction
-/// counters, and reset instrumentation.
+/// Run the same trajectory twice — structured enum states in
+/// `chunk`-sized `run_batched` calls vs packed words in one call — and
+/// assert exact agreement of configurations, interaction counters, and
+/// reset instrumentation, and that the kernel's dispatch mix accounts
+/// for every interaction.
 fn assert_batched_equivalent(n: usize, config_seed: u64, seed: u64, total: u64, chunk: u64) {
     let enum_sim = {
         let p = protocol(n);
@@ -154,11 +159,17 @@ fn assert_batched_equivalent(n: usize, config_seed: u64, seed: u64, total: u64, 
         packed_sim.protocol().inner().resets_triggered(),
         "reset instrumentation diverged"
     );
+    let mix = packed_sim.protocol().inner().dispatch_mix();
+    assert_eq!(
+        mix.iter().sum::<u64>(),
+        total,
+        "kernel dispatch mix must account for every interaction (n={n}, seed={seed})"
+    );
 }
 
 #[test]
 fn packed_equals_enum_through_run_batched() {
-    for n in [2usize, 8, 24, 33] {
+    for n in [2usize, 3, 8, 24, 33, 257] {
         for seed in 0..3u64 {
             assert_batched_equivalent(n, seed.wrapping_mul(7919) + 1, seed, 60_000, 60_000);
         }
@@ -308,74 +319,13 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Block-kernel differentials (ISSUE 6): `Packed<StableRanking>` routes
-// whole blocks through the `ranking::stable::kernel` implementation of
-// `BatchedProtocol::transition_block`; `ScalarBlock<Packed<_>>` forces
-// the pair-at-a-time reference loop over the same words. The two must
-// be bit-for-bit trajectory twins — same words, same interaction
-// counters, same reset instrumentation — or the kernel's throughput
-// rows would describe a different protocol.
+// Block-kernel cases: `Packed<StableRanking>` hands whole blocks to the
+// in-order kernel, so block boundaries, agents repeated inside a block,
+// the sharded engine's lanes and the smallest populations each get
+// their own enum-referenced check.
 
 use silent_ranking::population::schedule::Pair;
-use silent_ranking::population::{BatchedProtocol, PackedProtocol, ScalarBlock};
-
-/// Run the ScalarBlock reference in `chunk`-sized `run_batched` calls
-/// against a single-shot kernel run and assert exact agreement.
-fn assert_kernel_equivalent(n: usize, config_seed: u64, seed: u64, total: u64, chunk: u64) {
-    let scalar_sim = {
-        let p = ScalarBlock(Packed(protocol(n)));
-        let init = p.0.pack_all(&p.0.inner().adversarial_uniform(config_seed));
-        let mut sim = Simulator::new(p, init, seed);
-        let mut left = total;
-        while left > 0 {
-            let step = chunk.min(left);
-            sim.run_batched(step);
-            left -= step;
-        }
-        sim
-    };
-
-    let kernel_sim = {
-        let p = Packed(protocol(n));
-        let init = p.pack_all(&p.inner().adversarial_uniform(config_seed));
-        let mut sim = Simulator::new(p, init, seed);
-        sim.run_batched(total);
-        sim
-    };
-
-    assert_eq!(scalar_sim.interactions(), kernel_sim.interactions());
-    assert_eq!(
-        scalar_sim.states(),
-        kernel_sim.states(),
-        "kernel trajectory diverged (n={n}, config_seed={config_seed}, seed={seed}, \
-         total={total}, chunk={chunk})"
-    );
-    assert_eq!(
-        scalar_sim.protocol().0.inner().resets_triggered(),
-        kernel_sim.protocol().inner().resets_triggered(),
-        "kernel reset instrumentation diverged (n={n}, seed={seed})"
-    );
-    // The kernel delegates n == 2 populations to the scalar dispatcher
-    // (every pair hits the same two agents), which does not count class
-    // hits — the mix accounting contract starts at n = 3.
-    if n > 2 {
-        let mix = kernel_sim.protocol().inner().dispatch_mix();
-        assert_eq!(
-            mix.iter().sum::<u64>(),
-            total,
-            "kernel dispatch mix must account for every interaction"
-        );
-    }
-}
-
-#[test]
-fn kernel_equals_scalar_block_through_run_batched() {
-    for n in [2usize, 3, 8, 33, 257] {
-        for seed in 0..3u64 {
-            assert_kernel_equivalent(n, seed.wrapping_mul(7919) + 1, seed, 60_000, 60_000);
-        }
-    }
-}
+use silent_ranking::population::Protocol;
 
 #[test]
 fn kernel_equivalence_holds_across_block_boundary_chunks() {
@@ -383,7 +333,7 @@ fn kernel_equivalence_holds_across_block_boundary_chunks() {
     // reference in chunks of 4095/4096/4097 exercises full blocks,
     // exact-boundary blocks, and every partial-tail size around them.
     for chunk in [4095u64, 4096, 4097] {
-        assert_kernel_equivalent(48, 5, 11, 20_000, chunk);
+        assert_batched_equivalent(48, 5, 11, 20_000, chunk);
     }
 }
 
@@ -391,9 +341,9 @@ fn kernel_equivalence_holds_across_block_boundary_chunks() {
 fn kernel_transition_block_handles_repeated_agents_like_the_scalar_loop() {
     // Direct `transition_block` calls with crafted pair lists in which
     // the same agent appears many times per block — the read-after-write
-    // hazard the in-order kernel must preserve exactly.
+    // hazard the in-order kernel must preserve exactly. The reference
+    // is the enum path's pair-at-a-time loop.
     let n = 64usize;
-    let make_words = |p: &Packed<StableRanking>| p.pack_all(&p.inner().adversarial_uniform(9));
     let pair_sets: Vec<Vec<Pair>> = vec![
         vec![(0, 1); 64],
         (0..63).map(|k| (k as u32, k as u32 + 1)).collect(),
@@ -404,25 +354,128 @@ fn kernel_transition_block_handles_repeated_agents_like_the_scalar_loop() {
     ];
     for pairs in pair_sets {
         let kernel = Packed(protocol(n));
-        let mut kernel_words = make_words(&kernel);
-        let kernel_changed =
-            BatchedProtocol::transition_block(kernel.inner(), &mut kernel_words, &pairs);
+        let mut kernel_words = kernel.pack_all(&kernel.inner().adversarial_uniform(9));
+        let kernel_changed = Protocol::transition_block(&kernel, &mut kernel_words, &pairs);
 
-        let reference = Packed(protocol(n));
-        let mut ref_words = make_words(&reference);
-        let mut ref_changed = 0u64;
-        for &(i, j) in &pairs {
-            let (u, v) =
-                silent_ranking::population::pair_mut(&mut ref_words, i as usize, j as usize);
-            ref_changed += u64::from(reference.inner().transition_packed(u, v));
-        }
+        let reference = protocol(n);
+        let mut ref_states = reference.adversarial_uniform(9);
+        let ref_changed = Protocol::transition_block(&reference, &mut ref_states, &pairs);
 
-        assert_eq!(kernel_words, ref_words, "{} pairs", pairs.len());
+        assert_eq!(
+            kernel.unpack_all(&kernel_words),
+            ref_states,
+            "{} pairs",
+            pairs.len()
+        );
         assert_eq!(kernel_changed, ref_changed);
         assert_eq!(
             kernel.inner().resets_triggered(),
-            reference.inner().resets_triggered()
+            reference.resets_triggered()
         );
+    }
+}
+
+#[test]
+fn kernel_equals_enum_through_the_sharded_engine() {
+    // The shard engine routes every intra-phase lane through
+    // `transition_block` and every boundary pair through the one-pair
+    // `transition_packed`, so sharded kernel runs must match sharded
+    // enum runs at any shard count.
+    use silent_ranking::shard::ShardedSimulator;
+    for shards in [2usize, 4] {
+        for (n, seed) in [(32usize, 2u64), (65, 6)] {
+            let p = protocol(n);
+            let init = p.adversarial_uniform(seed);
+            let mut enum_sim = ShardedSimulator::new(p, init, seed, shards);
+            enum_sim.run(50_000);
+
+            let p = Packed(protocol(n));
+            let init = p.pack_all(&p.inner().adversarial_uniform(seed));
+            let mut kernel_sim = ShardedSimulator::new(p, init, seed, shards);
+            kernel_sim.run(50_000);
+
+            let unpacked = kernel_sim.protocol().unpack_all(&kernel_sim.states());
+            assert_eq!(
+                enum_sim.states(),
+                &unpacked[..],
+                "shards={shards}, n={n}, seed={seed}"
+            );
+            assert_eq!(enum_sim.interactions(), kernel_sim.interactions());
+            assert_eq!(
+                enum_sim.protocol().resets_triggered(),
+                kernel_sim.protocol().inner().resets_triggered(),
+                "shards={shards}, n={n}, seed={seed}: reset instrumentation"
+            );
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Kernel vs the scalar word loop: the same packed words, stepped one
+// pair at a time through `transition_packed` instead of handed to the
+// block kernel. The two must be bit-for-bit twins on the words
+// themselves, not only after unpacking.
+
+use silent_ranking::population::{FaultHook, PackedProtocol};
+
+/// `Packed<P>` with every block run through the default pair-at-a-time
+/// loop of `Protocol::transition_block` over `transition_packed`.
+struct ScalarBlock<P: PackedProtocol>(Packed<P>);
+
+impl<P: PackedProtocol> Protocol for ScalarBlock<P> {
+    type State = P::Packed;
+
+    fn n(&self) -> usize {
+        self.0.n()
+    }
+
+    fn transition(&self, u: &mut P::Packed, v: &mut P::Packed) -> bool {
+        self.0.inner().transition_packed(u, v)
+    }
+}
+
+/// Unpacked fault plans fire on the scalar loop's words exactly as
+/// they do on `Packed<P>`'s.
+impl<P: PackedProtocol, H: FaultHook<P>> FaultHook<ScalarBlock<P>> for UnpackedHook<H> {
+    const ACTIVE: bool = H::ACTIVE;
+
+    fn next_fire(&mut self, now: u64) -> Option<u64> {
+        FaultHook::<Packed<P>>::next_fire(self, now)
+    }
+
+    fn fire(&mut self, protocol: &ScalarBlock<P>, t: u64, words: &mut [P::Packed]) {
+        FaultHook::<Packed<P>>::fire(self, &protocol.0, t, words);
+    }
+}
+
+#[test]
+fn kernel_equals_scalar_block_through_run_batched() {
+    for n in [2usize, 3, 8, 33, 257] {
+        for seed in 0..3u64 {
+            let (config_seed, total) = (seed.wrapping_mul(7919) + 1, 60_000u64);
+
+            let p = ScalarBlock(Packed(protocol(n)));
+            let init = p.0.pack_all(&p.0.inner().adversarial_uniform(config_seed));
+            let mut scalar_sim = Simulator::new(p, init, seed);
+            scalar_sim.run_batched(total);
+
+            let p = Packed(protocol(n));
+            let init = p.pack_all(&p.inner().adversarial_uniform(config_seed));
+            let mut kernel_sim = Simulator::new(p, init, seed);
+            kernel_sim.run_batched(total);
+
+            assert_eq!(scalar_sim.interactions(), kernel_sim.interactions());
+            assert_eq!(
+                scalar_sim.states(),
+                kernel_sim.states(),
+                "kernel trajectory diverged (n={n}, seed={seed})"
+            );
+            assert_eq!(
+                scalar_sim.protocol().0.inner().resets_triggered(),
+                kernel_sim.protocol().inner().resets_triggered(),
+                "kernel reset instrumentation diverged (n={n}, seed={seed})"
+            );
+        }
     }
 }
 
@@ -457,47 +510,21 @@ fn kernel_equals_scalar_block_through_run_faulted() {
     }
 }
 
-#[test]
-fn kernel_equals_scalar_block_through_the_sharded_engine() {
-    // The shard engine routes every intra-phase lane through
-    // `transition_block`, so sharded kernel runs must match sharded
-    // scalar-reference runs at any shard count.
-    use silent_ranking::shard::ShardedSimulator;
-    for shards in [1usize, 4] {
-        for (n, seed) in [(32usize, 2u64), (65, 6)] {
-            let p = ScalarBlock(Packed(protocol(n)));
-            let init = p.0.pack_all(&p.0.inner().adversarial_uniform(seed));
-            let mut scalar_sim = ShardedSimulator::new(p, init, seed, shards);
-            scalar_sim.run(50_000);
-
-            let p = Packed(protocol(n));
-            let init = p.pack_all(&p.inner().adversarial_uniform(seed));
-            let mut kernel_sim = ShardedSimulator::new(p, init, seed, shards);
-            kernel_sim.run(50_000);
-
-            assert_eq!(
-                scalar_sim.states(),
-                kernel_sim.states(),
-                "shards={shards}, n={n}, seed={seed}"
-            );
-            assert_eq!(scalar_sim.interactions(), kernel_sim.interactions());
-        }
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
-    /// Randomized kernel-vs-reference equivalence across sizes, seeds,
-    /// horizons, and chunk decompositions.
+    /// The random runs again at the two smallest populations, where the
+    /// word step's two-agent special case (n = 2) and the lottery's
+    /// shortest horizon (n = 3) run on nearly every interaction.
     #[test]
     fn kernel_equivalence_holds_for_random_runs(
-        n in 2usize..48,
         config_seed in 0u64..10_000,
         seed in 0u64..10_000,
         total in 0u64..25_000,
         chunk in 1u64..8000,
     ) {
-        assert_kernel_equivalent(n, config_seed, seed, total, chunk);
+        for n in [2usize, 3] {
+            assert_batched_equivalent(n, config_seed, seed, total, chunk);
+        }
     }
 }

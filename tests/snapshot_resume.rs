@@ -15,8 +15,7 @@
 //!
 //! Coverage matrix:
 //!
-//! * the enum path (`Simulator<StableRanking>`), the packed scalar
-//!   reference (`ScalarBlock<Packed<StableRanking>>`), the block kernel
+//! * the enum path (`Simulator<StableRanking>`), the block kernel
 //!   (`Packed<StableRanking>`), and the sharded engine at 1 and 4
 //!   shards;
 //! * every `ranking_faults::KINDS` injector, firing periodically so
@@ -33,8 +32,7 @@
 use std::path::PathBuf;
 
 use silent_ranking::population::{
-    FaultHook, HookState, MemoryCheckpointer, Packed, ScalarBlock, Simulator, UnpackedHook,
-    WordState,
+    FaultHook, HookState, MemoryCheckpointer, Packed, Simulator, UnpackedHook, WordState,
 };
 use silent_ranking::ranking::stable::{PackedState, StableRanking, StableState};
 use silent_ranking::ranking::Params;
@@ -132,7 +130,7 @@ fn assert_seq_resume<P, H>(
     );
 }
 
-/// `make` closures for the three sequential execution paths.
+/// `make` closures for the two sequential execution paths.
 fn enum_make(
     kind: &'static str,
     n: usize,
@@ -163,24 +161,6 @@ fn kernel_make(
     }
 }
 
-fn scalar_make(
-    kind: &'static str,
-    n: usize,
-    cfg: u64,
-    seed: u64,
-) -> impl Fn() -> (
-    ScalarBlock<Packed<StableRanking>>,
-    Vec<PackedState>,
-    PackedHook,
-) {
-    move || {
-        let p = ScalarBlock(Packed(protocol(n)));
-        let init = p.0.pack_all(&p.0.inner().adversarial_uniform(cfg));
-        let hook = UnpackedHook::new(plan_for(kind, p.0.inner(), n, seed));
-        (p, init, hook)
-    }
-}
-
 #[test]
 fn enum_path_resumes_bit_for_bit_under_every_injector() {
     for (i, kind) in ranking_faults::KINDS.into_iter().enumerate() {
@@ -191,20 +171,6 @@ fn enum_path_resumes_bit_for_bit_under_every_injector() {
             30_000,
             5_000,
             &[13_337],
-        );
-    }
-}
-
-#[test]
-fn scalar_block_path_resumes_bit_for_bit_under_every_injector() {
-    for (i, kind) in ranking_faults::KINDS.into_iter().enumerate() {
-        assert_seq_resume(
-            &format!("scalar-{kind}"),
-            &scalar_make(kind, 24, 23 + i as u64, 5),
-            5,
-            30_000,
-            5_000,
-            &[17_011],
         );
     }
 }

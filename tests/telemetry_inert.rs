@@ -7,7 +7,6 @@
 //! and interaction count must match exactly, across
 //!
 //! * the structured enum path (`Simulator<StableRanking>`),
-//! * the packed scalar block loop (`ScalarBlock<Packed<StableRanking>>`),
 //! * the block transition kernel (`Packed<StableRanking>`),
 //! * the sharded engine at 1 and 4 shards, and
 //! * `run_faulted` under **every** canonical injector, on the enum path
@@ -20,7 +19,7 @@
 
 use proptest::prelude::*;
 
-use silent_ranking::population::{NullProbe, Packed, ScalarBlock, Simulator, UnpackedHook};
+use silent_ranking::population::{NullProbe, Packed, Simulator, UnpackedHook};
 use silent_ranking::ranking::stable::{StableRanking, StableState};
 use silent_ranking::ranking::Params;
 use silent_ranking::scenarios::{ranking_faults, FaultPlan};
@@ -38,7 +37,7 @@ fn budget(n: usize) -> u64 {
 }
 
 // ----------------------------------------------------------------------
-// Sequential paths: enum, packed scalar, kernel
+// Sequential paths: enum, kernel
 // ----------------------------------------------------------------------
 
 proptest! {
@@ -55,21 +54,6 @@ proptest! {
         nulled.run_probed(budget(n), &mut NullProbe);
         recorded.run_probed(budget(n), &mut recorder);
         prop_assert_eq!(nulled.states(), plain.states());
-        prop_assert_eq!(recorded.states(), plain.states());
-        prop_assert_eq!(recorded.interactions(), plain.interactions());
-    }
-
-    #[test]
-    fn packed_scalar_path_is_probe_inert(n in 8usize..40, seed in 0u64..5000) {
-        let make = || {
-            let p = ScalarBlock(Packed(protocol(n)));
-            let init = p.0.pack_all(&protocol(n).adversarial_uniform(seed));
-            Simulator::new(p, init, seed)
-        };
-        let (mut plain, mut recorded) = (make(), make());
-        let mut recorder = Recorder::new();
-        plain.run_batched(budget(n));
-        recorded.run_probed(budget(n), &mut recorder);
         prop_assert_eq!(recorded.states(), plain.states());
         prop_assert_eq!(recorded.interactions(), plain.interactions());
     }
