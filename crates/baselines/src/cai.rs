@@ -47,7 +47,7 @@ impl CaiRanking {
     /// An arbitrary configuration from a seed (values uniform in
     /// `0..n`).
     pub fn adversarial(&self, seed: u64) -> Vec<CaiState> {
-        // Cheap deterministic scatter; the exact distribution is
+        // Cheap deterministic spread; the exact distribution is
         // irrelevant for a self-stabilizing protocol.
         (0..self.n as u64)
             .map(|i| {

@@ -51,8 +51,8 @@
 //! [out=BENCH_byz.json] [--no-classify] [--csv]`
 //!
 //! `shards=S` with `S >= 1` routes every run through the sharded
-//! engine (`run_honest_sharded`, merged per-lane observation) instead
-//! of the sequential simulator — same measurement, different engine.
+//! engine instead of the sequential simulator — same measurement, same
+//! `run_honest` driver, different engine.
 //! `squat=R` points the rank squatter at rank `R` (default 1, the
 //! leader's own rank — the most contested choice).
 
@@ -62,7 +62,7 @@ use bench::{f3, Experiment, Json, Table};
 use population::Packed;
 use ranking::stable::StableRanking;
 use ranking::Params;
-use scenarios::byzantine::{run_honest, run_honest_sharded, Byzantine};
+use scenarios::byzantine::{run_honest, Byzantine};
 use scenarios::{classify, ranking_byz};
 
 /// The strategy kinds measured, in table order (the canonical list).
@@ -96,7 +96,7 @@ fn run_one(
     let init = byz.init(init);
     if shards >= 1 {
         let mut sim = shard::ShardedSimulator::new(byz, init, seed, shards);
-        run_honest_sharded(&mut sim, budget, n as u64)
+        run_honest(&mut sim, budget, n as u64)
     } else {
         let mut sim = population::Simulator::new(byz, init, seed);
         run_honest(&mut sim, budget, n as u64)

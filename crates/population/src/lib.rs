@@ -188,9 +188,7 @@ pub use checkpoint::{
     WordState,
 };
 pub use drive::{drive, Capture, Engine, Every, NoPoll, NoSaves, Poll, Saves};
-pub use observe::{
-    Control, HonestRanking, Observer, ShardObserver, ShardedRanking, ShardedSilence,
-};
+pub use observe::{Control, HonestRanking, Observer};
 pub use pairs::pair_mut;
 pub use probe::{Membership, NullProbe, Probe};
 pub use protocol::{HonestOutput, Packed, PackedProtocol, Protocol, RankOutput};

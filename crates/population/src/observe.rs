@@ -325,144 +325,18 @@ impl<P: PackedProtocol, O: Observer<P>> Observer<Packed<P>> for Unpacked<P, O> {
     }
 }
 
-/// A checkpoint observer evaluated through per-shard summaries — the
-/// observation seam of the sharded simulator (`crates/shard`).
-///
-/// A plain [`Observer`] needs the whole configuration as one slice,
-/// which a sharded run can only provide by concatenating its per-shard
-/// state vectors (an `O(n)` copy per checkpoint). A `ShardObserver`
-/// instead splits observation into two stages:
-///
-/// 1. [`summarize`](ShardObserver::summarize) — a pure function of one
-///    shard's slice, producing a small [`Summary`](ShardObserver::Summary)
-///    (a rank bitmap, a distinct-state multiset, a partial count…).
-///    Summaries are `Send`, so shards can summarize concurrently.
-/// 2. [`merge`](ShardObserver::merge) — combines the per-shard
-///    summaries into the global verdict at interaction count `t`.
-///
-/// The contract, property-tested for the implementations here: merging
-/// the per-shard summaries of any partition of a configuration yields
-/// **exactly** the verdict of the corresponding whole-configuration
-/// observer ([`ShardedRanking`] ≡ [`Convergence`] over
-/// `is_valid_ranking`, [`ShardedSilence`] ≡ [`Silence`]).
-pub trait ShardObserver<P: Protocol> {
-    /// The per-shard partial observation.
-    type Summary: Send;
-
-    /// Summarize one shard's slice. `start` is the global index of the
-    /// slice's first agent (shards partition the population
-    /// contiguously and are presented in index order).
-    fn summarize(&self, protocol: &P, start: usize, states: &[P::State]) -> Self::Summary;
-
-    /// Merge the per-shard summaries (in shard order) into the global
-    /// verdict at interaction count `t`. Returning [`Control::Stop`]
-    /// ends the run.
-    fn merge(&mut self, protocol: &P, t: u64, summaries: Vec<Self::Summary>) -> Control;
-
-    /// Evaluate the observer on a whole configuration in one step —
-    /// summarize the full slice as a single shard and merge it. This is
-    /// what makes a `ShardObserver` usable (and testable) against
-    /// unsharded runs.
-    fn observe_whole(&mut self, protocol: &P, t: u64, states: &[P::State]) -> Control {
-        let summary = self.summarize(protocol, 0, states);
-        self.merge(protocol, t, vec![summary])
-    }
-}
-
-/// Per-shard summary of [`ShardedRanking`]: which in-range ranks the
-/// shard's agents output, and whether the shard already disproves
-/// validity on its own.
-#[derive(Debug, Clone)]
-pub struct RankSummary {
-    /// Bitmap over ranks `1..=n` (bit `r − 1` set iff some agent in the
-    /// shard outputs rank `r`).
-    mask: Vec<u64>,
-    /// An agent was unranked, out of range, or a duplicate *within* the
-    /// shard — the configuration cannot be a valid ranking.
-    invalid: bool,
-}
-
-/// Stops when the ranks across all shards form a permutation of
-/// `1..=n` — the shard-local/merged equivalent of
-/// [`Convergence`] over [`crate::is_valid_ranking`].
-///
-/// Each shard contributes a rank bitmap; the merge checks that no shard
-/// saw an invalid or duplicate rank and that the bitmaps are pairwise
-/// disjoint. Since every agent must then hold a distinct in-range rank
-/// and there are exactly `n` agents, disjointness alone implies the
-/// permutation — no final popcount needed.
-#[derive(Debug, Default)]
-pub struct ShardedRanking {
-    hit: Option<u64>,
-}
-
-impl ShardedRanking {
-    /// New detector.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Checkpoint time at which the merged verdict first was "valid
-    /// ranking", if any.
-    pub fn converged_at(&self) -> Option<u64> {
-        self.hit
-    }
-}
-
-impl<P: Protocol> ShardObserver<P> for ShardedRanking
-where
-    P::State: crate::RankOutput,
-{
-    type Summary = RankSummary;
-
-    fn summarize(&self, protocol: &P, _start: usize, states: &[P::State]) -> RankSummary {
-        use crate::RankOutput;
-        let n = protocol.n();
-        let mut mask = vec![0u64; n.div_ceil(64)];
-        let mut invalid = false;
-        for s in states {
-            match s.rank() {
-                Some(r) if r >= 1 && (r as usize) <= n => {
-                    let (word, bit) = ((r as usize - 1) / 64, (r as usize - 1) % 64);
-                    if mask[word] & (1 << bit) != 0 {
-                        invalid = true; // duplicate within the shard
-                    }
-                    mask[word] |= 1 << bit;
-                }
-                _ => invalid = true,
-            }
-        }
-        RankSummary { mask, invalid }
-    }
-
-    fn merge(&mut self, _protocol: &P, t: u64, summaries: Vec<RankSummary>) -> Control {
-        if self.hit.is_none() && merge_disjoint(summaries) {
-            self.hit = Some(t);
-        }
-        if self.hit.is_some() {
-            Control::Stop
-        } else {
-            Control::Continue
-        }
-    }
-}
-
 /// Stops when every *honest* agent holds a distinct in-range rank —
 /// the stabilization target of a population containing persistent
 /// (Byzantine) adversaries ([`crate::is_valid_honest_ranking`]).
 ///
 /// The observer works on any state type implementing
 /// [`HonestOutput`](crate::HonestOutput) (the `scenarios` crate's
-/// `ByzState` wrapper is the canonical one) and comes in both engine
-/// flavors: as a whole-configuration [`Observer`] for sequential runs,
-/// and as a [`ShardObserver`] for the sharded engine's copy-free
-/// `run_merged` path. Each shard contributes a bitmap of the ranks its
-/// honest agents output (plus an invalid flag for unranked /
-/// out-of-range / shard-local duplicates); the merge requires the
-/// bitmaps to be pairwise disjoint. Unlike [`ShardedRanking`], no
-/// completeness is required — adversaries may leave ranks unclaimed.
-/// Both evaluation paths are property-tested against the brute-force
-/// honest-subset check in `tests/byzantine.rs`.
+/// `ByzState` wrapper is the canonical one) and reads the whole
+/// configuration, so every engine polls it the same way. Unlike
+/// [`Convergence`] over [`crate::is_valid_ranking`], no completeness is
+/// required — adversaries may leave ranks unclaimed. The verdict is
+/// property-tested against the brute-force honest-subset check in
+/// `tests/byzantine.rs`.
 #[derive(Debug, Default)]
 pub struct HonestRanking {
     hit: Option<u64>,
@@ -479,17 +353,6 @@ impl HonestRanking {
     pub fn converged_at(&self) -> Option<u64> {
         self.hit
     }
-
-    fn settle(&mut self, valid: bool, t: u64) -> Control {
-        if self.hit.is_none() && valid {
-            self.hit = Some(t);
-        }
-        if self.hit.is_some() {
-            Control::Stop
-        } else {
-            Control::Continue
-        }
-    }
 }
 
 impl<P: Protocol> Observer<P> for HonestRanking
@@ -497,152 +360,8 @@ where
     P::State: crate::HonestOutput,
 {
     fn observe(&mut self, _protocol: &P, t: u64, states: &[P::State]) -> Control {
-        let valid = crate::is_valid_honest_ranking(states);
-        self.settle(valid, t)
-    }
-}
-
-impl<P: Protocol> ShardObserver<P> for HonestRanking
-where
-    P::State: crate::HonestOutput,
-{
-    type Summary = RankSummary;
-
-    fn summarize(&self, protocol: &P, _start: usize, states: &[P::State]) -> RankSummary {
-        use crate::{HonestOutput, RankOutput};
-        let n = protocol.n();
-        let mut mask = vec![0u64; n.div_ceil(64)];
-        let mut invalid = false;
-        for s in states.iter().filter(|s| s.is_honest()) {
-            match s.rank() {
-                Some(r) if r >= 1 && (r as usize) <= n => {
-                    let (word, bit) = ((r as usize - 1) / 64, (r as usize - 1) % 64);
-                    if mask[word] & (1 << bit) != 0 {
-                        invalid = true; // honest duplicate within the shard
-                    }
-                    mask[word] |= 1 << bit;
-                }
-                _ => invalid = true,
-            }
-        }
-        RankSummary { mask, invalid }
-    }
-
-    fn merge(&mut self, _protocol: &P, t: u64, summaries: Vec<RankSummary>) -> Control {
-        let valid = merge_disjoint(summaries);
-        self.settle(valid, t)
-    }
-}
-
-/// Merge rank-bitmap summaries: valid iff no summary carries the
-/// invalid flag and the bitmaps are pairwise disjoint (shared by
-/// [`ShardedRanking`] and [`HonestRanking`], whose merges differ only
-/// in what counts as invalid within a shard).
-fn merge_disjoint(summaries: Vec<RankSummary>) -> bool {
-    let mut seen: Option<Vec<u64>> = None;
-    for s in summaries {
-        if s.invalid {
-            return false;
-        }
-        match &mut seen {
-            None => seen = Some(s.mask),
-            Some(acc) => {
-                for (a, m) in acc.iter_mut().zip(&s.mask) {
-                    if *a & m != 0 {
-                        return false; // duplicate across shards
-                    }
-                    *a |= m;
-                }
-            }
-        }
-    }
-    true
-}
-
-/// Stops when the merged configuration is silent — the shard-local
-/// equivalent of [`Silence`].
-///
-/// Silence depends only on the *multiset of states present*: an ordered
-/// pair of states `(x, y)` is executable iff `x ≠ y` and both occur, or
-/// `x = y` occurs at least twice. Each shard therefore summarizes its
-/// slice as a sorted list of distinct states with occurrence counts
-/// (saturated at 2 — higher multiplicities change nothing); the merge
-/// combines the multisets and probes every executable state pair
-/// against the transition function. Cost is `O(d²)` transitions for `d`
-/// distinct states — same worst case as [`crate::silence::is_silent`],
-/// so poll it as sparsely.
-#[derive(Debug, Default)]
-pub struct ShardedSilence {
-    hit: Option<u64>,
-}
-
-impl ShardedSilence {
-    /// New silence detector.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Checkpoint time at which silence was first observed, if any.
-    pub fn silent_at(&self) -> Option<u64> {
-        self.hit
-    }
-}
-
-impl<P: Protocol> ShardObserver<P> for ShardedSilence
-where
-    P::State: Ord + Send,
-{
-    type Summary = Vec<(P::State, u32)>;
-
-    fn summarize(&self, _protocol: &P, _start: usize, states: &[P::State]) -> Self::Summary {
-        let mut sorted: Vec<P::State> = states.to_vec();
-        sorted.sort_unstable();
-        let mut out: Vec<(P::State, u32)> = Vec::new();
-        for s in sorted {
-            match out.last_mut() {
-                Some((last, count)) if *last == s => *count = (*count + 1).min(2),
-                _ => out.push((s, 1)),
-            }
-        }
-        out
-    }
-
-    fn merge(&mut self, protocol: &P, t: u64, summaries: Vec<Self::Summary>) -> Control {
-        if self.hit.is_none() {
-            let mut all: Vec<(P::State, u32)> = Vec::new();
-            for summary in summaries {
-                for (s, c) in summary {
-                    all.push((s, c));
-                }
-            }
-            all.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-            all.dedup_by(|next, acc| {
-                if next.0 == acc.0 {
-                    acc.1 = (acc.1 + next.1).min(2);
-                    true
-                } else {
-                    false
-                }
-            });
-            let silent = 'probe: {
-                for (xi, (x, cx)) in all.iter().enumerate() {
-                    for (yi, (y, _)) in all.iter().enumerate() {
-                        if xi == yi && *cx < 2 {
-                            continue; // a lone agent cannot meet itself
-                        }
-                        let mut u = x.clone();
-                        let mut v = y.clone();
-                        protocol.transition(&mut u, &mut v);
-                        if u != *x || v != *y {
-                            break 'probe false;
-                        }
-                    }
-                }
-                true
-            };
-            if silent {
-                self.hit = Some(t);
-            }
+        if self.hit.is_none() && crate::is_valid_honest_ranking(states) {
+            self.hit = Some(t);
         }
         if self.hit.is_some() {
             Control::Stop
@@ -752,148 +471,6 @@ mod tests {
         // The meter saw the initial checkpoint plus one per burst.
         assert!(meter.checkpoints() >= 2);
         assert_eq!(meter.interactions_seen(), sim.interactions());
-    }
-
-    /// Partition `states` into `shards` contiguous balanced slices,
-    /// summarize each, and merge — the exact evaluation a sharded run
-    /// performs at a checkpoint.
-    fn merged_verdict<P: Protocol, O: ShardObserver<P>>(
-        obs: &mut O,
-        protocol: &P,
-        t: u64,
-        states: &[P::State],
-        shards: usize,
-    ) -> Control {
-        let n = states.len();
-        let summaries: Vec<O::Summary> = (0..shards)
-            .map(|s| {
-                let (start, end) = ((s * n).div_ceil(shards), ((s + 1) * n).div_ceil(shards));
-                obs.summarize(protocol, start, &states[start..end])
-            })
-            .collect();
-        obs.merge(protocol, t, summaries)
-    }
-
-    /// A protocol whose states output their value as a rank.
-    struct Ranks(usize);
-    impl Protocol for Ranks {
-        type State = u64;
-        fn n(&self) -> usize {
-            self.0
-        }
-        fn transition(&self, _: &mut u64, _: &mut u64) -> bool {
-            false
-        }
-    }
-    impl crate::RankOutput for u64 {
-        fn rank(&self) -> Option<u64> {
-            if *self == 0 {
-                None
-            } else {
-                Some(*self)
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_ranking_agrees_with_is_valid_ranking() {
-        use rand::rngs::SmallRng;
-        use rand::{RngExt, SeedableRng};
-        let mut rng = SmallRng::seed_from_u64(42);
-        for case in 0..200 {
-            let n = rng.random_range(1..=24usize);
-            let protocol = Ranks(n);
-            // Mix of permutations (shuffled) and noisy configurations so
-            // both verdicts occur frequently.
-            let states: Vec<u64> = if case % 3 == 0 {
-                let mut perm: Vec<u64> = (1..=n as u64).collect();
-                for i in (1..perm.len()).rev() {
-                    let j = rng.random_range(0..=i);
-                    perm.swap(i, j);
-                }
-                perm
-            } else {
-                (0..n)
-                    .map(|_| rng.random_range(0..=(n as u64 + 2)))
-                    .collect()
-            };
-            let expected = crate::is_valid_ranking(&states);
-            for shards in [1, 2, 3, n] {
-                if shards > n {
-                    continue;
-                }
-                let mut obs = ShardedRanking::new();
-                let verdict = merged_verdict(&mut obs, &protocol, 7, &states, shards);
-                assert_eq!(
-                    verdict.is_stop(),
-                    expected,
-                    "case {case}: n={n} shards={shards} states={states:?}"
-                );
-                assert_eq!(obs.converged_at().is_some(), expected);
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_silence_agrees_with_is_silent() {
-        use crate::silence::is_silent;
-        use rand::rngs::SmallRng;
-        use rand::{RngExt, SeedableRng};
-        let mut rng = SmallRng::seed_from_u64(9);
-        for case in 0..120 {
-            let n = rng.random_range(2..=16usize);
-            let protocol = Epidemic::new(n);
-            let infected = rng.random_range(1..=n);
-            // Shuffled epidemic configuration: silent iff all or none
-            // infected (modulo the one-way rule: all-false is silent,
-            // any mix is not).
-            let mut states = protocol.initial(infected);
-            for i in (1..states.len()).rev() {
-                let j = rng.random_range(0..=i);
-                states.swap(i, j);
-            }
-            let expected = is_silent(&protocol, &states);
-            for shards in [1, 2, n] {
-                let mut obs = ShardedSilence::new();
-                let verdict = merged_verdict(&mut obs, &protocol, 3, &states, shards);
-                assert_eq!(
-                    verdict.is_stop(),
-                    expected,
-                    "case {case}: n={n} shards={shards} states={states:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_silence_counts_same_state_pairs() {
-        // Two agents in the *same* active state must be probed against
-        // each other: (true, true) is silent for the epidemic, but a
-        // protocol where equal states interact is not. Use a counter
-        // protocol where (x, x) changes state.
-        struct Tick;
-        impl Protocol for Tick {
-            type State = u8;
-            fn n(&self) -> usize {
-                4
-            }
-            fn transition(&self, u: &mut u8, v: &mut u8) -> bool {
-                if *u == *v && *u == 1 {
-                    *v = 2;
-                    return true;
-                }
-                false
-            }
-        }
-        let mut obs = ShardedSilence::new();
-        // A single 1 cannot meet itself: silent.
-        let lone = vec![0u8, 1, 0, 2];
-        assert!(obs.observe_whole(&Tick, 0, &lone).is_stop());
-        // Two 1s interact: not silent — and the duplicates land in
-        // different shards, so only the merged multiset can see it.
-        let mut obs = ShardedSilence::new();
-        let dup = vec![1u8, 0, 1, 0];
-        assert!(!merged_verdict(&mut obs, &Tick, 0, &dup, 2).is_stop());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! the sharpest robustness probe the population model offers: with
 //! persistent adversaries a stabilization claim can only be made about
 //! the *honest* agents ([`population::is_valid_honest_ranking`], the
-//! [`HonestRanking`](population::HonestRanking) observer).
+//! [`HonestRanking`] observer).
 //!
 //! # Execution model
 //!
@@ -94,7 +94,10 @@
 //! ```
 
 use population::modelcheck::explore_with;
-use population::{is_valid_honest_ranking, HonestOutput, Protocol, RankOutput};
+use population::{
+    drive, is_valid_honest_ranking, Engine, Every, HonestOutput, HonestRanking, NoFaults, NoSaves,
+    NullProbe, Protocol, RankOutput,
+};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 
@@ -769,47 +772,30 @@ impl<P: Protocol, St: Strategy<P>> Protocol for Byzantine<P, St> {
 // Honest-stabilization drivers
 // ----------------------------------------------------------------------
 
-/// Drive a sequential Byzantine run until the honest agents hold valid
-/// distinct ranks (polled every `check_every` interactions) or the
+/// Drive a Byzantine run on any engine until the honest agents hold
+/// valid distinct ranks (polled every `check_every` interactions) or the
 /// budget runs out; returns the hitting checkpoint — the
 /// *honest-stabilization time* the `byzantine` benchmark aggregates.
-/// Sugar over
-/// [`run_observed`](population::Simulator::run_observed) with a
-/// [`HonestRanking`](population::HonestRanking) observer.
-pub fn run_honest<P, St, Src>(
-    sim: &mut population::Simulator<Byzantine<P, St>, Src>,
-    max_interactions: u64,
-    check_every: u64,
-) -> Option<u64>
+/// Sugar over [`drive`](fn@drive) with a [`HonestRanking`] observer
+/// polled on the whole configuration. On the sharded engine with
+/// `shards = 1` this is bit-for-bit the sequential run over a uniform
+/// schedule.
+pub fn run_honest<E, P, St>(engine: &mut E, max_interactions: u64, check_every: u64) -> Option<u64>
 where
+    E: Engine<Protocol = Byzantine<P, St>>,
     P: Protocol,
     P::State: RankOutput,
     St: Strategy<P>,
-    Src: population::PairSource,
 {
-    let mut honest = population::HonestRanking::new();
-    sim.run_observed(max_interactions, check_every, &mut honest);
-    honest.converged_at()
-}
-
-/// [`run_honest`] over the sharded engine. Observation goes through the
-/// copy-free [`run_merged`](shard::ShardedSimulator::run_merged) path
-/// ([`HonestRanking`](population::HonestRanking) is a
-/// [`ShardObserver`](population::ShardObserver): each lane contributes
-/// its honest-rank bitmap). With `shards = 1` this is bit-for-bit
-/// [`run_honest`] over a uniform schedule.
-pub fn run_honest_sharded<P, St>(
-    sim: &mut shard::ShardedSimulator<Byzantine<P, St>>,
-    max_interactions: u64,
-    check_every: u64,
-) -> Option<u64>
-where
-    P: Protocol + Sync,
-    P::State: RankOutput + Send + Sync,
-    St: Strategy<P>,
-{
-    let mut honest = population::HonestRanking::new();
-    sim.run_merged(max_interactions, check_every, &mut honest);
+    let mut honest = HonestRanking::new();
+    drive(
+        engine,
+        max_interactions,
+        &mut NoFaults,
+        &mut NoSaves,
+        &mut Every(check_every, &mut honest),
+        &mut NullProbe,
+    );
     honest.converged_at()
 }
 

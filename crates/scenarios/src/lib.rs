@@ -87,8 +87,7 @@ pub mod traced;
 mod util;
 
 pub use byzantine::{
-    classify, run_honest, run_honest_sharded, ByzState, Byzantine, Classification, Strategy,
-    Tolerance,
+    classify, run_honest, ByzState, Byzantine, Classification, Strategy, Tolerance,
 };
 pub use fault::{DuplicateRank, EraseRank, Fault, FaultPlan, FiredFault, MapStates, StateRewrite};
 pub use recovery::{run_recovery, Recovery, RecoveryEvent};

@@ -2,26 +2,26 @@
 
 use std::sync::{Barrier, Mutex};
 
-use population::observe::{Control, Convergence, ShardObserver};
+use population::observe::Convergence;
 use population::schedule::{Pair, ScheduleCursor, SubSchedule, BLOCK_PAIRS};
 use population::silence::Certificate;
 use population::{
     drive, Capture, Checkpointer, CursorSource, Engine, Every, FaultHook, Frame, HookState,
-    NoFaults, NoPoll, NoSaves, NullProbe, Observer, PairSource, Poll, Probe, Protocol, StopReason,
+    NoFaults, NoPoll, NoSaves, NullProbe, Observer, PairSource, Probe, Protocol, StopReason,
     WordState,
 };
 
 use crate::partition::{bounds, rounds, OwnerMap};
 
-/// One shard's lane: a contiguous slice of the population plus the
-/// shard's private pair stream and outgoing boundary-pair buffers.
+/// One shard's bookkeeping: where its lane lies in the configuration,
+/// the shard's private pair stream and its outgoing boundary-pair
+/// buffers.
 #[derive(Debug)]
-struct Slot<S> {
+struct Slot {
     /// Global index of the first agent in this lane.
     start: usize,
-    /// The shard's slice of the configuration (`states[i - start]` is
-    /// agent `i`).
-    states: Vec<S>,
+    /// Number of agents in this lane.
+    len: usize,
     /// The shard's private sub-stream of the uniform scheduler.
     sched: SubSchedule,
     /// Boundary pairs drawn this block, bucketed by the responder's
@@ -37,6 +37,28 @@ struct Slot<S> {
     /// holds the sub-block's boundary pairs until they are bucketed
     /// into `outbox`.
     boundary: Vec<Pair>,
+}
+
+/// A shard's lane for the length of one run call: its slice of the
+/// configuration (`states[i - slot.start]` is agent `i`) next to its
+/// slot.
+struct Lane<'a, S> {
+    states: &'a mut [S],
+    slot: &'a mut Slot,
+}
+
+/// Cut the configuration into the slots' lanes, in shard order, each
+/// behind a lock that lives as long as the run call.
+fn lanes<'a, S>(states: &'a mut [S], slots: &'a mut [Slot]) -> Vec<Mutex<Lane<'a, S>>> {
+    let mut rest = states;
+    slots
+        .iter_mut()
+        .map(|slot| {
+            let (states, tail) = std::mem::take(&mut rest).split_at_mut(slot.len);
+            rest = tail;
+            Mutex::new(Lane { states, slot })
+        })
+        .collect()
 }
 
 /// A multi-threaded, deterministic executor for a single run of a
@@ -93,21 +115,20 @@ struct Slot<S> {
 ///
 /// # Observation and faults
 ///
-/// [`run_observed`](Self::run_observed) polls a whole-configuration
-/// [`Observer`] on a concatenated snapshot (an `O(n)` copy per
-/// checkpoint); [`run_merged`](Self::run_merged) avoids the copy by
-/// evaluating a [`ShardObserver`] through per-shard summaries.
+/// The configuration is one vector in agent-index order. A run call
+/// cuts it into the lanes' slices and the cut ends with the call, so
+/// between calls [`states`](Self::states), observers, fault hooks and
+/// checkpoints read or write it in place.
 /// [`run_faulted`](Self::run_faulted) splits blocks at exact fault
 /// interaction counts, exactly like the sequential engine, so
 /// `scenarios` fault plans drive sharded runs unchanged.
 #[derive(Debug)]
 pub struct ShardedSimulator<P: Protocol> {
     protocol: P,
-    slots: Vec<Mutex<Slot<P::State>>>,
+    states: Vec<P::State>,
+    slots: Vec<Slot>,
     rounds: Vec<Vec<(usize, usize)>>,
     owners: OwnerMap,
-    n: usize,
-    shards: usize,
     workers: usize,
     block_pairs: usize,
     interactions: u64,
@@ -154,19 +175,20 @@ fn quota(total: u64, shards: usize, s: usize, rot: usize) -> u64 {
 fn intra_phase<P: Protocol>(
     protocol: &P,
     owners: &OwnerMap,
-    slot: &Mutex<Slot<P::State>>,
+    lane: &Mutex<Lane<'_, P::State>>,
     quota: u64,
 ) -> u64 {
-    let mut guard = slot.lock().expect("shard lane poisoned");
+    let mut guard = lane.lock().expect("shard lane poisoned");
+    let Lane { states, slot } = &mut *guard;
     let Slot {
         start,
-        states,
+        len,
         sched,
         outbox,
         local,
         boundary,
-    } = &mut *guard;
-    let (start, len) = (*start, states.len());
+    } = &mut **slot;
+    let (start, len) = (*start, *len);
     let mut remaining = quota;
     let mut changed = 0;
     while remaining > 0 {
@@ -198,46 +220,36 @@ fn intra_phase<P: Protocol>(
 /// pairs into `b`, then `b`'s into `a`, each in draw order.
 fn exchange<P: Protocol>(
     protocol: &P,
-    slot_a: &Mutex<Slot<P::State>>,
-    slot_b: &Mutex<Slot<P::State>>,
+    lane_a: &Mutex<Lane<'_, P::State>>,
+    lane_b: &Mutex<Lane<'_, P::State>>,
     a: usize,
     b: usize,
 ) {
     debug_assert!(a < b, "matches are normalized to (low, high)");
-    let mut ga = slot_a.lock().expect("shard lane poisoned");
-    let mut gb = slot_b.lock().expect("shard lane poisoned");
-    let sa = &mut *ga;
-    let sb = &mut *gb;
-    let Slot {
-        start: a_start,
-        states: a_states,
-        outbox: a_outbox,
-        ..
-    } = sa;
-    let Slot {
-        start: b_start,
-        states: b_states,
-        outbox: b_outbox,
-        ..
-    } = sb;
-    // Copy-free split borrow: the two lanes are distinct `Vec`s, so
-    // both sides mutate in place with no clone and no write-back pass.
-    for &(i, j) in &a_outbox[b] {
-        let (li, lj) = (i as usize - *a_start, j as usize - *b_start);
-        protocol.transition(&mut a_states[li], &mut b_states[lj]);
+    let mut ga = lane_a.lock().expect("shard lane poisoned");
+    let mut gb = lane_b.lock().expect("shard lane poisoned");
+    let (la, lb) = (&mut *ga, &mut *gb);
+    let (a_start, b_start) = (la.slot.start, lb.slot.start);
+    // The two lanes are disjoint slices of the configuration, so both
+    // sides mutate in place.
+    for &(i, j) in &la.slot.outbox[b] {
+        let (li, lj) = (i as usize - a_start, j as usize - b_start);
+        protocol.transition(&mut la.states[li], &mut lb.states[lj]);
     }
-    a_outbox[b].clear();
-    for &(i, j) in &b_outbox[a] {
-        let (li, lj) = (i as usize - *b_start, j as usize - *a_start);
-        protocol.transition(&mut b_states[li], &mut a_states[lj]);
+    la.slot.outbox[b].clear();
+    for &(i, j) in &lb.slot.outbox[a] {
+        let (li, lj) = (i as usize - b_start, j as usize - a_start);
+        protocol.transition(&mut lb.states[li], &mut la.states[lj]);
     }
-    b_outbox[a].clear();
+    lb.slot.outbox[a].clear();
 }
 
 impl<P: Protocol> ShardedSimulator<P> {
     /// Create a sharded simulator over `initial` states, partitioned
     /// into `shards` lanes, with the uniform scheduler split into
-    /// per-shard sub-streams derived from `seed`.
+    /// per-shard sub-streams derived from `seed`: a
+    /// [`resume`](Self::resume) from the cursors of
+    /// [`SubSchedule::split`] at interaction 0.
     ///
     /// Workers default to the machine's parallelism capped at the shard
     /// count ([`population::runner::available_workers`], overridable
@@ -249,54 +261,11 @@ impl<P: Protocol> ShardedSimulator<P> {
     /// fewer than two agents or exceeds `u32::MAX`, or `shards` is not
     /// in `1..=n`.
     pub fn new(protocol: P, initial: Vec<P::State>, seed: u64, shards: usize) -> Self {
-        let n = initial.len();
-        assert_eq!(
-            n,
-            protocol.n(),
-            "initial configuration size must match protocol.n()"
-        );
-        assert!(n >= 2, "population needs at least two agents");
-        assert!(u32::try_from(n).is_ok(), "population size exceeds u32");
-        assert!(
-            (1..=n).contains(&shards),
-            "shard count must be within 1..=n"
-        );
-        let scheds = SubSchedule::split(n, seed, shards);
-        let mut initial = initial;
-        let mut lanes: Vec<Vec<P::State>> = Vec::with_capacity(shards);
-        for s in (0..shards).rev() {
-            let (start, _) = bounds(n, shards, s);
-            lanes.push(initial.split_off(start));
-        }
-        let slots = scheds
-            .into_iter()
-            .zip(lanes.into_iter().rev())
-            .map(|(sched, states)| {
-                let (start, end) = sched.range();
-                debug_assert_eq!(end - start, states.len());
-                Mutex::new(Slot {
-                    start,
-                    states,
-                    sched,
-                    outbox: vec![Vec::new(); shards],
-                    local: Vec::new(),
-                    boundary: Vec::new(),
-                })
-            })
+        let cursors = SubSchedule::split(initial.len(), seed, shards)
+            .iter()
+            .map(CursorSource::cursor)
             .collect();
-        let workers = population::runner::available_workers().get().min(shards);
-        Self {
-            protocol,
-            slots,
-            rounds: rounds(shards),
-            owners: OwnerMap::new(n, shards),
-            n,
-            shards,
-            workers,
-            block_pairs: BLOCK_PAIRS,
-            interactions: 0,
-            silence: Certificate::default(),
-        }
+        Self::resume(protocol, initial, cursors, 0)
     }
 
     /// Pin the number of worker threads (clamped to the shard count at
@@ -338,35 +307,17 @@ impl<P: Protocol> ShardedSimulator<P> {
 
     /// Number of lanes the population is partitioned into.
     pub fn shards(&self) -> usize {
-        self.shards
+        self.slots.len()
     }
 
     /// Number of worker threads phases fan out over (after clamping).
     pub fn workers(&self) -> usize {
-        self.workers.min(self.shards).max(1)
+        self.workers.min(self.shards()).max(1)
     }
 
-    /// Snapshot of the full configuration, concatenated in agent-index
-    /// order (an `O(n)` copy — the price a partitioned representation
-    /// pays at whole-configuration boundaries).
-    pub fn states(&self) -> Vec<P::State> {
-        let mut out = Vec::with_capacity(self.n);
-        for slot in &self.slots {
-            out.extend_from_slice(&slot.lock().expect("shard lane poisoned").states);
-        }
-        out
-    }
-
-    /// Scatter a full configuration back into the lanes (the inverse of
-    /// [`states`](Self::states); used at fault boundaries).
-    fn scatter(&mut self, all: &[P::State]) {
-        debug_assert_eq!(all.len(), self.n);
-        for slot in &self.slots {
-            let mut guard = slot.lock().expect("shard lane poisoned");
-            let start = guard.start;
-            let end = start + guard.states.len();
-            guard.states.clone_from_slice(&all[start..end]);
-        }
+    /// The full configuration, in agent-index order.
+    pub fn states(&self) -> &[P::State] {
+        &self.states
     }
 
     /// Per-shard scheduler cursors, in shard order — together with
@@ -374,18 +325,15 @@ impl<P: Protocol> ShardedSimulator<P> {
     /// trajectory-determining position of a sharded run (see
     /// [`resume`](Self::resume)).
     pub fn cursors(&self) -> Vec<ScheduleCursor> {
-        self.slots
-            .iter()
-            .map(|slot| slot.lock().expect("shard lane poisoned").sched.cursor())
-            .collect()
+        self.slots.iter().map(|slot| slot.sched.cursor()).collect()
     }
 
     /// Rebuild a sharded simulator at a captured position: `initial` is
-    /// the concatenated configuration, `cursors` the per-shard scheduler
-    /// cursors (their count *is* the shard count), `interactions` the
-    /// interaction count at capture. The resumed run continues the
-    /// captured run's trajectory bit for bit **under the same block
-    /// structure** — restore the captured
+    /// the configuration in agent-index order, `cursors` the per-shard
+    /// scheduler cursors (their count *is* the shard count),
+    /// `interactions` the interaction count at capture. The resumed run
+    /// continues the captured run's trajectory bit for bit **under the
+    /// same block structure** — restore the captured
     /// [`block_pairs`](Self::with_block_pairs) and issue the same burst
     /// sequence (worker count remains free; it never affects the
     /// trajectory).
@@ -416,50 +364,37 @@ impl<P: Protocol> ShardedSimulator<P> {
             (1..=n).contains(&shards),
             "shard count must be within 1..=n"
         );
-        for (s, cursor) in cursors.iter().enumerate() {
-            let (start, end) = bounds(n, shards, s);
-            assert!(
-                cursor.n == n as u64
-                    && cursor.start == start as u64
-                    && cursor.len == (end - start) as u64,
-                "cursor {s} covers {}..{} of n = {} — expected lane {start}..{end} of n = {n}",
-                cursor.start,
-                cursor.start + cursor.len,
-                cursor.n,
-            );
-        }
-        let mut initial = initial;
-        let mut lanes: Vec<Vec<P::State>> = Vec::with_capacity(shards);
-        for s in (0..shards).rev() {
-            let (start, _) = bounds(n, shards, s);
-            lanes.push(initial.split_off(start));
-        }
         let slots = cursors
             .into_iter()
-            .zip(lanes.into_iter().rev())
-            .map(|(cursor, states)| {
-                let sched = SubSchedule::from_cursor(cursor);
-                let (start, end) = sched.range();
-                debug_assert_eq!(end - start, states.len());
-                Mutex::new(Slot {
+            .enumerate()
+            .map(|(s, cursor)| {
+                let (start, end) = bounds(n, shards, s);
+                assert!(
+                    cursor.n == n as u64
+                        && cursor.start == start as u64
+                        && cursor.len == (end - start) as u64,
+                    "cursor {s} covers {}..{} of n = {} — expected lane {start}..{end} of n = {n}",
+                    cursor.start,
+                    cursor.start + cursor.len,
+                    cursor.n,
+                );
+                Slot {
                     start,
-                    states,
-                    sched,
+                    len: end - start,
+                    sched: SubSchedule::from_cursor(cursor),
                     outbox: vec![Vec::new(); shards],
                     local: Vec::new(),
                     boundary: Vec::new(),
-                })
+                }
             })
             .collect();
-        let workers = population::runner::available_workers().get().min(shards);
         Self {
             protocol,
+            states: initial,
             slots,
             rounds: rounds(shards),
             owners: OwnerMap::new(n, shards),
-            n,
-            shards,
-            workers,
+            workers: population::runner::available_workers().get().min(shards),
             block_pairs: BLOCK_PAIRS,
             interactions,
             silence: Certificate::default(),
@@ -468,10 +403,7 @@ impl<P: Protocol> ShardedSimulator<P> {
 
     /// Consume the simulator, returning the final configuration.
     pub fn into_states(self) -> Vec<P::State> {
-        self.slots
-            .into_iter()
-            .flat_map(|m| m.into_inner().expect("shard lane poisoned").states)
-            .collect()
+        self.states
     }
 }
 
@@ -496,29 +428,29 @@ where
             self.interactions += count;
             return;
         }
-        let cap = (self.shards * self.block_pairs) as u64;
-        let mut changed = vec![0u64; if B::ACTIVE { self.shards } else { 0 }];
+        let shards = self.slots.len();
+        let cap = (shards * self.block_pairs) as u64;
+        let protocol = &self.protocol;
+        let lanes = lanes(&mut self.states, &mut self.slots);
+        let mut changed = vec![0u64; if B::ACTIVE { shards } else { 0 }];
         let mut remaining = count;
         while remaining > 0 {
             let total = remaining.min(cap);
-            let rot = (self.interactions % self.shards as u64) as usize;
-            for (s, slot) in self.slots.iter().enumerate() {
-                let lane_changed = intra_phase(
-                    &self.protocol,
-                    &self.owners,
-                    slot,
-                    quota(total, self.shards, s, rot),
-                );
+            let rot = (self.interactions % shards as u64) as usize;
+            for (s, lane) in lanes.iter().enumerate() {
+                let lane_changed =
+                    intra_phase(protocol, &self.owners, lane, quota(total, shards, s, rot));
                 if B::ACTIVE {
                     changed[s] = lane_changed;
                 }
             }
             let boundary: u64 = if B::ACTIVE {
-                self.slots
+                lanes
                     .iter()
-                    .map(|slot| {
-                        let guard = slot.lock().expect("shard lane poisoned");
-                        guard.outbox.iter().map(|o| o.len() as u64).sum::<u64>()
+                    .map(|lane| {
+                        let guard = lane.lock().expect("shard lane poisoned");
+                        let outbox = &guard.slot.outbox;
+                        outbox.iter().map(|o| o.len() as u64).sum::<u64>()
                     })
                     .sum()
             } else {
@@ -526,24 +458,24 @@ where
             };
             for round in &self.rounds {
                 for &(a, b) in round {
-                    exchange(&self.protocol, &self.slots[a], &self.slots[b], a, b);
+                    exchange(protocol, &lanes[a], &lanes[b], a, b);
                 }
             }
             self.interactions += total;
             remaining -= total;
             if B::ACTIVE {
-                for (s, slot) in self.slots.iter().enumerate() {
-                    let guard = slot.lock().expect("shard lane poisoned");
+                for (s, lane) in lanes.iter().enumerate() {
+                    let guard = lane.lock().expect("shard lane poisoned");
                     probe.block(
-                        &self.protocol,
+                        protocol,
                         self.interactions,
                         changed[s],
                         s,
-                        guard.start,
-                        &guard.states,
+                        guard.slot.start,
+                        guard.states,
                     );
                 }
-                probe.exchange(&self.protocol, self.interactions, boundary);
+                probe.exchange(protocol, self.interactions, boundary);
             }
         }
     }
@@ -551,11 +483,9 @@ where
     /// Whether the protocol certifies the configuration silent
     /// ([`Certificate::check`]).
     fn certified(&mut self) -> bool {
-        let (now, n) = (self.interactions, self.n);
-        let mut silence = self.silence;
-        let holds = silence.check(now, n, || self.protocol.silent(&self.states()));
-        self.silence = silence;
-        holds
+        let (now, n) = (self.interactions, self.states.len());
+        self.silence
+            .check(now, n, || self.protocol.silent(&self.states))
     }
 
     /// Skip `count` interactions of a certified-silent configuration:
@@ -567,17 +497,17 @@ where
     /// them with one shard, only the lane-local ones with more — which
     /// takes every draw, so multi-shard streams step rather than jump.
     fn skip_silent(&mut self, count: u64) {
-        let cap = (self.shards * self.block_pairs) as u64;
+        let shards = self.slots.len();
+        let cap = (shards * self.block_pairs) as u64;
         let (full, last) = (count / cap, count % cap);
-        let rot = ((self.interactions + full * cap) % self.shards as u64) as usize;
-        for (s, slot) in self.slots.iter().enumerate() {
-            let pairs = full * self.block_pairs as u64 + quota(last, self.shards, s, rot);
-            let sched = &mut slot.lock().expect("shard lane poisoned").sched;
-            let local = if self.shards == 1 {
-                sched.skip(pairs);
+        let rot = ((self.interactions + full * cap) % shards as u64) as usize;
+        for (s, slot) in self.slots.iter_mut().enumerate() {
+            let pairs = full * self.block_pairs as u64 + quota(last, shards, s, rot);
+            let local = if shards == 1 {
+                slot.sched.skip(pairs);
                 pairs
             } else {
-                sched.skip_local(pairs)
+                slot.sched.skip_local(pairs)
             };
             self.protocol.count_null(local);
         }
@@ -591,17 +521,13 @@ where
     /// lane pairs in an exchange round), so the trajectory is identical
     /// to the inline loop of [`execute`](Self::execute) regardless of scheduling.
     fn run_threaded(&mut self, count: u64, workers: usize) {
-        let cap = (self.shards * self.block_pairs) as u64;
+        let shards = self.slots.len();
+        let cap = (shards * self.block_pairs) as u64;
         let num_blocks = count.div_ceil(cap);
         let barrier = Barrier::new(workers);
         let base = self.interactions;
-        let (protocol, slots, rounds, owners, shards) = (
-            &self.protocol,
-            &self.slots,
-            &self.rounds,
-            &self.owners,
-            self.shards,
-        );
+        let (protocol, rounds, owners) = (&self.protocol, &self.rounds, &self.owners);
+        let lanes = &lanes(&mut self.states, &mut self.slots);
         std::thread::scope(|scope| {
             for w in 0..workers {
                 let barrier = &barrier;
@@ -610,13 +536,13 @@ where
                         let total = cap.min(count - k * cap);
                         let rot = ((base + k * cap) % shards as u64) as usize;
                         for s in (w..shards).step_by(workers) {
-                            intra_phase(protocol, owners, &slots[s], quota(total, shards, s, rot));
+                            intra_phase(protocol, owners, &lanes[s], quota(total, shards, s, rot));
                         }
                         barrier.wait();
                         for round in rounds {
                             for (m, &(a, b)) in round.iter().enumerate() {
                                 if m % workers == w {
-                                    exchange(protocol, &slots[a], &slots[b], a, b);
+                                    exchange(protocol, &lanes[a], &lanes[b], a, b);
                                 }
                             }
                             barrier.wait();
@@ -629,9 +555,9 @@ where
 
     /// Drive the sharded run under a whole-configuration [`Observer`]:
     /// polled once up front, then every `check_every` interactions and
-    /// at the end of the budget (each poll snapshots the configuration),
-    /// until it stops the run. Poll times match the sequential engine's
-    /// exactly.
+    /// at the end of the budget (each poll reads the configuration in
+    /// place), until it stops the run. Poll times match the sequential
+    /// engine's exactly.
     ///
     /// # Panics
     ///
@@ -653,7 +579,7 @@ where
         )
     }
 
-    /// Run until `converged` holds over a snapshot (polled every
+    /// Run until `converged` holds over the configuration (polled every
     /// `check_every` interactions) or the budget is exhausted — sugar
     /// for [`run_observed`](Self::run_observed) with a [`Convergence`]
     /// observer, mirroring
@@ -668,84 +594,9 @@ where
         self.run_observed(max_interactions, check_every, &mut observer)
     }
 
-    /// [`run_observed`](Self::run_observed) under a [`ShardObserver`]:
-    /// at every poll each lane is summarized in place (no concatenated
-    /// snapshot; lanes summarize in parallel on the worker pool) and the
-    /// summaries are merged into the global verdict.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `check_every == 0`.
-    pub fn run_merged<O: ShardObserver<P> + Sync>(
-        &mut self,
-        max_interactions: u64,
-        check_every: u64,
-        observer: &mut O,
-    ) -> StopReason {
-        let mut poll = Merged(check_every, observer);
-        drive(
-            self,
-            max_interactions,
-            &mut NoFaults,
-            &mut NoSaves,
-            &mut poll,
-            &mut NullProbe,
-        )
-    }
-
-    /// Summarize every lane and merge the summaries into the observer's
-    /// verdict. On large populations the lanes are summarized on
-    /// short-lived scoped worker threads (summaries are `Send`,
-    /// `summarize` takes `&self`), so a checkpoint costs one parallel
-    /// pass over the lanes rather than a serialized `O(n)` scan — the
-    /// point of the merge path. Small populations summarize inline:
-    /// below [`PARALLEL_SUMMARIZE_MIN_N`] the per-checkpoint thread
-    /// spawns would cost more than the scan they parallelize.
-    fn merge_checkpoint<O: ShardObserver<P> + Sync>(&self, observer: &mut O) -> Control {
-        /// Population size below which a summarize pass is cheaper than
-        /// spawning threads for it (a lane scan is ~µs work; a thread
-        /// spawn+join is ~tens of µs).
-        const PARALLEL_SUMMARIZE_MIN_N: usize = 1 << 17;
-        let workers = self.workers();
-        let summarize_shard = |s: usize| {
-            let guard = self.slots[s].lock().expect("shard lane poisoned");
-            observer.summarize(&self.protocol, guard.start, &guard.states)
-        };
-        let summaries: Vec<O::Summary> =
-            if workers <= 1 || self.shards <= 1 || self.n < PARALLEL_SUMMARIZE_MIN_N {
-                (0..self.shards).map(summarize_shard).collect()
-            } else {
-                let mut slots: Vec<Option<O::Summary>> = (0..self.shards).map(|_| None).collect();
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = (0..workers)
-                        .map(|w| {
-                            let summarize_shard = &summarize_shard;
-                            scope.spawn(move || {
-                                (w..self.shards)
-                                    .step_by(workers)
-                                    .map(|s| (s, summarize_shard(s)))
-                                    .collect::<Vec<_>>()
-                            })
-                        })
-                        .collect();
-                    for h in handles {
-                        for (s, summary) in h.join().expect("summarize worker panicked") {
-                            slots[s] = Some(summary);
-                        }
-                    }
-                });
-                slots
-                    .into_iter()
-                    .map(|s| s.expect("every lane summarized"))
-                    .collect()
-            };
-        observer.merge(&self.protocol, self.interactions, summaries)
-    }
-
-    /// Execute exactly `count` interactions, handing the concatenated
-    /// configuration to `hook` at every interaction count where it asks
-    /// to fire (the lanes are re-scattered afterwards) — the sharded
-    /// counterpart of
+    /// Execute exactly `count` interactions, handing the configuration
+    /// to `hook` at every interaction count where it asks to fire — the
+    /// sharded counterpart of
     /// [`Simulator::run_faulted`](population::Simulator::run_faulted), so
     /// `scenarios` fault plans (wrapped in
     /// [`UnpackedHook`](population::UnpackedHook) for packed runs) drive
@@ -767,7 +618,7 @@ where
 
     /// [`run_faulted`](Self::run_faulted) with a probe seam:
     /// [`Probe::fault`] fires after every firing with the post-fault
-    /// concatenated configuration.
+    /// configuration.
     pub fn run_faulted_probed<H: FaultHook<P>, B: Probe<P>>(
         &mut self,
         count: u64,
@@ -775,24 +626,6 @@ where
         probe: &mut B,
     ) {
         drive(self, count, hook, &mut NoSaves, &mut NoPoll, probe);
-    }
-}
-
-/// A [`ShardObserver`] polled every `.0` interactions through per-lane
-/// summaries.
-struct Merged<'a, O>(u64, &'a mut O);
-
-impl<P: Protocol + Sync, H, O: ShardObserver<P> + Sync> Poll<ShardedSimulator<P>, H>
-    for Merged<'_, O>
-where
-    P::State: Send,
-{
-    fn every(&self) -> u64 {
-        self.0
-    }
-
-    fn poll(&mut self, engine: &ShardedSimulator<P>, _faults: &H) -> Control {
-        engine.merge_checkpoint(self.1)
     }
 }
 
@@ -819,7 +652,7 @@ where
         if B::ACTIVE {
             return self.execute(count, probe);
         }
-        let cap = (self.shards * self.block_pairs) as u64;
+        let cap = (self.shards() * self.block_pairs) as u64;
         let end = self.interactions + count;
         while self.interactions < end {
             if self.certified() {
@@ -835,14 +668,12 @@ where
     }
 
     fn view<R>(&self, f: impl FnOnce(&[P::State]) -> R) -> R {
-        f(&self.states())
+        f(&self.states)
     }
 
     fn edit(&mut self, f: impl FnOnce(&P, &mut [P::State])) {
         self.silence.clear();
-        let mut all = self.states();
-        f(&self.protocol, &mut all);
-        self.scatter(&all);
+        f(&self.protocol, &mut self.states);
     }
 }
 
@@ -857,10 +688,10 @@ impl<P: WordState> ShardedSimulator<P> {
     pub fn frame(&self) -> Frame {
         Frame {
             interactions: self.interactions,
-            shards: self.shards as u32,
+            shards: self.shards() as u32,
             block_pairs: self.block_pairs as u64,
             words: self
-                .states()
+                .states
                 .iter()
                 .map(|s| self.protocol.state_to_word(s))
                 .collect(),
@@ -1087,52 +918,8 @@ mod tests {
         assert_eq!(total, 600);
     }
 
-    #[test]
-    fn run_merged_agrees_with_run_observed() {
-        // ShardedSilence over a protocol that goes quiet: all counters
-        // saturate at 3.
-        struct Saturate(usize);
-        impl Protocol for Saturate {
-            type State = u8;
-            fn n(&self) -> usize {
-                self.0
-            }
-            fn transition(&self, u: &mut u8, _v: &mut u8) -> bool {
-                if *u < 3 {
-                    *u += 1;
-                    return true;
-                }
-                false
-            }
-        }
-        let mut sharded = ShardedSimulator::new(Saturate(12), vec![0; 12], 3, 3);
-        let mut merged = population::ShardedSilence::new();
-        let stop = sharded.run_merged(100_000, 24, &mut merged);
-        let t_merged = stop.converged_at().expect("must go silent");
-        assert_eq!(merged.silent_at(), Some(t_merged));
-        // The parallel summarize path (workers > 1, n above the spawn
-        // threshold) must see the same checkpoint verdicts as the
-        // inline one.
-        let big = 1 << 17;
-        let run_big = |workers: usize| {
-            let mut sim =
-                ShardedSimulator::new(Saturate(big), vec![0; big], 3, 4).with_workers(workers);
-            let mut merged = population::ShardedSilence::new();
-            let stop = sim.run_merged(10_000_000, 500_000, &mut merged);
-            stop.converged_at()
-        };
-        let t_inline = run_big(1).expect("inline run must go silent");
-        assert_eq!(run_big(3), Some(t_inline), "parallel summarize diverged");
-        // The merged verdict matches a whole-configuration Silence
-        // observer replayed over the same sharded trajectory.
-        let mut replay = ShardedSimulator::new(Saturate(12), vec![0; 12], 3, 3);
-        let mut whole = population::observe::Silence::new();
-        let stop_whole = replay.run_observed(100_000, 24, &mut whole);
-        assert_eq!(stop_whole.converged_at(), Some(t_merged));
-    }
-
     /// A probe that tallies its callbacks and remembers the last block
-    /// timestamp per lane.
+    /// timestamp and each lane's last block.
     #[derive(Default)]
     struct Tally {
         blocks: u64,
@@ -1141,6 +928,7 @@ mod tests {
         boundary: u64,
         faults: u64,
         last_t: u64,
+        lanes: Vec<(usize, Vec<(u64, u64)>)>,
     }
 
     impl Probe<Count> for Tally {
@@ -1149,13 +937,17 @@ mod tests {
             _p: &Count,
             t: u64,
             changed: u64,
-            _shard: usize,
-            _start: usize,
-            _lane: &[(u64, u64)],
+            shard: usize,
+            start: usize,
+            lane: &[(u64, u64)],
         ) {
             self.blocks += 1;
             self.changed += changed;
             self.last_t = t;
+            if self.lanes.len() <= shard {
+                self.lanes.resize(shard + 1, (0, Vec::new()));
+            }
+            self.lanes[shard] = (start, lane.to_vec());
         }
         fn exchange(&mut self, _p: &Count, _t: u64, pairs: u64) {
             self.exchanges += 1;
@@ -1182,6 +974,16 @@ mod tests {
             // Count's transition always changes both sides; intra-lane
             // changed counts plus boundary pairs cover every interaction.
             assert_eq!(tally.changed + tally.boundary, 25_000);
+            // The last block's lanes, in shard order, are the
+            // configuration the simulator reports, cut at each lane's
+            // start.
+            assert_eq!(tally.lanes.len(), shards);
+            let mut joined = Vec::new();
+            for (start, lane) in &tally.lanes {
+                assert_eq!(*start, joined.len(), "shards={shards}");
+                joined.extend_from_slice(lane);
+            }
+            assert_eq!(joined, probed.states(), "shards={shards}");
         }
     }
 
@@ -1266,7 +1068,7 @@ mod tests {
             let mut reference = ShardedSimulator::new(Mark(24), marks(24), 17, shards);
             reference.run(10_000);
             let (states, cursors, t) = (
-                reference.states(),
+                reference.states().to_vec(),
                 reference.cursors(),
                 reference.interactions(),
             );
@@ -1382,7 +1184,7 @@ mod tests {
         let sim = ShardedSimulator::new(Mark(24), marks(24), 17, 4);
         let mut cursors = sim.cursors();
         cursors.truncate(2);
-        let _ = ShardedSimulator::resume(Mark(24), sim.states(), cursors, 0);
+        let _ = ShardedSimulator::resume(Mark(24), sim.states().to_vec(), cursors, 0);
     }
 
     #[test]
@@ -1487,19 +1289,21 @@ mod tests {
             }
 
             let protocol = Log(n, Mutex::default());
-            let slot = Mutex::new(Slot {
+            let mut states = vec![(); end - start];
+            let mut slot = Slot {
                 start,
-                states: vec![(); end - start],
+                len: end - start,
                 sched: SubSchedule::split(n, seed, shards).swap_remove(s),
                 outbox: vec![Vec::new(); shards],
                 local: Vec::new(),
                 boundary: Vec::new(),
-            });
+            };
+            let lane = Mutex::new(Lane { states: &mut states, slot: &mut slot });
             for quota in quotas {
-                intra_phase(&protocol, &owners, &slot, quota);
+                intra_phase(&protocol, &owners, &lane, quota);
             }
             prop_assert_eq!(protocol.1.into_inner().unwrap(), ref_local);
-            prop_assert_eq!(&slot.lock().unwrap().outbox, &ref_outbox);
+            prop_assert_eq!(&slot.outbox, &ref_outbox);
 
             // Thousands of draws over fewer than 64 agents reach every
             // possible responder, so the agents just inside and just

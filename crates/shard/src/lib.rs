@@ -3,8 +3,9 @@
 //!
 //! The `population` engine executes one run on one core; its `runner`
 //! parallelizes across *seeds*. This crate parallelizes *within* a run:
-//! the configuration is partitioned into per-shard lanes (for packed
-//! protocols, contiguous stretches of the flat word vector), each shard
+//! the configuration stays one vector in agent-index order, and each run
+//! call cuts it into per-shard lanes (contiguous slices; for packed
+//! protocols, stretches of the flat word vector). Each shard
 //! draws pairs from its own [`SubSchedule`](population::SubSchedule)
 //! sub-stream of the uniform scheduler, and cross-shard interactions
 //! are resolved through a boundary-pair exchange protocol — see
@@ -32,9 +33,8 @@
 //! only lanes it exclusively owns, which is why the trajectory is a
 //! pure function of `(seed, shards, block size)` and never of the
 //! worker count. `run_faulted` splits blocks at exact fault
-//! interaction counts, and checkpoints (`run_observed` snapshots /
-//! `run_merged` per-lane summaries) land between blocks at exact
-//! interaction counts, so the `scenarios` fault plans and the
+//! interaction counts, and `run_observed` polls land between blocks at
+//! exact interaction counts, so the `scenarios` fault plans and the
 //! observer pipeline behave identically to the sequential engine.
 //!
 //! The engine plugs into every existing seam:
@@ -43,13 +43,12 @@
 //!   `Sync` (wrap a [`PackedProtocol`](population::PackedProtocol) in
 //!   [`Packed`](population::Packed) to run over flat words);
 //! * **observation** — whole-configuration
-//!   [`Observer`](population::Observer)s via snapshots
-//!   ([`ShardedSimulator::run_observed`]) or copy-free per-shard
-//!   summaries via [`ShardObserver`](population::ShardObserver)
-//!   ([`ShardedSimulator::run_merged`]);
-//! * **faults** — [`FaultHook`](population::FaultHook)s fire at exact
-//!   interaction counts ([`ShardedSimulator::run_faulted`]), so the
-//!   `scenarios` crate's fault plans drive sharded runs unchanged.
+//!   [`Observer`](population::Observer)s read the configuration in
+//!   place ([`ShardedSimulator::run_observed`]);
+//! * **faults** — [`FaultHook`](population::FaultHook)s edit it in
+//!   place at exact interaction counts
+//!   ([`ShardedSimulator::run_faulted`]), so the `scenarios` crate's
+//!   fault plans drive sharded runs unchanged.
 //!
 //! # Example
 //!

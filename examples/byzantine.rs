@@ -14,7 +14,7 @@
 use silent_ranking::population::{Packed, Simulator};
 use silent_ranking::ranking::stable::StableRanking;
 use silent_ranking::ranking::Params;
-use silent_ranking::scenarios::byzantine::{run_honest, run_honest_sharded, Byzantine};
+use silent_ranking::scenarios::byzantine::{run_honest, Byzantine};
 use silent_ranking::scenarios::{classify, ranking_byz};
 use silent_ranking::shard::ShardedSimulator;
 
@@ -48,16 +48,16 @@ fn main() {
         }
     }
 
-    // The same measurement through the sharded engine: HonestRanking
-    // is a ShardObserver, so observation merges per-lane rank bitmaps
-    // without snapshotting the configuration.
+    // The same measurement through the sharded engine: run_honest
+    // drives any engine, and HonestRanking reads the sharded
+    // configuration in place.
     let strategy = ranking_byz::standard_packed("crash", &protocol(n));
     let packed = Packed(protocol(n));
     let init = packed.pack_all(&packed.inner().initial());
     let byz = Byzantine::new(packed, strategy, 1, 7);
     let init = byz.init(init);
     let mut sim = ShardedSimulator::new(byz, init, 42, 4);
-    let t = run_honest_sharded(&mut sim, budget, n as u64).expect("crash is tolerated");
+    let t = run_honest(&mut sim, budget, n as u64).expect("crash is tolerated");
     println!("  crash, sharded×4: honest agents validly ranked after {t} interactions");
 
     println!();

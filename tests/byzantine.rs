@@ -8,23 +8,20 @@
 //!    `(seed, k, strategy)` on top of the scheduler seed, for every
 //!    canonical strategy.
 //! 3. **HonestRanking** — the observer agrees with a brute-force
-//!    honest-subset check on arbitrary configurations, through all
-//!    three evaluation paths: whole-configuration observation, the
-//!    summarize/merge partition used by the sharded engine, and an
-//!    actual `run_merged` sharded run.
+//!    honest-subset check on arbitrary configurations, and the one
+//!    `run_honest` driver reaches the same verdict on the sequential
+//!    and the sharded engine.
 //! 4. **Classification** — the exhaustive tiny-`n` checker reproduces
 //!    the strategy taxonomy the benchmark measures.
 
 use proptest::prelude::*;
 
-use silent_ranking::population::observe::Control;
 use silent_ranking::population::{
-    is_valid_honest_ranking, HonestOutput, HonestRanking, Packed, RankOutput, ShardObserver,
-    Simulator,
+    is_valid_honest_ranking, HonestOutput, HonestRanking, Observer, Packed, RankOutput, Simulator,
 };
 use silent_ranking::ranking::stable::{StableRanking, StableState};
 use silent_ranking::ranking::Params;
-use silent_ranking::scenarios::byzantine::{run_honest, run_honest_sharded, Byzantine};
+use silent_ranking::scenarios::byzantine::{run_honest, Byzantine};
 use silent_ranking::scenarios::{classify, ranking_byz, ByzState, Strategy, Tolerance};
 use silent_ranking::shard::ShardedSimulator;
 
@@ -153,9 +150,9 @@ fn brute_force_honest_valid(states: &[ByzState<StableState>]) -> bool {
     ranks.windows(2).all(|w| w[0] != w[1])
 }
 
-/// Partition `states` into contiguous balanced slices, summarize each,
-/// and merge — the exact evaluation a sharded run performs.
-fn merged_verdict(states: &[ByzState<StableState>], shards: usize) -> bool {
+/// The [`HonestRanking`] observer's verdict on one whole configuration,
+/// polled the way every engine polls it.
+fn observed_verdict(states: &[ByzState<StableState>]) -> bool {
     struct Fixed(usize);
     impl silent_ranking::population::Protocol for Fixed {
         type State = ByzState<StableState>;
@@ -166,16 +163,10 @@ fn merged_verdict(states: &[ByzState<StableState>], shards: usize) -> bool {
             false
         }
     }
-    let p = Fixed(states.len());
-    let n = states.len();
     let mut obs = HonestRanking::new();
-    let summaries: Vec<_> = (0..shards)
-        .map(|s| {
-            let (start, end) = ((s * n).div_ceil(shards), ((s + 1) * n).div_ceil(shards));
-            obs.summarize(&p, start, &states[start..end])
-        })
-        .collect();
-    matches!(obs.merge(&p, 3, summaries), Control::Stop)
+    let stop = obs.observe(&Fixed(states.len()), 3, states).is_stop();
+    assert_eq!(obs.converged_at().is_some(), stop);
+    stop
 }
 
 proptest! {
@@ -213,16 +204,7 @@ proptest! {
             .collect();
         let expected = brute_force_honest_valid(&states);
         prop_assert_eq!(is_valid_honest_ranking(&states), expected);
-        for shards in [1usize, 2, 3, n] {
-            if shards > n {
-                continue;
-            }
-            prop_assert_eq!(
-                merged_verdict(&states, shards),
-                expected,
-                "shards={}", shards
-            );
-        }
+        prop_assert_eq!(observed_verdict(&states), expected);
     }
 }
 
@@ -281,8 +263,8 @@ fn sharded_honest_run_with_one_shard_matches_sequential() {
     let t_seq = run_honest(&mut seq, 10_000_000, n as u64);
     let (byz, init) = make();
     let mut sharded = ShardedSimulator::new(byz, init, 11, 1);
-    let t_sharded = run_honest_sharded(&mut sharded, 10_000_000, n as u64);
-    assert_eq!(t_seq, t_sharded, "1-shard merged run must be bit-identical");
+    let t_sharded = run_honest(&mut sharded, 10_000_000, n as u64);
+    assert_eq!(t_seq, t_sharded, "1-shard run must be bit-identical");
     assert!(t_seq.is_some(), "crash-tolerant run must stabilize");
     assert_eq!(sharded.states(), seq.states());
 }
@@ -298,11 +280,12 @@ fn sharded_honest_run_stabilizes_across_shards() {
     );
     let init = byz.init(Packed(protocol(n)).pack_all(&protocol(n).initial()));
     let mut sim = ShardedSimulator::new(byz, init, 5, 4);
-    let t = run_honest_sharded(&mut sim, 50_000_000, n as u64);
+    let t = run_honest(&mut sim, 50_000_000, n as u64);
     assert!(t.is_some(), "lurker-tolerant sharded run must stabilize");
-    // The verdict the merge reached matches the whole-configuration
-    // predicate on the final snapshot.
-    assert!(is_valid_honest_ranking(&sim.states()));
+    // The run stopped at the poll that found the honest ranking valid,
+    // so the configuration it left behind is still valid.
+    assert_eq!(t, Some(sim.interactions()));
+    assert!(is_valid_honest_ranking(sim.states()));
 }
 
 // ----------------------------------------------------------------------

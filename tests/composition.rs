@@ -256,7 +256,7 @@ fn every_hook_subset_is_inert_on_the_sharded_engine() {
             let seen = run_subset!(&mut sim, mask, saves: true);
             assert_eq!(seen, expected(mask), "shards={shards} mask={mask:04b}");
             let reference = if shards == 1 {
-                whole.states()
+                whole.states().to_vec()
             } else {
                 let mut bursts = sharded(shards);
                 let mut at = 0;
@@ -264,7 +264,7 @@ fn every_hook_subset_is_inert_on_the_sharded_engine() {
                     bursts.run(t - at);
                     at = t;
                 }
-                bursts.states()
+                bursts.into_states()
             };
             assert_eq!(sim.states(), reference, "shards={shards} mask={mask:04b}");
             assert_eq!(sim.interactions(), BUDGET);

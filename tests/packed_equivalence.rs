@@ -394,7 +394,7 @@ fn kernel_equals_enum_through_the_sharded_engine() {
             let mut kernel_sim = ShardedSimulator::new(p, init, seed, shards);
             kernel_sim.run(50_000);
 
-            let unpacked = kernel_sim.protocol().unpack_all(&kernel_sim.states());
+            let unpacked = kernel_sim.protocol().unpack_all(kernel_sim.states());
             assert_eq!(
                 enum_sim.states(),
                 &unpacked[..],

@@ -8,21 +8,16 @@
 //! 2. **Determinism** — for a fixed `(seed, n_shards)` two sharded runs
 //!    are identical, and the trajectory never depends on the worker
 //!    thread count.
-//! 3. **Observer merging** — shard-local `ShardedRanking` /
-//!    `ShardedSilence` summaries merged per block agree with the
-//!    whole-configuration `Convergence` / `Silence` observers on the
-//!    same trajectory.
-//! 4. **Semantics** — sharded runs still stabilize: Theorem 2 holds on
+//! 3. **Semantics** — sharded runs still stabilize: Theorem 2 holds on
 //!    the sharded scheduler family, and `scenarios` fault plans drive
 //!    sharded runs to recovery.
-//! 5. **Pinned trajectories** — `shards > 1` runs end at recorded CRC-64
+//! 4. **Pinned trajectories** — `shards > 1` runs end at recorded CRC-64
 //!    digests of their frame and dispatch mix, so a change to the routing
 //!    or the order in which pairs execute cannot pass as merely
 //!    "deterministic".
 
 use proptest::prelude::*;
 
-use silent_ranking::population::observe::{Convergence, Silence, Unpacked};
 use silent_ranking::population::silence::is_silent;
 use silent_ranking::population::{is_valid_ranking, Packed, Simulator, UnpackedHook};
 use silent_ranking::ranking::stable::{PackedState, StableRanking};
@@ -153,7 +148,7 @@ fn sharded_run_stabilizes_to_a_valid_silent_ranking() {
         let words = sim.states();
         let protocol = packed_protocol(n);
         assert!(
-            is_silent(&protocol, &words),
+            is_silent(&protocol, words),
             "seed {seed}: valid but not silent"
         );
     }
@@ -174,71 +169,12 @@ fn sharded_faulted_run_recovers() {
     let mut sim = ShardedSimulator::new(protocol, legal, seed, 3);
     sim.run_faulted(1_000, &mut plan);
     assert!(
-        !is_valid_ranking(&sim.states()),
+        !is_valid_ranking(sim.states()),
         "corruption must break the ranking"
     );
     let budget = (8000.0 * (n * n) as f64 * (n as f64).log2()) as u64;
     let stop = sim.run_until(is_valid_ranking, budget, n as u64);
     assert!(stop.converged_at().is_some(), "no recovery after the fault");
-}
-
-#[test]
-fn merged_observers_agree_with_whole_configuration_observers() {
-    // The satellite contract: shard-local Convergence/Silence summaries
-    // merged per block agree with the single-threaded observers on the
-    // same trajectory — same stop verdicts at the same checkpoints.
-    let n = 16;
-    let budget = (8000.0 * (n * n) as f64 * (n as f64).log2()) as u64;
-    for (seed, shards) in [(1u64, 2usize), (2, 3), (3, 4)] {
-        // Merged ranking detector on a sharded run…
-        let protocol = packed_protocol(n);
-        let init = packed_init(&protocol, seed + 10);
-        let mut sim = ShardedSimulator::new(protocol, init, seed, shards);
-        let mut merged = silent_ranking::population::ShardedRanking::new();
-        let t_merged = sim
-            .run_merged(budget, n as u64, &mut merged)
-            .converged_at()
-            .expect("merged detector must converge");
-        assert_eq!(merged.converged_at(), Some(t_merged));
-
-        // …must stop exactly where the whole-configuration Convergence
-        // observer stops on the identical trajectory.
-        let protocol = packed_protocol(n);
-        let init = packed_init(&protocol, seed + 10);
-        let mut replay = ShardedSimulator::new(protocol, init, seed, shards);
-        let mut whole = Convergence::new(is_valid_ranking::<PackedState>);
-        let t_whole = replay
-            .run_observed(budget, n as u64, &mut whole)
-            .converged_at()
-            .expect("whole-configuration observer must converge");
-        assert_eq!(
-            t_merged, t_whole,
-            "seed={seed} shards={shards}: merged and whole verdicts diverged"
-        );
-
-        // Silence likewise (a valid ranking is silent by closure, so
-        // both detectors fire at the same checkpoint).
-        let protocol = packed_protocol(n);
-        let init = packed_init(&protocol, seed + 10);
-        let mut sim = ShardedSimulator::new(protocol, init, seed, shards);
-        let mut merged_silence = silent_ranking::population::ShardedSilence::new();
-        let t_silence = sim
-            .run_merged(budget, n as u64, &mut merged_silence)
-            .converged_at()
-            .expect("merged silence must trigger");
-        let protocol = packed_protocol(n);
-        let init = packed_init(&protocol, seed + 10);
-        let mut replay = ShardedSimulator::new(protocol, init, seed, shards);
-        let mut whole_silence = Unpacked::new(Silence::new());
-        let t_whole_silence = replay
-            .run_observed(budget, n as u64, &mut whole_silence)
-            .converged_at()
-            .expect("whole silence must trigger");
-        assert_eq!(
-            t_silence, t_whole_silence,
-            "seed={seed} shards={shards}: silence verdicts diverged"
-        );
-    }
 }
 
 /// CRC-64 over everything that pins a packed sharded run's position:
