@@ -4,9 +4,10 @@
 //!
 //! The engine keeps the protocol's hot path untouched: interactions run
 //! over a **dense active lane** (`Vec` of states, exactly like the
-//! fixed-n [`Simulator`](population::Simulator)), in `BLOCK_PAIRS`
-//! blocks drawn from a plain [`Schedule`]. Dynamics happen only at
-//! block boundaries:
+//! fixed-n [`Simulator`](population::Simulator)), through the fixed-n
+//! engine's own block loop ([`advance_blocks`]), in `BLOCK_PAIRS` blocks
+//! drawn from a plain [`Schedule`]. Dynamics happen only at block
+//! boundaries:
 //!
 //! * the churn process ([`ChurnProcess`]) injects Poisson arrivals and
 //!   exponential departures;
@@ -30,6 +31,17 @@
 //! `tests/dynamic_equivalence.rs` across the enum and
 //! kernel shapes).
 //!
+//! The shared block loop brings silent fast-forward with it. Once the
+//! protocol certifies the lane silent ([`Protocol::silent`]; for the
+//! ranking protocols, the live agents hold exactly the ranks `1..=L` of
+//! the live count `L`), the rest of each run segment up to the next
+//! lifecycle event or fault is skipped: the schedule jumps past the
+//! pairs it would have drawn, and the trajectory stays bit for bit the
+//! executing one (`tests/fast_forward.rs`). A membership change, an
+//! epoch roll, a burst or a fault drops the certificate. A quiescent
+//! run that has stabilized skips everything; under churn, departures
+//! leave holes in the live ranks, so the certificate rarely holds.
+//!
 //! Everything observable goes through the engine's [`Registry`]
 //! (`dyn_joins`, `dyn_leaves`, `dyn_hibernates`, `dyn_revives`,
 //! `dyn_epochs`, `rank_reuse_dwell`) and the [`Probe::membership`] hook
@@ -38,9 +50,11 @@
 use std::collections::VecDeque;
 
 use population::schedule::BLOCK_PAIRS;
+use population::silence::Certificate;
 use population::{
-    drive, CursorSource, Engine, FaultHook, Frame, Membership, NoFaults, NoPoll, NoSaves,
-    NullProbe, PackedProtocol, Probe, Protocol, RankOutput, Schedule, ScheduleCursor, WordState,
+    advance_blocks, drive, CursorSource, Engine, FaultHook, Frame, Membership, NoFaults, NoPoll,
+    NoSaves, NullProbe, PackedProtocol, Probe, Protocol, RankOutput, Schedule, ScheduleCursor,
+    WordState,
 };
 use ranking::stable::{PackedState, StableRanking, StableState};
 use ranking::{EpochParams, Params};
@@ -135,6 +149,9 @@ pub struct DynamicPopulation<P: DynRanking> {
     epoch: EpochParams,
     schedule: Schedule,
     interactions: u64,
+    /// Whether the protocol certifies the lane silent; cleared whenever
+    /// the lane or the protocol changes.
+    silence: Certificate,
     /// Dense active lane the protocol interacts over.
     states: Vec<P::State>,
     /// Lane slot → stable agent id (parallel to `states`).
@@ -181,6 +198,7 @@ impl<P: DynRanking> DynamicPopulation<P> {
             epoch: EpochParams::new(params),
             schedule: Schedule::new(n, seed),
             interactions: 0,
+            silence: Certificate::default(),
             states,
             ids,
             roster,
@@ -534,6 +552,7 @@ impl<P: DynRanking> DynamicPopulation<P> {
         for _ in 0..joins {
             self.spawn(now, &mut NullProbe);
         }
+        self.silence.clear();
         self.resize_schedule();
         self.reparameterize();
     }
@@ -825,6 +844,7 @@ impl<P: DynRanking> DynamicPopulation<P> {
             epoch: EpochParams::restore(params, epoch_no, band),
             schedule,
             interactions: frame.interactions,
+            silence: Certificate::default(),
             states,
             ids,
             roster,
@@ -857,26 +877,15 @@ impl<P: DynRanking> Engine for DynamicPopulation<P> {
     }
 
     fn advance<B: Probe<P>>(&mut self, count: u64, probe: &mut B) {
-        let mut remaining = count;
-        while remaining > 0 {
-            let want = remaining.min(BLOCK_PAIRS as u64) as usize;
-            let (pairs, changed) =
-                self.protocol
-                    .transition_from(&mut self.states, &mut self.schedule, want);
-            let executed = pairs as u64;
-            self.interactions += executed;
-            remaining -= executed;
-            if B::ACTIVE {
-                probe.block(
-                    &self.protocol,
-                    self.interactions,
-                    changed,
-                    0,
-                    0,
-                    &self.states,
-                );
-            }
-        }
+        advance_blocks(
+            &self.protocol,
+            &mut self.states,
+            &mut self.schedule,
+            &mut self.silence,
+            &mut self.interactions,
+            count,
+            probe,
+        );
     }
 
     fn view<R>(&self, f: impl FnOnce(&[P::State]) -> R) -> R {
@@ -884,6 +893,7 @@ impl<P: DynRanking> Engine for DynamicPopulation<P> {
     }
 
     fn edit(&mut self, f: impl FnOnce(&P, &mut [P::State])) {
+        self.silence.clear();
         f(&self.protocol, &mut self.states);
     }
 
@@ -932,6 +942,7 @@ impl<P: DynRanking> Engine for DynamicPopulation<P> {
             dirty = true;
         }
         if dirty {
+            self.silence.clear();
             self.resize_schedule();
             self.reparameterize();
         }

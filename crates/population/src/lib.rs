@@ -25,15 +25,16 @@
 //!   [`Protocol::transition_from`]): there each pair is drawn as the
 //!   kernel consumes it. All styles consume the stream in FIFO order,
 //!   so *every execution mode yields the identical trajectory for a
-//!   given seed*. For
-//!   parallel single-run execution, [`schedule::SubSchedule::split`]
-//!   partitions the uniform scheduler into balanced per-shard
-//!   sub-streams (the `shard` crate's engine is built on it).
+//!   given seed*. A [`Schedule::lane`] restricts the initiators to a
+//!   contiguous range; the `shard` crate's engine splits the uniform
+//!   scheduler into such lanes for parallel single-run execution.
 //! * **Execution** — [`Simulator`] applies the protocol's transition
 //!   function to scheduled pairs. [`Simulator::step`] executes one
 //!   interaction; [`Simulator::run_batched`] is the hot path, executing
 //!   interactions in blocks with no per-interaction bookkeeping. The two
-//!   are bit-for-bit trajectory-equivalent under the same seed.
+//!   are bit-for-bit trajectory-equivalent under the same seed. The
+//!   block loop is one function, [`advance_blocks`], which the `dynamic`
+//!   crate's engine runs too.
 //! * **Driving** — every `run*` method of every engine is one call into
 //!   [`drive`](fn@drive), which splits a run wherever a fault, save,
 //!   observer poll or engine event is due and lets each engine advance
@@ -71,13 +72,14 @@
 //! * **Silent fast-forward** — a silent protocol spends all its time on
 //!   null interactions once it converges. When a protocol certifies
 //!   that every pair of its configuration is null
-//!   ([`Protocol::silent`]), [`Simulator`] and the `shard` crate's
-//!   engine skip the rest of each run segment ([`Engine::advance`])
+//!   ([`Protocol::silent`]), [`Simulator`], the `dynamic` crate's engine
+//!   (both through [`advance_blocks`]) and the `shard` crate's engine
+//!   skip the rest of each run segment ([`Engine::advance`])
 //!   instead of executing it. The pair source advances exactly as far
 //!   as the segment would have drawn ([`PairSource::skip`]), and the
 //!   protocol credits the skipped pairs to its instrumentation
-//!   ([`Protocol::count_null`]). The uniform schedulers skip in O(1):
-//!   they owe their xoshiro256++ generator the skipped draws and pay
+//!   ([`Protocol::count_null`]). The uniform scheduler skips in O(1):
+//!   it owes its xoshiro256++ generator the skipped draws and pays
 //!   them with one O(log k) jump when the pair stream is next read, so
 //!   a silent stretch run as many short segments costs one jump. Other
 //!   sources draw and discard. A null pair changes no state, and the
@@ -89,7 +91,7 @@
 //!   protocols with a certificate (`StableRanking` certifies a valid
 //!   ranking); the engine retries a failed certificate after
 //!   [`silence::RETRY_PER_AGENT`]`·n` interactions and drops it when a
-//!   fault edits the configuration. The dynamic engine does not skip.
+//!   fault edits the configuration.
 //!
 //! # Components
 //!
@@ -192,8 +194,8 @@ pub use observe::{Control, HonestRanking, Observer};
 pub use pairs::pair_mut;
 pub use probe::{Membership, NullProbe, Probe};
 pub use protocol::{HonestOutput, Packed, PackedProtocol, Protocol, RankOutput};
-pub use schedule::{CursorSource, PairSource, Schedule, ScheduleCursor, SubSchedule};
-pub use sim::{FaultHook, NoFaults, Simulator, StopReason, UnpackedHook};
+pub use schedule::{CursorSource, PairSource, Schedule, ScheduleCursor};
+pub use sim::{advance_blocks, FaultHook, NoFaults, Simulator, StopReason, UnpackedHook};
 
 /// Returns `true` iff the ranks output by `states` form a permutation of
 /// `1..=n`, i.e. the configuration is a *valid ranking* (the paper's legal

@@ -28,9 +28,11 @@
 //! the default entry, stays on the buffer.
 //!
 //! [`Schedule`] is the canonical implementation — the paper's uniform
-//! scheduler. Adversarial sources (biased, clustered/partitioned,
-//! round-robin) live in the `scenarios` crate and plug into the same
-//! [`Simulator`](crate::Simulator) via
+//! scheduler, or with [`Schedule::lane`] one lane of it, whose
+//! initiators lie in a contiguous range (the `shard` crate splits the
+//! scheduler into such lanes). Adversarial sources (biased,
+//! clustered/partitioned, round-robin) live in the `scenarios` crate
+//! and plug into the same [`Simulator`](crate::Simulator) via
 //! [`Simulator::with_source`](crate::Simulator::with_source), which is
 //! how protocols are run *off* the uniform-scheduler assumption. The
 //! [`BlockBuffer`] helper implements the FIFO buffering contract once so
@@ -38,11 +40,11 @@
 //!
 //! [`PairSource::skip`] advances a stream without producing its pairs,
 //! for engines that fast-forward a certified-silent configuration.
-//! Other sources draw and discard. The uniform sources skip in O(1):
-//! they drain their buffered pairs, then add the rest to a count of
-//! *owed* draws kept next to their generator. The next read of the
+//! Other sources draw and discard. [`Schedule`] skips in O(1): it
+//! drains its buffered pairs, then adds the rest to a count of *owed*
+//! draws kept next to its generator. The next read of the
 //! stream (a `next_pair`, `sample_block`, `pairs` or
-//! [`SubSchedule::skip_local`]) settles the debt with one O(log k) jump
+//! [`Schedule::skip_local`]) settles the debt with one O(log k) jump
 //! of the generator (Haramoto et al., 2008). A silent stretch that an
 //! engine skips in many short calls therefore costs one jump, not one
 //! per call. Because a skip drains the buffer before it owes, owed
@@ -109,7 +111,7 @@ pub trait PairSource {
     /// Consume the next `count` pairs of the stream without returning
     /// them, leaving the source exactly where `count` draws would.
     /// The default draws and discards them block by block. The uniform
-    /// sources only record the draws as owed and pay them with one jump
+    /// source only records the draws as owed and pays them with one jump
     /// when the stream is next read, so consecutive skips cost one jump
     /// together.
     fn skip(&mut self, count: u64) {
@@ -212,8 +214,8 @@ impl BlockBuffer {
 /// pre-sampled pairs that were buffered but not yet consumed when the
 /// cursor was captured.
 ///
-/// Both [`Schedule`] (where `start = 0`, `len = n`) and [`SubSchedule`]
-/// export to this one shape, so a snapshot stores a `Vec<ScheduleCursor>`
+/// [`Schedule`] exports its initiator range in it (`start = 0`, `len = n`
+/// for the full range), so a snapshot stores a `Vec<ScheduleCursor>`
 /// with one entry per shard regardless of the execution path. The
 /// restored source continues the pair stream **bit for bit**: it first
 /// replays `pending`, then draws from the restored RNG.
@@ -224,20 +226,20 @@ pub struct ScheduleCursor {
     pub rng: [u64; 4],
     /// Population size the source draws pairs for.
     pub n: u64,
-    /// First initiator index of the source's range (0 for [`Schedule`]).
+    /// First initiator index of the source's range (0 for the full range).
     pub start: u64,
-    /// Length of the initiator range (`n` for [`Schedule`]).
+    /// Length of the initiator range (`n` for the full range).
     pub len: u64,
     /// Buffered-but-unconsumed pairs, FIFO order (usually empty: the
     /// engine checkpoints at block boundaries, but the format does not
     /// rely on that).
     pub pending: Vec<Pair>,
-    /// Topology specification words, **empty for the uniform sources**
-    /// ([`Schedule`], [`SubSchedule`]). A graph-restricted source (the
+    /// Topology specification words, **empty for the uniform source**
+    /// ([`Schedule`]). A graph-restricted source (the
     /// `topology` crate's `GraphSchedule`) stores its generator
     /// specification here so the graph — a deterministic function of
     /// the spec — can be regenerated at restore time instead of being
-    /// serialized edge by edge. Uniform sources reject cursors whose
+    /// serialized edge by edge. The uniform source rejects cursors whose
     /// `topo` is non-empty: restoring a graph cursor on the clique
     /// would silently change the pair distribution.
     pub topo: Vec<u64>,
@@ -245,8 +247,8 @@ pub struct ScheduleCursor {
 
 /// Pair sources whose position can be exported to a [`ScheduleCursor`]
 /// and later restored bit-exactly — the scheduler half of the
-/// checkpoint/restore seam. Implemented by [`Schedule`] and
-/// [`SubSchedule`]; adversarial sources in `scenarios` are not
+/// checkpoint/restore seam. Implemented by [`Schedule`] and the
+/// `topology` crate's `GraphSchedule`; adversarial sources in `scenarios` are not
 /// checkpointable (they are measurement tools, not long-run engines).
 pub trait CursorSource: PairSource + Sized {
     /// Capture the source's current position.
@@ -264,13 +266,13 @@ pub trait CursorSource: PairSource + Sized {
     fn from_cursor(cursor: ScheduleCursor) -> Self;
 }
 
-/// The uniform sources' xoshiro256++ generator and the draws skips
+/// [`Schedule`]'s xoshiro256++ generator and the draws skips
 /// have owed it.
 ///
 /// A skip adds to `owed`; [`settled`](Self::settled) pays the whole
-/// debt with one [`jump::advance`] before the next draw. The sources
-/// owe only once their buffer is drained, so `owed > 0` implies an
-/// empty buffer.
+/// debt with one [`jump::advance`] before the next draw. The schedule
+/// owes only once its buffer is drained, so `owed > 0` implies an empty
+/// buffer.
 #[derive(Debug, Clone)]
 struct Generator {
     rng: SmallRng,
@@ -312,36 +314,51 @@ impl Generator {
     }
 }
 
-/// Seeded generator of uniform ordered pairs of distinct agents.
+/// Seeded generator of uniform ordered pairs of distinct agents: the
+/// paper's uniform scheduler, or one lane of it.
+///
+/// The initiator is uniform over a contiguous range `start..start+len`
+/// of the population and the responder uniform over the other `n − 1`
+/// agents. [`Schedule::new`] covers the full range; [`Schedule::lane`]
+/// restricts it, which is the per-shard pair stream of the sharded
+/// simulator (`crates/shard`). A full-range lane seeded with `s` is
+/// `Schedule::new(n, s)`, draw for draw. A balanced family of lanes (one
+/// per shard, each drawing the same number of pairs per block)
+/// approximates the uniform scheduler: initiators are uniform within
+/// each lane and lanes are served equally, so the initiator marginal
+/// deviates from uniform only through the ≤ 1 agent size imbalance
+/// between lanes.
 #[derive(Debug, Clone)]
 pub struct Schedule {
     rng: Generator,
     n: usize,
+    start: usize,
+    len: usize,
     buf: BlockBuffer,
 }
 
-/// Draw one uniform ordered pair of distinct agents from a single
-/// 64-bit RNG output.
+/// Draw one pair whose initiator is uniform over `start..start+len` and
+/// whose responder is uniform over the other `n − 1` agents, from a
+/// single 64-bit RNG output.
 ///
-/// The initiator is uniform over `0..n` (low 32 bits); the responder is
-/// uniform over the remaining `n − 1` agents (high 32 bits, drawn from
-/// `0..n−1` and skipping the initiator). This is the paper's uniform
-/// scheduler. Index reduction uses the widening-multiply map
-/// `(x · n) >> 32`, whose bias is below `n · 2⁻³²` (< 10⁻⁴ for every
-/// population size this repository simulates) — orders of magnitude
-/// under the sampling noise of any experiment here, in exchange for one
-/// RNG output and zero rejection branches per pair.
+/// The initiator comes from the low 32 bits; the responder from the
+/// high 32 bits, drawn from `0..n−1` and skipping the initiator. Index
+/// reduction uses the widening-multiply map `(x · m) >> 32`, whose bias
+/// is below `n · 2⁻³²` (< 10⁻⁴ for every population size this
+/// repository simulates) — orders of magnitude under the sampling noise
+/// of any experiment here, in exchange for one RNG output and zero
+/// rejection branches per pair.
 ///
-/// This is the one canonical consumption of the RNG per pair — the
-/// scalar and the batched path both go through this exact function,
-/// which is what makes them trajectory-equivalent.
+/// This is the one canonical consumption of the RNG per pair — every
+/// consumption style goes through this exact function, which is what
+/// makes them trajectory-equivalent.
 #[inline]
-fn draw_pair(rng: &mut SmallRng, n: usize) -> Pair {
-    // The full-range special case of the sub-schedule draw — delegating
-    // (rather than duplicating the index maps) is what keeps the
-    // `shards = 1 ≡ run_batched` anchor bit-identical *by construction*;
-    // `start = 0` and `len = n` constant-fold away.
-    draw_sub_pair(rng, n, 0, n)
+fn draw_pair(rng: &mut SmallRng, n: usize, start: usize, len: usize) -> Pair {
+    let bits = rng.next_u64();
+    let i = start as u32 + (((bits & 0xFFFF_FFFF) * len as u64) >> 32) as u32;
+    let r = (((bits >> 32) * (n as u64 - 1)) >> 32) as u32;
+    let j = if r >= i { r + 1 } else { r };
+    (i, j)
 }
 
 impl Schedule {
@@ -353,12 +370,37 @@ impl Schedule {
     /// Panics if `n < 2` (no pair of distinct agents exists) or
     /// `n > u32::MAX` (pairs are stored as `u32` indices).
     pub fn new(n: usize, seed: u64) -> Self {
+        Self::lane(n, 0, n, seed)
+    }
+
+    /// A schedule whose initiators lie in `start..start+len` of a
+    /// population of `n` agents, seeded with `seed`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n < 2`, `n > u32::MAX`, the range is empty, or the
+    /// range exceeds the population.
+    pub fn lane(n: usize, start: usize, len: usize, seed: u64) -> Self {
+        Self::build(SmallRng::seed_from_u64(seed), n, start, len, Vec::new())
+    }
+
+    /// The one constructor check, shared by [`lane`](Self::lane) and
+    /// [`from_cursor`](CursorSource::from_cursor).
+    fn build(rng: SmallRng, n: usize, start: usize, len: usize, pending: Vec<Pair>) -> Self {
         assert!(n >= 2, "population needs at least two agents");
         assert!(u32::try_from(n).is_ok(), "population size exceeds u32");
+        assert!(len >= 1, "initiator range must be nonempty");
+        assert!(
+            start.checked_add(len).is_some_and(|end| end <= n),
+            "initiator range {start}..{} exceeds population {n}",
+            start + len
+        );
         Self {
-            rng: Generator::new(SmallRng::seed_from_u64(seed)),
+            rng: Generator::new(rng),
             n,
-            buf: BlockBuffer::new(),
+            start,
+            len,
+            buf: BlockBuffer::with_pending(pending),
         }
     }
 
@@ -367,13 +409,19 @@ impl Schedule {
         self.n
     }
 
+    /// The initiator range `[start, start + len)` this schedule draws
+    /// from.
+    pub fn range(&self) -> (usize, usize) {
+        (self.start, self.start + self.len)
+    }
+
     /// Draw the next ordered pair (scalar path). Consumes buffered pairs
     /// first so that scalar and batched consumption can be interleaved
     /// freely without perturbing the stream.
     #[inline]
     pub fn next_pair(&mut self) -> (usize, usize) {
-        let (rng, n) = (self.rng.settled(), self.n);
-        self.buf.next_pair(|| draw_pair(rng, n))
+        let (rng, n, start, len) = (self.rng.settled(), self.n, self.start, self.len);
+        self.buf.next_pair(|| draw_pair(rng, n, start, len))
     }
 
     /// Return the next at-most-`max` pairs of the stream as a block,
@@ -384,13 +432,28 @@ impl Schedule {
     /// they have consumed as many pairs as they need.
     #[inline]
     pub fn sample_block(&mut self, max: usize) -> &[Pair] {
-        let (rng, n) = (self.rng.settled(), self.n);
-        self.buf.sample_block(max, || draw_pair(rng, n))
+        let (rng, n, start, len) = (self.rng.settled(), self.n, self.start, self.len);
+        self.buf.sample_block(max, || draw_pair(rng, n, start, len))
     }
 
     /// Number of pairs currently buffered but not yet consumed.
     pub fn buffered(&self) -> usize {
         self.buf.buffered()
+    }
+
+    /// [`skip`](PairSource::skip) `count` pairs, returning how many of
+    /// them have their responder inside the initiator range. Telling
+    /// takes every draw, so this steps the generator instead of owing.
+    pub fn skip_local(&mut self, count: u64) -> u64 {
+        let (n, start, len) = (self.n, self.start, self.len);
+        let local = |(_, j): Pair| u64::from((j as usize).wrapping_sub(start) < len);
+        let rng = self.rng.settled();
+        let drained = self.buf.drain(count);
+        let mut hits: u64 = drained.iter().map(|&p| local(p)).sum();
+        for _ in drained.len() as u64..count {
+            hits += local(draw_pair(rng, n, start, len));
+        }
+        hits
     }
 }
 
@@ -400,6 +463,8 @@ struct Drawn<'a> {
     pending: std::slice::Iter<'a, Pair>,
     rng: &'a mut SmallRng,
     n: usize,
+    start: usize,
+    len: usize,
     fresh: usize,
 }
 
@@ -412,7 +477,7 @@ impl Iterator for Drawn<'_> {
         // the drawing loop.
         if self.fresh > 0 {
             self.fresh -= 1;
-            return Some(draw_pair(self.rng, self.n));
+            return Some(draw_pair(self.rng, self.n, self.start, self.len));
         }
         self.pending.next().copied()
     }
@@ -430,8 +495,8 @@ impl CursorSource for Schedule {
         ScheduleCursor {
             rng: self.rng.state(),
             n: self.n as u64,
-            start: 0,
-            len: self.n as u64,
+            start: self.start as u64,
+            len: self.len as u64,
             pending: self.buf.pending().to_vec(),
             topo: Vec::new(),
         }
@@ -439,27 +504,25 @@ impl CursorSource for Schedule {
 
     fn from_cursor(cursor: ScheduleCursor) -> Self {
         assert!(
-            cursor.start == 0 && cursor.len == cursor.n,
-            "Schedule cursor must cover the full initiator range"
-        );
-        assert!(
             cursor.topo.is_empty(),
             "cursor carries a topology spec; restore it with GraphSchedule"
         );
         let n = usize::try_from(cursor.n).expect("population size exceeds usize");
-        assert!(n >= 2, "population needs at least two agents");
-        assert!(u32::try_from(n).is_ok(), "population size exceeds u32");
-        Self {
-            rng: Generator::new(SmallRng::from_state(cursor.rng)),
+        let start = usize::try_from(cursor.start).expect("range start exceeds usize");
+        let len = usize::try_from(cursor.len).expect("range length exceeds usize");
+        Self::build(
+            SmallRng::from_state(cursor.rng),
             n,
-            buf: BlockBuffer::with_pending(cursor.pending),
-        }
+            start,
+            len,
+            cursor.pending,
+        )
     }
 }
 
 impl PairSource for Schedule {
     fn n(&self) -> usize {
-        Schedule::n(self)
+        self.n
     }
 
     #[inline]
@@ -487,201 +550,14 @@ impl PairSource for Schedule {
             pending: pending.iter(),
             rng: self.rng.settled(),
             n: self.n,
+            start: self.start,
+            len: self.len,
             fresh,
         }
     }
 
     /// Drains the buffer, then owes the generator the rest: one
     /// `next_u64` per pair, paid when the stream is next read.
-    fn skip(&mut self, count: u64) {
-        let rest = count - self.buf.drain(count).len() as u64;
-        self.rng.owe(rest);
-    }
-}
-
-/// Seed stride between sibling [`SubSchedule`]s of one split: shard `s`
-/// is seeded with `seed + s · STRIDE` (wrapping). `SmallRng`'s seeding
-/// expands a seed into four *consecutive* SplitMix64 outputs, so the
-/// stride is **four** SplitMix64 increments: sibling shards then draw
-/// disjoint, consecutive four-output windows of the same SplitMix64
-/// orbit — the reference "seed a family of generators from one
-/// SplitMix64 stream" construction. (A stride of one increment would
-/// make adjacent shards' state windows overlap in three of four
-/// words.) Shard 0's seed is exactly the base seed, which is what makes
-/// a 1-shard split reproduce [`Schedule`] bit for bit.
-pub const SHARD_SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(4);
-
-/// A range-restricted uniform sub-schedule: the initiator is uniform
-/// over a contiguous slice `start..start+len` of the population, the
-/// responder uniform over the remaining `n − 1` agents — the per-shard
-/// pair stream of the sharded simulator (`crates/shard`).
-///
-/// The draw consumes exactly one RNG output per pair with the same
-/// widening-multiply index maps as [`Schedule`], so a `SubSchedule`
-/// covering the **full** range (`start = 0`, `len = n`) seeded with `s`
-/// produces *bit for bit* the stream of `Schedule::new(n, s)` — the
-/// anchor of the sharded engine's `shards = 1 ≡ run_batched`
-/// equivalence. A balanced family of sub-schedules (one per shard,
-/// each drawing the same number of pairs per block) approximates the
-/// uniform scheduler: initiators are uniform within each shard and
-/// shards are served equally, so the initiator marginal deviates from
-/// uniform only through the ≤ 1 agent size imbalance between shards.
-#[derive(Debug, Clone)]
-pub struct SubSchedule {
-    rng: Generator,
-    n: usize,
-    start: usize,
-    len: usize,
-    buf: BlockBuffer,
-}
-
-/// Draw one pair whose initiator is uniform over `start..start+len` and
-/// whose responder is uniform over the other `n − 1` agents, from a
-/// single 64-bit RNG output. This is the canonical pair draw:
-/// [`draw_pair`] is its full-range special case (the uniform
-/// scheduler), delegated rather than duplicated so the two can never
-/// drift apart.
-#[inline]
-fn draw_sub_pair(rng: &mut SmallRng, n: usize, start: usize, len: usize) -> Pair {
-    let bits = rng.next_u64();
-    let i = start as u32 + (((bits & 0xFFFF_FFFF) * len as u64) >> 32) as u32;
-    let r = (((bits >> 32) * (n as u64 - 1)) >> 32) as u32;
-    let j = if r >= i { r + 1 } else { r };
-    (i, j)
-}
-
-impl SubSchedule {
-    /// A sub-schedule over the initiator range `start..start+len` of a
-    /// population of `n` agents, seeded with `seed`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n < 2`, `n > u32::MAX`, the range is empty, or the
-    /// range exceeds the population.
-    pub fn new(n: usize, start: usize, len: usize, seed: u64) -> Self {
-        assert!(n >= 2, "population needs at least two agents");
-        assert!(u32::try_from(n).is_ok(), "population size exceeds u32");
-        assert!(len >= 1, "initiator range must be nonempty");
-        assert!(
-            start.checked_add(len).is_some_and(|end| end <= n),
-            "initiator range {start}..{} exceeds population {n}",
-            start + len
-        );
-        Self {
-            rng: Generator::new(SmallRng::seed_from_u64(seed)),
-            n,
-            start,
-            len,
-            buf: BlockBuffer::new(),
-        }
-    }
-
-    /// Split the uniform scheduler into `shards` balanced sub-schedules:
-    /// shard `s` owns the contiguous initiator range
-    /// `⌈s·n/shards⌉ .. ⌈(s+1)·n/shards⌉` (sizes differ by at most one)
-    /// and is seeded `seed + s ·`[`SHARD_SEED_STRIDE`]. With
-    /// `shards = 1` the single sub-schedule reproduces
-    /// `Schedule::new(n, seed)` exactly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n < 2` or `shards` is not in `1..=n`.
-    pub fn split(n: usize, seed: u64, shards: usize) -> Vec<SubSchedule> {
-        assert!(n >= 2, "population needs at least two agents");
-        assert!(
-            (1..=n).contains(&shards),
-            "shard count must be within 1..=n"
-        );
-        (0..shards)
-            .map(|s| {
-                let start = (s * n).div_ceil(shards);
-                let end = ((s + 1) * n).div_ceil(shards);
-                let shard_seed = seed.wrapping_add((s as u64).wrapping_mul(SHARD_SEED_STRIDE));
-                SubSchedule::new(n, start, end - start, shard_seed)
-            })
-            .collect()
-    }
-
-    /// The initiator range `[start, start + len)` this sub-schedule
-    /// draws from.
-    pub fn range(&self) -> (usize, usize) {
-        (self.start, self.start + self.len)
-    }
-
-    /// [`skip`](PairSource::skip) `count` pairs, returning how many of
-    /// them have their responder inside the initiator range. Telling
-    /// takes every draw, so this steps the generator instead of owing.
-    pub fn skip_local(&mut self, count: u64) -> u64 {
-        let (n, start, len) = (self.n, self.start, self.len);
-        let local = |(_, j): Pair| u64::from((j as usize).wrapping_sub(start) < len);
-        let rng = self.rng.settled();
-        let drained = self.buf.drain(count);
-        let mut hits: u64 = drained.iter().map(|&p| local(p)).sum();
-        for _ in drained.len() as u64..count {
-            hits += local(draw_sub_pair(rng, n, start, len));
-        }
-        hits
-    }
-}
-
-impl CursorSource for SubSchedule {
-    fn cursor(&self) -> ScheduleCursor {
-        ScheduleCursor {
-            rng: self.rng.state(),
-            n: self.n as u64,
-            start: self.start as u64,
-            len: self.len as u64,
-            pending: self.buf.pending().to_vec(),
-            topo: Vec::new(),
-        }
-    }
-
-    fn from_cursor(cursor: ScheduleCursor) -> Self {
-        assert!(
-            cursor.topo.is_empty(),
-            "cursor carries a topology spec; restore it with GraphSchedule"
-        );
-        let n = usize::try_from(cursor.n).expect("population size exceeds usize");
-        let start = usize::try_from(cursor.start).expect("range start exceeds usize");
-        let len = usize::try_from(cursor.len).expect("range length exceeds usize");
-        assert!(n >= 2, "population needs at least two agents");
-        assert!(u32::try_from(n).is_ok(), "population size exceeds u32");
-        assert!(len >= 1, "initiator range must be nonempty");
-        assert!(
-            start.checked_add(len).is_some_and(|end| end <= n),
-            "initiator range {start}..{} exceeds population {n}",
-            start + len
-        );
-        Self {
-            rng: Generator::new(SmallRng::from_state(cursor.rng)),
-            n,
-            start,
-            len,
-            buf: BlockBuffer::with_pending(cursor.pending),
-        }
-    }
-}
-
-impl PairSource for SubSchedule {
-    fn n(&self) -> usize {
-        self.n
-    }
-
-    #[inline]
-    fn next_pair(&mut self) -> (usize, usize) {
-        let (rng, n, start, len) = (self.rng.settled(), self.n, self.start, self.len);
-        self.buf.next_pair(|| draw_sub_pair(rng, n, start, len))
-    }
-
-    #[inline]
-    fn sample_block(&mut self, max: usize) -> &[Pair] {
-        let (rng, n, start, len) = (self.rng.settled(), self.n, self.start, self.len);
-        self.buf
-            .sample_block(max, || draw_sub_pair(rng, n, start, len))
-    }
-
-    /// Drains the buffer, then owes the generator the rest, like
-    /// [`Schedule`]'s.
     fn skip(&mut self, count: u64) {
         let rest = count - self.buf.drain(count).len() as u64;
         self.rng.owe(rest);
@@ -698,25 +574,33 @@ mod tests {
 
     #[test]
     fn pairs_are_distinct_and_in_range() {
-        let mut s = Schedule::new(17, 1);
-        for _ in 0..10_000 {
-            let (i, j) = s.next_pair();
-            assert!(i < 17 && j < 17);
-            assert_ne!(i, j);
+        for (mut s, initiators) in [
+            (Schedule::new(17, 1), 0..17),
+            (Schedule::lane(29, 10, 9, 5), 10..19),
+        ] {
+            let n = s.n();
+            for _ in 0..20_000 {
+                let (i, j) = s.next_pair();
+                assert!(initiators.contains(&i), "initiator {i} out of range");
+                assert!(j < n, "responder {j} out of range");
+                assert_ne!(i, j);
+            }
         }
     }
 
     #[test]
     fn block_and_scalar_produce_the_same_stream() {
-        let mut scalar = Schedule::new(100, 42);
-        let mut blocked = Schedule::new(100, 42);
-        let expected = drain_scalar(&mut scalar, 10_000);
-        let mut got = Vec::new();
-        while got.len() < 10_000 {
-            let block = blocked.sample_block(10_000 - got.len());
-            got.extend(block.iter().map(|&(i, j)| (i as usize, j as usize)));
+        for (n, start, len, seed) in [(100, 0, 100, 42), (40, 8, 12, 9)] {
+            let mut scalar = Schedule::lane(n, start, len, seed);
+            let mut blocked = Schedule::lane(n, start, len, seed);
+            let expected = drain_scalar(&mut scalar, 10_000);
+            let mut got = Vec::new();
+            while got.len() < 10_000 {
+                let block = blocked.sample_block(10_000 - got.len());
+                got.extend(block.iter().map(|&(i, j)| (i as usize, j as usize)));
+            }
+            assert_eq!(got, expected);
         }
-        assert_eq!(got, expected);
     }
 
     #[test]
@@ -797,147 +681,51 @@ mod tests {
     }
 
     #[test]
-    fn full_range_sub_schedule_matches_schedule_bit_for_bit() {
+    fn full_range_lane_matches_schedule_bit_for_bit() {
         // The anchor of the sharded engine's shards = 1 equivalence: a
-        // sub-schedule over the whole population is the uniform
-        // scheduler, same seed, same stream.
+        // lane over the whole population is the uniform scheduler, same
+        // seed, same stream.
         let mut reference = Schedule::new(33, 1234);
-        let mut sub = SubSchedule::new(33, 0, 33, 1234);
+        let mut lane = Schedule::lane(33, 0, 33, 1234);
+        assert_eq!(lane.range(), (0, 33));
         for _ in 0..10_000 {
-            assert_eq!(reference.next_pair(), sub.next_pair());
+            assert_eq!(reference.next_pair(), lane.next_pair());
         }
     }
 
     #[test]
-    fn split_with_one_shard_is_the_uniform_scheduler() {
-        let mut shards = SubSchedule::split(20, 77, 1);
-        assert_eq!(shards.len(), 1);
-        assert_eq!(shards[0].range(), (0, 20));
-        let mut reference = Schedule::new(20, 77);
-        for _ in 0..3000 {
-            assert_eq!(reference.next_pair(), shards[0].next_pair());
-        }
-    }
-
-    #[test]
-    fn split_ranges_are_balanced_and_cover_the_population() {
-        for (n, shards) in [(10, 3), (16, 4), (7, 7), (100, 8), (5, 2)] {
-            let subs = SubSchedule::split(n, 0, shards);
-            let mut next = 0;
-            for sub in &subs {
-                let (start, end) = sub.range();
-                assert_eq!(start, next, "ranges must be contiguous");
-                let len = end - start;
-                assert!(
-                    (n / shards..=n.div_ceil(shards)).contains(&len),
-                    "n={n} shards={shards}: shard size {len} unbalanced"
-                );
-                next = end;
-            }
-            assert_eq!(next, n, "ranges must cover the population");
-        }
-    }
-
-    #[test]
-    fn sub_schedule_pairs_are_valid_and_initiators_stay_in_range() {
-        let mut sub = SubSchedule::new(29, 10, 9, 5);
-        for _ in 0..20_000 {
-            let (i, j) = sub.next_pair();
-            assert!((10..19).contains(&i), "initiator {i} out of range");
-            assert!(j < 29, "responder {j} out of range");
-            assert_ne!(i, j);
-        }
-    }
-
-    #[test]
-    fn sub_schedule_responders_reach_the_whole_population() {
+    fn lane_responders_reach_the_whole_population() {
         let n = 12;
-        let mut sub = SubSchedule::new(n, 4, 2, 3);
+        let mut lane = Schedule::lane(n, 4, 2, 3);
         let mut seen = vec![false; n];
         for _ in 0..10_000 {
-            seen[sub.next_pair().1] = true;
+            seen[lane.next_pair().1] = true;
         }
         let reachable = seen.iter().filter(|&&b| b).count();
         assert!(reachable >= n - 1, "responders must span the population");
     }
 
     #[test]
-    fn sub_schedule_block_and_scalar_share_the_stream() {
-        let mut scalar = SubSchedule::new(40, 8, 12, 9);
-        let mut blocked = SubSchedule::new(40, 8, 12, 9);
-        let expected: Vec<(usize, usize)> = (0..3000).map(|_| scalar.next_pair()).collect();
-        let mut got = Vec::new();
-        while got.len() < 3000 {
-            let block = blocked.sample_block(3000 - got.len()).to_vec();
-            got.extend(block.iter().map(|&(i, j)| (i as usize, j as usize)));
-        }
-        assert_eq!(got, expected);
-    }
-
-    #[test]
-    fn sibling_shard_seed_windows_do_not_overlap() {
-        // SmallRng::seed_from_u64 expands a seed into the four SplitMix64
-        // outputs at orbit positions seed+G .. seed+4G (G = the SplitMix64
-        // increment). The shard stride must keep sibling windows disjoint:
-        // a stride of exactly G would overlap three of four state words.
-        fn splitmix_window(seed: u64) -> Vec<u64> {
-            let mut state = seed;
-            (0..4)
-                .map(|_| {
-                    state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-                    let mut z = state;
-                    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-                    z ^ (z >> 31)
-                })
-                .collect()
-        }
-        let seed = 0xDEAD_BEEF_u64;
-        let windows: Vec<Vec<u64>> = (0..8)
-            .map(|s| splitmix_window(seed.wrapping_add((s as u64).wrapping_mul(SHARD_SEED_STRIDE))))
-            .collect();
-        for (a, wa) in windows.iter().enumerate() {
-            for (b, wb) in windows.iter().enumerate() {
-                if a != b {
-                    assert!(
-                        wa.iter().all(|x| !wb.contains(x)),
-                        "shards {a} and {b} share SplitMix64 outputs"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn sibling_shard_streams_differ() {
-        let mut subs = SubSchedule::split(16, 11, 2);
-        let (a, b) = subs.split_at_mut(1);
-        let first: Vec<_> = (0..100).map(|_| a[0].next_pair().1).collect();
-        let second: Vec<_> = (0..100).map(|_| b[0].next_pair().1).collect();
-        assert_ne!(first, second, "sibling shards must not share a stream");
-    }
-
-    #[test]
     #[should_panic(expected = "exceeds population")]
-    fn sub_schedule_rejects_out_of_bounds_range() {
-        let _ = SubSchedule::new(10, 8, 4, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "shard count must be within")]
-    fn split_rejects_more_shards_than_agents() {
-        let _ = SubSchedule::split(4, 0, 5);
+    fn lane_rejects_out_of_bounds_range() {
+        let _ = Schedule::lane(10, 8, 4, 0);
     }
 
     #[test]
     fn schedule_cursor_round_trip_continues_the_stream() {
-        let mut original = Schedule::new(64, 99);
-        for _ in 0..1000 {
-            original.next_pair();
-        }
-        let mut restored = Schedule::from_cursor(original.cursor());
-        for _ in 0..5000 {
-            assert_eq!(original.next_pair(), restored.next_pair());
+        for (n, start, len, seed) in [(64, 0, 64, 99), (40, 10, 11, 123)] {
+            let mut original = Schedule::lane(n, start, len, seed);
+            for _ in 0..1000 {
+                original.next_pair();
+            }
+            let _ = original.sample_block(7); // leave a partial buffer behind
+            let cursor = original.cursor();
+            assert_eq!((cursor.start, cursor.len), (start as u64, len as u64));
+            let mut restored = Schedule::from_cursor(cursor);
+            assert_eq!(restored.range(), (start, start + len));
+            for _ in 0..5000 {
+                assert_eq!(original.next_pair(), restored.next_pair());
+            }
         }
     }
 
@@ -993,35 +781,11 @@ mod tests {
     }
 
     #[test]
-    fn sub_schedule_cursor_round_trip_continues_the_stream() {
-        let mut original = SubSchedule::new(40, 10, 11, 123);
-        for _ in 0..500 {
-            original.next_pair();
-        }
-        let _ = original.sample_block(7); // leave a partial buffer behind
-        let cursor = original.cursor();
-        assert_eq!(cursor.start, 10);
-        assert_eq!(cursor.len, 11);
-        let mut restored = SubSchedule::from_cursor(cursor);
-        assert_eq!(restored.range(), (10, 21));
-        for _ in 0..5000 {
-            assert_eq!(original.next_pair(), restored.next_pair());
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "full initiator range")]
-    fn schedule_rejects_partial_range_cursor() {
-        let sub = SubSchedule::new(20, 5, 5, 1);
-        let _ = Schedule::from_cursor(sub.cursor());
-    }
-
-    #[test]
     #[should_panic(expected = "exceeds population")]
-    fn sub_schedule_rejects_out_of_bounds_cursor() {
-        let mut cursor = SubSchedule::new(20, 5, 5, 1).cursor();
+    fn rejects_out_of_bounds_cursor() {
+        let mut cursor = Schedule::lane(20, 5, 5, 1).cursor();
         cursor.start = 18;
-        let _ = SubSchedule::from_cursor(cursor);
+        let _ = Schedule::from_cursor(cursor);
     }
 
     /// A schedule `buffered` pairs into its stream with those pairs still
@@ -1079,8 +843,8 @@ mod tests {
             );
             assert_skip_matches(Schedule::new(64, seed), Schedule::new(64, seed), k);
             assert_skip_matches(
-                SubSchedule::new(64, 16, 16, seed),
-                SubSchedule::new(64, 16, 16, seed),
+                Schedule::lane(64, 16, 16, seed),
+                Schedule::lane(64, 16, 16, seed),
                 k,
             );
         }
@@ -1118,12 +882,12 @@ mod tests {
     fn skip_local_counts_the_lane_local_responders() {
         let (start, len) = (10, 7);
         for k in [0, 3, 1000, 5000] {
-            let mut drawn = SubSchedule::new(40, start, len, k);
+            let mut drawn = Schedule::lane(40, start, len, k);
             let _ = drawn.sample_block(1);
             let mut cursor = drawn.cursor();
             cursor.pending = vec![(12, 13), (11, 30)];
-            let mut drawn = SubSchedule::from_cursor(cursor.clone());
-            let mut skipped = SubSchedule::from_cursor(cursor);
+            let mut drawn = Schedule::from_cursor(cursor.clone());
+            let mut skipped = Schedule::from_cursor(cursor);
             let local = (0..k)
                 .filter(|_| (start..start + len).contains(&drawn.next_pair().1))
                 .count() as u64;
@@ -1132,28 +896,12 @@ mod tests {
         }
     }
 
-    /// A uniform source as an owed-draw script drives it.
-    trait Scripted: CursorSource + Clone {
-        /// [`SubSchedule::skip_local`], where the source has it.
-        fn tell_local(&mut self, _count: u64) -> Option<u64> {
-            None
-        }
-    }
-
-    impl Scripted for Schedule {}
-
-    impl Scripted for SubSchedule {
-        fn tell_local(&mut self, count: u64) -> Option<u64> {
-            Some(self.skip_local(count))
-        }
-    }
-
     /// Skip lengths around the buffer, the jump threshold and beyond.
     const SKIPS: [u64; 7] = [0, 1, 511, 512, (1 << 14) - 1, 1 << 14, 1 << 20];
 
     /// `source` with its next `count` pairs drawn and left pending, as a
     /// restored cursor of a differently buffered source holds them.
-    fn pend<S: Scripted>(source: &S, count: usize) -> S {
+    fn pend(source: &Schedule, count: usize) -> Schedule {
         let mut ahead = source.clone();
         let mut pending: Vec<Pair> = (0..count)
             .map(|_| {
@@ -1164,14 +912,14 @@ mod tests {
         let mut cursor = ahead.cursor();
         pending.append(&mut cursor.pending);
         cursor.pending = pending;
-        S::from_cursor(cursor)
+        Schedule::from_cursor(cursor)
     }
 
     /// Run a random script of `ops` operations on `fast` and on `twin`,
     /// which draws every pair that `fast` skips. After each operation
     /// the two must report the same cursor and the same next pairs, read
     /// from copies so that `fast`'s owed draws stay owed.
-    fn run_script<S: Scripted>(mut fast: S, mut twin: S, script: &mut SmallRng, ops: usize) {
+    fn run_script(mut fast: Schedule, mut twin: Schedule, script: &mut SmallRng, ops: usize) {
         let mut roll = |below: u64| script.next_u64() % below;
         for step in 0..ops {
             let op = roll(8);
@@ -1204,13 +952,13 @@ mod tests {
                 }
                 5 => {
                     let k = roll(5000);
-                    assert_eq!(fast.tell_local(k), twin.tell_local(k), "step {step}");
+                    assert_eq!(fast.skip_local(k), twin.skip_local(k), "step {step}");
                 }
                 6 => {
                     fast = if roll(2) == 0 {
                         fast.clone()
                     } else {
-                        S::from_cursor(fast.cursor())
+                        Schedule::from_cursor(fast.cursor())
                     };
                 }
                 _ => {
@@ -1241,8 +989,8 @@ mod tests {
             let len = 1 + (script.next_u64() % n as u64) as usize;
             let start = (script.next_u64() % (n - len + 1) as u64) as usize;
             run_script(
-                SubSchedule::new(n, start, len, seed),
-                SubSchedule::new(n, start, len, seed),
+                Schedule::lane(n, start, len, seed),
+                Schedule::lane(n, start, len, seed),
                 &mut script,
                 40,
             );

@@ -433,6 +433,51 @@ impl<P: WordState, S: CursorSource> Simulator<P, S> {
     }
 }
 
+/// The sequential block loop: advance `states` by `count` interactions
+/// drawn from `source`, adding them to `interactions`.
+///
+/// Without an active probe, a configuration the protocol certifies
+/// silent ([`Protocol::silent`], cached in `silence`) skips the rest of
+/// `count`: the pair source jumps past it and the protocol credits the
+/// null pairs. Until then the blocks run through
+/// [`Protocol::transition_from`] in stretches that end where the
+/// certificate is due for another try. An active probe sees every
+/// block. The caller clears `silence` whenever it edits `states`.
+pub fn advance_blocks<P: Protocol, S: PairSource, B: Probe<P>>(
+    protocol: &P,
+    states: &mut [P::State],
+    source: &mut S,
+    silence: &mut Certificate,
+    interactions: &mut u64,
+    count: u64,
+    probe: &mut B,
+) {
+    let end = *interactions + count;
+    while *interactions < end {
+        let now = *interactions;
+        let mut remaining = end - now;
+        if !B::ACTIVE {
+            if silence.check(now, states.len(), || protocol.silent(states)) {
+                source.skip(remaining);
+                protocol.count_null(remaining);
+                *interactions = end;
+                return;
+            }
+            remaining = remaining.min(silence.retry_in(now, BLOCK_PAIRS as u64));
+        }
+        while remaining > 0 {
+            let want = remaining.min(BLOCK_PAIRS as u64) as usize;
+            let (pairs, changed) = protocol.transition_from(states, source, want);
+            let executed = pairs as u64;
+            *interactions += executed;
+            remaining -= executed;
+            if B::ACTIVE {
+                probe.block(protocol, *interactions, changed, 0, 0, states);
+            }
+        }
+    }
+}
+
 impl<P: Protocol, S: PairSource> Engine for Simulator<P, S> {
     type Protocol = P;
 
@@ -444,48 +489,16 @@ impl<P: Protocol, S: PairSource> Engine for Simulator<P, S> {
         self.interactions
     }
 
-    /// Without an active probe, a configuration the protocol certifies
-    /// silent ([`Protocol::silent`]) skips the rest of `count`: the pair
-    /// source jumps past it and the protocol credits the null pairs.
-    /// Until then the blocks run in stretches that end where the
-    /// certificate is due for another try.
     fn advance<B: Probe<P>>(&mut self, count: u64, probe: &mut B) {
-        let end = self.interactions + count;
-        while self.interactions < end {
-            let (now, n) = (self.interactions, self.states.len());
-            let mut remaining = end - now;
-            if !B::ACTIVE {
-                if self
-                    .silence
-                    .check(now, n, || self.protocol.silent(&self.states))
-                {
-                    self.schedule.skip(remaining);
-                    self.protocol.count_null(remaining);
-                    self.interactions = end;
-                    return;
-                }
-                remaining = remaining.min(self.silence.retry_in(now, BLOCK_PAIRS as u64));
-            }
-            while remaining > 0 {
-                let want = remaining.min(BLOCK_PAIRS as u64) as usize;
-                let (pairs, changed) =
-                    self.protocol
-                        .transition_from(&mut self.states, &mut self.schedule, want);
-                let executed = pairs as u64;
-                self.interactions += executed;
-                remaining -= executed;
-                if B::ACTIVE {
-                    probe.block(
-                        &self.protocol,
-                        self.interactions,
-                        changed,
-                        0,
-                        0,
-                        &self.states,
-                    );
-                }
-            }
-        }
+        advance_blocks(
+            &self.protocol,
+            &mut self.states,
+            &mut self.schedule,
+            &mut self.silence,
+            &mut self.interactions,
+            count,
+            probe,
+        );
     }
 
     fn view<R>(&self, f: impl FnOnce(&[P::State]) -> R) -> R {

@@ -3,15 +3,15 @@
 use std::sync::{Barrier, Mutex};
 
 use population::observe::Convergence;
-use population::schedule::{Pair, ScheduleCursor, SubSchedule, BLOCK_PAIRS};
+use population::schedule::{Pair, ScheduleCursor, BLOCK_PAIRS};
 use population::silence::Certificate;
 use population::{
     drive, Capture, Checkpointer, CursorSource, Engine, Every, FaultHook, Frame, HookState,
-    NoFaults, NoPoll, NoSaves, NullProbe, Observer, PairSource, Probe, Protocol, StopReason,
-    WordState,
+    NoFaults, NoPoll, NoSaves, NullProbe, Observer, PairSource, Probe, Protocol, Schedule,
+    StopReason, WordState,
 };
 
-use crate::partition::{bounds, rounds, OwnerMap};
+use crate::partition::{bounds, rounds, split, OwnerMap};
 
 /// One shard's bookkeeping: where its lane lies in the configuration,
 /// the shard's private pair stream and its outgoing boundary-pair
@@ -22,8 +22,8 @@ struct Slot {
     start: usize,
     /// Number of agents in this lane.
     len: usize,
-    /// The shard's private sub-stream of the uniform scheduler.
-    sched: SubSchedule,
+    /// The shard's lane of the uniform scheduler.
+    sched: Schedule,
     /// Boundary pairs drawn this block, bucketed by the responder's
     /// shard; drained (in draw order) by the exchange phase.
     outbox: Vec<Vec<Pair>>,
@@ -67,10 +67,10 @@ fn lanes<'a, S>(states: &'a mut [S], slots: &'a mut [Slot]) -> Vec<Mutex<Lane<'a
 /// # Execution model
 ///
 /// Agents `0..n` are split into `shards` contiguous, balanced lanes.
-/// Each shard owns its lane plus a private
-/// [`SubSchedule`] — a sub-stream of the uniform scheduler whose
-/// initiators lie in the lane and whose responders span the whole
-/// population (`SubSchedule::split` derives the per-shard seeds from
+/// Each shard owns its lane plus a private [`Schedule::lane`] — a
+/// stream of the uniform scheduler whose initiators lie in the lane and
+/// whose responders span the whole population
+/// ([`split`](crate::partition::split) derives the per-shard seeds from
 /// the run seed). Time advances in **blocks**; each block distributes
 /// its interaction budget evenly over the shards and runs two phases:
 ///
@@ -95,18 +95,18 @@ fn lanes<'a, S>(states: &'a mut [S], slots: &'a mut [Slot]) -> Vec<Mutex<Lane<'a
 /// structure (the configured [`block_pairs`](Self::with_block_pairs)
 /// and the sequence of `run*` calls, which may split blocks at
 /// checkpoint and fault boundaries). It does **not** depend on the
-/// number of worker threads: workers only decide *who* executes a
-/// phase, never *what* or *in which order within a lane* — phases are
-/// separated by barriers and touch disjoint lanes, so
-/// `workers = 1` (fully inline, no threads) and any `workers > 1`
-/// produce bit-for-bit identical trajectories. Two identical calls are
-/// always identical.
+/// number of worker threads: every worker runs the same block loop,
+/// and workers only decide *who* executes a phase, never *what* or *in
+/// which order within a lane* — phases are separated by barriers and
+/// touch disjoint lanes, so `workers = 1` (the loop on the calling
+/// thread) and any `workers > 1` produce bit-for-bit identical
+/// trajectories. Two identical calls are always identical.
 ///
 /// # Equivalence at `shards = 1`
 ///
-/// With a single shard every pair is intra-shard and the lone
-/// sub-schedule *is* the uniform [`Schedule`](population::Schedule)
-/// (same seed, bit-identical stream), so a 1-shard run is **bit-for-bit
+/// With a single shard every pair is intra-shard and the lone lane
+/// *is* the uniform [`Schedule`] (same seed, bit-identical stream), so
+/// a 1-shard run is **bit-for-bit
 /// trajectory-equivalent** to
 /// [`Simulator::run_batched`](population::Simulator::run_batched) —
 /// property-tested in `tests/shard_equivalence.rs`. Sharded runs with
@@ -136,8 +136,9 @@ pub struct ShardedSimulator<P: Protocol> {
 }
 
 /// Blocks an uncertified run executes at least between two tries of the
-/// silence certificate: the threaded path starts its workers once per
-/// stretch, which costs far more than the certificate's `O(n)` test.
+/// silence certificate: a run with more than one worker starts its
+/// threads once per stretch, which costs far more than the
+/// certificate's `O(n)` test.
 const RETRY_BLOCKS: u64 = 64;
 
 /// The share of a block's `total` interactions executed by shard `s`:
@@ -146,19 +147,19 @@ const RETRY_BLOCKS: u64 = 64;
 /// across blocks instead of always favoring the lowest-indexed shards.
 /// Without the rotation, repeated small bursts (e.g. `check_every <
 /// shards`) would hand every leftover interaction to shard 0 and starve
-/// the high shards' sub-schedules entirely. `rot` is derived from the
-/// interaction count at the block's start, so it is identical across
-/// the inline and threaded paths (determinism) and cycles through all
-/// shards under any fixed burst size not divisible by the shard count.
+/// the high shards' lanes entirely. `rot` is derived from the
+/// interaction count at the block's start, so it is identical for every
+/// worker count (determinism) and cycles through all shards under any
+/// fixed burst size not divisible by the shard count.
 #[inline]
 fn quota(total: u64, shards: usize, s: usize, rot: usize) -> u64 {
     let idx = (s + shards - rot) % shards;
     total / shards as u64 + u64::from((idx as u64) < total % shards as u64)
 }
 
-/// Intra phase for one shard: draw `quota` pairs from the shard's
-/// sub-stream in sub-blocks of at most [`BLOCK_PAIRS`] and route each
-/// sub-block without a data-dependent branch. Every pair is written to
+/// Intra phase for one shard: draw `quota` pairs from the shard's lane
+/// of the scheduler in sub-blocks of at most [`BLOCK_PAIRS`] and route
+/// each sub-block without a data-dependent branch. Every pair is written to
 /// both scratch buffers — rebased to the lane in `local`, in global
 /// indices in `boundary` — and exactly one of the two cursors advances,
 /// by the integer test "responder in this lane". (At 2 shards that test
@@ -170,8 +171,7 @@ fn quota(total: u64, shards: usize, s: usize, rot: usize) -> u64 {
 /// and deferring a boundary pair executes nothing, so the trajectory is
 /// that of executing the local pairs one at a time as drawn. Returns the
 /// number of lane-local interactions that changed at least one state
-/// (callers on the plain hot path discard it; the probed path feeds it
-/// to [`Probe::block`]).
+/// (fed to [`Probe::block`] on a probed run).
 fn intra_phase<P: Protocol>(
     protocol: &P,
     owners: &OwnerMap,
@@ -244,12 +244,90 @@ fn exchange<P: Protocol>(
     lb.slot.outbox[a].clear();
 }
 
+/// One run call's blocks, shared by every worker.
+struct Blocks<'a, P: Protocol> {
+    protocol: &'a P,
+    owners: &'a OwnerMap,
+    rounds: &'a [Vec<(usize, usize)>],
+    lanes: Vec<Mutex<Lane<'a, P::State>>>,
+    barrier: Barrier,
+    workers: usize,
+    /// Interaction count at the first block's start.
+    base: u64,
+    count: u64,
+    /// Interactions per full block.
+    cap: u64,
+}
+
+impl<P: Protocol> Blocks<'_, P> {
+    /// Worker `w`'s part of every block: the intra phases of shards
+    /// `w, w + workers, …`, then in each exchange round its matches
+    /// `w, w + workers, …`, with a barrier after each phase. Within a
+    /// phase every worker touches only lanes it exclusively owns, so the
+    /// trajectory does not depend on the worker count. An active probe
+    /// (one worker) sees each lane after the block's exchange rounds,
+    /// then the block's boundary-pair count.
+    fn work<B: Probe<P>>(&self, w: usize, probe: &mut B) {
+        let shards = self.lanes.len();
+        let mut changed = vec![0u64; if B::ACTIVE { shards } else { 0 }];
+        for k in 0..self.count.div_ceil(self.cap) {
+            let total = self.cap.min(self.count - k * self.cap);
+            let rot = ((self.base + k * self.cap) % shards as u64) as usize;
+            for s in (w..shards).step_by(self.workers) {
+                let lane_changed = intra_phase(
+                    self.protocol,
+                    self.owners,
+                    &self.lanes[s],
+                    quota(total, shards, s, rot),
+                );
+                if B::ACTIVE {
+                    changed[s] = lane_changed;
+                }
+            }
+            self.barrier.wait();
+            let boundary: u64 = if B::ACTIVE {
+                self.lanes
+                    .iter()
+                    .map(|lane| {
+                        let guard = lane.lock().expect("shard lane poisoned");
+                        let outbox = &guard.slot.outbox;
+                        outbox.iter().map(|o| o.len() as u64).sum::<u64>()
+                    })
+                    .sum()
+            } else {
+                0
+            };
+            for round in self.rounds {
+                for &(a, b) in round.iter().skip(w).step_by(self.workers) {
+                    exchange(self.protocol, &self.lanes[a], &self.lanes[b], a, b);
+                }
+                self.barrier.wait();
+            }
+            if B::ACTIVE {
+                let t = self.base + k * self.cap + total;
+                for (s, lane) in self.lanes.iter().enumerate() {
+                    let guard = lane.lock().expect("shard lane poisoned");
+                    probe.block(
+                        self.protocol,
+                        t,
+                        changed[s],
+                        s,
+                        guard.slot.start,
+                        guard.states,
+                    );
+                }
+                probe.exchange(self.protocol, t, boundary);
+            }
+        }
+    }
+}
+
 impl<P: Protocol> ShardedSimulator<P> {
     /// Create a sharded simulator over `initial` states, partitioned
     /// into `shards` lanes, with the uniform scheduler split into
-    /// per-shard sub-streams derived from `seed`: a
-    /// [`resume`](Self::resume) from the cursors of
-    /// [`SubSchedule::split`] at interaction 0.
+    /// per-shard lanes derived from `seed`: a [`resume`](Self::resume)
+    /// from the cursors of [`split`](crate::partition::split) at
+    /// interaction 0.
     ///
     /// Workers default to the machine's parallelism capped at the shard
     /// count ([`population::runner::available_workers`], overridable
@@ -261,7 +339,7 @@ impl<P: Protocol> ShardedSimulator<P> {
     /// fewer than two agents or exceeds `u32::MAX`, or `shards` is not
     /// in `1..=n`.
     pub fn new(protocol: P, initial: Vec<P::State>, seed: u64, shards: usize) -> Self {
-        let cursors = SubSchedule::split(initial.len(), seed, shards)
+        let cursors = split(initial.len(), seed, shards)
             .iter()
             .map(CursorSource::cursor)
             .collect();
@@ -269,7 +347,7 @@ impl<P: Protocol> ShardedSimulator<P> {
     }
 
     /// Pin the number of worker threads (clamped to the shard count at
-    /// run time; `1` runs fully inline with no threads or barriers).
+    /// run time; `1` runs the blocks on the calling thread).
     /// The trajectory never depends on this.
     ///
     /// # Panics
@@ -381,7 +459,7 @@ impl<P: Protocol> ShardedSimulator<P> {
                 Slot {
                     start,
                     len: end - start,
-                    sched: SubSchedule::from_cursor(cursor),
+                    sched: Schedule::from_cursor(cursor),
                     outbox: vec![Vec::new(); shards],
                     local: Vec::new(),
                     boundary: Vec::new(),
@@ -417,67 +495,31 @@ where
         self.run_probed(count, &mut NullProbe);
     }
 
-    /// Execute exactly `count` interactions. Without a probe and with
-    /// more than one worker, the blocks run on the threaded path;
-    /// otherwise on this inline loop — same blocks, same phases, same
-    /// order, on the calling thread.
+    /// Execute exactly `count` interactions: every worker runs
+    /// [`Blocks::work`], the first on the calling thread. An active
+    /// probe runs one worker.
     fn execute<B: Probe<P>>(&mut self, count: u64, probe: &mut B) {
-        let workers = self.workers();
-        if !B::ACTIVE && workers > 1 {
-            self.run_threaded(count, workers);
-            self.interactions += count;
-            return;
-        }
-        let shards = self.slots.len();
-        let cap = (shards * self.block_pairs) as u64;
-        let protocol = &self.protocol;
-        let lanes = lanes(&mut self.states, &mut self.slots);
-        let mut changed = vec![0u64; if B::ACTIVE { shards } else { 0 }];
-        let mut remaining = count;
-        while remaining > 0 {
-            let total = remaining.min(cap);
-            let rot = (self.interactions % shards as u64) as usize;
-            for (s, lane) in lanes.iter().enumerate() {
-                let lane_changed =
-                    intra_phase(protocol, &self.owners, lane, quota(total, shards, s, rot));
-                if B::ACTIVE {
-                    changed[s] = lane_changed;
-                }
+        let workers = if B::ACTIVE { 1 } else { self.workers() };
+        let cap = (self.slots.len() * self.block_pairs) as u64;
+        let blocks = Blocks {
+            protocol: &self.protocol,
+            owners: &self.owners,
+            rounds: &self.rounds,
+            lanes: lanes(&mut self.states, &mut self.slots),
+            barrier: Barrier::new(workers),
+            workers,
+            base: self.interactions,
+            count,
+            cap,
+        };
+        std::thread::scope(|scope| {
+            for w in 1..workers {
+                let blocks = &blocks;
+                scope.spawn(move || blocks.work(w, &mut NullProbe));
             }
-            let boundary: u64 = if B::ACTIVE {
-                lanes
-                    .iter()
-                    .map(|lane| {
-                        let guard = lane.lock().expect("shard lane poisoned");
-                        let outbox = &guard.slot.outbox;
-                        outbox.iter().map(|o| o.len() as u64).sum::<u64>()
-                    })
-                    .sum()
-            } else {
-                0
-            };
-            for round in &self.rounds {
-                for &(a, b) in round {
-                    exchange(protocol, &lanes[a], &lanes[b], a, b);
-                }
-            }
-            self.interactions += total;
-            remaining -= total;
-            if B::ACTIVE {
-                for (s, lane) in lanes.iter().enumerate() {
-                    let guard = lane.lock().expect("shard lane poisoned");
-                    probe.block(
-                        protocol,
-                        self.interactions,
-                        changed[s],
-                        s,
-                        guard.slot.start,
-                        guard.states,
-                    );
-                }
-                probe.exchange(protocol, self.interactions, boundary);
-            }
-        }
+            blocks.work(0, probe);
+        });
+        self.interactions += count;
     }
 
     /// Whether the protocol certifies the configuration silent
@@ -512,45 +554,6 @@ where
             self.protocol.count_null(local);
         }
         self.interactions += count;
-    }
-
-    /// The multi-worker path: persistent scoped workers advance through
-    /// the same block sequence in lock step. Barriers separate the
-    /// phases; within a phase every worker touches only lanes it
-    /// exclusively owns (its shards in the intra phase, its matches'
-    /// lane pairs in an exchange round), so the trajectory is identical
-    /// to the inline loop of [`execute`](Self::execute) regardless of scheduling.
-    fn run_threaded(&mut self, count: u64, workers: usize) {
-        let shards = self.slots.len();
-        let cap = (shards * self.block_pairs) as u64;
-        let num_blocks = count.div_ceil(cap);
-        let barrier = Barrier::new(workers);
-        let base = self.interactions;
-        let (protocol, rounds, owners) = (&self.protocol, &self.rounds, &self.owners);
-        let lanes = &lanes(&mut self.states, &mut self.slots);
-        std::thread::scope(|scope| {
-            for w in 0..workers {
-                let barrier = &barrier;
-                scope.spawn(move || {
-                    for k in 0..num_blocks {
-                        let total = cap.min(count - k * cap);
-                        let rot = ((base + k * cap) % shards as u64) as usize;
-                        for s in (w..shards).step_by(workers) {
-                            intra_phase(protocol, owners, &lanes[s], quota(total, shards, s, rot));
-                        }
-                        barrier.wait();
-                        for round in rounds {
-                            for (m, &(a, b)) in round.iter().enumerate() {
-                                if m % workers == w {
-                                    exchange(protocol, &lanes[a], &lanes[b], a, b);
-                                }
-                            }
-                            barrier.wait();
-                        }
-                    }
-                });
-            }
-        });
     }
 
     /// Drive the sharded run under a whole-configuration [`Observer`]:
@@ -1270,7 +1273,7 @@ mod tests {
             let owners = OwnerMap::new(n, shards);
             let (start, end) = bounds(n, shards, s);
 
-            let mut reference = SubSchedule::split(n, seed, shards).swap_remove(s);
+            let mut reference = split(n, seed, shards).swap_remove(s);
             let mut ref_local = Vec::new();
             let mut ref_outbox = vec![Vec::new(); shards];
             let mut responders = vec![false; n];
@@ -1293,7 +1296,7 @@ mod tests {
             let mut slot = Slot {
                 start,
                 len: end - start,
-                sched: SubSchedule::split(n, seed, shards).swap_remove(s),
+                sched: split(n, seed, shards).swap_remove(s),
                 outbox: vec![Vec::new(); shards],
                 local: Vec::new(),
                 boundary: Vec::new(),

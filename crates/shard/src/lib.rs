@@ -6,8 +6,9 @@
 //! the configuration stays one vector in agent-index order, and each run
 //! call cuts it into per-shard lanes (contiguous slices; for packed
 //! protocols, stretches of the flat word vector). Each shard
-//! draws pairs from its own [`SubSchedule`](population::SubSchedule)
-//! sub-stream of the uniform scheduler, and cross-shard interactions
+//! draws pairs from its own lane of the uniform scheduler
+//! ([`Schedule::lane`](population::Schedule::lane), split by
+//! [`partition::split`]), and cross-shard interactions
 //! are resolved through a boundary-pair exchange protocol — see
 //! [`ShardedSimulator`] for the full execution model, determinism
 //! contract, and the `shards = 1 ≡ run_batched` equivalence.
@@ -29,8 +30,9 @@
 //!    pairwise update; only the interleaving differs from a
 //!    sequential run.
 //!
-//! Barriers separate the phases; within a phase every worker touches
-//! only lanes it exclusively owns, which is why the trajectory is a
+//! Every worker runs the same block loop, the first on the calling
+//! thread. Barriers separate the phases; within a phase every worker
+//! touches only lanes it exclusively owns, which is why the trajectory is a
 //! pure function of `(seed, shards, block size)` and never of the
 //! worker count. `run_faulted` splits blocks at exact fault
 //! interaction counts, and `run_observed` polls land between blocks at

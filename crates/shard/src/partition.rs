@@ -1,23 +1,58 @@
 //! Population partitioning and the exchange-round schedule.
 //!
 //! A sharded run splits the agent index space `0..n` into `shards`
-//! contiguous, balanced ranges (sizes differ by at most one). Shard
-//! membership is a pure function of the index — [`owner`] — so boundary
-//! pairs can be routed without any lookup table. Cross-shard
+//! contiguous, balanced ranges ([`bounds`]; sizes differ by at most
+//! one), and the uniform scheduler into one lane per range ([`split`]).
+//! Shard membership is a pure function of the index — [`owner`] — so
+//! boundary pairs can be routed without any lookup table. Cross-shard
 //! interactions are executed in *exchange rounds*: a round-robin
 //! tournament ([`rounds`]) in which every round is a set of disjoint
 //! shard pairs, so all matches of a round can run concurrently while
 //! each executor exclusively owns both of its shards' state lanes.
 
+use population::Schedule;
+
 /// The agent-index range `[start, end)` owned by shard `s` in the
-/// balanced contiguous split of `n` agents into `shards` shards.
-///
-/// Matches the ranges produced by
-/// [`SubSchedule::split`](population::schedule::SubSchedule::split):
+/// balanced contiguous split of `n` agents into `shards` shards:
 /// `⌈s·n/shards⌉ .. ⌈(s+1)·n/shards⌉`.
 pub fn bounds(n: usize, shards: usize, s: usize) -> (usize, usize) {
     debug_assert!(s < shards);
     ((s * n).div_ceil(shards), ((s + 1) * n).div_ceil(shards))
+}
+
+/// Seed stride between sibling lanes of one [`split`]: shard `s` is
+/// seeded with `seed + s · STRIDE` (wrapping). `SmallRng`'s seeding
+/// expands a seed into four *consecutive* SplitMix64 outputs, so the
+/// stride is **four** SplitMix64 increments: sibling shards then draw
+/// disjoint, consecutive four-output windows of the same SplitMix64
+/// orbit — the reference "seed a family of generators from one
+/// SplitMix64 stream" construction. (A stride of one increment would
+/// make adjacent shards' state windows overlap in three of four
+/// words.) Shard 0's seed is exactly the base seed, which is what makes
+/// a 1-shard split reproduce [`Schedule::new`] bit for bit.
+pub const SHARD_SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(4);
+
+/// Split the uniform scheduler into `shards` balanced lanes: shard `s`
+/// draws its initiators from [`bounds`]`(n, shards, s)` and is seeded
+/// `seed + s ·`[`SHARD_SEED_STRIDE`]. With `shards = 1` the single lane
+/// is `Schedule::new(n, seed)`.
+///
+/// # Panics
+///
+/// Panics if `n < 2` or `shards` is not in `1..=n`.
+pub fn split(n: usize, seed: u64, shards: usize) -> Vec<Schedule> {
+    assert!(n >= 2, "population needs at least two agents");
+    assert!(
+        (1..=n).contains(&shards),
+        "shard count must be within 1..=n"
+    );
+    (0..shards)
+        .map(|s| {
+            let (start, end) = bounds(n, shards, s);
+            let shard_seed = seed.wrapping_add((s as u64).wrapping_mul(SHARD_SEED_STRIDE));
+            Schedule::lane(n, start, end - start, shard_seed)
+        })
+        .collect()
 }
 
 /// The shard owning agent `i`: the inverse of [`bounds`],
@@ -50,8 +85,9 @@ pub struct OwnerMap {
 impl OwnerMap {
     /// Build the lookup for `n` agents in `shards` shards.
     pub fn new(n: usize, shards: usize) -> Self {
-        let starts = (0..=shards)
-            .map(|s| ((s * n).div_ceil(shards)) as u32)
+        let starts = (0..shards)
+            .map(|s| bounds(n, shards, s).0 as u32)
+            .chain([n as u32])
             .collect();
         Self {
             starts,
@@ -127,6 +163,85 @@ mod tests {
             }
             assert_eq!(next, n);
         }
+    }
+
+    #[test]
+    fn split_with_one_shard_is_the_uniform_scheduler() {
+        let mut lanes = split(20, 77, 1);
+        assert_eq!(lanes.len(), 1);
+        assert_eq!(lanes[0].range(), (0, 20));
+        let mut reference = Schedule::new(20, 77);
+        for _ in 0..3000 {
+            assert_eq!(reference.next_pair(), lanes[0].next_pair());
+        }
+    }
+
+    #[test]
+    fn split_ranges_are_balanced_and_cover_the_population() {
+        for (n, shards) in [(10, 3), (16, 4), (7, 7), (100, 8), (5, 2)] {
+            let lanes = split(n, 0, shards);
+            let mut next = 0;
+            for (s, lane) in lanes.iter().enumerate() {
+                let (start, end) = lane.range();
+                assert_eq!((start, end), bounds(n, shards, s));
+                assert_eq!(start, next, "ranges must be contiguous");
+                let len = end - start;
+                assert!(
+                    (n / shards..=n.div_ceil(shards)).contains(&len),
+                    "n={n} shards={shards}: shard size {len} unbalanced"
+                );
+                next = end;
+            }
+            assert_eq!(next, n, "ranges must cover the population");
+        }
+    }
+
+    #[test]
+    fn sibling_shard_seed_windows_do_not_overlap() {
+        // SmallRng::seed_from_u64 expands a seed into the four SplitMix64
+        // outputs at orbit positions seed+G .. seed+4G (G = the SplitMix64
+        // increment). The shard stride must keep sibling windows disjoint:
+        // a stride of exactly G would overlap three of four state words.
+        fn splitmix_window(seed: u64) -> Vec<u64> {
+            let mut state = seed;
+            (0..4)
+                .map(|_| {
+                    state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                    let mut z = state;
+                    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                    z ^ (z >> 31)
+                })
+                .collect()
+        }
+        let seed = 0xDEAD_BEEF_u64;
+        let windows: Vec<Vec<u64>> = (0..8)
+            .map(|s| splitmix_window(seed.wrapping_add((s as u64).wrapping_mul(SHARD_SEED_STRIDE))))
+            .collect();
+        for (a, wa) in windows.iter().enumerate() {
+            for (b, wb) in windows.iter().enumerate() {
+                if a != b {
+                    assert!(
+                        wa.iter().all(|x| !wb.contains(x)),
+                        "shards {a} and {b} share SplitMix64 outputs"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sibling_shard_streams_differ() {
+        let mut lanes = split(16, 11, 2);
+        let first: Vec<_> = (0..100).map(|_| lanes[0].next_pair().1).collect();
+        let second: Vec<_> = (0..100).map(|_| lanes[1].next_pair().1).collect();
+        assert_ne!(first, second, "sibling shards must not share a stream");
+    }
+
+    #[test]
+    #[should_panic(expected = "shard count must be within")]
+    fn split_rejects_more_shards_than_agents() {
+        let _ = split(4, 0, 5);
     }
 
     #[test]

@@ -22,6 +22,7 @@ use population::{
 };
 use scenarios::fault::FaultPlan;
 use scenarios::recovery::RecoveryEvent;
+use shard::partition::bounds;
 use shard::ShardedSimulator;
 
 use crate::bytes::{Reader, Writer};
@@ -133,10 +134,7 @@ where
         )));
     }
     for (s, cursor) in frame.cursors.iter().enumerate() {
-        // The balanced partition of `new`/`resume`: lane s is
-        // ⌈sn/k⌉..⌈(s+1)n/k⌉.
-        let start = (s * n).div_ceil(shards);
-        let end = ((s + 1) * n).div_ceil(shards);
+        let (start, end) = bounds(n, shards, s);
         check_cursor(cursor, n, start, end)?;
     }
     let states = decode_states(&protocol, &frame.words)?;
@@ -324,6 +322,15 @@ mod tests {
         };
         assert!(matches!(
             resume_simulator(Ident(16), &snap),
+            Err(SnapshotError::Malformed(_))
+        ));
+        // Nor does a single-cursor frame whose cursor covers only one
+        // lane of the population.
+        let mut lane = snap.clone();
+        lane.frame.shards = 1;
+        lane.frame.cursors.truncate(1);
+        assert!(matches!(
+            resume_simulator(Ident(16), &lane),
             Err(SnapshotError::Malformed(_))
         ));
         // And a frame whose cursors disagree with the balanced lanes is

@@ -21,12 +21,16 @@
 //! certify too. One more case
 //! skips several runs in a row, so the uniform pair source owes their
 //! draws, and checks the frame, a save, a fault and a resume taken
-//! while the draws are still owed.
+//! while the draws are still owed. The dynamic engine runs the
+//! sequential engine's block loop, so it skips too: a quiescent run from
+//! the clean start, and a churning run under a fault plan, end where the
+//! executing run does, down to the engine's own DYNPOP section.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use silent_ranking::dynamic::{ChurnConfig, DynRanking, DynamicPopulation};
 use silent_ranking::population::observe::Control;
-use silent_ranking::population::schedule::{Pair, Schedule, SubSchedule};
+use silent_ranking::population::schedule::{Pair, Schedule};
 use silent_ranking::population::{
     drive, is_valid_ranking, Capture, CursorSource, Every, FaultHook, FaultState, Frame, HookState,
     MemoryCheckpointer, NoFaults, NoPoll, NoSaves, NullProbe, Observer, Packed, PairSource,
@@ -35,7 +39,7 @@ use silent_ranking::population::{
 use silent_ranking::ranking::stable::{PackedState, StableRanking, StableState};
 use silent_ranking::ranking::Params;
 use silent_ranking::scenarios::{ranking_faults, FaultPlan};
-use silent_ranking::shard::ShardedSimulator;
+use silent_ranking::shard::{partition, ShardedSimulator};
 use silent_ranking::telemetry::{EventKind, Recorder};
 
 type P = Packed<StableRanking>;
@@ -175,6 +179,42 @@ impl<Q: WordState + Sync> Wrapper for Certifies<Q> {
 
     fn credited(&self) -> u64 {
         self.1.load(Ordering::Relaxed)
+    }
+}
+
+impl<Q: DynRanking> DynRanking for Executes<Q> {
+    fn with_params(params: Params) -> Self {
+        Executes(Q::with_params(params))
+    }
+
+    fn fresh(&self, coin: bool) -> Q::State {
+        self.0.fresh(coin)
+    }
+
+    fn ranked(&self, rank: u64) -> Q::State {
+        self.0.ranked(rank)
+    }
+
+    fn rank_of(&self, state: &Q::State) -> Option<u64> {
+        self.0.rank_of(state)
+    }
+}
+
+impl<Q: DynRanking> DynRanking for Certifies<Q> {
+    fn with_params(params: Params) -> Self {
+        certifies(Q::with_params(params))
+    }
+
+    fn fresh(&self, coin: bool) -> Q::State {
+        self.0.fresh(coin)
+    }
+
+    fn ranked(&self, rank: u64) -> Q::State {
+        self.0.ranked(rank)
+    }
+
+    fn rank_of(&self, state: &Q::State) -> Option<u64> {
+        self.0.rank_of(state)
     }
 }
 
@@ -522,7 +562,7 @@ fn a_cursor_restored_with_pending_pairs_fast_forwards_exactly() {
     }
 
     fn sharded_pending<Q: Kernel>(q: Q, (shards, workers): (usize, usize)) -> ShardedSimulator<Q> {
-        let cursors = SubSchedule::split(N, SEED, shards)
+        let cursors = partition::split(N, SEED, shards)
             .into_iter()
             .map(|s| with_pending(s, PENDING).cursor())
             .collect();
@@ -686,4 +726,55 @@ fn owed_draws_pile_up_across_runs_and_settle_exactly() {
             .with_block_pairs(SHARD_BLOCK)
         },
     );
+}
+
+/// A dynamic population of `N` fresh electors under `config`.
+fn dynamic<Q: DynRanking>(config: ChurnConfig) -> DynamicPopulation<Q> {
+    DynamicPopulation::new(Params::new(N), config, SEED)
+}
+
+#[test]
+fn the_dynamic_engine_fast_forwards_exactly_from_the_clean_start() {
+    let mut got = dynamic::<Certifies<P>>(ChurnConfig::quiescent());
+    let mut want = dynamic::<Executes<P>>(ChurnConfig::quiescent());
+    got.run(BUDGET);
+    want.run(BUDGET);
+    assert_eq!(got.frame(), want.frame());
+    assert_eq!(got.dynpop_bytes(), want.dynpop_bytes());
+    assert!(is_valid_ranking(got.states()), "the run must stabilize");
+    assert!(got.protocol().credited() > 0, "nothing skipped");
+}
+
+#[test]
+fn the_dynamic_engine_fast_forwards_exactly_under_churn_and_faults() {
+    // About one arrival and one departure per 100 000 interactions. An
+    // arrival leases the rank a departure released, so the live ranks
+    // are 1..=16 again between the lifecycle events, and some of the
+    // rank erasures land in those silent stretches.
+    let churn = ChurnConfig {
+        hibernate_prob: 0.0,
+        ..ChurnConfig::poisson(10.0, 1_600_000.0)
+    };
+    let budget = 10 * BUDGET;
+    let plan = || {
+        Plan(UnpackedHook::new(FaultPlan::new(SEED ^ 0xFF).periodic(
+            50_000,
+            100_000,
+            ranking_faults::erase_rank(&protocol(), 2),
+        )))
+    };
+    let mut got = dynamic::<Certifies<P>>(churn.clone());
+    let mut want = dynamic::<Executes<P>>(churn);
+    let (mut got_plan, mut want_plan) = (plan(), plan());
+    got.run_faulted_probed(budget, &mut got_plan, &mut NullProbe);
+    want.run_faulted_probed(budget, &mut want_plan, &mut NullProbe);
+    assert_eq!(got.frame(), want.frame());
+    assert_eq!(got.dynpop_bytes(), want.dynpop_bytes());
+    assert_eq!(got_plan.fired(), want_plan.fired());
+    assert_eq!(want_plan.fired().len(), 12);
+    let metrics = want.metrics().snapshot();
+    for counter in ["dyn_joins", "dyn_leaves"] {
+        assert!(metrics.counter(counter).unwrap_or(0) > 0, "no {counter}");
+    }
+    assert!(got.protocol().credited() > 0, "nothing skipped");
 }
