@@ -3,7 +3,8 @@
 //! Measures stabilization interactions across a geometric range of `n`
 //! and fits `T = a·n^b`: both theorems predict `b ≈ 2` (up to the
 //! `log n` factor, which pushes the fitted exponent slightly above 2),
-//! in contrast to the Cai baseline's `b ≈ 3` (see `cai_scaling`).
+//! in contrast to the Cai baseline's `b ≈ 3` (the `cai_time` rows of
+//! `BENCH_lemmas.json`, written by the `lemmas` binary).
 //! Additionally reports `T/(n² log₂ n)`, which the theorems predict to
 //! be roughly constant.
 //!

@@ -1,5 +1,8 @@
 //! The tiny CLI convention shared by every experiment binary:
-//! `key=value` arguments plus bare `--flag`s.
+//! `key=value` arguments plus bare `--flag`s. Anything else, and a
+//! value that does not parse as the type its key asks for, panics:
+//! a silently substituted default would run a different experiment
+//! under the requested label.
 
 use std::collections::HashMap;
 
@@ -17,6 +20,10 @@ impl Args {
     }
 
     /// Parse from an explicit iterator (testable).
+    ///
+    /// # Panics
+    ///
+    /// Panics on an argument that is neither `--flag` nor `key=value`.
     pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Self {
         let mut out = Args::default();
         for arg in args {
@@ -24,17 +31,28 @@ impl Args {
                 out.flags.push(flag.to_string());
             } else if let Some((k, v)) = arg.split_once('=') {
                 out.values.insert(k.to_string(), v.to_string());
+            } else {
+                panic!("argument {arg:?} is neither key=value nor --flag");
             }
         }
         out
     }
 
-    /// `key=value` lookup with a default.
+    /// `key=value` lookup with a default for an absent key.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the key is present but its value does not parse as `T`.
     pub fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
-        self.values
-            .get(key)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+        match self.values.get(key) {
+            None => default,
+            Some(v) => v.parse().unwrap_or_else(|_| {
+                panic!(
+                    "{key}={v}: expected a value of type {}",
+                    std::any::type_name::<T>()
+                )
+            }),
+        }
     }
 
     /// `key=value` lookup returning the raw string, if present.
@@ -80,9 +98,16 @@ mod tests {
     }
 
     #[test]
-    fn malformed_values_fall_back_to_default() {
-        let a = Args::parse(["n=abc".to_string()]);
-        assert_eq!(a.get("n", 42usize), 42);
+    #[should_panic(expected = "n=1e3: expected a value of type usize")]
+    fn malformed_values_panic() {
+        let a = Args::parse(["n=1e3".to_string()]);
+        a.get("n", 42usize);
+    }
+
+    #[test]
+    #[should_panic(expected = "\"ck\" is neither key=value nor --flag")]
+    fn positional_arguments_panic() {
+        Args::parse(["n=8".to_string(), "ck".to_string()]);
     }
 
     #[test]
