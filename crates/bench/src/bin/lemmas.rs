@@ -435,6 +435,6 @@ fn ablation(exp: &Experiment, rows: &mut Rows) {
         let point = format!("c_wait={c_wait} c_live={c_live}");
         rows.push(n, &point, "T/(n^2 log2 n)", mean, None);
         rows.push(n, &point, "fail rate", fails as f64 / sims as f64, None);
-        rows.push(n, &point, "resets/run", (resets / sims) as f64, None);
+        rows.push(n, &point, "resets/run", resets as f64 / sims as f64, None);
     }
 }

@@ -27,11 +27,19 @@
 //! Dynamic populations: `arrivals=<per-million>` and/or
 //! `lifetime=<mean>` switch the run onto the `DynamicPopulation`
 //! engine (Poisson joins, exponential lifetimes, rank leasing, epoch
-//! re-parameterization). Churn runs are single-shard and currently
-//! exclusive with `fault=`; the whole engine state (roster, free-lists,
-//! churn RNG) rides in the snapshots' DYNPOP section, so the
-//! kill-anytime digest contract holds unchanged — the digest then also
-//! covers those DYNPOP bytes.
+//! re-parameterization). Churn runs are single-shard and exclusive with
+//! `fault=` (an injector is built for the nominal population, so after
+//! an epoch roll it would write states outside the new state space);
+//! the whole engine state (roster, free-lists, churn RNG) rides in the
+//! snapshots' DYNPOP section, so the kill-anytime digest contract holds
+//! unchanged — the digest then also covers those DYNPOP bytes.
+//!
+//! Every engine — sequential, sharded (`shards=`) and dynamic — runs
+//! the block kernel (`Packed<StableRanking>`) through one arm: one
+//! `drive` call saving through one `SnapshotSink`, the final save on
+//! the same path, and one digest. Snapshots hold the kernel's words in
+//! the enum's codec, so rotations written by the enum engine resume
+//! here.
 //!
 //! Usage: `cargo run --release -p bench --bin run-forever --
 //! checkpoint_dir=DIR [n=256] [interactions=10000000]
@@ -44,16 +52,30 @@ use std::time::Instant;
 
 use bench::Experiment;
 use dynamic::{ChurnConfig, DynamicPopulation};
-use population::{Frame, Simulator};
+use population::{
+    drive, Capture, Frame, NoPoll, NullProbe, Packed, Saves, Simulator, UnpackedHook,
+};
 use ranking::stable::{StableRanking, StableState};
 use ranking::Params;
 use scenarios::{ranking_faults, FaultPlan};
 use shard::ShardedSimulator;
-use snapshot::{restore_hook, Crc64, Meta, Rotation, SimSnapshot, SnapshotSink};
+use snapshot::{restore_hook, Crc64, Meta, Rotation, SimSnapshot, SnapshotError, SnapshotSink};
+
+/// The protocol every engine runs: the block kernel.
+type Kernel = Packed<StableRanking>;
+
+/// The fault plan, fired on the kernel's words through their structured
+/// states.
+type Plan = UnpackedHook<FaultPlan<StableState>>;
 
 fn die(msg: &str) -> ! {
     eprintln!("run-forever: {msg}");
     std::process::exit(1)
+}
+
+/// The engine a snapshot restored into, or the reason to stop.
+fn restored<T>(engine: Result<T, SnapshotError>) -> T {
+    engine.unwrap_or_else(|e| die(&format!("cannot restore: {e}")))
 }
 
 /// The trajectory digest: CRC-64 over the frame's interaction count,
@@ -103,6 +125,23 @@ fn build_plan(
             ranking_faults::standard(kind, protocol, n),
         ),
     }
+}
+
+/// Run `engine` on to `total` interactions under `plan`, saving through
+/// `sink` on its cadence, and return the digest of the final position.
+/// One final save at `t = total` goes through the driver's own save
+/// path: a re-run of a finished command resumes there, sees
+/// `t >= total`, and is a pure no-op.
+fn soak<E: Capture<Protocol = Kernel>>(
+    engine: &mut E,
+    total: u64,
+    plan: &mut Plan,
+    sink: &mut SnapshotSink,
+) -> u64 {
+    let remaining = total - engine.interactions();
+    drive(engine, remaining, plan, sink, &mut NoPoll, &mut NullProbe);
+    Saves::save(sink, engine, plan);
+    digest(&engine.frame(), &engine.section())
 }
 
 fn main() {
@@ -187,15 +226,8 @@ fn main() {
         println!("fresh start (no usable snapshot)");
     }
 
-    if churning {
-        run_dynamic(
-            &exp, rotation, loaded, &label, n, seed, total, every, arrivals, lifetime,
-        );
-        return;
-    }
-
     let protocol = StableRanking::new(Params::new(n));
-    let mut plan = build_plan(&protocol, n, seed, fault, fault_every);
+    let mut plan = UnpackedHook::new(build_plan(&protocol, n, seed, fault, fault_every));
     if let Some(state) = loaded.as_ref().and_then(|s| s.fault.as_ref()) {
         restore_hook(&mut plan, state)
             .unwrap_or_else(|e| die(&format!("cannot restore fault state: {e}")));
@@ -211,130 +243,66 @@ fn main() {
 
     // Fault runs soak a legal silent configuration; fault-free runs
     // exercise the whole election-then-rank trajectory from the clean
-    // start.
-    let init = match fault {
-        Some(_) => protocol.legal(),
-        None => protocol.initial(),
-    };
+    // start, where the dynamic engine starts too.
+    let kernel = Packed(protocol);
+    let init = kernel.pack_all(&match fault {
+        Some(_) => kernel.inner().legal(),
+        None => kernel.inner().initial(),
+    });
 
     let clock = Instant::now();
-    let final_frame = if shards == 1 {
-        let mut sim = match &loaded {
-            Some(snap) => snapshot::resume_simulator(protocol, snap)
-                .unwrap_or_else(|e| die(&format!("cannot restore: {e}"))),
-            None => Simulator::new(protocol, init, seed),
+    let (final_digest, churn_summary) = if churning {
+        let mut engine = match &loaded {
+            Some(snap) => restored(DynamicPopulation::restore(snap)),
+            None => DynamicPopulation::<Kernel>::new(
+                Params::new(n),
+                ChurnConfig::poisson(arrivals, lifetime),
+                seed,
+            ),
         };
-        sim.run_faulted_checkpointed(total - start_t, &mut plan, &mut sink);
-        sim.frame()
+        let final_digest = soak(&mut engine, total, &mut plan, &mut sink);
+        let metrics = engine.metrics().snapshot();
+        let counter = |name: &str| metrics.counter(name).unwrap_or(0);
+        let summary = format!(
+            "live={} epoch={} joins={} leaves={} hibernates={} revives={} valid={:.3}",
+            engine.live(),
+            engine.epoch().epoch(),
+            counter("dyn_joins"),
+            counter("dyn_leaves"),
+            counter("dyn_hibernates"),
+            counter("dyn_revives"),
+            engine.fraction_valid(),
+        );
+        (final_digest, Some(summary))
+    } else if shards == 1 {
+        let mut sim = match &loaded {
+            Some(snap) => restored(snapshot::resume_simulator(kernel, snap)),
+            None => Simulator::new(kernel, init, seed),
+        };
+        (soak(&mut sim, total, &mut plan, &mut sink), None)
     } else {
         let mut sim = match &loaded {
-            Some(snap) => snapshot::resume_sharded(protocol, snap)
-                .unwrap_or_else(|e| die(&format!("cannot restore: {e}"))),
-            None => ShardedSimulator::new(protocol, init, seed, shards),
+            Some(snap) => restored(snapshot::resume_sharded(kernel, snap)),
+            None => ShardedSimulator::new(kernel, init, seed, shards),
         };
-        sim.run_faulted_checkpointed(total - start_t, &mut plan, &mut sink);
-        sim.frame()
+        (soak(&mut sim, total, &mut plan, &mut sink), None)
     };
     let secs = clock.elapsed().as_secs_f64();
-
-    // One final snapshot at t = total: a re-run of a finished command
-    // resumes here, sees t >= total, and is a pure no-op.
-    use population::HookState;
-    let final_snap = SimSnapshot {
-        meta: Meta::new(&label, seed, &exp.manifest()),
-        frame: final_frame,
-        fault: plan.export_state(),
-        observer: Vec::new(),
-        dynpop: Vec::new(),
-    };
-    let final_path = sink
-        .rotation()
-        .save(&final_snap)
-        .unwrap_or_else(|e| die(&format!("cannot write final snapshot: {e}")));
 
     let ran = total - start_t;
     println!(
         "ran {ran} interactions in {secs:.2}s ({:.1} M/s), faults fired: {}",
         ran as f64 / secs / 1e6,
-        plan.fired().len(),
+        plan.inner().fired().len(),
     );
+    if let Some(summary) = churn_summary {
+        println!("dynamic: {summary}");
+    }
     println!(
         "checkpoints: saves={} failures={} every={every} final={}",
         sink.saves,
         sink.failures,
-        final_path.display()
+        sink.rotation().path_for(total).display()
     );
-    println!(
-        "digest={:016x}",
-        digest(&final_snap.frame, &final_snap.dynpop)
-    );
-}
-
-/// The dynamic-population arm: same resume/label/digest contract, but
-/// the engine carries its whole lifecycle state (roster, free-lists,
-/// churn RNG cursor, epoch) in the snapshots' DYNPOP section.
-/// Checkpoints land on exact multiples of `every`, so a killed run
-/// resumes onto the identical trajectory.
-#[allow(clippy::too_many_arguments)]
-fn run_dynamic(
-    exp: &Experiment,
-    rotation: Rotation,
-    loaded: Option<SimSnapshot>,
-    label: &str,
-    n: usize,
-    seed: u64,
-    total: u64,
-    every: u64,
-    arrivals: f64,
-    lifetime: f64,
-) {
-    let mut engine: DynamicPopulation<StableRanking> = match &loaded {
-        Some(snap) => DynamicPopulation::restore(snap)
-            .unwrap_or_else(|e| die(&format!("cannot restore dynamic run: {e}"))),
-        None => DynamicPopulation::new(
-            Params::new(n),
-            ChurnConfig::poisson(arrivals, lifetime),
-            seed,
-        ),
-    };
-    let start_t = engine.interactions();
-    let clock = Instant::now();
-    let mut saves = 0u64;
-    let mut failures = 0u64;
-    while engine.interactions() < total {
-        let boundary = (engine.interactions() / every + 1) * every;
-        let target = total.min(boundary);
-        engine.run(target - engine.interactions());
-        let snap = engine.snapshot(Meta::new(label, seed, &exp.manifest()));
-        match rotation.save(&snap) {
-            Ok(_) => saves += 1,
-            Err(e) => {
-                failures += 1;
-                eprintln!("run-forever: checkpoint save failed: {e}");
-            }
-        }
-    }
-    let secs = clock.elapsed().as_secs_f64();
-
-    let metrics = engine.metrics().snapshot();
-    let counter = |name: &str| metrics.counter(name).unwrap_or(0);
-    let final_snap = engine.snapshot(Meta::new(label, seed, &exp.manifest()));
-    let ran = total - start_t;
-    println!(
-        "ran {ran} interactions in {secs:.2}s ({:.1} M/s), live={} epoch={} \
-         joins={} leaves={} hibernates={} revives={} valid={:.3}",
-        ran as f64 / secs / 1e6,
-        engine.live(),
-        engine.epoch().epoch(),
-        counter("dyn_joins"),
-        counter("dyn_leaves"),
-        counter("dyn_hibernates"),
-        counter("dyn_revives"),
-        engine.fraction_valid(),
-    );
-    println!("checkpoints: saves={saves} failures={failures} every={every}");
-    println!(
-        "digest={:016x}",
-        digest(&final_snap.frame, &final_snap.dynpop)
-    );
+    println!("digest={final_digest:016x}");
 }

@@ -6,8 +6,11 @@
 //! `Packed<StableRanking>` words) and the sharded engine (at `workers=`
 //! threads, defaulting to the machine parallelism capped at the shard
 //! count) are sampled back to back, alternating, so clock-speed drift
-//! on shared machines cancels out of the speedup column. All
-//! configurations execute the paper protocol from its clean start.
+//! on shared machines cancels out of the speedup column. Next to the
+//! speedup (the ratio of the medians) every row reports the first and
+//! third quartiles of the paired ratios, so a row shows how far host
+//! load moves it. All configurations execute the paper protocol from
+//! its clean start.
 //!
 //! Wall-clock speedup needs real cores: the JSON artifact records
 //! `cores` (honoring `SSR_WORKERS`) next to every row, so a sweep taken
@@ -40,6 +43,7 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
+use analysis::stats::quantile;
 use bench::{f3, Experiment, Json, Table};
 use population::{Packed, Simulator};
 use ranking::stable::{PackedState, StableRanking};
@@ -85,22 +89,21 @@ fn measure_pair(
         sharded.run(interactions);
         shard_s.push(t0.elapsed().as_secs_f64());
     }
-    // Best paired ratio: each sample pair ran milliseconds apart, so a
+    // Paired ratios: each sample pair ran milliseconds apart, so a
     // CPU-steal spike hits at most a few pairs — a real regression
-    // degrades *every* pair. The smoke gates on this (flake-resistant);
-    // the table reports the medians.
-    let best_ratio = base_s
-        .iter()
-        .zip(&shard_s)
-        .map(|(b, s)| b / s)
-        .fold(f64::MIN, f64::max);
+    // degrades *every* pair. The smoke gates on the best one
+    // (flake-resistant); the table reports the medians and the paired
+    // ratios' quartiles, the spread a single speedup hides.
+    let ratios: Vec<f64> = base_s.iter().zip(&shard_s).map(|(b, s)| b / s).collect();
     base_s.sort_by(f64::total_cmp);
     shard_s.sort_by(f64::total_cmp);
     let per_sec = |s: &[f64]| interactions as f64 / s[s.len() / 2];
     Measurement {
         baseline: per_sec(&base_s),
         sharded: per_sec(&shard_s),
-        best_ratio,
+        best_ratio: ratios.iter().copied().fold(f64::MIN, f64::max),
+        ratio_q1: quantile(&ratios, 0.25),
+        ratio_q3: quantile(&ratios, 0.75),
         workers: effective,
     }
 }
@@ -109,6 +112,8 @@ struct Measurement {
     baseline: f64,
     sharded: f64,
     best_ratio: f64,
+    ratio_q1: f64,
+    ratio_q3: f64,
     workers: usize,
 }
 
@@ -123,10 +128,7 @@ fn sharded_final(n: usize, shards: usize, interactions: u64) -> Vec<PackedState>
 struct Row {
     n: usize,
     shards: usize,
-    workers: usize,
-    baseline: f64,
-    sharded: f64,
-    best_ratio: f64,
+    m: Measurement,
 }
 
 fn main() -> ExitCode {
@@ -161,14 +163,7 @@ fn main() -> ExitCode {
         for &shards in &shard_counts {
             assert!(shards <= n, "shards={shards} exceeds n={n}");
             let m = measure_pair(n, shards, workers, interactions, samples);
-            rows.push(Row {
-                n,
-                shards,
-                workers: m.workers,
-                baseline: m.baseline,
-                sharded: m.sharded,
-                best_ratio: m.best_ratio,
-            });
+            rows.push(Row { n, shards, m });
         }
     }
 
@@ -183,16 +178,20 @@ fn main() -> ExitCode {
             "batched M/s",
             "sharded M/s",
             "speedup",
+            "paired q1",
+            "paired q3",
         ],
     );
     for r in &rows {
         table.push(vec![
             r.n.to_string(),
             r.shards.to_string(),
-            r.workers.to_string(),
-            f3(r.baseline / 1e6),
-            f3(r.sharded / 1e6),
-            f3(r.sharded / r.baseline),
+            r.m.workers.to_string(),
+            f3(r.m.baseline / 1e6),
+            f3(r.m.sharded / 1e6),
+            f3(r.m.sharded / r.m.baseline),
+            f3(r.m.ratio_q1),
+            f3(r.m.ratio_q3),
         ]);
     }
     exp.emit(&table);
@@ -209,11 +208,13 @@ fn main() -> ExitCode {
                         Json::obj([
                             ("n", r.n.into()),
                             ("shards", r.shards.into()),
-                            ("workers", r.workers.into()),
-                            ("batched_interactions_per_sec", r.baseline.into()),
-                            ("sharded_interactions_per_sec", r.sharded.into()),
-                            ("speedup", (r.sharded / r.baseline).into()),
-                            ("best_paired_ratio", r.best_ratio.into()),
+                            ("workers", r.m.workers.into()),
+                            ("batched_interactions_per_sec", r.m.baseline.into()),
+                            ("sharded_interactions_per_sec", r.m.sharded.into()),
+                            ("speedup", (r.m.sharded / r.m.baseline).into()),
+                            ("best_paired_ratio", r.m.best_ratio.into()),
+                            ("paired_ratio_q1", r.m.ratio_q1.into()),
+                            ("paired_ratio_q3", r.m.ratio_q3.into()),
                         ])
                     })
                     .collect(),
@@ -245,7 +246,7 @@ fn main() -> ExitCode {
         // Gate on the best paired ratio (see `measure_pair`): robust to
         // CPU-steal spikes on shared runners, while a real regression
         // degrades every pair and still trips the floor.
-        let ratio = r.best_ratio;
+        let ratio = r.m.best_ratio;
         exp.note(&format!(
             "smoke n={} shards={}: best paired sharded/batched ratio {ratio:.2} (floor {floor})",
             r.n, r.shards

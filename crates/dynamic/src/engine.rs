@@ -52,14 +52,14 @@ use std::collections::VecDeque;
 use population::schedule::BLOCK_PAIRS;
 use population::silence::Certificate;
 use population::{
-    advance_blocks, drive, CursorSource, Engine, FaultHook, Frame, Membership, NoFaults, NoPoll,
-    NoSaves, NullProbe, PackedProtocol, Probe, Protocol, RankOutput, Schedule, ScheduleCursor,
-    WordState,
+    advance_blocks, drive, Capture, CursorSource, Engine, FaultHook, Frame, Membership, NoFaults,
+    NoPoll, NoSaves, NullProbe, PackedProtocol, Probe, Protocol, RankOutput, Schedule,
+    ScheduleCursor, WordState,
 };
 use ranking::stable::{PackedState, StableRanking, StableState};
 use ranking::{EpochParams, Params};
 use snapshot::bytes::{Reader, Writer};
-use snapshot::{Meta, SimSnapshot, SnapshotError};
+use snapshot::{SimSnapshot, SnapshotError};
 use telemetry::{Counter, Histogram, Registry};
 
 use crate::churn::{ChurnConfig, ChurnProcess};
@@ -163,6 +163,11 @@ pub struct DynamicPopulation<P: DynRanking> {
     /// Released ranks awaiting lease, oldest first: `(rank, released_at)`.
     free_ranks: VecDeque<(u64, u64)>,
     churn: ChurnProcess,
+    metrics: Metrics,
+}
+
+/// The engine's [`Registry`] and the handles the engine updates.
+struct Metrics {
     registry: Registry,
     joins: Counter,
     leaves: Counter,
@@ -170,6 +175,21 @@ pub struct DynamicPopulation<P: DynRanking> {
     revives: Counter,
     epochs: Counter,
     rank_reuse_dwell: Histogram,
+}
+
+impl Metrics {
+    fn new() -> Self {
+        let mut registry = Registry::new();
+        Self {
+            joins: registry.counter("dyn_joins"),
+            leaves: registry.counter("dyn_leaves"),
+            hibernates: registry.counter("dyn_hibernates"),
+            revives: registry.counter("dyn_revives"),
+            epochs: registry.counter("dyn_epochs"),
+            rank_reuse_dwell: registry.histogram("rank_reuse_dwell"),
+            registry,
+        }
+    }
 }
 
 impl<P: DynRanking> DynamicPopulation<P> {
@@ -186,13 +206,6 @@ impl<P: DynRanking> DynamicPopulation<P> {
                 AgentRecord::active(slot as u32, due)
             })
             .collect();
-        let mut registry = Registry::new();
-        let joins = registry.counter("dyn_joins");
-        let leaves = registry.counter("dyn_leaves");
-        let hibernates = registry.counter("dyn_hibernates");
-        let revives = registry.counter("dyn_revives");
-        let epochs = registry.counter("dyn_epochs");
-        let rank_reuse_dwell = registry.histogram("rank_reuse_dwell");
         Self {
             protocol,
             epoch: EpochParams::new(params),
@@ -205,13 +218,7 @@ impl<P: DynRanking> DynamicPopulation<P> {
             free_ids: Vec::new(),
             free_ranks: VecDeque::new(),
             churn,
-            registry,
-            joins,
-            leaves,
-            hibernates,
-            revives,
-            epochs,
-            rank_reuse_dwell,
+            metrics: Metrics::new(),
         }
     }
 
@@ -264,7 +271,7 @@ impl<P: DynRanking> DynamicPopulation<P> {
     /// `rank_reuse_dwell` histogram (interactions between a rank's
     /// release and its next lease).
     pub fn metrics(&self) -> &Registry {
-        &self.registry
+        &self.metrics.registry
     }
 
     /// Fraction of live agents holding a valid rank: within
@@ -338,25 +345,31 @@ impl<P: DynRanking> DynamicPopulation<P> {
             rec.parked = parked;
             rec.rank = rank;
             rec.due = due;
-            self.hibernates.inc();
+            self.metrics.hibernates.inc();
             if B::ACTIVE {
                 probe.membership(&self.protocol, now, id, Membership::Hibernate);
             }
         } else {
-            if let Some(rank) = self.protocol.rank_of(&state) {
-                self.release_rank(rank, now);
-            }
-            let rec = &mut self.roster[id as usize];
-            rec.phase = Lifecycle::Departed;
-            rec.due = u64::MAX;
-            rec.parked = 0;
-            rec.rank = None;
-            self.free_ids.push(id);
-            self.leaves.inc();
+            self.retire(id, &state, now);
             if B::ACTIVE {
                 probe.membership(&self.protocol, now, id, Membership::Leave);
             }
         }
+    }
+
+    /// Agent `id`, already out of the lane holding `state`, leaves for
+    /// good: its rank goes to the free-list and its id is recycled.
+    fn retire(&mut self, id: u32, state: &P::State, now: u64) {
+        if let Some(rank) = self.protocol.rank_of(state) {
+            self.release_rank(rank, now);
+        }
+        let rec = &mut self.roster[id as usize];
+        rec.phase = Lifecycle::Departed;
+        rec.due = u64::MAX;
+        rec.parked = 0;
+        rec.rank = None;
+        self.free_ids.push(id);
+        self.metrics.leaves.inc();
     }
 
     /// A hibernating agent's dwell ended: release its reserved rank
@@ -400,7 +413,7 @@ impl<P: DynRanking> DynamicPopulation<P> {
         rec.slot = slot;
         rec.parked = 0;
         rec.due = due;
-        self.revives.inc();
+        self.metrics.revives.inc();
         if B::ACTIVE {
             probe.membership(&self.protocol, now, id, Membership::Revive);
         }
@@ -417,7 +430,7 @@ impl<P: DynRanking> DynamicPopulation<P> {
         };
         let state = match lease {
             Some((rank, released_at)) => {
-                self.rank_reuse_dwell.record(now - released_at);
+                self.metrics.rank_reuse_dwell.record(now - released_at);
                 self.protocol.ranked(rank)
             }
             None => {
@@ -448,7 +461,7 @@ impl<P: DynRanking> DynamicPopulation<P> {
         };
         self.states.push(state);
         self.ids.push(id);
-        self.joins.inc();
+        self.metrics.joins.inc();
         if B::ACTIVE {
             probe.membership(&self.protocol, now, id, Membership::Join);
         }
@@ -504,7 +517,7 @@ impl<P: DynRanking> DynamicPopulation<P> {
         if self.epoch.observe(self.states.len()).is_none() {
             return;
         }
-        self.epochs.inc();
+        self.metrics.epochs.inc();
         let params = self.epoch.params().clone();
         let old = std::mem::replace(&mut self.protocol, P::with_params(params));
         for slot in 0..self.states.len() {
@@ -538,16 +551,7 @@ impl<P: DynRanking> DynamicPopulation<P> {
             }
             let id = self.ids[0];
             let state = self.remove_from_lane(0);
-            if let Some(rank) = self.protocol.rank_of(&state) {
-                self.release_rank(rank, now);
-            }
-            let rec = &mut self.roster[id as usize];
-            rec.phase = Lifecycle::Departed;
-            rec.due = u64::MAX;
-            rec.parked = 0;
-            rec.rank = None;
-            self.free_ids.push(id);
-            self.leaves.inc();
+            self.retire(id, &state, now);
         }
         for _ in 0..joins {
             self.spawn(now, &mut NullProbe);
@@ -560,91 +564,6 @@ impl<P: DynRanking> DynamicPopulation<P> {
     // ------------------------------------------------------------------
     // Snapshots
     // ------------------------------------------------------------------
-
-    /// The engine's position as a single-shard [`Frame`] (lane words in
-    /// slot order plus the schedule cursor). Pair with
-    /// [`dynpop_bytes`](Self::dynpop_bytes) — a frame alone cannot
-    /// rebuild a dynamic run.
-    pub fn frame(&self) -> Frame {
-        Frame {
-            interactions: self.interactions,
-            shards: 1,
-            block_pairs: BLOCK_PAIRS as u64,
-            words: self
-                .states
-                .iter()
-                .map(|s| self.protocol.state_to_word(s))
-                .collect(),
-            cursors: vec![self.schedule.cursor()],
-        }
-    }
-
-    /// The DYNPOP section payload: churn config, epoch layer, churn RNG
-    /// cursor, lane ids, roster, and both free-lists. Everything the
-    /// engine holds beyond the frame, so `restore(frame + dynpop)`
-    /// resumes the exact trajectory.
-    pub fn dynpop_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        let config = self.churn.config();
-        w.u64(config.arrivals_per_million.to_bits());
-        w.u64(config.mean_lifetime.to_bits());
-        w.u64(config.hibernate_prob.to_bits());
-        w.u64(config.mean_hibernate_dwell.to_bits());
-        w.u64(config.mean_dormant_dwell.to_bits());
-        w.u16(config.rank_lease as u16);
-        let params = self.epoch.params();
-        w.u64(self.epoch.epoch());
-        w.u64(params.n() as u64);
-        w.u64(self.epoch.band().to_bits());
-        w.u64(params.c_wait().to_bits());
-        w.u64(params.c_live().to_bits());
-        w.u64(params.c_reset().to_bits());
-        w.u64(params.c_delay().to_bits());
-        for word in self.churn.rng_state() {
-            w.u64(word);
-        }
-        w.u64(self.churn.next_arrival().unwrap_or(u64::MAX));
-        w.u32(self.ids.len() as u32);
-        for &id in &self.ids {
-            w.u32(id);
-        }
-        w.u32(self.roster.len() as u32);
-        for rec in &self.roster {
-            w.u16(rec.phase.tag());
-            w.u32(rec.slot);
-            w.u64(rec.due);
-            w.u64(rec.parked);
-            match rec.rank {
-                Some(rank) => {
-                    w.u16(1);
-                    w.u64(rank);
-                }
-                None => w.u16(0),
-            }
-        }
-        w.u32(self.free_ids.len() as u32);
-        for &id in &self.free_ids {
-            w.u32(id);
-        }
-        w.u32(self.free_ranks.len() as u32);
-        for &(rank, released_at) in &self.free_ranks {
-            w.u64(rank);
-            w.u64(released_at);
-        }
-        w.into_bytes()
-    }
-
-    /// A complete [`SimSnapshot`] of this run (frame + DYNPOP section,
-    /// no fault or observer payload).
-    pub fn snapshot(&self, meta: Meta) -> SimSnapshot {
-        SimSnapshot {
-            meta,
-            frame: self.frame(),
-            fault: None,
-            observer: Vec::new(),
-            dynpop: self.dynpop_bytes(),
-        }
-    }
 
     /// Rebuild an engine from a snapshot carrying a DYNPOP section.
     /// Every field is validated — a corrupt or cross-wired snapshot
@@ -832,13 +751,6 @@ impl<P: DynRanking> DynamicPopulation<P> {
             pending: cursor.pending.clone(),
             topo: Vec::new(),
         });
-        let mut registry = Registry::new();
-        let joins = registry.counter("dyn_joins");
-        let leaves = registry.counter("dyn_leaves");
-        let hibernates = registry.counter("dyn_hibernates");
-        let revives = registry.counter("dyn_revives");
-        let epochs = registry.counter("dyn_epochs");
-        let rank_reuse_dwell = registry.histogram("rank_reuse_dwell");
         Ok(Self {
             protocol,
             epoch: EpochParams::restore(params, epoch_no, band),
@@ -851,13 +763,7 @@ impl<P: DynRanking> DynamicPopulation<P> {
             free_ids,
             free_ranks,
             churn: ChurnProcess::restore(config, churn_rng, next_arrival),
-            registry,
-            joins,
-            leaves,
-            hibernates,
-            revives,
-            epochs,
-            rank_reuse_dwell,
+            metrics: Metrics::new(),
         })
     }
 }
@@ -949,10 +855,86 @@ impl<P: DynRanking> Engine for DynamicPopulation<P> {
     }
 }
 
+/// A dynamic run's position is its lane frame plus the DYNPOP section,
+/// so every save through the run driver carries both, and
+/// [`DynamicPopulation::restore`] rebuilds the exact trajectory from
+/// them.
+impl<P: DynRanking> Capture for DynamicPopulation<P> {
+    /// The lane words in slot order plus the schedule cursor, as a
+    /// single-shard frame.
+    fn frame(&self) -> Frame {
+        Frame {
+            interactions: self.interactions,
+            shards: 1,
+            block_pairs: BLOCK_PAIRS as u64,
+            words: self
+                .states
+                .iter()
+                .map(|s| self.protocol.state_to_word(s))
+                .collect(),
+            cursors: vec![self.schedule.cursor()],
+        }
+    }
+
+    /// The DYNPOP section payload: churn config, epoch layer, churn RNG
+    /// cursor, lane ids, roster, and both free-lists.
+    fn section(&self) -> Vec<u8> {
+        let mut w = Writer::new();
+        let config = self.churn.config();
+        w.u64(config.arrivals_per_million.to_bits());
+        w.u64(config.mean_lifetime.to_bits());
+        w.u64(config.hibernate_prob.to_bits());
+        w.u64(config.mean_hibernate_dwell.to_bits());
+        w.u64(config.mean_dormant_dwell.to_bits());
+        w.u16(config.rank_lease as u16);
+        let params = self.epoch.params();
+        w.u64(self.epoch.epoch());
+        w.u64(params.n() as u64);
+        w.u64(self.epoch.band().to_bits());
+        w.u64(params.c_wait().to_bits());
+        w.u64(params.c_live().to_bits());
+        w.u64(params.c_reset().to_bits());
+        w.u64(params.c_delay().to_bits());
+        for word in self.churn.rng_state() {
+            w.u64(word);
+        }
+        w.u64(self.churn.next_arrival().unwrap_or(u64::MAX));
+        w.u32(self.ids.len() as u32);
+        for &id in &self.ids {
+            w.u32(id);
+        }
+        w.u32(self.roster.len() as u32);
+        for rec in &self.roster {
+            w.u16(rec.phase.tag());
+            w.u32(rec.slot);
+            w.u64(rec.due);
+            w.u64(rec.parked);
+            match rec.rank {
+                Some(rank) => {
+                    w.u16(1);
+                    w.u64(rank);
+                }
+                None => w.u16(0),
+            }
+        }
+        w.u32(self.free_ids.len() as u32);
+        for &id in &self.free_ids {
+            w.u32(id);
+        }
+        w.u32(self.free_ranks.len() as u32);
+        for &(rank, released_at) in &self.free_ranks {
+            w.u64(rank);
+            w.u64(released_at);
+        }
+        w.into_bytes()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use population::Simulator;
+    use population::{Checkpointer, MemoryCheckpointer, Saves, Simulator};
+    use snapshot::Meta;
 
     fn snap_counter(engine: &DynamicPopulation<StableRanking>, name: &str) -> u64 {
         engine.metrics().snapshot().counter(name).unwrap_or(0)
@@ -1099,6 +1081,21 @@ mod tests {
         assert_eq!(snap_counter(&engine, "dyn_leaves"), 0);
     }
 
+    /// The snapshot a [`SnapshotSink`](snapshot::SnapshotSink) would
+    /// write for `engine` now: saved through the run driver's save path.
+    fn saved(engine: &DynamicPopulation<StableRanking>) -> SimSnapshot {
+        let mut ckpt = MemoryCheckpointer::every(1);
+        Saves::save(&mut ckpt, engine, &NoFaults);
+        let (frame, fault) = ckpt.saved.pop().expect("one save");
+        SimSnapshot {
+            meta: Meta::bare("dyn-test", 0),
+            frame,
+            fault,
+            observer: Vec::new(),
+            dynpop: ckpt.sections.pop().expect("one section"),
+        }
+    }
+
     #[test]
     fn snapshot_restores_the_exact_trajectory() {
         let mut a = DynamicPopulation::<StableRanking>::new(
@@ -1107,7 +1104,7 @@ mod tests {
             7,
         );
         a.run(100_000);
-        let encoded = a.snapshot(Meta::bare("dyn-test", 7)).encode();
+        let encoded = saved(&a).encode();
         let decoded = SimSnapshot::decode(&encoded).expect("snapshot round-trips");
         let mut b =
             DynamicPopulation::<StableRanking>::restore(&decoded).expect("restore succeeds");
@@ -1132,7 +1129,7 @@ mod tests {
             ChurnConfig::poisson(100.0, 10_000.0),
             3,
         );
-        let mut snap = engine.snapshot(Meta::bare("dyn-test", 3));
+        let mut snap = saved(&engine);
         let good = snap.dynpop.clone();
 
         snap.dynpop = Vec::new();
@@ -1151,6 +1148,40 @@ mod tests {
         snap.dynpop = good;
         snap.frame.words.pop();
         assert!(DynamicPopulation::<StableRanking>::restore(&snap).is_err());
+    }
+
+    /// A checkpointer that keeps frames only.
+    struct FramesOnly(Vec<Frame>);
+
+    impl Checkpointer for FramesOnly {
+        const ACTIVE: bool = true;
+
+        fn next_due(&mut self, _now: u64) -> Option<u64> {
+            self.0.is_empty().then_some(1_000)
+        }
+
+        fn save(&mut self, frame: &Frame, _fault: Option<&population::FaultState>) {
+            self.0.push(frame.clone());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot keep the engine's section")]
+    fn a_frame_only_checkpointer_cannot_save_a_dynamic_run() {
+        let mut engine = DynamicPopulation::<StableRanking>::new(
+            Params::new(16),
+            ChurnConfig::poisson(100.0, 10_000.0),
+            3,
+        );
+        let mut ckpt = FramesOnly(Vec::new());
+        drive(
+            &mut engine,
+            2_000,
+            &mut NoFaults,
+            &mut ckpt,
+            &mut NoPoll,
+            &mut NullProbe,
+        );
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //!   whole churn trajectory is a pure function of the seed;
 //! * [`engine`] — [`DynamicPopulation`]: the dense-lane engine that
 //!   composes churn with the existing seams (schedule cursors, probes,
-//!   fault hooks, `WordState` snapshots with a DYNPOP section) and
+//!   fault hooks, and the `Capture` checkpoint seam, whose section
+//!   carries the DYNPOP bytes) and
 //!   handles epoch-based re-parameterization plus rank leasing.
 //!
 //! The design invariant, property-tested in

@@ -9,8 +9,9 @@
 //!
 //! The seam deliberately knows nothing about files, formats, or
 //! checksums — a [`Checkpointer`] receives a [`Frame`] (interaction
-//! count, packed state words, scheduler cursors) plus an optional
-//! [`FaultState`] and does whatever durability means to it. The
+//! count, packed state words, scheduler cursors), an optional
+//! [`FaultState`] and the engine's opaque section (non-empty only on the
+//! dynamic engine) and does whatever durability means to it. The
 //! `snapshot` crate's sink is the canonical implementation: versioned
 //! CRC-checked files in a rotation directory. Keeping the seam here (the
 //! bottom of the crate graph) is what lets `Simulator`,
@@ -20,9 +21,10 @@
 //! The keystone property the seam exists to uphold: **a run restored
 //! from a frame at interaction count `t` continues bit-for-bit
 //! identically to the run that produced the frame.** Every piece of
-//! trajectory-determining state is either in the frame (configuration
-//! words, scheduler RNG + pending pairs) or in the fault state (plan
-//! RNG, per-entry next-fire times); nothing is hidden.
+//! trajectory-determining state is in the frame (configuration
+//! words, scheduler RNG + pending pairs), in the engine's section, or in
+//! the fault state (plan RNG, per-entry next-fire times); nothing is
+//! hidden.
 
 use crate::protocol::Protocol;
 use crate::schedule::ScheduleCursor;
@@ -183,6 +185,17 @@ pub trait Checkpointer {
 
     /// Persist a frame (and the fault-hook state, if the run has one).
     fn save(&mut self, frame: &Frame, fault: Option<&FaultState>);
+
+    /// Persist a frame with the engine's [section](crate::Capture::section)
+    /// (the driver's save call). The default panics on a non-empty
+    /// section rather than write a frame that cannot rebuild the run.
+    fn save_section(&mut self, frame: &Frame, fault: Option<&FaultState>, section: &[u8]) {
+        assert!(
+            section.is_empty(),
+            "this checkpointer cannot keep the engine's section; implement save_section"
+        );
+        self.save(frame, fault);
+    }
 }
 
 /// The inactive checkpointer: `run_checkpointed` with this type *is*
@@ -258,6 +271,8 @@ pub struct MemoryCheckpointer {
     cadence: Cadence,
     /// Every captured frame with its fault state, in save order.
     pub saved: Vec<(Frame, Option<FaultState>)>,
+    /// The engine's section of each save, parallel to `saved`.
+    pub sections: Vec<Vec<u8>>,
 }
 
 impl MemoryCheckpointer {
@@ -270,6 +285,7 @@ impl MemoryCheckpointer {
         Self {
             cadence: Cadence::every(every),
             saved: Vec::new(),
+            sections: Vec::new(),
         }
     }
 }
@@ -282,8 +298,13 @@ impl Checkpointer for MemoryCheckpointer {
     }
 
     fn save(&mut self, frame: &Frame, fault: Option<&FaultState>) {
+        self.save_section(frame, fault, &[]);
+    }
+
+    fn save_section(&mut self, frame: &Frame, fault: Option<&FaultState>, section: &[u8]) {
         self.cadence.advance(frame.interactions);
         self.saved.push((frame.clone(), fault.cloned()));
+        self.sections.push(section.to_vec());
     }
 }
 

@@ -7,7 +7,8 @@
 //!
 //! 1. **faults** — a [`FaultHook`] mutates the configuration; then the
 //!    engine applies its own due events ([`Engine::settle`]).
-//! 2. **saves** — a [`Checkpointer`] saves the post-fault [`Frame`].
+//! 2. **saves** — a [`Checkpointer`] saves the post-fault [`Frame`] and
+//!    the engine's [section](Capture::section).
 //! 3. **poll** — an observer ([`Poll`]) may stop the run.
 //! 4. **probe** — a read-only [`Probe`] sees every block, fault and poll;
 //!    [`Probe::checkpoint`] fires once per poll, with `stopping` true
@@ -66,6 +67,13 @@ pub trait Capture: Engine {
     /// The run's position: interaction count, configuration words and
     /// scheduler cursors.
     fn frame(&self) -> Frame;
+
+    /// The engine's state beyond the frame, as one opaque section (the
+    /// dynamic engine's roster, free-lists and churn generator); empty
+    /// for engines whose frame is their whole position.
+    fn section(&self) -> Vec<u8> {
+        Vec::new()
+    }
 }
 
 /// The saves slot of the hook set. Every [`Checkpointer`] fills it on an
@@ -90,7 +98,8 @@ impl<E: Capture, H: HookState, C: Checkpointer> Saves<E, H> for C {
     }
 
     fn save(&mut self, engine: &E, faults: &H) {
-        Checkpointer::save(self, &engine.frame(), faults.export_state().as_ref());
+        let fault = faults.export_state();
+        self.save_section(&engine.frame(), fault.as_ref(), &engine.section());
     }
 }
 

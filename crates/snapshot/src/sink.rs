@@ -80,13 +80,18 @@ impl Checkpointer for SnapshotSink {
     }
 
     fn save(&mut self, frame: &Frame, fault: Option<&FaultState>) {
+        self.save_section(frame, fault, &[]);
+    }
+
+    /// The engine's section becomes the snapshot's DYNPOP section.
+    fn save_section(&mut self, frame: &Frame, fault: Option<&FaultState>, section: &[u8]) {
         self.cadence.advance(frame.interactions);
         let snapshot = SimSnapshot {
             meta: self.meta.clone(),
             frame: frame.clone(),
             fault: fault.cloned(),
             observer: self.observer.clone(),
-            dynpop: Vec::new(),
+            dynpop: section.to_vec(),
         };
         match self.rotation.save(&snapshot) {
             Ok(_) => self.saves += 1,

@@ -24,7 +24,8 @@ pub struct RunManifest {
     pub args: Vec<(String, String)>,
     /// Bare `--flag` CLI arguments, in the order given.
     pub flags: Vec<String>,
-    /// `git rev-parse --short=12 HEAD` at run time, or `"unknown"`.
+    /// `git rev-parse --short=12 HEAD` of the source checkout this build
+    /// came from (whatever the working directory), or `"unknown"`.
     pub git_rev: String,
     /// `rustc --version` of the toolchain on `PATH`, or `"unknown"`.
     pub rustc: String,
@@ -35,6 +36,9 @@ pub struct RunManifest {
     /// The trace/artifact schema version this build writes.
     pub schema_version: u64,
 }
+
+/// A directory inside the source checkout this build came from.
+const CHECKOUT: &str = env!("CARGO_MANIFEST_DIR");
 
 fn command_line(cmd: &str, args: &[&str]) -> Option<String> {
     let out = Command::new(cmd).args(args).output().ok()?;
@@ -58,7 +62,7 @@ impl RunManifest {
             experiment: experiment.to_string(),
             args: Vec::new(),
             flags: Vec::new(),
-            git_rev: command_line("git", &["rev-parse", "--short=12", "HEAD"])
+            git_rev: command_line("git", &["-C", CHECKOUT, "rev-parse", "--short=12", "HEAD"])
                 .unwrap_or_else(|| "unknown".into()),
             rustc: command_line("rustc", &["--version"]).unwrap_or_else(|| "unknown".into()),
             host_cores: std::thread::available_parallelism()

@@ -6,14 +6,14 @@
 //! leaves the states untouched, a `MemoryCheckpointer`, an observer that
 //! never stops, and a `Recorder`. Each of the 16 subsets runs on the
 //! sequential engine, the sharded engine at 1 and 4 shards, and the
-//! dynamic engine with zero churn (8 subsets: it cannot capture a
-//! checkpoint frame). A run must end bit-for-bit on the plain run's
-//! configuration. The 4-shard trajectory depends on where bursts split,
-//! so its plain reference is issued in the same bursts: split at the
-//! union of the active hooks' due times.
+//! dynamic engine with zero churn. A run must end bit-for-bit on the
+//! plain run's configuration. The 4-shard trajectory depends on where
+//! bursts split, so its plain reference is issued in the same bursts:
+//! split at the union of the active hooks' due times.
 //!
-//! A final case composes a real `FaultPlan` with all hooks on the three
-//! engines that share a trajectory (sequential, 1 shard, zero churn).
+//! A final case composes a real `FaultPlan` with all hooks, a
+//! `MemoryCheckpointer` included, on the three engines that share a
+//! trajectory (sequential, 1 shard, zero churn).
 
 use silent_ranking::dynamic::{ChurnConfig, DynamicPopulation};
 use silent_ranking::population::observe::Control;
@@ -111,31 +111,16 @@ macro_rules! pick {
     };
 }
 
-/// [`pick!`] for the saves slot, which only engines that can capture a
-/// frame fill.
-macro_rules! pick_saves {
-    (true, $on:expr, $on_hook:expr, |$v:ident| $body:expr) => {
-        pick!($on, $on_hook, &mut NoSaves, |$v| $body)
-    };
-    (false, $on:expr, $on_hook:expr, |$v:ident| $body:expr) => {{
-        let $v = &mut NoSaves;
-        $body
-    }};
-}
-
-/// Drive `$engine` for [`BUDGET`] under the hook subset `$mask`; the
-/// saves slot is filled only on engines that can capture a frame.
+/// Drive `$engine` for [`BUDGET`] under the hook subset `$mask`.
 macro_rules! run_subset {
-    ($engine:expr, $mask:expr, saves: $can_save:tt) => {{
+    ($engine:expr, $mask:expr) => {{
         let mask: u8 = $mask;
         let mut fires = Fires::default();
-        // Left unborrowed on engines that cannot save.
-        #[allow(unused_mut)]
         let mut ckpt = MemoryCheckpointer::every(SAVE_EVERY);
         let mut polls = Polls::default();
         let mut rec = Recorder::new();
         pick!(mask & FAULTS != 0, &mut fires, &mut NoFaults, |h| {
-            pick_saves!($can_save, mask & SAVES != 0, &mut ckpt, |c| {
+            pick!(mask & SAVES != 0, &mut ckpt, &mut NoSaves, |c| {
                 pick!(
                     mask & POLL != 0,
                     &mut Every(POLL_EVERY, &mut polls),
@@ -239,7 +224,7 @@ fn every_hook_subset_is_inert_on_the_sequential_engine() {
     plain.run(BUDGET);
     for mask in 0..16 {
         let mut sim = sequential();
-        let seen = run_subset!(&mut sim, mask, saves: true);
+        let seen = run_subset!(&mut sim, mask);
         assert_eq!(seen, expected(mask), "mask={mask:04b}");
         assert_eq!(sim.states(), plain.states(), "mask={mask:04b}");
         assert_eq!(sim.interactions(), BUDGET);
@@ -253,7 +238,7 @@ fn every_hook_subset_is_inert_on_the_sharded_engine() {
         whole.run(BUDGET);
         for mask in 0..16 {
             let mut sim = sharded(shards);
-            let seen = run_subset!(&mut sim, mask, saves: true);
+            let seen = run_subset!(&mut sim, mask);
             assert_eq!(seen, expected(mask), "shards={shards} mask={mask:04b}");
             let reference = if shards == 1 {
                 whole.states().to_vec()
@@ -276,9 +261,9 @@ fn every_hook_subset_is_inert_on_the_sharded_engine() {
 fn every_hook_subset_is_inert_on_the_dynamic_engine() {
     let mut plain = dynamic();
     plain.run(BUDGET);
-    for mask in (0..16).filter(|m| m & SAVES == 0) {
+    for mask in 0..16 {
         let mut pop = dynamic();
-        let seen = run_subset!(&mut pop, mask, saves: false);
+        let seen = run_subset!(&mut pop, mask);
         assert_eq!(seen, expected(mask), "mask={mask:04b}");
         assert_eq!(pop.states(), plain.states(), "mask={mask:04b}");
         assert_eq!(pop.interactions(), BUDGET);
@@ -355,11 +340,10 @@ where
 fn a_fault_plan_with_every_hook_agrees_across_engines() {
     let mut seq_saves = MemoryCheckpointer::every(SAVE_EVERY);
     let mut shard_saves = MemoryCheckpointer::every(SAVE_EVERY);
+    let mut dyn_saves = MemoryCheckpointer::every(SAVE_EVERY);
     let seq = run_all(&mut sequential_from_initial(), &mut seq_saves);
     let one_shard = run_all(&mut sharded_from_initial(), &mut shard_saves);
-    // The dynamic engine has no checkpoint frame; it runs the other
-    // three hooks and must still agree.
-    let zero_churn = run_all(&mut dynamic(), &mut NoSaves);
+    let zero_churn = run_all(&mut dynamic(), &mut dyn_saves);
 
     assert_eq!(seq.fired, vec![0, 4_000, 10_000, 16_000]);
     let mut plain = sequential_from_initial();
@@ -374,7 +358,11 @@ fn a_fault_plan_with_every_hook_agrees_across_engines() {
             .collect()
     };
     assert_eq!(frames(&shard_saves), frames(&seq_saves));
+    assert_eq!(frames(&dyn_saves), frames(&seq_saves));
     assert_eq!(seq_saves.saved.len(), (BUDGET / SAVE_EVERY) as usize);
+    // Only the dynamic engine has a section, and every save carries it.
+    assert!(seq_saves.sections.iter().all(Vec::is_empty));
+    assert!(dyn_saves.sections.iter().all(|s| !s.is_empty()));
 }
 
 /// The sequential engine from the dynamic engine's initial

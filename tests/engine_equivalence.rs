@@ -19,7 +19,7 @@ use silent_ranking::population::primitives::coin::CoinPopulation;
 use silent_ranking::population::primitives::epidemic::Epidemic;
 use silent_ranking::population::schedule::Pair;
 use silent_ranking::population::{
-    CursorSource, Packed, PairSource, Probe, Protocol, Schedule, ScheduleCursor, Simulator,
+    Capture, CursorSource, Packed, PairSource, Probe, Protocol, Schedule, ScheduleCursor, Simulator,
 };
 use silent_ranking::ranking::stable::StableRanking;
 use silent_ranking::ranking::Params;

@@ -740,7 +740,7 @@ fn the_dynamic_engine_fast_forwards_exactly_from_the_clean_start() {
     got.run(BUDGET);
     want.run(BUDGET);
     assert_eq!(got.frame(), want.frame());
-    assert_eq!(got.dynpop_bytes(), want.dynpop_bytes());
+    assert_eq!(got.section(), want.section());
     assert!(is_valid_ranking(got.states()), "the run must stabilize");
     assert!(got.protocol().credited() > 0, "nothing skipped");
 }
@@ -769,7 +769,7 @@ fn the_dynamic_engine_fast_forwards_exactly_under_churn_and_faults() {
     got.run_faulted_probed(budget, &mut got_plan, &mut NullProbe);
     want.run_faulted_probed(budget, &mut want_plan, &mut NullProbe);
     assert_eq!(got.frame(), want.frame());
-    assert_eq!(got.dynpop_bytes(), want.dynpop_bytes());
+    assert_eq!(got.section(), want.section());
     assert_eq!(got_plan.fired(), want_plan.fired());
     assert_eq!(want_plan.fired().len(), 12);
     let metrics = want.metrics().snapshot();

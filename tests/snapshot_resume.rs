@@ -21,7 +21,12 @@
 //! * every `ranking_faults::KINDS` injector, firing periodically so
 //!   faults straddle the crash point;
 //! * checkpoint cadences at the block boundary (4095 / 4096 / 4097);
-//! * double resume (crash, resume, crash again, resume again).
+//! * double resume (crash, resume, crash again, resume again);
+//! * the dynamic engine under churn, saving through the run driver:
+//!   every snapshot it writes carries its DYNPOP section, restores, and
+//!   continues onto the uninterrupted run;
+//! * rotations written by the enum engine, resumed into the kernel on
+//!   each engine (`run-forever` switched from one to the other).
 //!
 //! Sequential paths compare against a run with **no checkpointing at
 //! all** — the FIFO pair stream makes burst splitting trajectory-inert,
@@ -31,14 +36,16 @@
 
 use std::path::PathBuf;
 
+use silent_ranking::dynamic::{ChurnConfig, DynRanking, DynamicPopulation};
 use silent_ranking::population::{
-    FaultHook, HookState, MemoryCheckpointer, Packed, Simulator, UnpackedHook, WordState,
+    drive, Capture, FaultHook, Frame, HookState, MemoryCheckpointer, NoFaults, NoPoll, NullProbe,
+    Packed, Simulator, UnpackedHook, WordState,
 };
 use silent_ranking::ranking::stable::{PackedState, StableRanking, StableState};
 use silent_ranking::ranking::Params;
 use silent_ranking::scenarios::{ranking_faults, FaultPlan};
 use silent_ranking::shard::ShardedSimulator;
-use silent_ranking::snapshot::{self, Meta, Rotation, SnapshotSink};
+use silent_ranking::snapshot::{self, Meta, Rotation, SimSnapshot, SnapshotSink};
 
 fn protocol(n: usize) -> StableRanking {
     StableRanking::new(Params::new(n))
@@ -335,4 +342,187 @@ fn resume_degrades_past_a_corrupted_newest_snapshot() {
         assert_eq!(sim.states(), reference.states(), "{tag}");
         assert_eq!(hook.export_state(), ref_hook.export_state(), "{tag}");
     }
+}
+
+/// A churning dynamic population: about one join and one departure per
+/// 3 000 interactions at n = 32, with hibernation.
+fn churning<Q: DynRanking>(seed: u64) -> DynamicPopulation<Q> {
+    DynamicPopulation::new(Params::new(32), ChurnConfig::poisson(300.0, 10_000.0), seed)
+}
+
+/// The dynamic keystone: a churning run saving through the run driver
+/// and a `SnapshotSink` is killed, resumed from its rotation and run on;
+/// it must end on the uninterrupted run's frame and DYNPOP bytes. Then
+/// every snapshot the two legs wrote must restore and continue onto that
+/// same end.
+#[test]
+fn every_snapshot_of_a_churning_run_restores_and_continues_bit_for_bit() {
+    type Dyn = DynamicPopulation<Packed<StableRanking>>;
+    let (seed, total, every, crash) = (41u64, 240_000u64, 20_000u64, 131_071u64);
+    let mut reference: Dyn = churning(seed);
+    reference.run(total);
+    let joins = reference.metrics().snapshot().counter("dyn_joins");
+    assert!(joins > Some(0), "the run must churn");
+
+    let dir = TempDir::new("dyn-every");
+    let rotation = || Rotation::with_keep(&dir.0, 64).unwrap();
+    let meta = || Meta::bare("dyn-every", seed);
+    let mut sink = SnapshotSink::every(rotation(), every, meta());
+    let mut run: Dyn = churning(seed);
+    drive(
+        &mut run,
+        crash,
+        &mut NoFaults,
+        &mut sink,
+        &mut NoPoll,
+        &mut NullProbe,
+    );
+    drop((run, sink));
+
+    let snap = rotation()
+        .latest_valid()
+        .expect("a durable snapshot")
+        .snapshot;
+    let t = snap.frame.interactions;
+    assert_eq!(t, crash / every * every);
+    let mut run = Dyn::restore(&snap).unwrap();
+    let mut sink = SnapshotSink::resumed(rotation(), every, t, meta());
+    drive(
+        &mut run,
+        total - t,
+        &mut NoFaults,
+        &mut sink,
+        &mut NoPoll,
+        &mut NullProbe,
+    );
+    assert_eq!(run.frame(), reference.frame());
+    assert_eq!(run.section(), reference.section());
+
+    let files = rotation().files();
+    assert_eq!(files.len(), (total / every) as usize, "one file per save");
+    for path in files {
+        let snap = SimSnapshot::read(&path).unwrap();
+        assert!(!snap.dynpop.is_empty(), "{}: no DYNPOP", path.display());
+        let mut resumed = Dyn::restore(&snap).unwrap();
+        resumed.run(total - snap.frame.interactions);
+        assert_eq!(resumed.frame(), reference.frame(), "{}", path.display());
+        assert_eq!(resumed.section(), reference.section(), "{}", path.display());
+    }
+}
+
+/// Write snapshots from the enum engine `old` under the enum `plan` up
+/// to `crash`, resume the newest into the kernel engine `resume` builds,
+/// and run it on to `total` under the same plan: the kernel's final
+/// frame and section.
+fn enum_rotation_into_kernel<A, K>(
+    tag: &str,
+    mut old: A,
+    plan: &dyn Fn() -> FaultPlan<StableState>,
+    resume: impl FnOnce(&SimSnapshot) -> K,
+    (total, every, crash): (u64, u64, u64),
+) -> (Frame, Vec<u8>)
+where
+    A: Capture<Protocol = StableRanking>,
+    K: Capture<Protocol = Packed<StableRanking>>,
+{
+    let dir = TempDir::new(tag);
+    let mut sink = SnapshotSink::every(dir.rotation(), every, Meta::bare(tag, 0));
+    let mut hook = plan();
+    drive(
+        &mut old,
+        crash,
+        &mut hook,
+        &mut sink,
+        &mut NoPoll,
+        &mut NullProbe,
+    );
+    drop((old, hook, sink));
+
+    let snap = dir.rotation().latest_valid().expect("a snapshot").snapshot;
+    let t = snap.frame.interactions;
+    let mut kernel = resume(&snap);
+    let mut hook = UnpackedHook::new(plan());
+    snapshot::restore_hook(&mut hook, snap.fault.as_ref().unwrap()).unwrap();
+    let mut sink = SnapshotSink::resumed(dir.rotation(), every, t, Meta::bare(tag, 0));
+    drive(
+        &mut kernel,
+        total - t,
+        &mut hook,
+        &mut sink,
+        &mut NoPoll,
+        &mut NullProbe,
+    );
+    (kernel.frame(), kernel.section())
+}
+
+/// The enum engine run `old` to `total` without stopping, saving on the
+/// same cadence (the sharded trajectory depends on it): its final frame
+/// and section.
+fn enum_uninterrupted<A: Capture<Protocol = StableRanking>>(
+    mut old: A,
+    plan: &dyn Fn() -> FaultPlan<StableState>,
+    (total, every, _): (u64, u64, u64),
+) -> (Frame, Vec<u8>) {
+    let mut saves = MemoryCheckpointer::every(every);
+    drive(
+        &mut old,
+        total,
+        &mut plan(),
+        &mut saves,
+        &mut NoPoll,
+        &mut NullProbe,
+    );
+    (old.frame(), old.section())
+}
+
+/// Rotations written by the enum engine resume into the kernel on every
+/// engine and end where the enum run that never stopped ends: the same
+/// frame, and for the dynamic engine the same DYNPOP bytes.
+#[test]
+fn enum_rotations_resume_into_the_kernel_on_every_engine() {
+    let n = 32;
+    let run = (120_000u64, 10_000u64, 67_891u64);
+    let p = protocol(n);
+    let churn = || plan_for("churn", &p, n, 43);
+    let init = p.adversarial_uniform(5);
+    let kernel = || Packed(protocol(n));
+
+    let sequential = || Simulator::new(p.clone(), init.clone(), 43);
+    assert_eq!(
+        enum_rotation_into_kernel(
+            "enum-kernel-seq",
+            sequential(),
+            &churn,
+            |s| snapshot::resume_simulator(kernel(), s).unwrap(),
+            run,
+        ),
+        enum_uninterrupted(sequential(), &churn, run),
+        "sequential"
+    );
+
+    let sharded = || ShardedSimulator::new(p.clone(), init.clone(), 43, 2);
+    assert_eq!(
+        enum_rotation_into_kernel(
+            "enum-kernel-shard",
+            sharded(),
+            &churn,
+            |s| snapshot::resume_sharded(kernel(), s).unwrap(),
+            run,
+        ),
+        enum_uninterrupted(sharded(), &churn, run),
+        "sharded"
+    );
+
+    let empty = || FaultPlan::empty();
+    let (frame, section) = enum_rotation_into_kernel(
+        "enum-kernel-dyn",
+        churning::<StableRanking>(43),
+        &empty,
+        |s| DynamicPopulation::<Packed<StableRanking>>::restore(s).unwrap(),
+        run,
+    );
+    let (want_frame, want_section) = enum_uninterrupted(churning(43), &empty, run);
+    assert!(!section.is_empty());
+    assert_eq!(frame, want_frame, "dynamic");
+    assert_eq!(section, want_section, "dynamic");
 }
