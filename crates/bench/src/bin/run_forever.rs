@@ -13,9 +13,9 @@
 //! never stopped (enforced by the CI kill-and-resume smoke and
 //! `tests/snapshot_resume.rs`).
 //!
-//! On completion the driver writes one final snapshot at `t = total`,
-//! so re-running a finished command is a no-op that just reprints the
-//! digest.
+//! A finished run leaves one snapshot at `t = total` (the cadence's own
+//! save when it lands there, else one final save), so re-running a
+//! finished command is a no-op that just reprints the digest.
 //!
 //! Fault soaking: `fault=<kind>` (any `scenarios::ranking_faults`
 //! injector) fires the injector every `fault_every=` interactions from
@@ -129,9 +129,11 @@ fn build_plan(
 
 /// Run `engine` on to `total` interactions under `plan`, saving through
 /// `sink` on its cadence, and return the digest of the final position.
-/// One final save at `t = total` goes through the driver's own save
-/// path: a re-run of a finished command resumes there, sees
-/// `t >= total`, and is a pure no-op.
+/// The run ends with a snapshot at `t = total`: when the sink's newest
+/// save is not there (an off-grid `total`, or a failed save at it), one
+/// final save goes through the driver's own save path. A re-run of a
+/// finished command resumes there, sees `t >= total`, and is a pure
+/// no-op.
 fn soak<E: Capture<Protocol = Kernel>>(
     engine: &mut E,
     total: u64,
@@ -140,7 +142,9 @@ fn soak<E: Capture<Protocol = Kernel>>(
 ) -> u64 {
     let remaining = total - engine.interactions();
     drive(engine, remaining, plan, sink, &mut NoPoll, &mut NullProbe);
-    Saves::save(sink, engine, plan);
+    if sink.last_saved() != Some(total) {
+        Saves::save(sink, engine, plan);
+    }
     digest(&engine.frame(), &engine.section())
 }
 

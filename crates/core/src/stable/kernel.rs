@@ -5,12 +5,17 @@
 //! implementation of the transition. Every packed entry runs it:
 //!
 //! ```text
-//!  transition_packed ── one pair ──────────────┐  (Simulator::step,
-//!                                              │   sharded boundary pairs)
-//!  transition_block ─┐                         ▼
-//!                    ├─ in-order pass ──► step(t, half, u, v, tally)
-//!  transition_from ──┘  (≤ 4096 pairs)         │
-//!                                              ▼
+//!  transition_packed ── one pair ─────────────────────┐ (Simulator::step,
+//!                                                     │  sharded boundary
+//!  transition_block ─┐   in-order pass (≤ 4096 pairs) │  pairs)
+//!                    ├─► load u, v; ranked_null(u, v) │
+//!  transition_from ──┘   → count as main/main, next   │
+//!                        pair (no borrow, no store);  │
+//!                        else ────────────────────────┤
+//!                                                     ▼
+//!                                  step(t, half, u, v, tally)
+//!                                                     │
+//!                                                     ▼
 //!  classify: one-hot mask tests over the two loaded words
 //!        │    reset: (u|v) & TAG_RESET       both-elect: u & v & TAG_ELECT
 //!        │    one-elect: (u|v) & TAG_ELECT   main/main: otherwise
@@ -26,8 +31,8 @@
 //!  words (flat SoA Vec<PackedState>)
 //! ```
 //!
-//! The step adds reset events and its dispatch class to a local
-//! `Tally`. The block pass flushes the tally to the metrics registry
+//! The block pass and the step add reset events and dispatch classes to
+//! a local `Tally`, which the block pass flushes to the metrics registry
 //! once per block: one relaxed `fetch_add` per counter per block, not
 //! one per event. `transition_packed` flushes only the reset count, so
 //! the dispatch mix ([`StableRanking::dispatch_mix`]) counts what blocks
@@ -36,9 +41,18 @@
 //! Where the time goes, per class:
 //!
 //! * **main/main**: two distinct ranked agents are a null pair,
-//!   detected with one mask test, with no store and no coin to toggle.
-//!   A converged population takes this exit on essentially every
-//!   interaction (about 95% of perfbench `stabilize`'s pairs).
+//!   detected with one mask test and a compare (`ranked_null`), with
+//!   no store and no coin to toggle. A converged population takes this
+//!   exit on essentially every interaction (about 96% of perfbench
+//!   `stabilize`'s pairs). The block pass tests for it before anything
+//!   else, on the two loaded words, so a null pair also skips the three
+//!   class tests and the `pair_mut` borrow; this raised perfbench
+//!   `stabilize` by about 1.2× (see docs/BENCHMARKS.md). A pair that
+//!   fails the test pays one more branch before the class chain; in a
+//!   reset-heavy run (perfbench `traced_sharded`: 45% of pairs involve
+//!   a reset, 37% are null) that is most pairs. `transition_packed`
+//!   keeps the class chain first: the null test is the main/main arm's
+//!   first step.
 //! * **both-electing**: the embedded Protocol 5 lottery runs as
 //!   straight-line mask arithmetic directly on the packed word
 //!   (`elect_step_word`), with no field unpack and no effect enum.
@@ -132,6 +146,15 @@ struct Tally {
     mix: [u64; 4],
 }
 
+/// Whether two loaded words are a ranked×ranked null pair: both tags
+/// are zero (so the pair is main/main) and the ranks differ, so neither
+/// word changes and neither agent has a coin to toggle. A duplicate rank
+/// is not null: Ranking⁺ resets it.
+#[inline(always)]
+fn ranked_null(pu: u64, pv: u64) -> bool {
+    (pu | pv) & TAG_MASK == 0 && pu != pv
+}
+
 /// One Protocol 3 interaction on packed words, returning whether either
 /// word changed. `half` is the lottery's `L_max / 2` (Protocol 5
 /// line 9), hoisted by the callers.
@@ -184,7 +207,7 @@ fn step(
         // stabilizes almost every interaction takes it — full Ranking⁺
         // otherwise.
         tally.mix[3] += 1;
-        if or & TAG_MASK == 0 && pu != pv {
+        if ranked_null(pu, pv) {
             return false;
         }
         let out = ranking_plus_step_packed(t, u, v);
@@ -207,15 +230,26 @@ impl StableRanking {
     /// of word-changing interactions. Both block entries run this one
     /// body: a sampled block feeds it a slice, and the uniform schedule
     /// feeds it pairs drawn as they are pulled.
+    ///
+    /// Each pair's two words are loaded and tested with [`ranked_null`]
+    /// before anything is borrowed, so a null pair costs no `pair_mut`,
+    /// no class test and no store; only the other pairs take `step`.
+    /// Null exits count as main/main, as `step` counts them.
     #[inline(always)]
     fn kernel(&self, words: &mut [PackedState], pairs: impl Iterator<Item = Pair>) -> u64 {
         let (t, half) = (&self.tables, self.half());
         let mut tally = Tally::default();
-        let mut changed = 0u64;
+        let (mut changed, mut nulls) = (0u64, 0u64);
         for (i, j) in pairs {
-            let (u, v) = pair_mut(words, i as usize, j as usize);
+            let (i, j) = (i as usize, j as usize);
+            if ranked_null(words[i].0, words[j].0) {
+                nulls += 1;
+                continue;
+            }
+            let (u, v) = pair_mut(words, i, j);
             changed += u64::from(step(t, half, u, v, &mut tally));
         }
+        tally.mix[3] += nulls;
         // Flush the locally accumulated instrumentation: one relaxed
         // RMW per counter per block instead of one per event.
         if tally.resets > 0 {
@@ -437,6 +471,130 @@ mod tests {
                     q.resets_triggered(),
                     "case {case}: {feed} reset instrumentation"
                 );
+            }
+        }
+    }
+
+    /// The dispatch class of a pair of enum states, indexed like
+    /// [`StableRanking::dispatch_mix`]: the reference the kernel's
+    /// counts are checked against.
+    fn enum_class(u: &StableState, v: &StableState) -> usize {
+        let role = |s: &StableState| match s {
+            StableState::Un(UnState { role, .. }) => Some(*role),
+            StableState::Ranked(_) => None,
+        };
+        let reset = |s| matches!(role(s), Some(UnRole::Reset { .. }));
+        let elect = |s| matches!(role(s), Some(UnRole::Elect(_)));
+        match (reset(u) || reset(v), elect(u), elect(v)) {
+            (true, _, _) => 0,
+            (false, true, true) => 1,
+            (false, true, false) | (false, false, true) => 2,
+            (false, false, false) => 3,
+        }
+    }
+
+    /// Crafted blocks that switch between null and busy stretches: a
+    /// null head with a busy rest, and a busy head with a null rest,
+    /// split at pair 256 and 255, 257 and 4096 pairs long. Duplicate
+    /// ranks sit inside the null stretches, where the null test must let
+    /// them through to Ranking⁺: one near the end of the null head (the
+    /// busy rest then spreads its reset), one in the null rest. Through
+    /// both feeds, the kernel must reproduce the enum loop's words,
+    /// changed count, dispatch mix and reset count.
+    #[test]
+    fn null_first_pass_reproduces_the_enum_loop() {
+        let n = 64u32;
+        let p = protocol(n as usize);
+        let params = p.params();
+        // Agents 0..28 hold distinct ranks, 28 and 29 share one, as do
+        // 30 and 31; 32..48 propagate a reset, 48..64 elect.
+        let rank = |i: u64| if i < 28 { i + 1 } else { 29 + (i - 28) / 2 };
+        let mut init: Vec<StableState> = (0..32).map(|i| StableState::Ranked(rank(i))).collect();
+        init.extend((32..48).map(|i| {
+            StableState::Un(UnState {
+                coin: i % 2 == 0,
+                role: UnRole::Reset {
+                    reset_count: params.r_max(),
+                    delay_count: params.d_max(),
+                },
+            })
+        }));
+        init.extend((48..64).map(|i| p.elect_state(i % 2 == 0)));
+        assert_eq!(init[28], init[29]);
+        assert_eq!(init[30], init[31]);
+        assert!((0..28).all(|i| init[i] != init[i + 1]));
+
+        // Null pairs: distinct ranks among agents 0..28.
+        let null = |k: u32| (k % 28, (k % 28 + 1 + (k / 28) % 27) % 28);
+        // Busy pairs: reset×reset, elect×elect and reset×elect, and
+        // resets reaching the ranked agents if `spread`.
+        let busy = |k: u32, spread: bool| match k % 4 {
+            0 => (32 + k % 16, 32 + (k + 1) % 16),
+            1 => (48 + k % 16, 48 + (k + 1) % 16),
+            3 if spread => (32 + k % 16, k % 28),
+            _ => (48 + k % 16, 32 + k % 16),
+        };
+        let split = 256u32;
+        let null_then_busy = |k: u32| match k {
+            _ if k == split - 4 => (28, 29),
+            _ if k == split => (30, 31),
+            _ if k < split => null(k),
+            _ => busy(k, true),
+        };
+        let busy_then_null = |k: u32| match k {
+            _ if k < split => busy(k, false),
+            _ if k == split + 8 => (30, 31),
+            _ => null(k),
+        };
+        let lengths = [split as usize - 1, split as usize + 1, BLOCK_PAIRS];
+        for (shape, pair_at) in [
+            ("null then busy", &null_then_busy as &dyn Fn(u32) -> Pair),
+            ("busy then null", &busy_then_null),
+        ] {
+            for len in lengths {
+                let block: Vec<Pair> = (0..len as u32).map(pair_at).collect();
+                let at = format!("{shape}, {len} pairs");
+
+                let q = protocol(n as usize);
+                let mut enum_states = init.clone();
+                let mut enum_mix = [0u64; 4];
+                let mut enum_changed = 0u64;
+                for &(i, j) in &block {
+                    let (u, v) = pair_mut(&mut enum_states, i as usize, j as usize);
+                    enum_mix[enum_class(u, v)] += 1;
+                    enum_changed += u64::from(Protocol::transition(&q, u, v));
+                }
+                if shape == "null then busy" {
+                    assert_ne!(enum_states[28], init[28], "{at}: the duplicate rank resets");
+                }
+
+                let slice = Packed(protocol(n as usize));
+                let mut slice_words = slice.pack_all(&init);
+                let slice_changed = Protocol::transition_block(&slice, &mut slice_words, &block);
+
+                let drawn = Packed(protocol(n as usize));
+                let mut drawn_words = drawn.pack_all(&init);
+                let mut schedule = Schedule::from_cursor(ScheduleCursor {
+                    pending: block.clone(),
+                    ..Schedule::new(n as usize, 0).cursor()
+                });
+                let (executed, drawn_changed) =
+                    Protocol::transition_from(&drawn, &mut drawn_words, &mut schedule, len);
+                assert_eq!(executed, len, "{at}: drawn block length");
+
+                for (feed, p, words, changed) in [
+                    ("slice", &slice, &slice_words, slice_changed),
+                    ("drawn", &drawn, &drawn_words, drawn_changed),
+                ] {
+                    assert_eq!(p.unpack_all(words), enum_states, "{at}: {feed} words");
+                    assert_eq!(changed, enum_changed, "{at}: {feed} changed count");
+                    assert_eq!(p.inner().dispatch_mix(), enum_mix, "{at}: {feed} mix");
+                    assert_eq!(
+                        p.inner().resets_triggered(),
+                        q.resets_triggered(),
+                        "{at}: {feed} reset count"
+                    );
+                }
             }
         }
     }

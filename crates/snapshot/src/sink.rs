@@ -25,6 +25,7 @@ pub struct SnapshotSink {
     pub saves: u64,
     /// Saves that failed even after retries (reported to stderr).
     pub failures: u64,
+    last_saved: Option<u64>,
 }
 
 impl SnapshotSink {
@@ -57,12 +58,18 @@ impl SnapshotSink {
             observer: Vec::new(),
             saves: 0,
             failures: 0,
+            last_saved: None,
         }
     }
 
     /// The rotation directory this sink writes into.
     pub fn rotation(&self) -> &Rotation {
         &self.rotation
+    }
+
+    /// The interaction count of the newest successful save, if any.
+    pub fn last_saved(&self) -> Option<u64> {
+        self.last_saved
     }
 
     /// Attach opaque driver bytes (e.g. encoded recovery events) to be
@@ -94,7 +101,10 @@ impl Checkpointer for SnapshotSink {
             dynpop: section.to_vec(),
         };
         match self.rotation.save(&snapshot) {
-            Ok(_) => self.saves += 1,
+            Ok(_) => {
+                self.saves += 1;
+                self.last_saved = Some(frame.interactions);
+            }
             Err(e) => {
                 self.failures += 1;
                 eprintln!(
@@ -147,6 +157,7 @@ mod tests {
         sim.run_checkpointed(12_000, &mut sink);
         assert_eq!(sink.saves, 2);
         assert_eq!(sink.failures, 0);
+        assert_eq!(sink.last_saved(), Some(10_000));
 
         let mut reference = Simulator::new(Ident(16), (0..16).collect(), 7);
         let mut memory = MemoryCheckpointer::every(5_000);
@@ -171,5 +182,6 @@ mod tests {
         assert_eq!(sim.interactions(), 9_000, "the run survives");
         assert_eq!(sink.saves, 0);
         assert_eq!(sink.failures, 2);
+        assert_eq!(sink.last_saved(), None);
     }
 }
