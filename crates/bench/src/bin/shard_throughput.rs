@@ -30,10 +30,8 @@
 //! least `floor=` (default 0.9 with > 1 core; 0.6 on a single core,
 //! where inline boundary-pair deferral legitimately costs ~20–25%); and
 //! (b) two identical sharded runs produce bit-for-bit identical final
-//! configurations (the determinism contract). When `shards=` is
-//! omitted the sweep honors the `SSR_SHARDS` environment override
-//! (mirroring `SSR_WORKERS`), so CI pins the partition without CLI
-//! plumbing.
+//! configurations (the determinism contract). CI's shard smoke pins the
+//! partition with `shards=4`.
 //!
 //! Writes `BENCH_shard.json` (override with `out=`).
 //!
@@ -151,16 +149,13 @@ fn main() -> ExitCode {
         .split(',')
         .map(|s| s.trim().parse().expect("sizes= must be integers"))
         .collect();
-    let shard_counts: Vec<usize> = match exp.args().get_str("shards") {
-        Some(list) => list
-            .split(',')
-            .map(|s| s.trim().parse().expect("shards= must be integers"))
-            .collect(),
-        // No explicit sweep: honor the SSR_SHARDS override (mirroring
-        // SSR_WORKERS), falling back to the default ladder.
-        None if std::env::var("SSR_SHARDS").is_ok() => vec![shard::default_shards().get()],
-        None => vec![1, 2, 4, 8],
-    };
+    let shard_counts: Vec<usize> = exp
+        .args()
+        .get_str("shards")
+        .unwrap_or("1,2,4,8")
+        .split(',')
+        .map(|s| s.trim().parse().expect("shards= must be integers"))
+        .collect();
     let cores = population::runner::available_workers().get();
 
     let mut rows = Vec::new();

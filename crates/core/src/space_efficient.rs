@@ -7,8 +7,9 @@
 //!
 //! The leader-election black box is a type parameter implementing
 //! [`LeaderElectionBehavior`], defaulting in practice to
-//! [`TournamentLe`](leader_election::tournament::TournamentLe)
-//! (see DESIGN.md §3 for the substitution rationale).
+//! [`TournamentLe`](leader_election::tournament::TournamentLe); see
+//! docs/PAPER_MAP.md's leader-election row for the substitution and the
+//! tournament module doc for its state trade-off.
 
 use leader_election::LeaderElectionBehavior;
 use population::{Protocol, RankOutput};

@@ -9,8 +9,9 @@
 //!    w.h.p. exactly one leader. The paper instantiates this with
 //!    Gasieniec–Stachowiak (SODA'18). We substitute
 //!    [`tournament::TournamentLe`], a paced coin-race with gossip
-//!    elimination offering the same interface (see DESIGN.md §3 for the
-//!    state-complexity tradeoff).
+//!    elimination offering the same interface (its module doc gives the
+//!    state-complexity trade-off; docs/PAPER_MAP.md's leader-election
+//!    row records the substitution).
 //! 2. **Protocol 5** (`FastLeaderElection`) is the paper's own lottery used
 //!    inside the self-stabilizing `StableRanking`; [`fast`] implements it
 //!    exactly, as a pure state machine that the ranking crate embeds.
@@ -24,7 +25,6 @@
 #![warn(missing_docs)]
 
 pub mod fast;
-pub mod junta;
 pub mod tournament;
 
 use std::fmt::Debug;

@@ -28,7 +28,8 @@
 //! gossip (an `O(n log n)`-interaction epidemic) faster than epoch
 //! turnover. Total: `O(R·D·n) = O(n log² n)` interactions, matching
 //! Lemma 15's time bound; the state cost is `O(log³ n)` instead of the
-//! original's `O(log log n)` (see DESIGN.md §3).
+//! original's `O(log log n)`. docs/PAPER_MAP.md's leader-election row
+//! records the substitution.
 
 use crate::LeaderElectionBehavior;
 

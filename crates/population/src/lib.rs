@@ -45,9 +45,9 @@
 //!   observers decide when to stop and what to record. Convergence
 //!   predicates ([`observe::Convergence`]), silence detection
 //!   ([`observe::Silence`]), time-series sampling ([`observe::Series`],
-//!   [`observe::Sampler`]), threshold crossings
-//!   ([`observe::Thresholds`]), and counters ([`observe::Meter`]) are
-//!   all observers, and tuples of observers compose. The entry point is
+//!   [`observe::Sampler`]), and threshold crossings
+//!   ([`observe::Thresholds`]) are all observers, and tuples of
+//!   observers compose. The entry point is
 //!   [`Simulator::run_observed`]; [`Simulator::run_until`] is sugar for
 //!   the most common case.
 //!   Orthogonal to observers, the [`Probe`] seam lets a flight recorder

@@ -14,7 +14,6 @@
 //! * [`Series`] — record `(t, metric)` rows at every checkpoint;
 //! * [`Thresholds`] — record the first time a monotone metric reaches
 //!   each of a list of targets (Figure 3's fraction crossings);
-//! * [`Meter`] — count checkpoints and remember the last observed time.
 //!
 //! Observers compose as tuples: `(&mut a, &mut b)` polls both and stops
 //! as soon as *any* member requests a stop. The engine entry point is
@@ -173,14 +172,6 @@ impl<F, T> Series<F, T> {
         }
     }
 
-    /// Resume recording with previously captured rows — the restore
-    /// side of checkpointing a long *measured* run (the `snapshot`
-    /// crate's observer-partials codec round-trips `rows` through the
-    /// OBSERVER snapshot section).
-    pub fn with_rows(metric: F, rows: Vec<(u64, T)>) -> Self {
-        Self { metric, rows }
-    }
-
     /// The recorded `(t, value)` rows.
     pub fn rows(&self) -> &[(u64, T)] {
         &self.rows
@@ -215,27 +206,6 @@ impl<F> Thresholds<F> {
     /// `targets`.
     pub fn new(metric: F, targets: Vec<u64>) -> Self {
         let crossings = vec![None; targets.len()];
-        Self {
-            metric,
-            targets,
-            crossings,
-        }
-    }
-
-    /// Resume tracking with previously captured crossings — the
-    /// restore side of checkpointing a long measured run (see
-    /// [`Series::with_rows`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `crossings.len() != targets.len()`: a crossing list
-    /// from a different target set cannot be adopted.
-    pub fn with_crossings(metric: F, targets: Vec<u64>, crossings: Vec<Option<u64>>) -> Self {
-        assert_eq!(
-            targets.len(),
-            crossings.len(),
-            "crossings must match targets one-to-one"
-        );
         Self {
             metric,
             targets,
@@ -371,41 +341,6 @@ where
     }
 }
 
-/// Counts checkpoints and remembers the first and last observed
-/// interaction counts; never stops.
-#[derive(Debug, Default)]
-pub struct Meter {
-    checkpoints: u64,
-    first: Option<u64>,
-    last: u64,
-}
-
-impl Meter {
-    /// New, empty meter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of checkpoints observed.
-    pub fn checkpoints(&self) -> u64 {
-        self.checkpoints
-    }
-
-    /// Interactions elapsed between the first and last checkpoint.
-    pub fn interactions_seen(&self) -> u64 {
-        self.last - self.first.unwrap_or(self.last)
-    }
-}
-
-impl<P: Protocol> Observer<P> for Meter {
-    fn observe(&mut self, _protocol: &P, t: u64, _states: &[P::State]) -> Control {
-        self.checkpoints += 1;
-        self.first.get_or_insert(t);
-        self.last = t;
-        Control::Continue
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -465,21 +400,24 @@ mod tests {
     fn tuple_composition_stops_on_first_member() {
         let mut sim = epidemic_sim(32, 32, 11);
         let mut conv = Convergence::new(Epidemic::complete);
-        let mut meter = Meter::new();
-        let stop = sim.run_observed(1_000_000, 32, &mut (&mut conv, &mut meter));
+        let mut series = Series::new(|s: &[_]| Epidemic::infected_count(s) as u64);
+        let stop = sim.run_observed(1_000_000, 32, &mut (&mut conv, &mut series));
         assert!(stop.converged_at().is_some());
-        // The meter saw the initial checkpoint plus one per burst.
-        assert!(meter.checkpoints() >= 2);
-        assert_eq!(meter.interactions_seen(), sim.interactions());
+        // The series saw the initial checkpoint plus one per burst, the
+        // last one being the checkpoint at which the convergence stopped.
+        let times: Vec<u64> = series.rows().iter().map(|r| r.0).collect();
+        assert!(times.len() >= 2);
+        assert_eq!(times.first(), Some(&0));
+        assert_eq!(times.last(), Some(&sim.interactions()));
     }
 
     #[test]
-    fn meter_counts_budgeted_checkpoints() {
+    fn series_rows_pin_budgeted_checkpoints() {
         let mut sim = epidemic_sim(16, 1, 1);
-        let mut meter = Meter::new();
-        let stop = sim.run_observed(500, 100, &mut meter);
+        let mut series = Series::new(|s: &[_]| Epidemic::infected_count(s) as u64);
+        let stop = sim.run_observed(500, 100, &mut series);
         assert_eq!(stop, StopReason::BudgetExhausted);
-        assert_eq!(meter.checkpoints(), 6); // t = 0, 100, ..., 500
-        assert_eq!(meter.interactions_seen(), 500);
+        let times: Vec<u64> = series.rows().iter().map(|r| r.0).collect();
+        assert_eq!(times, [0, 100, 200, 300, 400, 500]);
     }
 }

@@ -90,13 +90,19 @@ where
 pub fn available_workers() -> NonZeroUsize {
     static PARALLELISM: OnceLock<NonZeroUsize> = OnceLock::new();
     if let Ok(v) = std::env::var("SSR_WORKERS") {
-        if let Some(k) = v.trim().parse::<usize>().ok().and_then(NonZeroUsize::new) {
+        if let Some(k) = parse_workers(&v) {
             return k;
         }
     }
     *PARALLELISM.get_or_init(|| {
         std::thread::available_parallelism().unwrap_or(NonZeroUsize::new(1).expect("1 is nonzero"))
     })
+}
+
+/// Parse an `SSR_WORKERS` value: any positive integer, surrounding
+/// whitespace allowed; anything else (including `0`) is ignored.
+fn parse_workers(value: &str) -> Option<NonZeroUsize> {
+    value.trim().parse().ok().and_then(NonZeroUsize::new)
 }
 
 #[cfg(test)]
@@ -136,21 +142,11 @@ mod tests {
     }
 
     #[test]
-    fn ssr_workers_env_overrides_parallelism() {
-        // This is the only test that touches SSR_WORKERS, so there is no
-        // race with parallel test threads.
-        std::env::set_var("SSR_WORKERS", "3");
-        assert_eq!(available_workers().get(), 3);
-        std::env::set_var("SSR_WORKERS", "0"); // invalid: ignored
-        assert_ne!(available_workers().get(), 0);
-        std::env::set_var("SSR_WORKERS", "not-a-number"); // invalid: ignored
-        let fallback = available_workers();
-        assert!(fallback.get() >= 1);
-        std::env::remove_var("SSR_WORKERS");
-        // Results must still arrive in seed order under a pinned pool.
-        std::env::set_var("SSR_WORKERS", "2");
-        let out = run_seeds(&[4, 5, 6], |s| s * 2);
-        assert_eq!(out, vec![8, 10, 12]);
-        std::env::remove_var("SSR_WORKERS");
+    fn ssr_workers_values_parse_as_positive_integers() {
+        assert_eq!(parse_workers("3").map(NonZeroUsize::get), Some(3));
+        assert_eq!(parse_workers(" 16 ").map(NonZeroUsize::get), Some(16));
+        assert_eq!(parse_workers("0"), None); // invalid: ignored
+        assert_eq!(parse_workers("not-a-number"), None); // invalid: ignored
+        assert_eq!(parse_workers(""), None);
     }
 }

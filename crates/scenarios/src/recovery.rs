@@ -89,15 +89,6 @@ impl<F> Recovery<F> {
         self.events
     }
 
-    /// Replace the event list wholesale — the checkpoint-restore path:
-    /// a resumed recovery run reconstructs its observer fresh, then
-    /// imports the events recorded up to the snapshot (names re-interned
-    /// against the resumed plan by the snapshot layer). Normal runs
-    /// never call this.
-    pub fn import_events(&mut self, events: Vec<RecoveryEvent>) {
-        self.events = events;
-    }
-
     /// Has every injected fault been recovered from?
     pub fn all_recovered(&self) -> bool {
         self.events.iter().all(|e| e.recovered_at.is_some())

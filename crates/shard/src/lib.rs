@@ -85,50 +85,3 @@ mod engine;
 pub mod partition;
 
 pub use engine::ShardedSimulator;
-
-use std::num::NonZeroUsize;
-
-/// Default shard count for sharded runs.
-///
-/// Reads the `SSR_SHARDS` environment variable (any positive integer;
-/// invalid or zero values are ignored), mirroring the `SSR_WORKERS`
-/// override of [`population::runner::available_workers`] — so CI and
-/// benchmarks can pin the partition deterministically without touching
-/// call sites. Falls back to the machine parallelism (which
-/// `SSR_WORKERS` in turn overrides).
-pub fn default_shards() -> NonZeroUsize {
-    std::env::var("SSR_SHARDS")
-        .ok()
-        .as_deref()
-        .and_then(parse_shards)
-        .unwrap_or_else(population::runner::available_workers)
-}
-
-/// Parse an `SSR_SHARDS` value: any positive integer; anything else
-/// (including `0`) is ignored. Factored out of [`default_shards`] so
-/// the parsing rules are testable without mutating the process
-/// environment (`setenv` racing concurrent `getenv` from other test
-/// threads is undefined behavior on glibc); the env plumbing itself is
-/// exercised end to end by the CI shard smoke step (`SSR_SHARDS=4`).
-fn parse_shards(value: &str) -> Option<NonZeroUsize> {
-    value
-        .trim()
-        .parse::<usize>()
-        .ok()
-        .and_then(NonZeroUsize::new)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn ssr_shards_values_parse_like_ssr_workers() {
-        assert_eq!(parse_shards("3").map(NonZeroUsize::get), Some(3));
-        assert_eq!(parse_shards(" 16 ").map(NonZeroUsize::get), Some(16));
-        assert_eq!(parse_shards("0"), None); // invalid: ignored
-        assert_eq!(parse_shards("many"), None); // invalid: ignored
-        assert_eq!(parse_shards(""), None);
-        assert!(default_shards().get() >= 1);
-    }
-}

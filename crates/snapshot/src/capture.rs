@@ -12,20 +12,14 @@
 //!
 //! Fault-plan state rides along: [`restore_hook`] re-imports a
 //! [`FaultState`] into a plan reconstructed from the same experiment
-//! parameters, and [`events_to_bytes`]/[`restore_events`] round-trip a
-//! recovery observer's event list through the snapshot's OBSERVER
-//! section (fault names re-interned against the plan, so an event list
-//! from a different plan is rejected).
+//! parameters.
 
 use population::{
     CursorSource, FaultState, HookState, Schedule, ScheduleCursor, Simulator, WordState,
 };
-use scenarios::fault::FaultPlan;
-use scenarios::recovery::RecoveryEvent;
 use shard::partition::bounds;
 use shard::ShardedSimulator;
 
-use crate::bytes::{Reader, Writer};
 use crate::format::{SimSnapshot, SnapshotError};
 
 /// Decode every state word through the protocol's validating codec.
@@ -158,65 +152,11 @@ pub fn restore_hook<H: HookState>(hook: &mut H, state: &FaultState) -> Result<()
         .map_err(|why| SnapshotError::Malformed(format!("fault state: {why}")))
 }
 
-/// Encode a recovery observer's events for the snapshot OBSERVER
-/// section.
-pub fn events_to_bytes(events: &[RecoveryEvent]) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.u32(events.len() as u32);
-    for e in events {
-        w.u64(e.injected_at);
-        match e.recovered_at {
-            Some(t) => {
-                w.u16(1);
-                w.u64(t);
-            }
-            None => w.u16(0),
-        }
-        w.string(e.name);
-    }
-    w.into_bytes()
-}
-
-/// Decode recovery events from OBSERVER bytes, re-interning each fault
-/// name against `plan` — an event naming a fault the plan does not
-/// carry is a structural mismatch, not a silently adopted string.
-pub fn restore_events<S>(
-    plan: &FaultPlan<S>,
-    bytes: &[u8],
-) -> Result<Vec<RecoveryEvent>, SnapshotError> {
-    let mut r = Reader::new(bytes, "OBSERVER events");
-    let count = r.count(14)?;
-    let mut events = Vec::with_capacity(count);
-    for _ in 0..count {
-        let injected_at = r.u64()?;
-        let recovered_at = match r.u16()? {
-            0 => None,
-            1 => Some(r.u64()?),
-            tag => {
-                return Err(SnapshotError::Malformed(format!(
-                    "OBSERVER events: bad recovered tag {tag}"
-                )))
-            }
-        };
-        let name = r.string()?;
-        let name = plan.intern_name(&name).ok_or_else(|| {
-            SnapshotError::Malformed(format!("recovery event names unknown fault {name:?}"))
-        })?;
-        events.push(RecoveryEvent {
-            name,
-            injected_at,
-            recovered_at,
-        });
-    }
-    Ok(events)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::format::Meta;
     use population::Protocol;
-    use scenarios::fault::StateRewrite;
 
     /// Identity-word protocol (any u64 is a legal state).
     #[derive(Debug)]
@@ -346,34 +286,5 @@ mod tests {
         sharded.run(5_000);
         resumed.run(5_000);
         assert_eq!(resumed.states(), sharded.states());
-    }
-
-    #[test]
-    fn recovery_events_round_trip_and_reintern() {
-        let plan: FaultPlan<u64> = FaultPlan::new(1).once(
-            10,
-            StateRewrite::corrupt(1, |_: &mut rand::rngs::SmallRng| 0u64),
-        );
-        let name = plan.intern_name("corrupt").unwrap();
-        let events = vec![
-            RecoveryEvent {
-                name,
-                injected_at: 10,
-                recovered_at: Some(500),
-            },
-            RecoveryEvent {
-                name,
-                injected_at: 900,
-                recovered_at: None,
-            },
-        ];
-        let bytes = events_to_bytes(&events);
-        assert_eq!(restore_events(&plan, &bytes).unwrap(), events);
-        // A plan without that fault rejects the same bytes.
-        let other: FaultPlan<u64> = FaultPlan::empty();
-        assert!(matches!(
-            restore_events(&other, &bytes),
-            Err(SnapshotError::Malformed(_))
-        ));
     }
 }

@@ -16,11 +16,13 @@
 //! | 2  | STATES   | interaction count, shards, block size, words     |
 //! | 3  | CURSORS  | per-shard cursors (RNG, pending pairs, topo spec)|
 //! | 4  | FAULT    | fault-plan RNG, next-fire times, fired log       |
-//! | 5  | OBSERVER | opaque driver bytes (e.g. recovery events)       |
+//! | 5  | OBSERVER | opaque driver bytes (no driver here writes them) |
 //! | 6  | DYNPOP   | dynamic-population engine state (roster, leases) |
 //!
 //! META, STATES, and CURSORS are mandatory; FAULT, OBSERVER, and DYNPOP
-//! appear only when the run carries them. Unknown section ids are *skipped*
+//! appear only when the run carries them. No driver in this workspace
+//! writes OBSERVER; a file that carries it still decodes, and the bytes
+//! are kept in [`SimSnapshot::observer`]. Unknown section ids are *skipped*
 //! (CRC still checked), so older readers degrade gracefully on newer
 //! writers within a version.
 //!
@@ -170,7 +172,8 @@ pub struct SimSnapshot {
     pub frame: Frame,
     /// Fault-hook state, for runs under a fault plan.
     pub fault: Option<FaultState>,
-    /// Opaque driver bytes (e.g. encoded recovery events).
+    /// Opaque driver bytes from the OBSERVER section. No driver here
+    /// writes them; a file that carries them keeps them on decode.
     pub observer: Vec<u8>,
     /// Dynamic-population engine state (epoch, lifecycle roster, rank
     /// free-list, churn RNG cursor), encoded by `crates/dynamic`. Empty

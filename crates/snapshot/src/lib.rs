@@ -21,7 +21,7 @@
 //! * [`bytes`] — the bounds-checked little-endian codec (reads from
 //!   disk are fallible, never panicking);
 //! * [`mod@format`] — the `SSRSNAP` file format: magic + version + CRC'd
-//!   sections (META / STATES / CURSORS / FAULT / OBSERVER), with
+//!   sections (META / STATES / CURSORS / FAULT / OBSERVER / DYNPOP), with
 //!   [`SimSnapshot::decode`] detecting truncation, bit flips, and stale
 //!   versions per section;
 //! * [`writer`] — write-to-temp + fsync + atomic rename + directory
@@ -37,9 +37,6 @@
 //!   state is *verified*, not trusted);
 //! * [`mod@inject`] — deliberate snapshot corruption (torn / bitflip /
 //!   crc_flip / stale_version) for testing the loader's fallback ladder;
-//! * [`partials`] — [`ObserverPartials`], the OBSERVER-section codec for
-//!   resumable measurement state (`Series` rows, `Thresholds` crossings)
-//!   so long measured runs survive restarts;
 //! * [`sweep`] — [`SweepLog`], the append-only torn-tail-tolerant
 //!   completion log for kill-and-resume sweeps.
 //!
@@ -56,20 +53,17 @@ pub mod capture;
 pub mod crc;
 pub mod format;
 pub mod inject;
-pub mod partials;
 pub mod rotation;
 pub mod sink;
 pub mod sweep;
 pub mod writer;
 
 pub use capture::{
-    decode_states, events_to_bytes, restore_events, restore_hook, resume_sharded, resume_simulator,
-    resume_simulator_with,
+    decode_states, restore_hook, resume_sharded, resume_simulator, resume_simulator_with,
 };
 pub use crc::{crc64, Crc64};
 pub use format::{Meta, SimSnapshot, SnapshotError, MAGIC, SNAPSHOT_VERSION};
 pub use inject::inject;
-pub use partials::ObserverPartials;
 pub use rotation::{Loaded, Rotation, DEFAULT_KEEP};
 pub use sink::SnapshotSink;
 pub use sweep::{SweepLog, UNRECOVERED};

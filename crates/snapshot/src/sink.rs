@@ -20,7 +20,6 @@ pub struct SnapshotSink {
     rotation: Rotation,
     cadence: Cadence,
     meta: Meta,
-    observer: Vec<u8>,
     /// Successful saves so far.
     pub saves: u64,
     /// Saves that failed even after retries (reported to stderr).
@@ -55,7 +54,6 @@ impl SnapshotSink {
             rotation,
             cadence,
             meta,
-            observer: Vec::new(),
             saves: 0,
             failures: 0,
             last_saved: None,
@@ -70,12 +68,6 @@ impl SnapshotSink {
     /// The interaction count of the newest successful save, if any.
     pub fn last_saved(&self) -> Option<u64> {
         self.last_saved
-    }
-
-    /// Attach opaque driver bytes (e.g. encoded recovery events) to be
-    /// embedded in every subsequent snapshot's OBSERVER section.
-    pub fn set_observer_bytes(&mut self, bytes: Vec<u8>) {
-        self.observer = bytes;
     }
 }
 
@@ -97,7 +89,7 @@ impl Checkpointer for SnapshotSink {
             meta: self.meta.clone(),
             frame: frame.clone(),
             fault: fault.cloned(),
-            observer: self.observer.clone(),
+            observer: Vec::new(),
             dynpop: section.to_vec(),
         };
         match self.rotation.save(&snapshot) {

@@ -3,9 +3,11 @@
 //! binary PAPER_MAP names exists and comes with a committed artifact,
 //! and every `BENCH_lemmas.json` claim key PAPER_MAP cites has rows in
 //! the committed artifact (and every claim the artifact holds is cited).
+//! The code's own cross-references resolve too: every Markdown path a
+//! source file names exists.
 
 use std::collections::BTreeSet;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 fn root() -> &'static Path {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -71,6 +73,58 @@ fn claim_keys(line: &str) -> Vec<&str> {
         }
     }
     out
+}
+
+/// Every Markdown path in `text`: a run of path characters ending in
+/// `.md` after a non-empty file name.
+fn md_paths(text: &str) -> BTreeSet<&str> {
+    let path_char = |c: char| c.is_ascii_alphanumeric() || "_-./".contains(c);
+    text.split(|c: char| !path_char(c))
+        .map(|token| token.trim_end_matches('.'))
+        .filter(|token| {
+            token
+                .strip_suffix(".md")
+                .is_some_and(|stem| !stem.is_empty() && !stem.ends_with('/'))
+        })
+        .collect()
+}
+
+/// Every `.rs` file under `dir`, recursively.
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    let entries = std::fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display()));
+    for entry in entries {
+        let path = entry.expect("a directory entry").path();
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|ext| ext == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+#[test]
+fn every_doc_path_named_in_the_code_exists() {
+    let mut files = Vec::new();
+    for dir in ["crates", "src", "tests", "examples"] {
+        rust_files(&root().join(dir), &mut files);
+    }
+    let (mut named, mut missing) = (0, Vec::new());
+    for file in &files {
+        let text = std::fs::read_to_string(file).expect("a readable source file");
+        for path in md_paths(&text) {
+            named += 1;
+            if !root().join(path).is_file() {
+                let rel = file.strip_prefix(root()).expect("under the root");
+                missing.push(format!("{} names {path}", rel.display()));
+            }
+        }
+    }
+    assert!(named > 0, "no Markdown path found in {} files", files.len());
+    assert!(missing.is_empty(), "missing Markdown files: {missing:#?}");
+    assert_eq!(
+        md_paths("see docs/PAPER_MAP.md. A `*.md` file, (README.md)"),
+        BTreeSet::from(["docs/PAPER_MAP.md", "README.md"])
+    );
 }
 
 #[test]
