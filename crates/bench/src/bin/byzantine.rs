@@ -50,9 +50,10 @@
 //! [classify_kinds=a,b,...] [seed0=0] [shards=0]
 //! [out=BENCH_byz.json] [--no-classify] [--csv]`
 //!
-//! `shards=S` with `S >= 1` routes every run through the sharded
-//! engine instead of the sequential simulator — same measurement, same
-//! `run_honest` driver, different engine.
+//! `shards=S` with `S >= 1` routes every run through the sharded API
+//! instead of the sequential simulator — same measurement, same
+//! `run_honest` driver. The sharded API runs the sequential engine, so
+//! every trajectory-derived field equals the sequential pass's.
 //! `squat=R` points the rank squatter at rank `R` (default 1, the
 //! leader's own rank — the most contested choice).
 

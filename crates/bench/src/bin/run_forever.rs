@@ -39,7 +39,10 @@
 //! `drive` call saving through one `SnapshotSink`, the final save on
 //! the same path, and one digest. Snapshots hold the kernel's words in
 //! the enum's codec, so rotations written by the enum engine resume
-//! here.
+//! here. The sharded API runs the sequential engine, so a `shards=` run
+//! prints the `shards=1` digest for the same other arguments; a
+//! rotation an older build's sharded engine wrote (one cursor per
+//! shard) is refused with an error that names its cursor count.
 //!
 //! Usage: `cargo run --release -p bench --bin run-forever --
 //! checkpoint_dir=DIR [n=256] [interactions=10000000]
@@ -286,7 +289,9 @@ fn main() {
         (soak(&mut sim, total, &mut plan, &mut sink), None)
     } else {
         let mut sim = match &loaded {
-            Some(snap) => restored(snapshot::resume_sharded(kernel, snap)),
+            Some(snap) => {
+                ShardedSimulator::wrap(restored(snapshot::resume_simulator(kernel, snap)), shards)
+            }
             None => ShardedSimulator::new(kernel, init, seed, shards),
         };
         (soak(&mut sim, total, &mut plan, &mut sink), None)

@@ -58,10 +58,9 @@ fn inspect(path: &Path, snap: &SimSnapshot) -> String {
     let _ = writeln!(w, "  interactions {}", f.interactions);
     let _ = writeln!(
         w,
-        "  frame        n={} shards={} block_pairs={}",
+        "  frame        n={} cursors={}",
         f.words.len(),
-        f.shards,
-        f.block_pairs
+        f.cursors.len()
     );
     for (i, c) in f.cursors.iter().enumerate() {
         let _ = writeln!(

@@ -49,7 +49,6 @@
 
 use std::collections::VecDeque;
 
-use population::schedule::BLOCK_PAIRS;
 use population::silence::Certificate;
 use population::{
     advance_blocks, drive, Capture, CursorSource, Engine, FaultHook, Frame, Membership, NoFaults,
@@ -680,9 +679,6 @@ impl<P: DynRanking> DynamicPopulation<P> {
 
         // Cross-checks against the frame.
         let frame = &snap.frame;
-        if frame.shards != 1 {
-            return Err(malformed("dynamic runs are single-shard"));
-        }
         if frame.cursors.len() != 1 {
             return Err(malformed("expected exactly one schedule cursor"));
         }
@@ -860,13 +856,10 @@ impl<P: DynRanking> Engine for DynamicPopulation<P> {
 /// [`DynamicPopulation::restore`] rebuilds the exact trajectory from
 /// them.
 impl<P: DynRanking> Capture for DynamicPopulation<P> {
-    /// The lane words in slot order plus the schedule cursor, as a
-    /// single-shard frame.
+    /// The lane words in slot order plus the schedule cursor.
     fn frame(&self) -> Frame {
         Frame {
             interactions: self.interactions,
-            shards: 1,
-            block_pairs: BLOCK_PAIRS as u64,
             words: self
                 .states
                 .iter()

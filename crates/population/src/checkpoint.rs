@@ -15,7 +15,7 @@
 //! `snapshot` crate's sink is the canonical implementation: versioned
 //! CRC-checked files in a rotation directory. Keeping the seam here (the
 //! bottom of the crate graph) is what lets `Simulator`,
-//! `ShardedSimulator`, and the `scenarios` drivers all thread through it
+//! the `dynamic` engine, and the `scenarios` drivers all thread through it
 //! without a dependency cycle.
 //!
 //! The keystone property the seam exists to uphold: **a run restored
@@ -79,24 +79,17 @@ where
 /// A portable capture of a run's position: everything the engine itself
 /// contributes to the trajectory.
 ///
-/// `cursors` has one entry per shard (exactly one for the sequential
-/// [`Simulator`](crate::Simulator)). Fault-plan state travels separately
-/// (see [`FaultState`]) because the hook is owned by the caller, not the
-/// engine.
+/// Every engine writes exactly one cursor. Frames decoded from an older
+/// build's sharded engine hold one per lane, and no engine resumes them.
+/// Fault-plan state travels separately (see [`FaultState`]) because the
+/// hook is owned by the caller, not the engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
     /// Interactions executed when the frame was captured.
     pub interactions: u64,
-    /// Number of shards (1 for the sequential engine). Recorded because
-    /// the sharded trajectory is a function of (seed, shards).
-    pub shards: u32,
-    /// Pairs per block of the capturing engine. Recorded for
-    /// provenance: the *sharded* trajectory also depends on block
-    /// structure, so a resumed sharded run must keep it.
-    pub block_pairs: u64,
     /// The configuration, one encoded word per agent.
     pub words: Vec<u64>,
-    /// Scheduler position, one cursor per shard.
+    /// Scheduler position.
     pub cursors: Vec<ScheduleCursor>,
 }
 
@@ -168,12 +161,9 @@ impl<H: HookState> HookState for crate::UnpackedHook<H> {
 /// Like `FaultHook::fire`, [`save`](Checkpointer::save) **must
 /// advance**: after a save at `t`, `next_due(t)` must return a time
 /// strictly greater than `t` (or `None`), or the engine would loop
-/// forever. Saves never mutate the run — checkpointed execution is
-/// trajectory-inert on the *sequential* paths (the pair stream is FIFO,
-/// so splitting bursts at save points changes nothing). The *sharded*
-/// trajectory depends on burst structure, so there a checkpointed run
-/// is its own deterministic trajectory: reproducible given the same
-/// cadence, compared against a checkpointed-but-uninterrupted twin.
+/// forever. Saves never mutate the run, and checkpointed execution is
+/// trajectory-inert: the pair stream is FIFO, so splitting bursts at
+/// save points changes nothing.
 pub trait Checkpointer {
     /// `false` for [`NullCheckpointer`]: the driver then never asks for
     /// a due time, so the disabled seam costs nothing.

@@ -16,9 +16,8 @@
 //!
 //! Every slot has a `const ACTIVE`; an inactive slot is never asked for a
 //! due time, so its calls compile away. The split points are the union
-//! of the active hooks' due times and the deadline, and nothing else: the
-//! sequential and dynamic engines draw pairs FIFO, so their trajectories
-//! do not depend on them, while the sharded trajectory does.
+//! of the active hooks' due times and the deadline, and nothing else.
+//! Every engine draws its pairs FIFO, so no trajectory depends on them.
 
 use crate::checkpoint::{Checkpointer, Frame, HookState};
 use crate::observe::{Control, Observer};

@@ -25,16 +25,15 @@
 //!   [`Protocol::transition_from`]): there each pair is drawn as the
 //!   kernel consumes it. All styles consume the stream in FIFO order,
 //!   so *every execution mode yields the identical trajectory for a
-//!   given seed*. A [`Schedule::lane`] restricts the initiators to a
-//!   contiguous range; the `shard` crate's engine splits the uniform
-//!   scheduler into such lanes for parallel single-run execution.
+//!   given seed*.
 //! * **Execution** — [`Simulator`] applies the protocol's transition
 //!   function to scheduled pairs. [`Simulator::step`] executes one
 //!   interaction; [`Simulator::run_batched`] is the hot path, executing
 //!   interactions in blocks with no per-interaction bookkeeping. The two
 //!   are bit-for-bit trajectory-equivalent under the same seed. The
 //!   block loop is one function, [`advance_blocks`], which the `dynamic`
-//!   crate's engine runs too.
+//!   crate's engine runs too, and the `shard` crate's API wraps a
+//!   [`Simulator`].
 //! * **Driving** — every `run*` method of every engine is one call into
 //!   [`drive`](fn@drive), which splits a run wherever a fault, save,
 //!   observer poll or engine event is due and lets each engine advance
@@ -72,9 +71,9 @@
 //! * **Silent fast-forward** — a silent protocol spends all its time on
 //!   null interactions once it converges. When a protocol certifies
 //!   that every pair of its configuration is null
-//!   ([`Protocol::silent`]), [`Simulator`], the `dynamic` crate's engine
-//!   (both through [`advance_blocks`]) and the `shard` crate's engine
-//!   skip the rest of each run segment ([`Engine::advance`])
+//!   ([`Protocol::silent`]), [`Simulator`] and the `dynamic` crate's
+//!   engine (both through [`advance_blocks`]) skip the rest of each run
+//!   segment ([`Engine::advance`])
 //!   instead of executing it. The pair source advances exactly as far
 //!   as the segment would have drawn ([`PairSource::skip`]), and the
 //!   protocol credits the skipped pairs to its instrumentation

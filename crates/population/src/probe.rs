@@ -62,11 +62,12 @@ pub trait Probe<P: Protocol> {
     /// interaction count *after* the block, `changed` the number of
     /// state-changing interactions the block reported (0 where the
     /// execution path does not track it), `shard` the shard index (0 on
-    /// the sequential engine), `start` the global index of `lane[0]`,
-    /// and `lane` the shard's slice of the configuration after the
-    /// block. Event granularity is therefore the block: probes see
-    /// configurations at block boundaries, mirroring the observer
-    /// pipeline's `check_every` overshoot convention.
+    /// every engine of this build), `start` the global index of
+    /// `lane[0]` (0 likewise), and `lane` the shard's slice of the
+    /// configuration after the block, the whole configuration on every
+    /// engine of this build. Event granularity is therefore the block:
+    /// probes see configurations at block boundaries, mirroring the
+    /// observer pipeline's `check_every` overshoot convention.
     fn block(
         &mut self,
         protocol: &P,
@@ -79,9 +80,10 @@ pub trait Probe<P: Protocol> {
         let _ = (protocol, t, changed, shard, start, lane);
     }
 
-    /// The sharded engine finished the exchange rounds of a block:
-    /// `pairs` cross-shard boundary pairs were executed at interaction
-    /// count `t`. Never called by the sequential engine.
+    /// A sharded block's exchange rounds executed `pairs` cross-shard
+    /// boundary pairs at interaction count `t`. No engine of this build
+    /// calls it: the sharded engine that exchanged boundary pairs is
+    /// retired, and its `shard` API runs the sequential engine.
     fn exchange(&mut self, protocol: &P, t: u64, pairs: u64) {
         let _ = (protocol, t, pairs);
     }

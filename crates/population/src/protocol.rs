@@ -43,9 +43,8 @@ pub trait Protocol {
     /// order, returning the number of interactions that changed a state
     /// (same no-false-negatives contract as the per-pair `changed`
     /// flag). This is the batched engine's per-block entry point:
-    /// [`Simulator::run_batched`](crate::Simulator::run_batched) and the
-    /// sharded intra-phase lanes call it once per block instead of
-    /// dispatching per pair.
+    /// [`Simulator::run_batched`](crate::Simulator::run_batched) calls it
+    /// once per block instead of dispatching per pair.
     ///
     /// The default is the scalar reference loop: split-borrow both
     /// states ([`pair_mut`]) and run [`transition`](Protocol::transition)
@@ -264,6 +263,7 @@ impl<P: PackedProtocol> Protocol for Packed<P> {
         PackedProtocol::transition_block(&self.0, states, pairs)
     }
 
+    #[inline(always)]
     fn transition_from<S: PairSource>(
         &self,
         states: &mut [Self::State],

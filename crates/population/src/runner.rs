@@ -86,7 +86,7 @@ where
 /// zero values are ignored. `SSR_WORKERS` is read on every call; the
 /// machine's parallelism is asked once per process and cached, since
 /// the query reads cgroup files (12–26 µs a call on a 2-core Linux
-/// host) and every sharded engine asks when it is built.
+/// host) and every `shard::ShardedSimulator` asks when it is built.
 pub fn available_workers() -> NonZeroUsize {
     static PARALLELISM: OnceLock<NonZeroUsize> = OnceLock::new();
     if let Ok(v) = std::env::var("SSR_WORKERS") {

@@ -28,9 +28,7 @@
 //! the default entry, stays on the buffer.
 //!
 //! [`Schedule`] is the canonical implementation — the paper's uniform
-//! scheduler, or with [`Schedule::lane`] one lane of it, whose
-//! initiators lie in a contiguous range (the `shard` crate splits the
-//! scheduler into such lanes). Adversarial sources (biased,
+//! scheduler. Adversarial sources (biased,
 //! clustered/partitioned, round-robin) live in the `scenarios` crate
 //! and plug into the same [`Simulator`](crate::Simulator) via
 //! [`Simulator::with_source`](crate::Simulator::with_source), which is
@@ -42,10 +40,9 @@
 //! for engines that fast-forward a certified-silent configuration.
 //! Other sources draw and discard. [`Schedule`] skips in O(1): it
 //! drains its buffered pairs, then adds the rest to a count of *owed*
-//! draws kept next to its generator. The next read of the
-//! stream (a `next_pair`, `sample_block`, `pairs` or
-//! [`Schedule::skip_local`]) settles the debt with one O(log k) jump
-//! of the generator (Haramoto et al., 2008). A silent stretch that an
+//! draws kept next to its generator. The next read of the stream (a
+//! `next_pair`, `sample_block` or `pairs`) settles the debt with one
+//! O(log k) jump of the generator (Haramoto et al., 2008). A silent stretch that an
 //! engine skips in many short calls therefore costs one jump, not one
 //! per call. Because a skip drains the buffer before it owes, owed
 //! draws imply an empty buffer, and the pending pairs always come first
@@ -215,10 +212,9 @@ impl BlockBuffer {
 /// cursor was captured.
 ///
 /// [`Schedule`] exports its initiator range in it (`start = 0`, `len = n`
-/// for the full range), so a snapshot stores a `Vec<ScheduleCursor>`
-/// with one entry per shard regardless of the execution path. The
-/// restored source continues the pair stream **bit for bit**: it first
-/// replays `pending`, then draws from the restored RNG.
+/// for the full range; an older build's sharded engine wrote one cursor
+/// per lane). The restored source continues the pair stream **bit for
+/// bit**: it first replays `pending`, then draws from the restored RNG.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScheduleCursor {
     /// Raw xoshiro256++ state words of the source's RNG, with any draws
@@ -315,19 +311,13 @@ impl Generator {
 }
 
 /// Seeded generator of uniform ordered pairs of distinct agents: the
-/// paper's uniform scheduler, or one lane of it.
+/// paper's uniform scheduler.
 ///
 /// The initiator is uniform over a contiguous range `start..start+len`
 /// of the population and the responder uniform over the other `n − 1`
-/// agents. [`Schedule::new`] covers the full range; [`Schedule::lane`]
-/// restricts it, which is the per-shard pair stream of the sharded
-/// simulator (`crates/shard`). A full-range lane seeded with `s` is
-/// `Schedule::new(n, s)`, draw for draw. A balanced family of lanes (one
-/// per shard, each drawing the same number of pairs per block)
-/// approximates the uniform scheduler: initiators are uniform within
-/// each lane and lanes are served equally, so the initiator marginal
-/// deviates from uniform only through the ≤ 1 agent size imbalance
-/// between lanes.
+/// agents. [`Schedule::new`] covers the full range, and so does every
+/// cursor this build writes; only a cursor of an older build's sharded
+/// lane restores a narrower one.
 #[derive(Debug, Clone)]
 pub struct Schedule {
     rng: Generator,
@@ -370,21 +360,10 @@ impl Schedule {
     /// Panics if `n < 2` (no pair of distinct agents exists) or
     /// `n > u32::MAX` (pairs are stored as `u32` indices).
     pub fn new(n: usize, seed: u64) -> Self {
-        Self::lane(n, 0, n, seed)
+        Self::build(SmallRng::seed_from_u64(seed), n, 0, n, Vec::new())
     }
 
-    /// A schedule whose initiators lie in `start..start+len` of a
-    /// population of `n` agents, seeded with `seed`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n < 2`, `n > u32::MAX`, the range is empty, or the
-    /// range exceeds the population.
-    pub fn lane(n: usize, start: usize, len: usize, seed: u64) -> Self {
-        Self::build(SmallRng::seed_from_u64(seed), n, start, len, Vec::new())
-    }
-
-    /// The one constructor check, shared by [`lane`](Self::lane) and
+    /// The one constructor check, shared by [`new`](Self::new) and
     /// [`from_cursor`](CursorSource::from_cursor).
     fn build(rng: SmallRng, n: usize, start: usize, len: usize, pending: Vec<Pair>) -> Self {
         assert!(n >= 2, "population needs at least two agents");
@@ -439,21 +418,6 @@ impl Schedule {
     /// Number of pairs currently buffered but not yet consumed.
     pub fn buffered(&self) -> usize {
         self.buf.buffered()
-    }
-
-    /// [`skip`](PairSource::skip) `count` pairs, returning how many of
-    /// them have their responder inside the initiator range. Telling
-    /// takes every draw, so this steps the generator instead of owing.
-    pub fn skip_local(&mut self, count: u64) -> u64 {
-        let (n, start, len) = (self.n, self.start, self.len);
-        let local = |(_, j): Pair| u64::from((j as usize).wrapping_sub(start) < len);
-        let rng = self.rng.settled();
-        let drained = self.buf.drain(count);
-        let mut hits: u64 = drained.iter().map(|&p| local(p)).sum();
-        for _ in drained.len() as u64..count {
-            hits += local(draw_pair(rng, n, start, len));
-        }
-        hits
     }
 }
 
@@ -568,16 +532,21 @@ impl PairSource for Schedule {
 mod tests {
     use super::*;
 
+    /// A schedule whose initiators lie in `start..start+len`, as an
+    /// older build's sharded lane cursor restores it.
+    fn lane(n: usize, start: usize, len: usize, seed: u64) -> Schedule {
+        let mut cursor = Schedule::new(n, seed).cursor();
+        (cursor.start, cursor.len) = (start as u64, len as u64);
+        Schedule::from_cursor(cursor)
+    }
+
     fn drain_scalar(s: &mut Schedule, count: usize) -> Vec<(usize, usize)> {
         (0..count).map(|_| s.next_pair()).collect()
     }
 
     #[test]
     fn pairs_are_distinct_and_in_range() {
-        for (mut s, initiators) in [
-            (Schedule::new(17, 1), 0..17),
-            (Schedule::lane(29, 10, 9, 5), 10..19),
-        ] {
+        for (mut s, initiators) in [(Schedule::new(17, 1), 0..17), (lane(29, 10, 9, 5), 10..19)] {
             let n = s.n();
             for _ in 0..20_000 {
                 let (i, j) = s.next_pair();
@@ -591,8 +560,8 @@ mod tests {
     #[test]
     fn block_and_scalar_produce_the_same_stream() {
         for (n, start, len, seed) in [(100, 0, 100, 42), (40, 8, 12, 9)] {
-            let mut scalar = Schedule::lane(n, start, len, seed);
-            let mut blocked = Schedule::lane(n, start, len, seed);
+            let mut scalar = lane(n, start, len, seed);
+            let mut blocked = lane(n, start, len, seed);
             let expected = drain_scalar(&mut scalar, 10_000);
             let mut got = Vec::new();
             while got.len() < 10_000 {
@@ -681,40 +650,21 @@ mod tests {
     }
 
     #[test]
-    fn full_range_lane_matches_schedule_bit_for_bit() {
-        // The anchor of the sharded engine's shards = 1 equivalence: a
-        // lane over the whole population is the uniform scheduler, same
-        // seed, same stream.
-        let mut reference = Schedule::new(33, 1234);
-        let mut lane = Schedule::lane(33, 0, 33, 1234);
-        assert_eq!(lane.range(), (0, 33));
-        for _ in 0..10_000 {
-            assert_eq!(reference.next_pair(), lane.next_pair());
-        }
-    }
-
-    #[test]
     fn lane_responders_reach_the_whole_population() {
         let n = 12;
-        let mut lane = Schedule::lane(n, 4, 2, 3);
+        let mut s = lane(n, 4, 2, 3);
         let mut seen = vec![false; n];
         for _ in 0..10_000 {
-            seen[lane.next_pair().1] = true;
+            seen[s.next_pair().1] = true;
         }
         let reachable = seen.iter().filter(|&&b| b).count();
         assert!(reachable >= n - 1, "responders must span the population");
     }
 
     #[test]
-    #[should_panic(expected = "exceeds population")]
-    fn lane_rejects_out_of_bounds_range() {
-        let _ = Schedule::lane(10, 8, 4, 0);
-    }
-
-    #[test]
     fn schedule_cursor_round_trip_continues_the_stream() {
         for (n, start, len, seed) in [(64, 0, 64, 99), (40, 10, 11, 123)] {
-            let mut original = Schedule::lane(n, start, len, seed);
+            let mut original = lane(n, start, len, seed);
             for _ in 0..1000 {
                 original.next_pair();
             }
@@ -783,7 +733,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "exceeds population")]
     fn rejects_out_of_bounds_cursor() {
-        let mut cursor = Schedule::lane(20, 5, 5, 1).cursor();
+        let mut cursor = lane(20, 5, 5, 1).cursor();
         cursor.start = 18;
         let _ = Schedule::from_cursor(cursor);
     }
@@ -842,11 +792,7 @@ mod tests {
                 k,
             );
             assert_skip_matches(Schedule::new(64, seed), Schedule::new(64, seed), k);
-            assert_skip_matches(
-                Schedule::lane(64, 16, 16, seed),
-                Schedule::lane(64, 16, 16, seed),
-                k,
-            );
+            assert_skip_matches(lane(64, 16, 16, seed), lane(64, 16, 16, seed), k);
         }
     }
 
@@ -878,24 +824,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn skip_local_counts_the_lane_local_responders() {
-        let (start, len) = (10, 7);
-        for k in [0, 3, 1000, 5000] {
-            let mut drawn = Schedule::lane(40, start, len, k);
-            let _ = drawn.sample_block(1);
-            let mut cursor = drawn.cursor();
-            cursor.pending = vec![(12, 13), (11, 30)];
-            let mut drawn = Schedule::from_cursor(cursor.clone());
-            let mut skipped = Schedule::from_cursor(cursor);
-            let local = (0..k)
-                .filter(|_| (start..start + len).contains(&drawn.next_pair().1))
-                .count() as u64;
-            assert_eq!(skipped.skip_local(k), local, "k = {k}");
-            assert_eq!(skipped.cursor(), drawn.cursor(), "k = {k}");
-        }
-    }
-
     /// Skip lengths around the buffer, the jump threshold and beyond.
     const SKIPS: [u64; 7] = [0, 1, 511, 512, (1 << 14) - 1, 1 << 14, 1 << 20];
 
@@ -922,7 +850,7 @@ mod tests {
     fn run_script(mut fast: Schedule, mut twin: Schedule, script: &mut SmallRng, ops: usize) {
         let mut roll = |below: u64| script.next_u64() % below;
         for step in 0..ops {
-            let op = roll(8);
+            let op = roll(7);
             match op {
                 0 | 1 => {
                     for _ in 0..=roll(4) {
@@ -951,10 +879,6 @@ mod tests {
                     assert_eq!(got, want, "step {step}");
                 }
                 5 => {
-                    let k = roll(5000);
-                    assert_eq!(fast.skip_local(k), twin.skip_local(k), "step {step}");
-                }
-                6 => {
                     fast = if roll(2) == 0 {
                         fast.clone()
                     } else {
@@ -989,8 +913,8 @@ mod tests {
             let len = 1 + (script.next_u64() % n as u64) as usize;
             let start = (script.next_u64() % (n - len + 1) as u64) as usize;
             run_script(
-                Schedule::lane(n, start, len, seed),
-                Schedule::lane(n, start, len, seed),
+                lane(n, start, len, seed),
+                lane(n, start, len, seed),
                 &mut script,
                 40,
             );

@@ -400,8 +400,6 @@ impl<P: WordState, S: CursorSource> Simulator<P, S> {
     pub fn frame(&self) -> Frame {
         Frame {
             interactions: self.interactions,
-            shards: 1,
-            block_pairs: BLOCK_PAIRS as u64,
             words: self
                 .states
                 .iter()

@@ -777,8 +777,8 @@ impl<P: Protocol, St: Strategy<P>> Protocol for Byzantine<P, St> {
 /// budget runs out; returns the hitting checkpoint — the
 /// *honest-stabilization time* the `byzantine` benchmark aggregates.
 /// Sugar over [`drive`](fn@drive) with a [`HonestRanking`] observer
-/// polled on the whole configuration. On the sharded engine with
-/// `shards = 1` this is bit-for-bit the sequential run over a uniform
+/// polled on the whole configuration. Through the sharded API, at any
+/// shard count, this is bit-for-bit the sequential run over a uniform
 /// schedule.
 pub fn run_honest<E, P, St>(engine: &mut E, max_interactions: u64, check_every: u64) -> Option<u64>
 where

@@ -116,7 +116,7 @@ impl<P: Protocol, F: FnMut(&P, &[P::State]) -> bool> Observer<P> for Recovery<F>
 /// the faults due at the same count. The poll stops the run once every
 /// injected fault has recovered and no further fault can fire within the
 /// budget — so single-shot plans don't burn the full budget after
-/// re-stabilizing. On a sharded engine with `shards = 1` this is
+/// re-stabilizing. Through the sharded API, at any shard count, this is
 /// trajectory-equivalent to the sequential run over a uniform
 /// [`Schedule`](population::Schedule).
 ///

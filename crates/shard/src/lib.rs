@@ -1,61 +1,24 @@
-//! Sharded parallel simulation: a multi-threaded **single-run** engine
-//! over partitioned state lanes.
+//! The sharded simulator's API, run on the sequential engine.
 //!
-//! The `population` engine executes one run on one core; its `runner`
-//! parallelizes across *seeds*. This crate parallelizes *within* a run:
-//! the configuration stays one vector in agent-index order, and each run
-//! call cuts it into per-shard lanes (contiguous slices; for packed
-//! protocols, stretches of the flat word vector). Each shard
-//! draws pairs from its own lane of the uniform scheduler
-//! ([`Schedule::lane`](population::Schedule::lane), split by
-//! [`partition::split`]), and cross-shard interactions
-//! are resolved through a boundary-pair exchange protocol — see
-//! [`ShardedSimulator`] for the full execution model, determinism
-//! contract, and the `shards = 1 ≡ run_batched` equivalence.
+//! [`ShardedSimulator`] keeps the constructor and run methods of the
+//! sharded engine this crate used to hold, over one
+//! [`Simulator`](population::Simulator): a run with any shard and worker
+//! count follows the sequential engine's trajectory for the same seed,
+//! through its block kernel and its silent fast-forward. The shard count
+//! only sets how often an active [`Probe`](population::Probe) sees a
+//! block; see [`ShardedSimulator`].
 //!
-//! # Block lifecycle (phase / exchange)
-//!
-//! Time advances in blocks; every block runs two phases:
-//!
-//! 1. **Intra phase** — each shard draws its quota of pairs from its
-//!    sub-stream and executes the pairs whose responder is local,
-//!    lock-free and in draw order (lanes are disjoint). Pairs whose
-//!    responder lives in another lane are deferred into a per-peer
-//!    outbox.
-//! 2. **Exchange phase** — deferred boundary pairs execute in a fixed
-//!    round-robin tournament over shard pairs: each round is a set of
-//!    disjoint matches, each match executed by one worker holding
-//!    *both* lanes (first `a`'s deferred pairs into `b`, then `b`'s
-//!    into `a`, each in draw order). Every interaction stays an atomic
-//!    pairwise update; only the interleaving differs from a
-//!    sequential run.
-//!
-//! Every worker runs the same block loop, the first on the calling
-//! thread. Barriers separate the phases; within a phase every worker
-//! touches only lanes it exclusively owns, which is why the trajectory is a
-//! pure function of `(seed, shards, block size)` and never of the
-//! worker count. `run_faulted` splits blocks at exact fault
-//! interaction counts, and `run_observed` polls land between blocks at
-//! exact interaction counts, so the `scenarios` fault plans and the
-//! observer pipeline behave identically to the sequential engine.
-//!
-//! The engine plugs into every existing seam:
-//!
-//! * **state** — any [`Protocol`](population::Protocol) whose value is
-//!   `Sync` (wrap a [`PackedProtocol`](population::PackedProtocol) in
-//!   [`Packed`](population::Packed) to run over flat words);
-//! * **observation** — whole-configuration
-//!   [`Observer`](population::Observer)s read the configuration in
-//!   place ([`ShardedSimulator::run_observed`]);
-//! * **faults** — [`FaultHook`](population::FaultHook)s edit it in
-//!   place at exact interaction counts
-//!   ([`ShardedSimulator::run_faulted`]), so the `scenarios` crate's
-//!   fault plans drive sharded runs unchanged.
+//! The lane-partitioned engine that followed a trajectory of its own
+//! (per-shard scheduler lanes, boundary-pair exchange rounds) is gone:
+//! on a 2-core host it was slower than the sequential engine in most
+//! measured cells, and it was the only engine whose trajectory depended
+//! on where runs split. Experiments spend cores across seeds instead
+//! ([`population::runner::run_seeds`]).
 //!
 //! # Example
 //!
 //! ```
-//! use population::Protocol;
+//! use population::{Protocol, Simulator};
 //! use shard::ShardedSimulator;
 //!
 //! struct Max;
@@ -76,12 +39,14 @@
 //! let mut sim = ShardedSimulator::new(Max, (0..64).collect(), 1, 4);
 //! sim.run(100_000);
 //! assert!(sim.states().iter().all(|&s| s == 63));
+//! let mut sequential = Simulator::new(Max, (0..64).collect(), 1);
+//! sequential.run(100_000);
+//! assert_eq!(sim.states(), sequential.states());
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod engine;
-pub mod partition;
 
 pub use engine::ShardedSimulator;

@@ -5,20 +5,16 @@
 //! layer: every state word must decode through the protocol's
 //! validating [`WordState`] codec (a CRC-clean snapshot of the wrong
 //! experiment, or a maliciously crafted one, is still rejected), the
-//! configuration size must match the protocol, and cursor geometry must
-//! match the engine shape. Errors, never panics: a snapshot that cannot
-//! be restored is a [`SnapshotError::Malformed`] the caller can degrade
-//! on, exactly like a corrupt file.
+//! configuration size must match the protocol, and the frame must hold
+//! one cursor covering the whole population. Errors, never panics: a
+//! snapshot that cannot be restored is a [`SnapshotError::Malformed`]
+//! the caller can degrade on, exactly like a corrupt file.
 //!
 //! Fault-plan state rides along: [`restore_hook`] re-imports a
 //! [`FaultState`] into a plan reconstructed from the same experiment
 //! parameters.
 
-use population::{
-    CursorSource, FaultState, HookState, Schedule, ScheduleCursor, Simulator, WordState,
-};
-use shard::partition::bounds;
-use shard::ShardedSimulator;
+use population::{CursorSource, FaultState, HookState, Schedule, Simulator, WordState};
 
 use crate::format::{SimSnapshot, SnapshotError};
 
@@ -45,25 +41,11 @@ pub fn decode_states<P: WordState>(
         .collect()
 }
 
-fn check_cursor(
-    cursor: &ScheduleCursor,
-    n: usize,
-    start: usize,
-    end: usize,
-) -> Result<(), SnapshotError> {
-    if cursor.n != n as u64 || cursor.start != start as u64 || cursor.len != (end - start) as u64 {
-        return Err(SnapshotError::Malformed(format!(
-            "cursor covers {}..{} of n = {}, engine lane is {start}..{end} of n = {n}",
-            cursor.start,
-            cursor.start + cursor.len,
-            cursor.n,
-        )));
-    }
-    Ok(())
-}
-
-/// Restore a sequential [`Simulator`] from `snapshot`. Requires a
-/// 1-shard frame (the sequential engine has exactly one pair stream).
+/// Restore a sequential [`Simulator`] from `snapshot`. Requires a frame
+/// with one cursor over the whole population: the engine has exactly
+/// one pair stream. A frame of an older build's sharded engine holds one
+/// cursor per lane, and no engine of this build continues its
+/// trajectory.
 pub fn resume_simulator<P: WordState>(
     protocol: P,
     snapshot: &SimSnapshot,
@@ -75,12 +57,12 @@ pub fn resume_simulator<P: WordState>(
 /// sequential [`Simulator`] whose source is any [`CursorSource`] — the
 /// seam through which graph-restricted schedulers (the `topology`
 /// crate's `GraphSchedule`, whose cursor carries its generator spec in
-/// [`ScheduleCursor::topo`]) resume from the same `SSRSNAP` files as
-/// the uniform scheduler.
+/// [`ScheduleCursor::topo`](population::ScheduleCursor::topo)) resume
+/// from the same `SSRSNAP` files as the uniform scheduler.
 ///
-/// The word-level semantic validation (codec, size, cursor geometry) is
-/// identical to [`resume_simulator`]; source-specific cursor validation
-/// lives in the source's own `from_cursor` (which panics on a cursor
+/// The word-level semantic validation (codec, size, cursor count and
+/// range) is identical to [`resume_simulator`]; source-specific cursor
+/// validation lives in the source's own `from_cursor` (which panics on a cursor
 /// its type cannot represent — e.g. restoring a graph cursor as a
 /// uniform [`Schedule`] or vice versa — so cross-source confusion is
 /// loud, never silent).
@@ -89,59 +71,29 @@ pub fn resume_simulator_with<P: WordState, S: CursorSource>(
     snapshot: &SimSnapshot,
 ) -> Result<Simulator<P, S>, SnapshotError> {
     let frame = &snapshot.frame;
-    if frame.shards != 1 {
+    let [cursor] = frame.cursors.as_slice() else {
         return Err(SnapshotError::Malformed(format!(
-            "cannot resume a {}-shard frame on the sequential engine",
-            frame.shards
+            "frame holds {} scheduler cursors, the engine resumes exactly one",
+            frame.cursors.len()
+        )));
+    };
+    let n = protocol.n() as u64;
+    if (cursor.n, cursor.start, cursor.len) != (n, 0, n) {
+        return Err(SnapshotError::Malformed(format!(
+            "cursor covers {}..{} of n = {}, the engine draws from 0..{n} of n = {n}",
+            cursor.start,
+            cursor.start.saturating_add(cursor.len),
+            cursor.n,
         )));
     }
-    let n = protocol.n();
-    check_cursor(&frame.cursors[0], n, 0, n)?;
     let states = decode_states(&protocol, &frame.words)?;
-    let source = S::from_cursor(frame.cursors[0].clone());
+    let source = S::from_cursor(cursor.clone());
     Ok(Simulator::resume(
         protocol,
         states,
         source,
         frame.interactions,
     ))
-}
-
-/// Restore a [`ShardedSimulator`] from `snapshot`: the frame's cursor
-/// count is the shard count, each cursor validated against the balanced
-/// lane bounds before the engine sees it, and the captured block size
-/// re-applied (the sharded trajectory depends on it).
-pub fn resume_sharded<P>(
-    protocol: P,
-    snapshot: &SimSnapshot,
-) -> Result<ShardedSimulator<P>, SnapshotError>
-where
-    P: WordState + Sync,
-    P::State: Send,
-{
-    let frame = &snapshot.frame;
-    let n = protocol.n();
-    let shards = frame.cursors.len();
-    if shards == 0 || shards > n {
-        return Err(SnapshotError::Malformed(format!(
-            "frame has {shards} cursors for a population of {n}"
-        )));
-    }
-    for (s, cursor) in frame.cursors.iter().enumerate() {
-        let (start, end) = bounds(n, shards, s);
-        check_cursor(cursor, n, start, end)?;
-    }
-    let states = decode_states(&protocol, &frame.words)?;
-    let block_pairs = usize::try_from(frame.block_pairs)
-        .ok()
-        .filter(|&b| b >= 1)
-        .ok_or_else(|| {
-            SnapshotError::Malformed(format!("illegal block size {}", frame.block_pairs))
-        })?;
-    Ok(
-        ShardedSimulator::resume(protocol, states, frame.cursors.clone(), frame.interactions)
-            .with_block_pairs(block_pairs),
-    )
 }
 
 /// Import `state` into a fault hook reconstructed from the same
@@ -238,53 +190,39 @@ mod tests {
         assert!(matches!(err, SnapshotError::Malformed(_)), "{err}");
     }
 
-    #[test]
-    fn wrong_population_size_is_rejected_not_panicked() {
-        let mut sim = Simulator::new(Ident(8), vec![0; 8], 3);
-        sim.run_batched(100);
-        let snap = snapshot_of(&sim);
-        assert!(matches!(
-            resume_simulator(Ident(16), &snap),
-            Err(SnapshotError::Malformed(_))
-        ));
+    /// The two lane cursors an older build's 2-shard engine wrote for
+    /// `sim`'s population, as a decoded snapshot holds them.
+    fn two_lane_frame(sim: &Simulator<Ident, Schedule>) -> SimSnapshot {
+        let mut snap = snapshot_of(sim);
+        let n = snap.frame.words.len() as u64;
+        let mut lanes = vec![snap.frame.cursors[0].clone(); 2];
+        (lanes[0].start, lanes[0].len) = (0, n / 2);
+        (lanes[1].start, lanes[1].len) = (n / 2, n - n / 2);
+        lanes[1].rng[0] ^= 1;
+        snap.frame.cursors = lanes;
+        SimSnapshot::decode(&snap.encode()).expect("multi-cursor files decode")
     }
 
     #[test]
-    fn sharded_frames_refuse_the_sequential_engine_and_vice_versa() {
-        let mut sharded = ShardedSimulator::new(Ident(16), (0..16).collect(), 5, 4);
-        sharded.run(5_000);
-        let snap = SimSnapshot {
-            meta: Meta::bare("capture-test", 5),
-            frame: sharded.frame(),
-            fault: None,
-            observer: Vec::new(),
-            dynpop: Vec::new(),
+    fn malformed_frames_are_rejected_not_panicked() {
+        let mut sim = Simulator::new(Ident(8), vec![0; 8], 3);
+        sim.run_batched(100);
+        let snap = snapshot_of(&sim);
+        let malformed = |protocol: Ident, snap: &SimSnapshot| match resume_simulator(protocol, snap)
+        {
+            Err(SnapshotError::Malformed(why)) => why,
+            other => panic!("expected a malformed-frame error, got {other:?}"),
         };
-        assert!(matches!(
-            resume_simulator(Ident(16), &snap),
-            Err(SnapshotError::Malformed(_))
-        ));
-        // Nor does a single-cursor frame whose cursor covers only one
-        // lane of the population.
-        let mut lane = snap.clone();
-        lane.frame.shards = 1;
+        // A frame of another population size.
+        malformed(Ident(16), &snap);
+        // A frame of an older build's 2-shard engine: the error names
+        // the cursor count.
+        let why = malformed(Ident(8), &two_lane_frame(&sim));
+        assert!(why.contains("holds 2 scheduler cursors"), "{why}");
+        // One cursor that covers only one lane of the population.
+        let mut lane = two_lane_frame(&sim);
         lane.frame.cursors.truncate(1);
-        assert!(matches!(
-            resume_simulator(Ident(16), &lane),
-            Err(SnapshotError::Malformed(_))
-        ));
-        // And a frame whose cursors disagree with the balanced lanes is
-        // caught before the engine's assertions could panic.
-        let mut bad = snap.clone();
-        bad.frame.cursors.swap(0, 1);
-        assert!(matches!(
-            resume_sharded(Ident(16), &bad),
-            Err(SnapshotError::Malformed(_))
-        ));
-        // The pristine frame restores fine.
-        let mut resumed = resume_sharded(Ident(16), &snap).unwrap();
-        sharded.run(5_000);
-        resumed.run(5_000);
-        assert_eq!(resumed.states(), sharded.states());
+        let why = malformed(Ident(8), &lane);
+        assert!(why.contains("covers 0..4 of n = 8"), "{why}");
     }
 }

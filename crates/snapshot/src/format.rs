@@ -13,8 +13,8 @@
 //! | id | section  | contents                                         |
 //! |----|----------|--------------------------------------------------|
 //! | 1  | META     | label, seed, run-provenance key/value pairs      |
-//! | 2  | STATES   | interaction count, shards, block size, words     |
-//! | 3  | CURSORS  | per-shard cursors (RNG, pending pairs, topo spec)|
+//! | 2  | STATES   | interaction count, cursor count, block size, words|
+//! | 3  | CURSORS  | scheduler cursors (RNG, pending pairs, topo spec)|
 //! | 4  | FAULT    | fault-plan RNG, next-fire times, fired log       |
 //! | 5  | OBSERVER | opaque driver bytes (no driver here writes them) |
 //! | 6  | DYNPOP   | dynamic-population engine state (roster, leases) |
@@ -22,7 +22,11 @@
 //! META, STATES, and CURSORS are mandatory; FAULT, OBSERVER, and DYNPOP
 //! appear only when the run carries them. No driver in this workspace
 //! writes OBSERVER; a file that carries it still decodes, and the bytes
-//! are kept in [`SimSnapshot::observer`]. Unknown section ids are *skipped*
+//! are kept in [`SimSnapshot::observer`]. Every engine writes one
+//! cursor. STATES still records the cursor count (an older build's
+//! sharded engine wrote one cursor per shard) and the block size
+//! ([`BLOCK_PAIRS`]); the block size is read and ignored, since no
+//! trajectory depends on it. Unknown section ids are *skipped*
 //! (CRC still checked), so older readers degrade gracefully on newer
 //! writers within a version.
 //!
@@ -32,6 +36,7 @@
 //! [`SnapshotError`], which is what lets the rotation loader fall back
 //! to an older snapshot instead of dying.
 
+use population::schedule::BLOCK_PAIRS;
 use population::{FaultState, Frame, ScheduleCursor};
 use telemetry::RunManifest;
 
@@ -226,8 +231,8 @@ fn decode_meta(payload: &[u8]) -> Result<Meta, SnapshotError> {
 fn encode_states(frame: &Frame) -> Vec<u8> {
     let mut w = Writer::new();
     w.u64(frame.interactions);
-    w.u32(frame.shards);
-    w.u64(frame.block_pairs);
+    w.u32(frame.cursors.len() as u32);
+    w.u64(BLOCK_PAIRS as u64);
     w.u64(frame.words.len() as u64);
     for &word in &frame.words {
         w.u64(word);
@@ -383,7 +388,7 @@ impl SimSnapshot {
         }
         let n_sections = r.u32()?;
         let mut meta = None;
-        let mut states: Option<(u64, u32, u64, Vec<u64>)> = None;
+        let mut states: Option<(u64, u32, Vec<u64>)> = None;
         let mut cursors = None;
         let mut fault = None;
         let mut observer = Vec::new();
@@ -410,7 +415,7 @@ impl SimSnapshot {
                     let mut s = Reader::new(payload, "STATES section");
                     let interactions = s.u64()?;
                     let shards = s.u32()?;
-                    let block_pairs = s.u64()?;
+                    let _block_pairs = s.u64()?;
                     let count = s.u64()? as usize;
                     if count.saturating_mul(8) > s.remaining() {
                         return Err(SnapshotError::Malformed(format!(
@@ -421,7 +426,7 @@ impl SimSnapshot {
                     for _ in 0..count {
                         words.push(s.u64()?);
                     }
-                    states = Some((interactions, shards, block_pairs, words));
+                    states = Some((interactions, shards, words));
                 }
                 SECTION_CURSORS => cursors = Some(decode_cursors(payload)?),
                 SECTION_FAULT => fault = Some(decode_fault(payload)?),
@@ -438,13 +443,13 @@ impl SimSnapshot {
             )));
         }
         let meta = meta.ok_or_else(|| SnapshotError::Malformed("missing META section".into()))?;
-        let (interactions, shards, block_pairs, words) =
+        let (interactions, shards, words) =
             states.ok_or_else(|| SnapshotError::Malformed("missing STATES section".into()))?;
         let cursors =
             cursors.ok_or_else(|| SnapshotError::Malformed("missing CURSORS section".into()))?;
         if cursors.len() != shards as usize {
             return Err(SnapshotError::Malformed(format!(
-                "{} cursors for {shards} shards",
+                "{} cursors, STATES records {shards}",
                 cursors.len()
             )));
         }
@@ -452,8 +457,6 @@ impl SimSnapshot {
             meta,
             frame: Frame {
                 interactions,
-                shards,
-                block_pairs,
                 words,
                 cursors,
             },
@@ -494,8 +497,6 @@ mod tests {
             },
             frame: Frame {
                 interactions: 123_456,
-                shards: 2,
-                block_pairs: 4096,
                 words: vec![0, 1 << 5, 7 << 5, u64::from(u32::MAX)],
                 cursors: vec![
                     ScheduleCursor {
@@ -595,11 +596,22 @@ mod tests {
     }
 
     #[test]
-    fn cursor_count_must_match_shards() {
-        let mut snap = sample();
-        snap.frame.shards = 3;
+    fn cursor_count_must_match_the_states_section() {
+        // STATES records two cursors, CURSORS holds one.
+        let snap = sample();
+        let mut out = Writer::new();
+        out.bytes(&MAGIC);
+        out.u32(SNAPSHOT_VERSION);
+        out.u32(3);
+        section(&mut out, SECTION_META, &encode_meta(&snap.meta));
+        section(&mut out, SECTION_STATES, &encode_states(&snap.frame));
+        section(
+            &mut out,
+            SECTION_CURSORS,
+            &encode_cursors(&snap.frame.cursors[..1]),
+        );
         assert!(matches!(
-            SimSnapshot::decode(&snap.encode()),
+            SimSnapshot::decode(&out.into_bytes()),
             Err(SnapshotError::Malformed(_))
         ));
     }

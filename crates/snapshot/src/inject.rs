@@ -103,8 +103,6 @@ mod tests {
             meta: Meta::bare("inject-test", 3),
             frame: Frame {
                 interactions: 777,
-                shards: 1,
-                block_pairs: 4096,
                 words: (0..64).collect(),
                 cursors: vec![ScheduleCursor {
                     rng: [1, 2, 3, 4],

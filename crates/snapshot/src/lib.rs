@@ -11,7 +11,7 @@
 //! a rotation directory. The keystone property, enforced by
 //! `tests/snapshot_resume.rs`: **a run resumed from a snapshot at
 //! interaction count `t` is bit-for-bit identical to the run that never
-//! crashed** — on the enum, kernel, and sharded execution
+//! crashed** — on the enum, kernel, sharded and dynamic execution
 //! paths, under every fault injector.
 //!
 //! Components, bottom up:
@@ -30,8 +30,9 @@
 //!   loaded newest-valid-first so corruption degrades instead of kills;
 //! * [`sink`] — [`SnapshotSink`], the [`Checkpointer`] gluing cadence to
 //!   rotation (save failures are counted, never fatal);
-//! * [`capture`] — restore: snapshot → live [`Simulator`] /
-//!   [`ShardedSimulator`], every word re-validated through the
+//! * [`capture`] — restore: snapshot → live [`Simulator`] (which
+//!   `shard::ShardedSimulator::wrap` takes too), every word
+//!   re-validated through the
 //!   protocol's [`WordState`](population::WordState) codec (the paper's
 //!   silence dividend: the legal state space is checkable, so restored
 //!   state is *verified*, not trusted);
@@ -45,7 +46,6 @@
 //! whole design.
 //!
 //! [`Simulator`]: population::Simulator
-//! [`ShardedSimulator`]: shard::ShardedSimulator
 //! [`Checkpointer`]: population::Checkpointer
 
 pub mod bytes;
@@ -58,9 +58,7 @@ pub mod sink;
 pub mod sweep;
 pub mod writer;
 
-pub use capture::{
-    decode_states, restore_hook, resume_sharded, resume_simulator, resume_simulator_with,
-};
+pub use capture::{decode_states, restore_hook, resume_simulator, resume_simulator_with};
 pub use crc::{crc64, Crc64};
 pub use format::{Meta, SimSnapshot, SnapshotError, MAGIC, SNAPSHOT_VERSION};
 pub use inject::inject;

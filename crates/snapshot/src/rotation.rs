@@ -152,8 +152,6 @@ mod tests {
             meta: Meta::bare("rotation-test", 7),
             frame: Frame {
                 interactions: t,
-                shards: 1,
-                block_pairs: 4096,
                 words: vec![t, t + 1],
                 cursors: vec![ScheduleCursor {
                     rng: [t + 1, 0, 0, 0],

@@ -158,8 +158,9 @@ pub enum EventKind {
         /// Injector name, once attached.
         name: Option<&'static str>,
     },
-    /// The sharded engine ran a block's exchange rounds, executing
-    /// `pairs` cross-shard boundary pairs.
+    /// A sharded block's exchange rounds executed `pairs` cross-shard
+    /// boundary pairs (the retired sharded engine emitted it; no engine
+    /// of this build does).
     Exchange {
         /// Boundary pairs executed.
         pairs: u64,

@@ -48,7 +48,7 @@ fn main() {
         }
     }
 
-    // The same measurement through the sharded engine: run_honest
+    // The same measurement through the sharded API: run_honest
     // drives any engine, and HonestRanking reads the sharded
     // configuration in place.
     let strategy = ranking_byz::standard_packed("crash", &protocol(n));

@@ -10,7 +10,7 @@
 //! 3. **HonestRanking** — the observer agrees with a brute-force
 //!    honest-subset check on arbitrary configurations, and the one
 //!    `run_honest` driver reaches the same verdict on the sequential
-//!    and the sharded engine.
+//!    and the sharded API.
 //! 4. **Classification** — the exhaustive tiny-`n` checker reproduces
 //!    the strategy taxonomy the benchmark measures.
 
@@ -242,7 +242,7 @@ fn honest_ranking_ignores_byzantine_duplicates_and_flags_honest_ones() {
 }
 
 // ----------------------------------------------------------------------
-// Sharded engine wiring
+// Sharded API wiring
 // ----------------------------------------------------------------------
 
 #[test]
@@ -261,12 +261,14 @@ fn sharded_honest_run_with_one_shard_matches_sequential() {
     let (byz, init) = make();
     let mut seq = Simulator::new(byz, init, 11);
     let t_seq = run_honest(&mut seq, 10_000_000, n as u64);
-    let (byz, init) = make();
-    let mut sharded = ShardedSimulator::new(byz, init, 11, 1);
-    let t_sharded = run_honest(&mut sharded, 10_000_000, n as u64);
-    assert_eq!(t_seq, t_sharded, "1-shard run must be bit-identical");
     assert!(t_seq.is_some(), "crash-tolerant run must stabilize");
-    assert_eq!(sharded.states(), seq.states());
+    for shards in [1, 4] {
+        let (byz, init) = make();
+        let mut sharded = ShardedSimulator::new(byz, init, 11, shards);
+        let t_sharded = run_honest(&mut sharded, 10_000_000, n as u64);
+        assert_eq!(t_seq, t_sharded, "shards={shards}: must be bit-identical");
+        assert_eq!(sharded.states(), seq.states(), "shards={shards}");
+    }
 }
 
 #[test]

@@ -5,15 +5,14 @@
 //! The hooks under test are a fault hook that records its fire times and
 //! leaves the states untouched, a `MemoryCheckpointer`, an observer that
 //! never stops, and a `Recorder`. Each of the 16 subsets runs on the
-//! sequential engine, the sharded engine at 1 and 4 shards, and the
+//! sequential engine, the sharded API at 1 and 4 shards, and the
 //! dynamic engine with zero churn. A run must end bit-for-bit on the
-//! plain run's configuration. The 4-shard trajectory depends on where
-//! bursts split, so its plain reference is issued in the same bursts:
-//! split at the union of the active hooks' due times.
+//! plain sequential run's configuration.
 //!
 //! A final case composes a real `FaultPlan` with all hooks, a
-//! `MemoryCheckpointer` included, on the three engines that share a
-//! trajectory (sequential, 1 shard, zero churn).
+//! `MemoryCheckpointer` included, on the engines that share a trajectory
+//! (sequential, 1 and 4 shards, zero churn). At 4 shards the recorder
+//! sees a coarser block cadence, and the same faults and polls.
 
 use silent_ranking::dynamic::{ChurnConfig, DynamicPopulation};
 use silent_ranking::population::observe::Control;
@@ -183,21 +182,6 @@ fn expected(mask: u8) -> Seen {
     }
 }
 
-/// The interaction counts inside the run where the hooks of `mask` split
-/// it, in order, followed by the deadline.
-fn split_points(mask: u8) -> Vec<u64> {
-    let due = expected(mask);
-    let mut points: Vec<u64> = [due.fires, due.saves, due.polls]
-        .concat()
-        .into_iter()
-        .filter(|&t| t > 0)
-        .chain([BUDGET])
-        .collect();
-    points.sort_unstable();
-    points.dedup();
-    points
-}
-
 fn protocol() -> StableRanking {
     StableRanking::new(Params::new(N))
 }
@@ -233,25 +217,18 @@ fn every_hook_subset_is_inert_on_the_sequential_engine() {
 
 #[test]
 fn every_hook_subset_is_inert_on_the_sharded_engine() {
+    let mut plain = sequential();
+    plain.run(BUDGET);
     for shards in [1, 4] {
-        let mut whole = sharded(shards);
-        whole.run(BUDGET);
         for mask in 0..16 {
             let mut sim = sharded(shards);
             let seen = run_subset!(&mut sim, mask);
             assert_eq!(seen, expected(mask), "shards={shards} mask={mask:04b}");
-            let reference = if shards == 1 {
-                whole.states().to_vec()
-            } else {
-                let mut bursts = sharded(shards);
-                let mut at = 0;
-                for t in split_points(mask) {
-                    bursts.run(t - at);
-                    at = t;
-                }
-                bursts.into_states()
-            };
-            assert_eq!(sim.states(), reference, "shards={shards} mask={mask:04b}");
+            assert_eq!(
+                sim.states(),
+                plain.states(),
+                "shards={shards} mask={mask:04b}"
+            );
             assert_eq!(sim.interactions(), BUDGET);
         }
     }
@@ -268,21 +245,6 @@ fn every_hook_subset_is_inert_on_the_dynamic_engine() {
         assert_eq!(pop.states(), plain.states(), "mask={mask:04b}");
         assert_eq!(pop.interactions(), BUDGET);
     }
-}
-
-/// The plain sharded reference really depends on the split points at 4
-/// shards, so the reference above is not vacuous.
-#[test]
-fn four_shard_trajectory_depends_on_the_split_points() {
-    let mut whole = sharded(4);
-    whole.run(BUDGET);
-    let mut bursts = sharded(4);
-    let mut at = 0;
-    for t in split_points(FAULTS | SAVES | POLL) {
-        bursts.run(t - at);
-        at = t;
-    }
-    assert_ne!(whole.states(), bursts.states());
 }
 
 /// What a run under a real plan and all its hooks produced.
@@ -340,9 +302,11 @@ where
 fn a_fault_plan_with_every_hook_agrees_across_engines() {
     let mut seq_saves = MemoryCheckpointer::every(SAVE_EVERY);
     let mut shard_saves = MemoryCheckpointer::every(SAVE_EVERY);
+    let mut four_saves = MemoryCheckpointer::every(SAVE_EVERY);
     let mut dyn_saves = MemoryCheckpointer::every(SAVE_EVERY);
     let seq = run_all(&mut sequential_from_initial(), &mut seq_saves);
-    let one_shard = run_all(&mut sharded_from_initial(), &mut shard_saves);
+    let one_shard = run_all(&mut sharded_from_initial(1), &mut shard_saves);
+    let four_shards = run_all(&mut sharded_from_initial(4), &mut four_saves);
     let zero_churn = run_all(&mut dynamic(), &mut dyn_saves);
 
     assert_eq!(seq.fired, vec![0, 4_000, 10_000, 16_000]);
@@ -350,6 +314,7 @@ fn a_fault_plan_with_every_hook_agrees_across_engines() {
     plain.run(BUDGET);
     assert_ne!(seq.states, plain.states(), "the plan must perturb the run");
     assert_eq!(one_shard, seq);
+    assert_eq!(four_shards, seq);
     assert_eq!(zero_churn, seq);
     let frames = |c: &MemoryCheckpointer| -> Vec<(u64, Vec<u64>)> {
         c.saved
@@ -358,6 +323,7 @@ fn a_fault_plan_with_every_hook_agrees_across_engines() {
             .collect()
     };
     assert_eq!(frames(&shard_saves), frames(&seq_saves));
+    assert_eq!(frames(&four_saves), frames(&seq_saves));
     assert_eq!(frames(&dyn_saves), frames(&seq_saves));
     assert_eq!(seq_saves.saved.len(), (BUDGET / SAVE_EVERY) as usize);
     // Only the dynamic engine has a section, and every save carries it.
@@ -372,8 +338,8 @@ fn sequential_from_initial() -> Simulator<P> {
     Simulator::new(Packed(protocol()), init, SEED)
 }
 
-/// The 1-shard engine from the dynamic engine's initial configuration.
-fn sharded_from_initial() -> ShardedSimulator<P> {
+/// The sharded API from the dynamic engine's initial configuration.
+fn sharded_from_initial(shards: usize) -> ShardedSimulator<P> {
     let init = Packed(protocol()).pack_all(&protocol().initial());
-    ShardedSimulator::new(Packed(protocol()), init, SEED, 1)
+    ShardedSimulator::new(Packed(protocol()), init, SEED, shards)
 }

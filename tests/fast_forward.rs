@@ -12,8 +12,9 @@
 //! Both start from a legal (silent) configuration under a fault plan
 //! whose faults fire inside silent stretches. Every subset of the run
 //! driver's hook slots (faults, saves, poll, probe) runs on the
-//! sequential engine and on the sharded engine at 1, 2 and 4 shards,
-//! inline and threaded. The two runs must agree on the final frame
+//! sequential engine and on the sharded API at 1, 2 and 4 shards, with
+//! one and two workers, which must end on the sequential engine's
+//! frames. The two runs must agree on the final frame
 //! (states, RNG words, pending pairs), the dispatch mix, the reset count,
 //! and everything the hooks saw. More cases resume from a checkpoint
 //! taken mid-silence and from cursors holding pending pairs, and run the
@@ -39,7 +40,7 @@ use silent_ranking::population::{
 use silent_ranking::ranking::stable::{PackedState, StableRanking, StableState};
 use silent_ranking::ranking::Params;
 use silent_ranking::scenarios::{ranking_faults, FaultPlan};
-use silent_ranking::shard::{partition, ShardedSimulator};
+use silent_ranking::shard::ShardedSimulator;
 use silent_ranking::telemetry::{EventKind, Recorder};
 
 type P = Packed<StableRanking>;
@@ -359,29 +360,31 @@ where
     }
 }
 
-/// Engine shapes: the sequential engine, then `(shards, workers)` of the
-/// sharded one — inline with one worker, threaded with two.
+/// `(shards, workers)` of the sharded API.
 const SHARDED: [(usize, usize); 5] = [(1, 1), (2, 1), (2, 2), (4, 1), (4, 2)];
-
-/// Pairs per shard per block. With the default 4096, lanes of four to
-/// eight agents recover far more slowly than the sequential engine.
-const SHARD_BLOCK: usize = 64;
 
 fn sequential<Q: Kernel>(q: Q) -> Simulator<Q> {
     Simulator::new(q, legal(), SEED)
 }
 
 fn sharded<Q: Kernel>(q: Q, (shards, workers): (usize, usize)) -> ShardedSimulator<Q> {
-    ShardedSimulator::new(q, legal(), SEED, shards)
-        .with_workers(workers)
-        .with_block_pairs(SHARD_BLOCK)
+    ShardedSimulator::new(q, legal(), SEED, shards).with_workers(workers)
 }
 
+/// `sim` behind the sharded API with the shape `(shards, workers)`.
+fn wrap<Q: Kernel>(sim: Simulator<Q>, (shards, workers): (usize, usize)) -> ShardedSimulator<Q> {
+    ShardedSimulator::wrap(sim, shards).with_workers(workers)
+}
+
+/// Final frame, dispatch mix and reset count of one run.
+type End = (Frame, [u64; 4], u64);
+
 /// Run every hook subset on a certified engine and on its reference,
-/// and compare. A probe adds no split point, so a subset with the probe
-/// must also end where the same subset without it does: unprobed runs
-/// execute in stretches between certificate tries, probed runs do not.
-fn every_subset<C, R>(label: &str, certified: impl Fn() -> C, reference: impl Fn() -> R)
+/// and compare; returns each subset's end, in mask order. A probe adds
+/// no split point, so a subset with the probe must also end where the
+/// same subset without it does: unprobed runs execute in stretches
+/// between certificate tries, probed runs do not.
+fn every_subset<C, R>(label: &str, certified: impl Fn() -> C, reference: impl Fn() -> R) -> Vec<End>
 where
     C: Capture<Protocol = Certifies<P>>,
     R: Capture<Protocol = Executes<P>>,
@@ -422,6 +425,7 @@ where
             "{label} mask={mask:04b}: the probe moved the trajectory"
         );
     }
+    frames
 }
 
 #[test]
@@ -435,12 +439,19 @@ fn every_hook_subset_fast_forwards_exactly_on_the_sequential_engine() {
 
 #[test]
 fn every_hook_subset_fast_forwards_exactly_on_the_sharded_engine() {
+    let want = every_subset(
+        "sequential",
+        || sequential(certifies(packed())),
+        || sequential(executes()),
+    );
     for shape in SHARDED {
-        every_subset(
-            &format!("(shards, workers)={shape:?}"),
+        let label = format!("(shards, workers)={shape:?}");
+        let got = every_subset(
+            &label,
             || sharded(certifies(packed()), shape),
             || sharded(executes(), shape),
         );
+        assert_eq!(got, want, "{label}: the sequential engine's ends");
     }
 }
 
@@ -513,14 +524,15 @@ fn a_resume_from_a_checkpoint_taken_mid_silence_continues_exactly() {
             &mut NullProbe,
         );
         let (frame, fault) = mid_silence(&saves.saved);
-        let resumed = ShardedSimulator::resume(
-            certifies(packed()),
-            decode(&frame),
-            frame.cursors.clone(),
-            frame.interactions,
-        )
-        .with_workers(shape.1)
-        .with_block_pairs(SHARD_BLOCK);
+        let resumed = wrap(
+            Simulator::resume(
+                certifies(packed()),
+                decode(&frame),
+                Schedule::from_cursor(frame.cursors[0].clone()),
+                frame.interactions,
+            ),
+            shape,
+        );
         let got = resumed_outcome(resumed, &fault);
         let want = run(
             &mut sharded(executes(), shape),
@@ -561,27 +573,19 @@ fn a_cursor_restored_with_pending_pairs_fast_forwards_exactly() {
         Simulator::resume(q, legal(), source, 0)
     }
 
-    fn sharded_pending<Q: Kernel>(q: Q, (shards, workers): (usize, usize)) -> ShardedSimulator<Q> {
-        let cursors = partition::split(N, SEED, shards)
-            .into_iter()
-            .map(|s| with_pending(s, PENDING).cursor())
-            .collect();
-        ShardedSimulator::resume(q, legal(), cursors, 0)
-            .with_workers(workers)
-            .with_block_pairs(SHARD_BLOCK)
-    }
-
-    every_subset(
+    let want = every_subset(
         "sequential, pending",
         || sequential_pending(certifies(packed())),
         || sequential_pending(executes()),
     );
     for shape in SHARDED {
-        every_subset(
-            &format!("(shards, workers)={shape:?}, pending"),
-            || sharded_pending(certifies(packed()), shape),
-            || sharded_pending(executes(), shape),
+        let label = format!("(shards, workers)={shape:?}, pending");
+        let got = every_subset(
+            &label,
+            || wrap(sequential_pending(certifies(packed())), shape),
+            || wrap(sequential_pending(executes()), shape),
         );
+        assert_eq!(got, want, "{label}: the sequential engine's ends");
     }
 }
 
@@ -713,17 +717,19 @@ fn owed_draws_pile_up_across_runs_and_settle_exactly() {
         },
     );
     owed_draws_settle_exactly(
-        "one shard",
-        sharded(certifies(packed()), (1, 1)),
-        sharded(executes(), (1, 1)),
+        "four shards",
+        sharded(certifies(packed()), (4, 2)),
+        sharded(executes(), (4, 2)),
         |frame| {
-            ShardedSimulator::resume(
-                certifies(packed()),
-                decode(frame),
-                frame.cursors.clone(),
-                frame.interactions,
+            wrap(
+                Simulator::resume(
+                    certifies(packed()),
+                    decode(frame),
+                    Schedule::from_cursor(frame.cursors[0].clone()),
+                    frame.interactions,
+                ),
+                (4, 2),
             )
-            .with_block_pairs(SHARD_BLOCK)
         },
     );
 }

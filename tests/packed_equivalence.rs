@@ -12,7 +12,7 @@
 //!    `run_batched` *and* through `run_faulted` under every injector
 //!    kind, for multiple population sizes and seeds, across block
 //!    boundaries, on blocks that repeat agents, and through the sharded
-//!    engine. The packed path must be a pure optimization, exactly like
+//!    API. The packed path must be a pure optimization, exactly like
 //!    batching — or every throughput number it produces would be a
 //!    number for a different protocol.
 
@@ -321,8 +321,8 @@ proptest! {
 // ---------------------------------------------------------------------
 // Block-kernel cases: `Packed<StableRanking>` hands whole blocks to the
 // in-order kernel, so block boundaries, agents repeated inside a block,
-// the sharded engine's lanes and the smallest populations each get
-// their own enum-referenced check.
+// the sharded API and the smallest populations each get their own
+// enum-referenced check.
 
 use silent_ranking::population::schedule::Pair;
 use silent_ranking::population::Protocol;
@@ -377,10 +377,8 @@ fn kernel_transition_block_handles_repeated_agents_like_the_scalar_loop() {
 
 #[test]
 fn kernel_equals_enum_through_the_sharded_engine() {
-    // The shard engine routes every intra-phase lane through
-    // `transition_block` and every boundary pair through the one-pair
-    // `transition_packed`, so sharded kernel runs must match sharded
-    // enum runs at any shard count.
+    // The sharded API runs the sequential engine at every shard count,
+    // so sharded kernel runs must match sharded enum runs there too.
     use silent_ranking::shard::ShardedSimulator;
     for shards in [2usize, 4] {
         for (n, seed) in [(32usize, 2u64), (65, 6)] {

@@ -1,20 +1,15 @@
-//! The sharded engine's contracts, property-tested over the paper's
+//! The sharded API's contracts, property-tested over the paper's
 //! protocol:
 //!
-//! 1. **`shards = 1` ≡ `run_batched`** — a one-shard sharded run is
-//!    bit-for-bit trajectory-equivalent to the sequential batched
-//!    engine, over both the structured enum states and the packed
-//!    words, including under fault injection.
-//! 2. **Determinism** — for a fixed `(seed, n_shards)` two sharded runs
-//!    are identical, and the trajectory never depends on the worker
-//!    thread count.
-//! 3. **Semantics** — sharded runs still stabilize: Theorem 2 holds on
-//!    the sharded scheduler family, and `scenarios` fault plans drive
-//!    sharded runs to recovery.
-//! 4. **Pinned trajectories** — `shards > 1` runs end at recorded CRC-64
-//!    digests of their frame and dispatch mix, so a change to the routing
-//!    or the order in which pairs execute cannot pass as merely
-//!    "deterministic".
+//! 1. **Every shard and worker count is the sequential run** — a
+//!    `ShardedSimulator` run is bit-for-bit the `Simulator` run for the
+//!    same protocol, initial configuration and seed, over both the
+//!    structured enum states and the packed words, including under
+//!    fault injection and an active probe.
+//! 2. **Determinism** — two sharded runs are identical, and the
+//!    trajectory never depends on the worker thread count.
+//! 3. **Semantics** — sharded runs still stabilize, and `scenarios`
+//!    fault plans drive them to recovery.
 
 use proptest::prelude::*;
 
@@ -24,8 +19,7 @@ use silent_ranking::ranking::stable::{PackedState, StableRanking};
 use silent_ranking::ranking::Params;
 use silent_ranking::scenarios::{ranking_faults, FaultPlan};
 use silent_ranking::shard::ShardedSimulator;
-use silent_ranking::snapshot::Crc64;
-use silent_ranking::telemetry::Recorder;
+use silent_ranking::telemetry::{EventKind, Recorder};
 
 fn packed_protocol(n: usize) -> Packed<StableRanking> {
     Packed(StableRanking::new(Params::new(n)))
@@ -132,8 +126,8 @@ fn sharded_trajectories_are_deterministic_and_worker_independent() {
 
 #[test]
 fn sharded_run_stabilizes_to_a_valid_silent_ranking() {
-    // Theorem 2 on the sharded scheduler family: adversarial starts
-    // still reach a valid, silent ranking (packed words, 4 shards).
+    // Theorem 2 through the sharded API: adversarial starts reach a
+    // valid, silent ranking (packed words, 4 shards).
     let n = 24;
     let budget = (8000.0 * (n * n) as f64 * (n as f64).log2()) as u64;
     for seed in 0..4u64 {
@@ -177,113 +171,83 @@ fn sharded_faulted_run_recovers() {
     assert!(stop.converged_at().is_some(), "no recovery after the fault");
 }
 
-/// CRC-64 over everything that pins a packed sharded run's position:
-/// the frame (interaction count, shard count, block size, every state
-/// word, every cursor with its pending pairs) and the kernel's dispatch
-/// mix.
-fn digest(sim: &ShardedSimulator<Packed<StableRanking>>) -> u64 {
-    let frame = sim.frame();
-    let mut crc = Crc64::new();
-    crc.update_u64(frame.interactions);
-    crc.update_u64(u64::from(frame.shards));
-    crc.update_u64(frame.block_pairs);
-    for &w in &frame.words {
-        crc.update_u64(w);
-    }
-    for c in &frame.cursors {
-        for word in c.rng.into_iter().chain([c.n, c.start, c.len]) {
-            crc.update_u64(word);
-        }
-        crc.update_u64(c.pending.len() as u64);
-        for &(a, b) in &c.pending {
-            crc.update_u64(u64::from(a));
-            crc.update_u64(u64::from(b));
-        }
-    }
-    for count in sim.protocol().inner().dispatch_mix() {
-        crc.update_u64(count);
-    }
-    crc.finish()
-}
+/// Population size of the equivalence runs: not divisible by 3, 4 or 8.
+const N: usize = 250;
 
-/// Population size of the pinned runs: not divisible by 3, 4 or 7, so
-/// those lanes differ in length.
-const PINNED_N: usize = 250;
-
-/// Bursts that split blocks unevenly: a single pair, one past a full
-/// sub-block, and sizes that end partway through a block.
+/// Bursts that end partway through a schedule block: a single pair, one
+/// past a full block, and sizes that end mid-block.
 const UNEVEN: &[u64] = &[1, 4097, 12_345, 33_333, 50_224];
 
 #[test]
-fn multi_shard_trajectories_match_their_pinned_digests() {
-    // (shards, block_pairs, bursts, digest). `None` keeps the default
-    // block size; 10 000 pairs per shard span three sub-blocks. The
-    // digests were recorded before the lane router was made branch-free
-    // and must never move without a deliberate trajectory change.
-    let cases: [(usize, Option<usize>, &[u64], u64); 10] = [
-        (2, None, &[100_000], 0x4f5dd477dce8f40c),
-        (3, None, &[100_000], 0xbf58bc9fe903805f),
-        (4, None, &[100_000], 0x2f96e5194ade7b51),
-        (7, None, &[100_000], 0xb3f8e63ab647c4a4),
-        (2, Some(37), &[100_000], 0xcc1eb103065d3f2d),
-        (7, Some(37), &[60_000], 0xc4296913dc3cdf5d),
-        (3, Some(10_000), &[100_000], 0x4bf3e9380c98e594),
-        (4, Some(10_000), &[100_000], 0xd0ea6f4b16240b16),
-        (3, None, UNEVEN, 0xf95ef2846ed4c6d0),
-        (7, Some(37), UNEVEN, 0xc6a0f930e4d1f171),
-    ];
-    let mut actual = Vec::new();
-    for (k, &(shards, block_pairs, bursts, _)) in cases.iter().enumerate() {
-        let run = |workers: usize| {
-            let protocol = packed_protocol(PINNED_N);
-            let init = packed_init(&protocol, 40 + k as u64);
-            let mut sim =
-                ShardedSimulator::new(protocol, init, 60 + k as u64, shards).with_workers(workers);
-            if let Some(b) = block_pairs {
-                sim = sim.with_block_pairs(b);
+fn wrapper_equals_simulator_for_every_shard_and_worker_count() {
+    for (k, bursts) in [&[100_000u64][..], UNEVEN].into_iter().enumerate() {
+        let protocol = packed_protocol(N);
+        let init = packed_init(&protocol, 40 + k as u64);
+        let mut reference = Simulator::new(packed_protocol(N), init.clone(), 60 + k as u64);
+        for &burst in bursts {
+            reference.run(burst);
+        }
+        for shards in [1, 2, 4, 8] {
+            for workers in [1, 2, 3] {
+                let mut sim =
+                    ShardedSimulator::new(packed_protocol(N), init.clone(), 60 + k as u64, shards)
+                        .with_workers(workers);
+                for &burst in bursts {
+                    sim.run(burst);
+                }
+                let case = format!("bursts {k}, shards={shards}, workers={workers}");
+                assert_eq!(sim.frame(), reference.frame(), "{case}");
+                assert_eq!(
+                    sim.protocol().inner().dispatch_mix(),
+                    reference.protocol().inner().dispatch_mix(),
+                    "{case}"
+                );
             }
-            for &burst in bursts {
-                sim.run(burst);
-            }
-            digest(&sim)
-        };
-        let inline = run(1);
-        assert_eq!(inline, run(2), "case {k}: workers must not matter");
-        actual.push(inline);
+        }
     }
-    let expected: Vec<u64> = cases.iter().map(|c| c.3).collect();
-    assert_eq!(
-        actual, expected,
-        "pinned sharded trajectories moved (actual first)"
-    );
 }
 
 #[test]
-fn faulted_probed_sharded_run_matches_its_pinned_digest() {
+fn faulted_probed_sharded_run_equals_the_sequential_one() {
     // A legal ranking, an erase_rank fault, a Recorder watching every
-    // block: the recovery trajectory is pinned too.
-    let n = PINNED_N;
-    let run = |workers: usize| {
-        let protocol = packed_protocol(n);
+    // probed block: the recovery is the sequential engine's, and the
+    // recorder sees the same fault.
+    let run = |shards: Option<usize>| {
+        let protocol = packed_protocol(N);
         let legal = protocol.pack_all(&protocol.inner().legal());
-        let plan_protocol = StableRanking::new(Params::new(n));
+        let plan_protocol = StableRanking::new(Params::new(N));
         let mut plan = UnpackedHook::new(FaultPlan::new(31).once(
             20_000,
-            ranking_faults::standard("erase_rank", &plan_protocol, n),
+            ranking_faults::standard("erase_rank", &plan_protocol, N),
         ));
         let mut recorder = Recorder::new();
-        let mut sim = ShardedSimulator::new(protocol, legal, 17, 4).with_workers(workers);
-        sim.run_faulted_probed(150_000, &mut plan, &mut recorder);
+        let (frame, mix) = match shards {
+            Some(shards) => {
+                let mut sim = ShardedSimulator::new(protocol, legal, 17, shards).with_workers(2);
+                sim.run_faulted_probed(150_000, &mut plan, &mut recorder);
+                (sim.frame(), sim.protocol().inner().dispatch_mix())
+            }
+            None => {
+                let mut sim = Simulator::new(protocol, legal, 17);
+                sim.run_faulted_probed(150_000, &mut plan, &mut recorder);
+                (sim.frame(), sim.protocol().inner().dispatch_mix())
+            }
+        };
         assert_eq!(plan.inner().fired().len(), 1, "the fault must fire");
         assert!(recorder.recorded() > 0, "the recorder must trace");
-        digest(&sim)
+        let faults: Vec<u64> = recorder
+            .events()
+            .into_iter()
+            .filter(|e| matches!(e.kind, EventKind::Fault { .. }))
+            .map(|e| e.t)
+            .collect();
+        (frame, mix, faults)
     };
-    let inline = run(1);
-    assert_eq!(inline, run(2), "workers must not matter");
-    assert_eq!(
-        inline, 0x9db5c6c61ee01716,
-        "pinned faulted sharded trajectory moved"
-    );
+    let sequential = run(None);
+    assert_eq!(sequential.2, [20_000]);
+    for shards in [1, 4] {
+        assert_eq!(run(Some(shards)), sequential, "shards={shards}");
+    }
 }
 
 proptest! {
@@ -323,9 +287,9 @@ proptest! {
         prop_assert_eq!(sharded.interactions(), reference.interactions());
     }
 
-    /// Random shard counts: the trajectory is a pure function of
-    /// `(seed, shards)` — independent of worker count and rerun-stable —
-    /// and executes exactly the requested number of interactions.
+    /// Random shard counts: the trajectory is the sequential one —
+    /// independent of shard and worker count and rerun-stable — and
+    /// executes exactly the requested number of interactions.
     #[test]
     fn sharded_runs_are_reproducible(
         n in 8usize..40,
@@ -346,6 +310,9 @@ proptest! {
         let (t2, s2) = run(3);
         prop_assert_eq!(t1, count);
         prop_assert_eq!(t2, count);
-        prop_assert_eq!(s1, s2);
+        prop_assert_eq!(&s1, &s2);
+        let mut reference = Simulator::new(packed_protocol(n), packed_init(&packed_protocol(n), seed), seed);
+        reference.run(count);
+        prop_assert_eq!(s1, reference.states().to_vec());
     }
 }

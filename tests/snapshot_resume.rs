@@ -7,8 +7,8 @@
 //! Every property here goes through the real stack: `SnapshotSink`
 //! writing `SSRSNAP` files into a temp rotation directory,
 //! `Rotation::latest_valid` picking the restart point, and
-//! `snapshot::resume_simulator` / `resume_sharded` rebuilding a live
-//! engine with every state word re-validated. "Crash" means what it
+//! `snapshot::resume_simulator` rebuilding a live engine with every
+//! state word re-validated. "Crash" means what it
 //! means in production: the live engine is dropped on the floor at an
 //! arbitrary interaction count and everything after the last durable
 //! save is discarded.
@@ -16,8 +16,7 @@
 //! Coverage matrix:
 //!
 //! * the enum path (`Simulator<StableRanking>`), the block kernel
-//!   (`Packed<StableRanking>`), and the sharded engine at 1 and 4
-//!   shards;
+//!   (`Packed<StableRanking>`), and the sharded API at 1 and 4 shards;
 //! * every `ranking_faults::KINDS` injector, firing periodically so
 //!   faults straddle the crash point;
 //! * checkpoint cadences at the block boundary (4095 / 4096 / 4097);
@@ -28,11 +27,10 @@
 //! * rotations written by the enum engine, resumed into the kernel on
 //!   each engine (`run-forever` switched from one to the other).
 //!
-//! Sequential paths compare against a run with **no checkpointing at
-//! all** — the FIFO pair stream makes burst splitting trajectory-inert,
-//! so checkpointing itself must be invisible. The sharded trajectory
-//! legitimately depends on burst structure, so its reference is the
-//! checkpointed-but-never-crashed twin on the same cadence.
+//! Every path compares against a run with **no checkpointing at all** —
+//! the FIFO pair stream makes burst splitting trajectory-inert, so
+//! checkpointing itself must be invisible. The sharded API's reference
+//! is the sequential engine's uninterrupted run.
 
 use std::path::PathBuf;
 
@@ -241,19 +239,16 @@ fn double_resume_is_bit_for_bit() {
     );
 }
 
-/// The sharded keystone. The sharded trajectory depends on burst
-/// structure (quota rotation + outbox drain points), so checkpointing
-/// is *not* trajectory-inert there; the honest reference is the twin
-/// that checkpoints on the same cadence but never crashes.
+/// The sharded keystone: a sharded run killed and resumed through the
+/// sharded API ends on the sequential engine's uninterrupted run.
 fn assert_sharded_resume(tag: &str, kind: &'static str, shards: usize, seed: u64) {
     let (n, total, every) = (64usize, 60_000u64, 9_000u64);
     let crash = 31_013u64;
     let make = kernel_make(kind, n, seed.wrapping_mul(131) + 7, seed);
 
-    let (p, init, mut twin_hook) = make();
-    let mut twin = ShardedSimulator::new(p, init, seed, shards);
-    let mut twin_ckpt = MemoryCheckpointer::every(every);
-    twin.run_faulted_checkpointed(total, &mut twin_hook, &mut twin_ckpt);
+    let (p, init, mut ref_hook) = make();
+    let mut reference = Simulator::new(p, init, seed);
+    reference.run_faulted(total, &mut ref_hook);
 
     let dir = TempDir::new(tag);
     let (p, init, mut hook) = make();
@@ -264,28 +259,27 @@ fn assert_sharded_resume(tag: &str, kind: &'static str, shards: usize, seed: u64
 
     let snap = dir.rotation().latest_valid().expect("a snapshot").snapshot;
     let t = snap.frame.interactions;
-    assert_eq!(snap.frame.cursors.len(), shards, "{tag}");
+    assert_eq!(snap.frame.cursors.len(), 1, "{tag}");
     let (p, _, mut hook) = make();
     snapshot::restore_hook(&mut hook, snap.fault.as_ref().unwrap()).unwrap();
-    let mut sim = snapshot::resume_sharded(p, &snap).unwrap();
+    let mut sim = ShardedSimulator::wrap(snapshot::resume_simulator(p, &snap).unwrap(), shards);
     let mut sink = SnapshotSink::resumed(dir.rotation(), every, t, Meta::bare(tag, seed));
     sim.run_faulted_checkpointed(total - t, &mut hook, &mut sink);
 
-    assert_eq!(sim.interactions(), twin.interactions(), "{tag}");
     assert_eq!(
-        sim.states(),
-        twin.states(),
-        "{tag}: resumed sharded trajectory diverged from the checkpointed twin"
+        sim.frame(),
+        reference.frame(),
+        "{tag}: resumed sharded run diverged from the sequential one"
     );
     assert_eq!(
         hook.export_state(),
-        twin_hook.export_state(),
+        ref_hook.export_state(),
         "{tag}: fault-plan position diverged"
     );
 }
 
 #[test]
-fn sharded_resume_matches_the_checkpointed_twin_under_every_injector() {
+fn sharded_resume_equals_the_uninterrupted_sequential_run_under_every_injector() {
     for shards in [1usize, 4] {
         for (i, kind) in ranking_faults::KINDS.into_iter().enumerate() {
             assert_sharded_resume(
@@ -506,7 +500,7 @@ fn enum_rotations_resume_into_the_kernel_on_every_engine() {
             "enum-kernel-shard",
             sharded(),
             &churn,
-            |s| snapshot::resume_sharded(kernel(), s).unwrap(),
+            |s| ShardedSimulator::wrap(snapshot::resume_simulator(kernel(), s).unwrap(), 2),
             run,
         ),
         enum_uninterrupted(sharded(), &churn, run),
