@@ -47,13 +47,11 @@
 //! Usage: `cargo run --release -p bench --bin byzantine --
 //! [sizes=16,24,32,48] [ks=1,2,4] [sims=5] [budget_c=3000] [squat=1]
 //! [classify_n=3] [classify_cap=500000] [classify_cap_recorrupt=20000]
-//! [classify_kinds=a,b,...] [seed0=0] [shards=0]
-//! [out=BENCH_byz.json] [--no-classify] [--csv]`
+//! [classify_kinds=a,b,...] [seed0=0] [out=BENCH_byz.json]
+//! [--no-classify] [--csv]`
 //!
-//! `shards=S` with `S >= 1` routes every run through the sharded API
-//! instead of the sequential simulator — same measurement, same
-//! `run_honest` driver. The sharded API runs the sequential engine, so
-//! every trajectory-derived field equals the sequential pass's.
+//! Every run is the sequential simulator's; `shards=` is refused (the
+//! sharded API it selected ran the same engine, so it changed no field).
 //! `squat=R` points the rank squatter at rank `R` (default 1, the
 //! leader's own rank — the most contested choice).
 
@@ -76,15 +74,7 @@ fn wrapper_seed(seed: u64) -> u64 {
 }
 
 /// One honest-stabilization measurement on the packed path.
-fn run_one(
-    kind: &str,
-    n: usize,
-    k: usize,
-    seed: u64,
-    budget: u64,
-    shards: usize,
-    squat: u64,
-) -> Option<u64> {
+fn run_one(kind: &str, n: usize, k: usize, seed: u64, budget: u64, squat: u64) -> Option<u64> {
     let protocol = StableRanking::new(Params::new(n));
     let strategy: Box<dyn scenarios::Strategy<Packed<StableRanking>>> = if kind == "rank_squatter" {
         Box::new(ranking_byz::rank_squatter_packed(squat))
@@ -95,20 +85,18 @@ fn run_one(
     let init = packed.pack_all(&packed.inner().initial());
     let byz = Byzantine::new(packed, strategy, k, wrapper_seed(seed));
     let init = byz.init(init);
-    if shards >= 1 {
-        let mut sim = shard::ShardedSimulator::new(byz, init, seed, shards);
-        run_honest(&mut sim, budget, n as u64)
-    } else {
-        let mut sim = population::Simulator::new(byz, init, seed);
-        run_honest(&mut sim, budget, n as u64)
-    }
+    let mut sim = population::Simulator::new(byz, init, seed);
+    run_honest(&mut sim, budget, n as u64)
 }
 
 fn main() {
     let exp = Experiment::from_env("byzantine");
     let sims = exp.sims(5);
     let budget_c: f64 = exp.get("budget_c", 3000.0);
-    let shards: usize = exp.get("shards", 0);
+    if exp.args().get_str("shards").is_some() {
+        eprintln!("byzantine: shards= is no longer an option (every run is sequential); drop it");
+        std::process::exit(1);
+    }
     let squat: u64 = exp.get("squat", 1);
     let sizes: Vec<usize> = exp
         .args()
@@ -140,9 +128,8 @@ fn main() {
                     continue;
                 }
                 let budget = (budget_c * (n * n) as f64 * (n as f64).log2()).ceil() as u64;
-                let times: Vec<Option<u64>> = exp.run_seeds(sims, |seed| {
-                    run_one(kind, n, k, seed, budget, shards, squat)
-                });
+                let times: Vec<Option<u64>> =
+                    exp.run_seeds(sims, |seed| run_one(kind, n, k, seed, budget, squat));
                 let hit: Vec<f64> = times.iter().flatten().map(|&t| t as f64).collect();
                 let norm = (n * n) as f64 * (n as f64).log2();
                 let row = if hit.is_empty() {
@@ -358,10 +345,7 @@ fn main() {
         ("sims", sims.into()),
         ("budget_c", budget_c.into()),
         ("check_every", "n".into()),
-        (
-            "engine",
-            if shards >= 1 { "sharded" } else { "sequential" }.into(),
-        ),
+        ("engine", "sequential".into()),
         ("measurements", Json::Arr(measurements)),
         ("fits", Json::Arr(fits)),
         ("classification", Json::Arr(classifications)),

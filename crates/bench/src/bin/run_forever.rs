@@ -27,26 +27,26 @@
 //! Dynamic populations: `arrivals=<per-million>` and/or
 //! `lifetime=<mean>` switch the run onto the `DynamicPopulation`
 //! engine (Poisson joins, exponential lifetimes, rank leasing, epoch
-//! re-parameterization). Churn runs are single-shard and exclusive with
-//! `fault=` (an injector is built for the nominal population, so after
+//! re-parameterization). Churn runs are exclusive with `fault=` (an
+//! injector is built for the nominal population, so after
 //! an epoch roll it would write states outside the new state space);
 //! the whole engine state (roster, free-lists, churn RNG) rides in the
 //! snapshots' DYNPOP section, so the kill-anytime digest contract holds
 //! unchanged — the digest then also covers those DYNPOP bytes.
 //!
-//! Every engine — sequential, sharded (`shards=`) and dynamic — runs
-//! the block kernel (`Packed<StableRanking>`) through one arm: one
-//! `drive` call saving through one `SnapshotSink`, the final save on
-//! the same path, and one digest. Snapshots hold the kernel's words in
-//! the enum's codec, so rotations written by the enum engine resume
-//! here. The sharded API runs the sequential engine, so a `shards=` run
-//! prints the `shards=1` digest for the same other arguments; a
-//! rotation an older build's sharded engine wrote (one cursor per
-//! shard) is refused with an error that names its cursor count.
+//! Both engines — sequential and dynamic — run the block kernel
+//! (`Packed<StableRanking>`) through one arm: one `drive` call saving
+//! through one `SnapshotSink`, the final save on the same path, and one
+//! digest. Snapshots hold the kernel's words in the enum's codec, so
+//! rotations written by the enum engine resume here. `shards=` is
+//! refused: the sharded API ran the sequential engine, so it never
+//! changed a digest. A rotation an older build's sharded engine wrote
+//! (one cursor per shard) is refused with an error that names its
+//! cursor count.
 //!
 //! Usage: `cargo run --release -p bench --bin run-forever --
 //! checkpoint_dir=DIR [n=256] [interactions=10000000]
-//! [checkpoint_every=1000000] [shards=1] [seed=0] [keep=4]
+//! [checkpoint_every=1000000] [seed=0] [keep=4]
 //! [fault=none] [fault_every=n^2*64] [arrivals=0] [lifetime=0]
 //! [resume=FILE.ssr]`
 
@@ -61,7 +61,6 @@ use population::{
 use ranking::stable::{StableRanking, StableState};
 use ranking::Params;
 use scenarios::{ranking_faults, FaultPlan};
-use shard::ShardedSimulator;
 use snapshot::{restore_hook, Crc64, Meta, Rotation, SimSnapshot, SnapshotError, SnapshotSink};
 
 /// The protocol every engine runs: the block kernel.
@@ -156,7 +155,6 @@ fn main() {
     let n: usize = exp.get("n", 256);
     let total: u64 = exp.get("interactions", 10_000_000);
     let every = exp.checkpoint_every(1_000_000);
-    let shards: usize = exp.get("shards", 1);
     let seed: u64 = exp.get("seed", 0);
     let keep: usize = exp.get("keep", snapshot::DEFAULT_KEEP);
     let fault = exp.args().get_str("fault").filter(|&f| f != "none");
@@ -167,8 +165,8 @@ fn main() {
     let Some(dir) = exp.checkpoint_dir() else {
         die("checkpoint_dir= is required (the whole point is durability)");
     };
-    if churning && shards != 1 {
-        die("dynamic runs (arrivals=/lifetime=) are single-shard; drop shards=");
+    if exp.args().get_str("shards").is_some() {
+        die("shards= is no longer an option (every run is the sequential engine's); drop it");
     }
     if churning && fault.is_some() {
         die("fault= is not yet supported together with arrivals=/lifetime=");
@@ -181,7 +179,9 @@ fn main() {
         Some(kind) => format!("{kind}@{fault_every}"),
         None => "none".to_string(),
     };
-    let mut label = format!("run-forever n={n} shards={shards} fault={fault_desc}");
+    // ` shards=1` stays in the label so that rotations written before
+    // `shards=` went, with its default, still resume.
+    let mut label = format!("run-forever n={n} shards=1 fault={fault_desc}");
     if churning {
         label.push_str(&format!(" arrivals={arrivals} lifetime={lifetime}"));
     }
@@ -281,18 +281,10 @@ fn main() {
             engine.fraction_valid(),
         );
         (final_digest, Some(summary))
-    } else if shards == 1 {
+    } else {
         let mut sim = match &loaded {
             Some(snap) => restored(snapshot::resume_simulator(kernel, snap)),
             None => Simulator::new(kernel, init, seed),
-        };
-        (soak(&mut sim, total, &mut plan, &mut sink), None)
-    } else {
-        let mut sim = match &loaded {
-            Some(snap) => {
-                ShardedSimulator::wrap(restored(snapshot::resume_simulator(kernel, snap)), shards)
-            }
-            None => ShardedSimulator::new(kernel, init, seed, shards),
         };
         (soak(&mut sim, total, &mut plan, &mut sink), None)
     };

@@ -28,9 +28,11 @@
 //! the default entry, stays on the buffer.
 //!
 //! [`Schedule`] is the canonical implementation — the paper's uniform
-//! scheduler. Adversarial sources (biased,
-//! clustered/partitioned, round-robin) live in the `scenarios` crate
-//! and plug into the same [`Simulator`](crate::Simulator) via
+//! scheduler, drawing its initiators from the whole population (a
+//! cursor with a narrower initiator range is refused). Adversarial
+//! sources (biased, clustered/partitioned, round-robin) live in the
+//! `scenarios` crate and plug into the same
+//! [`Simulator`](crate::Simulator) via
 //! [`Simulator::with_source`](crate::Simulator::with_source), which is
 //! how protocols are run *off* the uniform-scheduler assumption. The
 //! [`BlockBuffer`] helper implements the FIFO buffering contract once so
@@ -211,10 +213,12 @@ impl BlockBuffer {
 /// pre-sampled pairs that were buffered but not yet consumed when the
 /// cursor was captured.
 ///
-/// [`Schedule`] exports its initiator range in it (`start = 0`, `len = n`
-/// for the full range; an older build's sharded engine wrote one cursor
-/// per lane). The restored source continues the pair stream **bit for
-/// bit**: it first replays `pending`, then draws from the restored RNG.
+/// Every source this build has draws its initiators from the full range
+/// and writes `start = 0`, `len = n`; the two fields keep the snapshot
+/// layout, in which an older build's sharded engine wrote one narrower
+/// cursor per lane. The restored source continues the pair stream **bit
+/// for bit**: it first replays `pending`, then draws from the restored
+/// RNG.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScheduleCursor {
     /// Raw xoshiro256++ state words of the source's RNG, with any draws
@@ -313,23 +317,18 @@ impl Generator {
 /// Seeded generator of uniform ordered pairs of distinct agents: the
 /// paper's uniform scheduler.
 ///
-/// The initiator is uniform over a contiguous range `start..start+len`
-/// of the population and the responder uniform over the other `n − 1`
-/// agents. [`Schedule::new`] covers the full range, and so does every
-/// cursor this build writes; only a cursor of an older build's sharded
-/// lane restores a narrower one.
+/// The initiator is uniform over the population and the responder
+/// uniform over the other `n − 1` agents.
 #[derive(Debug, Clone)]
 pub struct Schedule {
     rng: Generator,
     n: usize,
-    start: usize,
-    len: usize,
     buf: BlockBuffer,
 }
 
-/// Draw one pair whose initiator is uniform over `start..start+len` and
-/// whose responder is uniform over the other `n − 1` agents, from a
-/// single 64-bit RNG output.
+/// Draw one pair whose initiator is uniform over `0..n` and whose
+/// responder is uniform over the other `n − 1` agents, from a single
+/// 64-bit RNG output.
 ///
 /// The initiator comes from the low 32 bits; the responder from the
 /// high 32 bits, drawn from `0..n−1` and skipping the initiator. Index
@@ -343,9 +342,9 @@ pub struct Schedule {
 /// consumption style goes through this exact function, which is what
 /// makes them trajectory-equivalent.
 #[inline]
-fn draw_pair(rng: &mut SmallRng, n: usize, start: usize, len: usize) -> Pair {
+fn draw_pair(rng: &mut SmallRng, n: usize) -> Pair {
     let bits = rng.next_u64();
-    let i = start as u32 + (((bits & 0xFFFF_FFFF) * len as u64) >> 32) as u32;
+    let i = (((bits & 0xFFFF_FFFF) * n as u64) >> 32) as u32;
     let r = (((bits >> 32) * (n as u64 - 1)) >> 32) as u32;
     let j = if r >= i { r + 1 } else { r };
     (i, j)
@@ -360,25 +359,17 @@ impl Schedule {
     /// Panics if `n < 2` (no pair of distinct agents exists) or
     /// `n > u32::MAX` (pairs are stored as `u32` indices).
     pub fn new(n: usize, seed: u64) -> Self {
-        Self::build(SmallRng::seed_from_u64(seed), n, 0, n, Vec::new())
+        Self::build(SmallRng::seed_from_u64(seed), n, Vec::new())
     }
 
     /// The one constructor check, shared by [`new`](Self::new) and
     /// [`from_cursor`](CursorSource::from_cursor).
-    fn build(rng: SmallRng, n: usize, start: usize, len: usize, pending: Vec<Pair>) -> Self {
+    fn build(rng: SmallRng, n: usize, pending: Vec<Pair>) -> Self {
         assert!(n >= 2, "population needs at least two agents");
         assert!(u32::try_from(n).is_ok(), "population size exceeds u32");
-        assert!(len >= 1, "initiator range must be nonempty");
-        assert!(
-            start.checked_add(len).is_some_and(|end| end <= n),
-            "initiator range {start}..{} exceeds population {n}",
-            start + len
-        );
         Self {
             rng: Generator::new(rng),
             n,
-            start,
-            len,
             buf: BlockBuffer::with_pending(pending),
         }
     }
@@ -388,19 +379,13 @@ impl Schedule {
         self.n
     }
 
-    /// The initiator range `[start, start + len)` this schedule draws
-    /// from.
-    pub fn range(&self) -> (usize, usize) {
-        (self.start, self.start + self.len)
-    }
-
     /// Draw the next ordered pair (scalar path). Consumes buffered pairs
     /// first so that scalar and batched consumption can be interleaved
     /// freely without perturbing the stream.
     #[inline]
     pub fn next_pair(&mut self) -> (usize, usize) {
-        let (rng, n, start, len) = (self.rng.settled(), self.n, self.start, self.len);
-        self.buf.next_pair(|| draw_pair(rng, n, start, len))
+        let (rng, n) = (self.rng.settled(), self.n);
+        self.buf.next_pair(|| draw_pair(rng, n))
     }
 
     /// Return the next at-most-`max` pairs of the stream as a block,
@@ -411,8 +396,8 @@ impl Schedule {
     /// they have consumed as many pairs as they need.
     #[inline]
     pub fn sample_block(&mut self, max: usize) -> &[Pair] {
-        let (rng, n, start, len) = (self.rng.settled(), self.n, self.start, self.len);
-        self.buf.sample_block(max, || draw_pair(rng, n, start, len))
+        let (rng, n) = (self.rng.settled(), self.n);
+        self.buf.sample_block(max, || draw_pair(rng, n))
     }
 
     /// Number of pairs currently buffered but not yet consumed.
@@ -427,8 +412,6 @@ struct Drawn<'a> {
     pending: std::slice::Iter<'a, Pair>,
     rng: &'a mut SmallRng,
     n: usize,
-    start: usize,
-    len: usize,
     fresh: usize,
 }
 
@@ -441,7 +424,7 @@ impl Iterator for Drawn<'_> {
         // the drawing loop.
         if self.fresh > 0 {
             self.fresh -= 1;
-            return Some(draw_pair(self.rng, self.n, self.start, self.len));
+            return Some(draw_pair(self.rng, self.n));
         }
         self.pending.next().copied()
     }
@@ -459,8 +442,8 @@ impl CursorSource for Schedule {
         ScheduleCursor {
             rng: self.rng.state(),
             n: self.n as u64,
-            start: self.start as u64,
-            len: self.len as u64,
+            start: 0,
+            len: self.n as u64,
             pending: self.buf.pending().to_vec(),
             topo: Vec::new(),
         }
@@ -471,16 +454,12 @@ impl CursorSource for Schedule {
             cursor.topo.is_empty(),
             "cursor carries a topology spec; restore it with GraphSchedule"
         );
+        assert!(
+            cursor.start == 0 && cursor.len == cursor.n,
+            "Schedule cursor must cover the full initiator range"
+        );
         let n = usize::try_from(cursor.n).expect("population size exceeds usize");
-        let start = usize::try_from(cursor.start).expect("range start exceeds usize");
-        let len = usize::try_from(cursor.len).expect("range length exceeds usize");
-        Self::build(
-            SmallRng::from_state(cursor.rng),
-            n,
-            start,
-            len,
-            cursor.pending,
-        )
+        Self::build(SmallRng::from_state(cursor.rng), n, cursor.pending)
     }
 }
 
@@ -514,8 +493,6 @@ impl PairSource for Schedule {
             pending: pending.iter(),
             rng: self.rng.settled(),
             n: self.n,
-            start: self.start,
-            len: self.len,
             fresh,
         }
     }
@@ -532,25 +509,17 @@ impl PairSource for Schedule {
 mod tests {
     use super::*;
 
-    /// A schedule whose initiators lie in `start..start+len`, as an
-    /// older build's sharded lane cursor restores it.
-    fn lane(n: usize, start: usize, len: usize, seed: u64) -> Schedule {
-        let mut cursor = Schedule::new(n, seed).cursor();
-        (cursor.start, cursor.len) = (start as u64, len as u64);
-        Schedule::from_cursor(cursor)
-    }
-
     fn drain_scalar(s: &mut Schedule, count: usize) -> Vec<(usize, usize)> {
         (0..count).map(|_| s.next_pair()).collect()
     }
 
     #[test]
     fn pairs_are_distinct_and_in_range() {
-        for (mut s, initiators) in [(Schedule::new(17, 1), 0..17), (lane(29, 10, 9, 5), 10..19)] {
-            let n = s.n();
+        for (n, seed) in [(17, 1), (29, 5)] {
+            let mut s = Schedule::new(n, seed);
             for _ in 0..20_000 {
                 let (i, j) = s.next_pair();
-                assert!(initiators.contains(&i), "initiator {i} out of range");
+                assert!(i < n, "initiator {i} out of range");
                 assert!(j < n, "responder {j} out of range");
                 assert_ne!(i, j);
             }
@@ -559,9 +528,9 @@ mod tests {
 
     #[test]
     fn block_and_scalar_produce_the_same_stream() {
-        for (n, start, len, seed) in [(100, 0, 100, 42), (40, 8, 12, 9)] {
-            let mut scalar = lane(n, start, len, seed);
-            let mut blocked = lane(n, start, len, seed);
+        for (n, seed) in [(100, 42), (40, 9)] {
+            let mut scalar = Schedule::new(n, seed);
+            let mut blocked = Schedule::new(n, seed);
             let expected = drain_scalar(&mut scalar, 10_000);
             let mut got = Vec::new();
             while got.len() < 10_000 {
@@ -650,29 +619,16 @@ mod tests {
     }
 
     #[test]
-    fn lane_responders_reach_the_whole_population() {
-        let n = 12;
-        let mut s = lane(n, 4, 2, 3);
-        let mut seen = vec![false; n];
-        for _ in 0..10_000 {
-            seen[s.next_pair().1] = true;
-        }
-        let reachable = seen.iter().filter(|&&b| b).count();
-        assert!(reachable >= n - 1, "responders must span the population");
-    }
-
-    #[test]
     fn schedule_cursor_round_trip_continues_the_stream() {
-        for (n, start, len, seed) in [(64, 0, 64, 99), (40, 10, 11, 123)] {
-            let mut original = lane(n, start, len, seed);
+        for (n, seed) in [(64, 99), (40, 123)] {
+            let mut original = Schedule::new(n, seed);
             for _ in 0..1000 {
                 original.next_pair();
             }
             let _ = original.sample_block(7); // leave a partial buffer behind
             let cursor = original.cursor();
-            assert_eq!((cursor.start, cursor.len), (start as u64, len as u64));
+            assert_eq!((cursor.start, cursor.len), (0, n as u64));
             let mut restored = Schedule::from_cursor(cursor);
-            assert_eq!(restored.range(), (start, start + len));
             for _ in 0..5000 {
                 assert_eq!(original.next_pair(), restored.next_pair());
             }
@@ -730,11 +686,12 @@ mod tests {
         assert_eq!(got_b, got_a);
     }
 
+    /// A cursor an older build's sharded engine wrote for one lane.
     #[test]
-    #[should_panic(expected = "exceeds population")]
-    fn rejects_out_of_bounds_cursor() {
-        let mut cursor = lane(20, 5, 5, 1).cursor();
-        cursor.start = 18;
+    #[should_panic(expected = "full initiator range")]
+    fn from_cursor_refuses_a_narrowed_range() {
+        let mut cursor = Schedule::new(20, 1).cursor();
+        (cursor.start, cursor.len) = (5, 5);
         let _ = Schedule::from_cursor(cursor);
     }
 
@@ -792,7 +749,6 @@ mod tests {
                 k,
             );
             assert_skip_matches(Schedule::new(64, seed), Schedule::new(64, seed), k);
-            assert_skip_matches(lane(64, 16, 16, seed), lane(64, 16, 16, seed), k);
         }
     }
 
@@ -907,14 +863,6 @@ mod tests {
             run_script(
                 Schedule::new(n, seed),
                 Schedule::new(n, seed),
-                &mut script,
-                40,
-            );
-            let len = 1 + (script.next_u64() % n as u64) as usize;
-            let start = (script.next_u64() % (n - len + 1) as u64) as usize;
-            run_script(
-                lane(n, start, len, seed),
-                lane(n, start, len, seed),
                 &mut script,
                 40,
             );

@@ -310,43 +310,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_recovery_with_one_shard_matches_sequential() {
-        let n = 16;
-        let make_plan = || FaultPlan::new(1).once(1000, corrupt_to(50, 4));
-        let legal = |_: &Decay, s: &[u32]| s.iter().all(|&x| x == 0);
-
-        let mut seq = Simulator::new(Decay(n), vec![0; n], 3);
-        let mut seq_plan = make_plan();
-        let mut seq_rec = Recovery::new(legal);
-        run_recovery(&mut seq, &mut seq_plan, &mut seq_rec, 100_000, 100);
-
-        let mut sharded = shard::ShardedSimulator::new(Decay(n), vec![0; n], 3, 1);
-        let mut sh_plan = make_plan();
-        let mut sh_rec = Recovery::new(legal);
-        run_recovery(&mut sharded, &mut sh_plan, &mut sh_rec, 100_000, 100);
-
-        assert_eq!(sh_rec.events(), seq_rec.events());
-        assert_eq!(sharded.states(), seq.states());
-        assert_eq!(sharded.interactions(), seq.interactions());
-    }
-
-    #[test]
-    fn sharded_recovery_timestamps_faults_across_shards() {
-        let n = 24;
-        let mut sim = shard::ShardedSimulator::new(Decay(n), vec![0; n], 7, 4);
-        let mut plan = FaultPlan::new(1).once(500, corrupt_to(40, 6));
-        let mut rec = Recovery::new(|_: &Decay, s: &[u32]| s.iter().all(|&x| x == 0));
-        run_recovery(&mut sim, &mut plan, &mut rec, 100_000, 100);
-
-        let events = rec.events();
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].injected_at, 500);
-        let t = events[0].recovery_interactions().expect("must recover");
-        assert!(t > 0 && t < 20_000, "decay from 40 is fast, got {t}");
-        assert!(sim.interactions() < 100_000, "early exit after recovery");
-    }
-
-    #[test]
     fn fault_that_preserves_legality_recovers_immediately() {
         let n = 8;
         let mut sim = Simulator::new(Decay(n), vec![0; n], 3);

@@ -2,8 +2,8 @@
 
 use population::schedule::BLOCK_PAIRS;
 use population::{
-    drive, Capture, Checkpointer, Engine, Every, FaultHook, Frame, HookState, NoFaults, NoPoll,
-    NoSaves, NullProbe, Observer, Probe, Protocol, Simulator, StopReason, WordState,
+    drive, Capture, Engine, FaultHook, Frame, NoPoll, NoSaves, Probe, Protocol, Simulator,
+    WordState,
 };
 
 /// The sharded simulator's API over one [`Simulator`]: for every shard
@@ -31,8 +31,8 @@ use population::{
 /// `SSR_WORKERS`) and is reported by [`workers`](Self::workers). Nothing
 /// runs on more than one thread today: the consumer this count waits
 /// for is an executor that runs each block's independent pairs on
-/// several workers and keeps the sequential trajectory (ROADMAP,
-/// "Hardware-gated: parallelism within one run").
+/// several workers and keeps the sequential trajectory (ROADMAP A, the
+/// parked level-0 executor).
 #[derive(Debug)]
 pub struct ShardedSimulator<P: Protocol> {
     sim: Simulator<P>,
@@ -48,16 +48,7 @@ impl<P: Protocol> ShardedSimulator<P> {
     /// Panics if `initial.len() != protocol.n()`, the population has
     /// fewer than two agents, or `shards` is not in `1..=n`.
     pub fn new(protocol: P, initial: Vec<P::State>, seed: u64, shards: usize) -> Self {
-        Self::wrap(Simulator::new(protocol, initial, seed), shards)
-    }
-
-    /// The sharded API over an existing simulator, e.g. one resumed from
-    /// a snapshot.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is not in `1..=n`.
-    pub fn wrap(sim: Simulator<P>, shards: usize) -> Self {
+        let sim = Simulator::new(protocol, initial, seed);
         assert!(
             (1..=sim.states().len()).contains(&shards),
             "shard count must be within 1..=n"
@@ -101,67 +92,11 @@ impl<P: Protocol> ShardedSimulator<P> {
         self.sim.states()
     }
 
-    /// Consume the wrapper, returning the final configuration.
-    pub fn into_states(self) -> Vec<P::State> {
-        self.sim.into_states()
-    }
-
-    /// Execute exactly `count` interactions.
-    pub fn run(&mut self, count: u64) {
-        self.run_probed(count, &mut NullProbe);
-    }
-
-    /// Drive the run under a whole-configuration [`Observer`]: polled
-    /// once up front, then every `check_every` interactions and at the
-    /// end of the budget, until it stops the run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `check_every == 0`.
-    pub fn run_observed<O: Observer<P>>(
-        &mut self,
-        max_interactions: u64,
-        check_every: u64,
-        observer: &mut O,
-    ) -> StopReason {
-        let mut poll = Every(check_every, observer);
-        drive(
-            self,
-            max_interactions,
-            &mut NoFaults,
-            &mut NoSaves,
-            &mut poll,
-            &mut NullProbe,
-        )
-    }
-
-    /// Run until `converged` holds over the configuration (polled every
-    /// `check_every` interactions) or the budget is exhausted.
-    pub fn run_until(
-        &mut self,
-        converged: impl FnMut(&[P::State]) -> bool,
-        max_interactions: u64,
-        check_every: u64,
-    ) -> StopReason {
-        let mut observer = population::observe::Convergence::new(converged);
-        self.run_observed(max_interactions, check_every, &mut observer)
-    }
-
     /// Execute exactly `count` interactions, handing the configuration
-    /// to `hook` at every interaction count where it asks to fire.
-    pub fn run_faulted<H: FaultHook<P>>(&mut self, count: u64, hook: &mut H) {
-        self.run_faulted_probed(count, hook, &mut NullProbe);
-    }
-
-    /// Execute exactly `count` interactions while reporting blocks to
-    /// `probe` at the sharded cadence (see the type-level docs).
-    pub fn run_probed<B: Probe<P>>(&mut self, count: u64, probe: &mut B) {
-        self.run_faulted_probed(count, &mut NoFaults, probe);
-    }
-
-    /// [`run_faulted`](Self::run_faulted) with a probe seam:
-    /// [`Probe::fault`] fires after every firing with the post-fault
-    /// configuration.
+    /// to `hook` at every interaction count where it asks to fire and
+    /// reporting blocks to `probe` at the sharded cadence (see the
+    /// type-level docs). [`Probe::fault`] fires after every firing with
+    /// the post-fault configuration.
     pub fn run_faulted_probed<H: FaultHook<P>, B: Probe<P>>(
         &mut self,
         count: u64,
@@ -246,18 +181,6 @@ impl<P: WordState> ShardedSimulator<P> {
     pub fn frame(&self) -> Frame {
         self.sim.frame()
     }
-
-    /// [`run_faulted`](Self::run_faulted) with saves through `ckpt` at
-    /// every interaction count where it asks for one. At equal times the
-    /// fault fires first, so a frame saved at `t` reflects the
-    /// post-fault configuration. Saving is trajectory-inert.
-    pub fn run_faulted_checkpointed<H, C>(&mut self, count: u64, hook: &mut H, ckpt: &mut C)
-    where
-        H: FaultHook<P> + HookState,
-        C: Checkpointer,
-    {
-        drive(self, count, hook, ckpt, &mut NoPoll, &mut NullProbe);
-    }
 }
 
 impl<P: WordState> Capture for ShardedSimulator<P> {
@@ -269,6 +192,7 @@ impl<P: WordState> Capture for ShardedSimulator<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use population::{NoFaults, NullProbe};
 
     /// Counts interactions on each side.
     struct Count(usize);
@@ -296,7 +220,7 @@ mod tests {
             for workers in [1, 2, 8] {
                 let mut sim =
                     ShardedSimulator::new(Count(16), init(16), 42, shards).with_workers(workers);
-                sim.run(12_345);
+                sim.run_faulted_probed(12_345, &mut NoFaults, &mut NullProbe);
                 assert_eq!(sim.states(), reference.states(), "shards={shards}");
                 assert_eq!(sim.interactions(), 12_345);
                 assert_eq!(sim.workers(), workers.min(shards));
@@ -336,8 +260,8 @@ mod tests {
             let mut probed = ShardedSimulator::new(Count(20), init(20), 13, shards);
             let mut tally = Tally::default();
             // Two segments: the cadence restarts at the second one.
-            probed.run_probed(20_000, &mut tally);
-            probed.run_probed(5_000, &mut tally);
+            probed.run_faulted_probed(20_000, &mut NoFaults, &mut tally);
+            probed.run_faulted_probed(5_000, &mut NoFaults, &mut tally);
             assert_eq!(probed.states(), plain.states(), "shards={shards}");
             let every = shards as u64 * block;
             let mut want: Vec<u64> = (1..=20_000 / every).map(|k| k * every).collect();

@@ -1,12 +1,14 @@
 //! The sharded simulator's API, run on the sequential engine.
 //!
-//! [`ShardedSimulator`] keeps the constructor and run methods of the
-//! sharded engine this crate used to hold, over one
-//! [`Simulator`](population::Simulator): a run with any shard and worker
-//! count follows the sequential engine's trajectory for the same seed,
-//! through its block kernel and its silent fast-forward. The shard count
-//! only sets how often an active [`Probe`](population::Probe) sees a
-//! block; see [`ShardedSimulator`].
+//! [`ShardedSimulator`] keeps the constructor of the sharded engine this
+//! crate used to hold, over one [`Simulator`](population::Simulator): a
+//! run with any shard and worker count follows the sequential engine's
+//! trajectory for the same seed, through its block kernel and its silent
+//! fast-forward. It implements [`Engine`](population::Engine) and
+//! [`Capture`](population::Capture), so [`drive`](population::drive())
+//! runs it under any hook set. The shard count only sets how often an
+//! active [`Probe`](population::Probe) sees a block; see
+//! [`ShardedSimulator`].
 //!
 //! The lane-partitioned engine that followed a trajectory of its own
 //! (per-shard scheduler lanes, boundary-pair exchange rounds) is gone:
@@ -18,7 +20,7 @@
 //! # Example
 //!
 //! ```
-//! use population::{Protocol, Simulator};
+//! use population::{drive, NoFaults, NoPoll, NoSaves, NullProbe, Protocol, Simulator};
 //! use shard::ShardedSimulator;
 //!
 //! struct Max;
@@ -37,7 +39,7 @@
 //! }
 //!
 //! let mut sim = ShardedSimulator::new(Max, (0..64).collect(), 1, 4);
-//! sim.run(100_000);
+//! drive(&mut sim, 100_000, &mut NoFaults, &mut NoSaves, &mut NoPoll, &mut NullProbe);
 //! assert!(sim.states().iter().all(|&s| s == 63));
 //! let mut sequential = Simulator::new(Max, (0..64).collect(), 1);
 //! sequential.run(100_000);

@@ -30,10 +30,9 @@
 //!   loaded newest-valid-first so corruption degrades instead of kills;
 //! * [`sink`] — [`SnapshotSink`], the [`Checkpointer`] gluing cadence to
 //!   rotation (save failures are counted, never fatal);
-//! * [`capture`] — restore: snapshot → live [`Simulator`] (which
-//!   `shard::ShardedSimulator::wrap` takes too), every word
-//!   re-validated through the
-//!   protocol's [`WordState`](population::WordState) codec (the paper's
+//! * [`capture`] — restore: snapshot → live [`Simulator`], every word
+//!   re-validated through the protocol's
+//!   [`WordState`](population::WordState) codec (the paper's
 //!   silence dividend: the legal state space is checkable, so restored
 //!   state is *verified*, not trusted);
 //! * [`mod@inject`] — deliberate snapshot corruption (torn / bitflip /

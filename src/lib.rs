@@ -16,8 +16,8 @@
 //! * [`scenarios`] — fault injection, adversarial schedulers, and
 //!   recovery-time measurement (sustained-fault workloads on top of the
 //!   engine).
-//! * [`shard`] — the sharded multi-threaded single-run simulator
-//!   (per-shard sub-schedules + boundary-pair exchange).
+//! * [`shard`] — the sharded simulator API, a wrapper that runs the
+//!   sequential engine's trajectory for every shard count.
 //! * [`dynamic`] — dynamic populations: agent lifecycle
 //!   (`Spawning → Active → Hibernating → Dormant → revived`), M/M/∞
 //!   churn, epoch-based re-parameterization, and rank leasing, with a

@@ -17,7 +17,8 @@
 //! frames. The two runs must agree on the final frame
 //! (states, RNG words, pending pairs), the dispatch mix, the reset count,
 //! and everything the hooks saw. More cases resume from a checkpoint
-//! taken mid-silence and from cursors holding pending pairs, and run the
+//! taken mid-silence (a sharded run's checkpoint resumes on the
+//! sequential engine) and from cursors holding pending pairs, and run the
 //! structured `StableState` path and the two-agent population, which
 //! certify too. One more case
 //! skips several runs in a row, so the uniform pair source owes their
@@ -371,9 +372,14 @@ fn sharded<Q: Kernel>(q: Q, (shards, workers): (usize, usize)) -> ShardedSimulat
     ShardedSimulator::new(q, legal(), SEED, shards).with_workers(workers)
 }
 
-/// `sim` behind the sharded API with the shape `(shards, workers)`.
-fn wrap<Q: Kernel>(sim: Simulator<Q>, (shards, workers): (usize, usize)) -> ShardedSimulator<Q> {
-    ShardedSimulator::wrap(sim, shards).with_workers(workers)
+/// The certified sequential engine resumed at `frame`.
+fn resume_certified(frame: &Frame) -> Simulator<Certifies<P>> {
+    Simulator::resume(
+        certifies(packed()),
+        decode(frame),
+        Schedule::from_cursor(frame.cursors[0].clone()),
+        frame.interactions,
+    )
 }
 
 /// Final frame, dispatch mix and reset count of one run.
@@ -496,14 +502,7 @@ fn a_resume_from_a_checkpoint_taken_mid_silence_continues_exactly() {
         &mut NullProbe,
     );
     let (frame, fault) = mid_silence(&saves.saved);
-    let cursor = frame.cursors[0].clone();
-    let resumed = Simulator::resume(
-        certifies(packed()),
-        decode(&frame),
-        Schedule::from_cursor(cursor),
-        frame.interactions,
-    );
-    let got = resumed_outcome(resumed, &fault);
+    let got = resumed_outcome(resume_certified(&frame), &fault);
     let want = run(
         &mut sequential(executes()),
         FAULTS | SAVES,
@@ -524,16 +523,7 @@ fn a_resume_from_a_checkpoint_taken_mid_silence_continues_exactly() {
             &mut NullProbe,
         );
         let (frame, fault) = mid_silence(&saves.saved);
-        let resumed = wrap(
-            Simulator::resume(
-                certifies(packed()),
-                decode(&frame),
-                Schedule::from_cursor(frame.cursors[0].clone()),
-                frame.interactions,
-            ),
-            shape,
-        );
-        let got = resumed_outcome(resumed, &fault);
+        let got = resumed_outcome(resume_certified(&frame), &fault);
         let want = run(
             &mut sharded(executes(), shape),
             FAULTS | SAVES,
@@ -573,20 +563,11 @@ fn a_cursor_restored_with_pending_pairs_fast_forwards_exactly() {
         Simulator::resume(q, legal(), source, 0)
     }
 
-    let want = every_subset(
+    every_subset(
         "sequential, pending",
         || sequential_pending(certifies(packed())),
         || sequential_pending(executes()),
     );
-    for shape in SHARDED {
-        let label = format!("(shards, workers)={shape:?}, pending");
-        let got = every_subset(
-            &label,
-            || wrap(sequential_pending(certifies(packed())), shape),
-            || wrap(sequential_pending(executes()), shape),
-        );
-        assert_eq!(got, want, "{label}: the sequential engine's ends");
-    }
 }
 
 /// The structured states certify too: a valid ranking of `StableState`s
@@ -673,14 +654,11 @@ where
 }
 
 /// A certified engine that owes its pile of draws must read the same
-/// frame, save the same frames, take the same fault and resume from its
-/// first save to the same end as the engine executing every pair.
-fn owed_draws_settle_exactly<C, R>(
-    label: &str,
-    mut certified: C,
-    mut reference: R,
-    resume: impl FnOnce(&Frame) -> C,
-) where
+/// frame, save the same frames, take the same fault and resume (on the
+/// sequential engine) from its first save to the same end as the engine
+/// executing every pair.
+fn owed_draws_settle_exactly<C, R>(label: &str, mut certified: C, mut reference: R)
+where
     C: Capture<Protocol = Certifies<P>>,
     R: Capture<Protocol = Executes<P>>,
 {
@@ -694,7 +672,7 @@ fn owed_draws_settle_exactly<C, R>(
     assert_eq!(want.fired, [45_000], "{label}");
     assert!(want.mix[0] > 0, "{label}: the fault must break silence");
 
-    let mut resumed = resume(&got.saves[0]);
+    let mut resumed = resume_certified(&got.saves[0]);
     let again = run(&mut resumed, FAULTS | SAVES, piled_plan());
     assert_eq!(again.frame, want.frame, "{label}: resumed end");
     assert_eq!(again.fired, want.fired, "{label}: resumed fault");
@@ -707,30 +685,11 @@ fn owed_draws_pile_up_across_runs_and_settle_exactly() {
         "sequential",
         sequential(certifies(packed())),
         sequential(executes()),
-        |frame| {
-            Simulator::resume(
-                certifies(packed()),
-                decode(frame),
-                Schedule::from_cursor(frame.cursors[0].clone()),
-                frame.interactions,
-            )
-        },
     );
     owed_draws_settle_exactly(
         "four shards",
         sharded(certifies(packed()), (4, 2)),
         sharded(executes(), (4, 2)),
-        |frame| {
-            wrap(
-                Simulator::resume(
-                    certifies(packed()),
-                    decode(frame),
-                    Schedule::from_cursor(frame.cursors[0].clone()),
-                    frame.interactions,
-                ),
-                (4, 2),
-            )
-        },
     );
 }
 

@@ -379,18 +379,19 @@ fn kernel_transition_block_handles_repeated_agents_like_the_scalar_loop() {
 fn kernel_equals_enum_through_the_sharded_engine() {
     // The sharded API runs the sequential engine at every shard count,
     // so sharded kernel runs must match sharded enum runs there too.
+    use silent_ranking::population::{NoFaults, NullProbe};
     use silent_ranking::shard::ShardedSimulator;
     for shards in [2usize, 4] {
         for (n, seed) in [(32usize, 2u64), (65, 6)] {
             let p = protocol(n);
             let init = p.adversarial_uniform(seed);
             let mut enum_sim = ShardedSimulator::new(p, init, seed, shards);
-            enum_sim.run(50_000);
+            enum_sim.run_faulted_probed(50_000, &mut NoFaults, &mut NullProbe);
 
             let p = Packed(protocol(n));
             let init = p.pack_all(&p.inner().adversarial_uniform(seed));
             let mut kernel_sim = ShardedSimulator::new(p, init, seed, shards);
-            kernel_sim.run(50_000);
+            kernel_sim.run_faulted_probed(50_000, &mut NoFaults, &mut NullProbe);
 
             let unpacked = kernel_sim.protocol().unpack_all(kernel_sim.states());
             assert_eq!(

@@ -9,17 +9,55 @@
 //! 2. **Determinism** — two sharded runs are identical, and the
 //!    trajectory never depends on the worker thread count.
 //! 3. **Semantics** — sharded runs still stabilize, and `scenarios`
-//!    fault plans drive them to recovery.
+//!    fault plans drive them to recovery, timestamped by
+//!    `run_recovery` as on the sequential engine.
+//!
+//! The wrapper's one run method is `run_faulted_probed`; these tests
+//! also drive it through `drive`.
 
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
 
+use silent_ranking::population::observe::Convergence;
 use silent_ranking::population::silence::is_silent;
-use silent_ranking::population::{is_valid_ranking, Packed, Simulator, UnpackedHook};
+use silent_ranking::population::{
+    drive, is_valid_ranking, Engine, Every, NoFaults, NoPoll, NoSaves, NullProbe, Packed, Protocol,
+    Simulator, StopReason, UnpackedHook,
+};
 use silent_ranking::ranking::stable::{PackedState, StableRanking};
 use silent_ranking::ranking::Params;
-use silent_ranking::scenarios::{ranking_faults, FaultPlan};
+use silent_ranking::scenarios::{ranking_faults, run_recovery, FaultPlan, Recovery, StateRewrite};
 use silent_ranking::shard::ShardedSimulator;
 use silent_ranking::telemetry::{EventKind, Recorder};
+
+/// Execute exactly `count` interactions of `engine`, with no hooks.
+fn run<E: Engine>(engine: &mut E, count: u64) {
+    drive(
+        engine,
+        count,
+        &mut NoFaults,
+        &mut NoSaves,
+        &mut NoPoll,
+        &mut NullProbe,
+    );
+}
+
+/// Run `engine` until its configuration is a valid ranking, polled every
+/// `every` interactions, or for `budget` interactions.
+fn run_until_valid<E>(engine: &mut E, budget: u64, every: u64) -> StopReason
+where
+    E: Engine<Protocol = Packed<StableRanking>>,
+{
+    let mut poll = Every(every, Convergence::new(is_valid_ranking::<PackedState>));
+    drive(
+        engine,
+        budget,
+        &mut NoFaults,
+        &mut NoSaves,
+        &mut poll,
+        &mut NullProbe,
+    )
+}
 
 fn packed_protocol(n: usize) -> Packed<StableRanking> {
     Packed(StableRanking::new(Params::new(n)))
@@ -45,7 +83,7 @@ fn one_shard_packed_run_is_bit_for_bit_run_batched() {
             seed,
             1,
         );
-        sharded.run(count);
+        run(&mut sharded, count);
 
         assert_eq!(
             sharded.states(),
@@ -65,7 +103,7 @@ fn one_shard_enum_run_is_bit_for_bit_run_batched() {
     reference.run_batched(30_000);
 
     let mut sharded = ShardedSimulator::new(protocol, init, 9, 1);
-    sharded.run(30_000);
+    run(&mut sharded, 30_000);
     assert_eq!(sharded.states(), reference.states());
 }
 
@@ -96,7 +134,7 @@ fn one_shard_faulted_run_matches_sequential_faulted_run() {
             1,
         );
         let mut sh_hook = UnpackedHook::new(make_plan());
-        sharded.run_faulted(15_000, &mut sh_hook);
+        sharded.run_faulted_probed(15_000, &mut sh_hook, &mut NullProbe);
 
         assert_eq!(sharded.states(), seq.states(), "injector {kind}");
         assert_eq!(
@@ -115,8 +153,8 @@ fn sharded_trajectories_are_deterministic_and_worker_independent() {
             let protocol = packed_protocol(n);
             let init = packed_init(&protocol, 5);
             let mut sim = ShardedSimulator::new(protocol, init, 21, shards).with_workers(workers);
-            sim.run(60_000);
-            sim.into_states()
+            run(&mut sim, 60_000);
+            sim.states().to_vec()
         };
         let first = run(1);
         assert_eq!(first, run(1), "shards={shards}: reruns must be identical");
@@ -134,7 +172,7 @@ fn sharded_run_stabilizes_to_a_valid_silent_ranking() {
         let protocol = packed_protocol(n);
         let init = packed_init(&protocol, seed + 50);
         let mut sim = ShardedSimulator::new(protocol, init, seed, 4);
-        let stop = sim.run_until(is_valid_ranking, budget, n as u64);
+        let stop = run_until_valid(&mut sim, budget, n as u64);
         assert!(
             stop.converged_at().is_some(),
             "seed {seed}: sharded run did not stabilize"
@@ -161,13 +199,13 @@ fn sharded_faulted_run_recovers() {
         FaultPlan::new(9).once(1_000, ranking_faults::corrupt(&plan_protocol, n / 4)),
     );
     let mut sim = ShardedSimulator::new(protocol, legal, seed, 3);
-    sim.run_faulted(1_000, &mut plan);
+    sim.run_faulted_probed(1_000, &mut plan, &mut NullProbe);
     assert!(
         !is_valid_ranking(sim.states()),
         "corruption must break the ranking"
     );
     let budget = (8000.0 * (n * n) as f64 * (n as f64).log2()) as u64;
-    let stop = sim.run_until(is_valid_ranking, budget, n as u64);
+    let stop = run_until_valid(&mut sim, budget, n as u64);
     assert!(stop.converged_at().is_some(), "no recovery after the fault");
 }
 
@@ -193,7 +231,7 @@ fn wrapper_equals_simulator_for_every_shard_and_worker_count() {
                     ShardedSimulator::new(packed_protocol(N), init.clone(), 60 + k as u64, shards)
                         .with_workers(workers);
                 for &burst in bursts {
-                    sim.run(burst);
+                    run(&mut sim, burst);
                 }
                 let case = format!("bursts {k}, shards={shards}, workers={workers}");
                 assert_eq!(sim.frame(), reference.frame(), "{case}");
@@ -250,6 +288,69 @@ fn faulted_probed_sharded_run_equals_the_sequential_one() {
     }
 }
 
+/// "Infection" protocol: state counts down to 0; legal iff all zero.
+/// Interactions pull both agents one step toward 0, so recovery from a
+/// corruption that sets counters to `c` takes a predictable number of
+/// interactions.
+struct Decay(usize);
+
+impl Protocol for Decay {
+    type State = u32;
+    fn n(&self) -> usize {
+        self.0
+    }
+    fn transition(&self, u: &mut u32, v: &mut u32) -> bool {
+        let before = (*u, *v);
+        *u = u.saturating_sub(1);
+        *v = v.saturating_sub(1);
+        before != (*u, *v)
+    }
+}
+
+fn corrupt_to(value: u32, k: usize) -> StateRewrite<impl FnMut(&mut SmallRng) -> u32> {
+    StateRewrite::corrupt(k, move |_: &mut SmallRng| value)
+}
+
+fn decayed(_: &Decay, s: &[u32]) -> bool {
+    s.iter().all(|&x| x == 0)
+}
+
+#[test]
+fn sharded_recovery_with_one_shard_matches_sequential() {
+    let n = 16;
+    let make_plan = || FaultPlan::new(1).once(1000, corrupt_to(50, 4));
+
+    let mut seq = Simulator::new(Decay(n), vec![0; n], 3);
+    let mut seq_plan = make_plan();
+    let mut seq_rec = Recovery::new(decayed);
+    run_recovery(&mut seq, &mut seq_plan, &mut seq_rec, 100_000, 100);
+
+    let mut sharded = ShardedSimulator::new(Decay(n), vec![0; n], 3, 1);
+    let mut sh_plan = make_plan();
+    let mut sh_rec = Recovery::new(decayed);
+    run_recovery(&mut sharded, &mut sh_plan, &mut sh_rec, 100_000, 100);
+
+    assert_eq!(sh_rec.events(), seq_rec.events());
+    assert_eq!(sharded.states(), seq.states());
+    assert_eq!(sharded.interactions(), seq.interactions());
+}
+
+#[test]
+fn sharded_recovery_timestamps_faults_across_shards() {
+    let n = 24;
+    let mut sim = ShardedSimulator::new(Decay(n), vec![0; n], 7, 4);
+    let mut plan = FaultPlan::new(1).once(500, corrupt_to(40, 6));
+    let mut rec = Recovery::new(decayed);
+    run_recovery(&mut sim, &mut plan, &mut rec, 100_000, 100);
+
+    let events = rec.events();
+    assert_eq!(events.len(), 1);
+    assert_eq!(events[0].injected_at, 500);
+    let t = events[0].recovery_interactions().expect("must recover");
+    assert!(t > 0 && t < 20_000, "decay from 40 is fast, got {t}");
+    assert!(sim.interactions() < 100_000, "early exit after recovery");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: 8,
@@ -281,7 +382,7 @@ proptest! {
         );
         for &burst in &bursts {
             reference.run_batched(burst);
-            sharded.run(burst);
+            run(&mut sharded, burst);
             prop_assert_eq!(sharded.states(), reference.states().to_vec());
         }
         prop_assert_eq!(sharded.interactions(), reference.interactions());
@@ -303,8 +404,8 @@ proptest! {
             let init = packed_init(&protocol, seed);
             let mut sim = ShardedSimulator::new(protocol, init, seed, shards)
                 .with_workers(workers);
-            sim.run(count);
-            (sim.interactions(), sim.into_states())
+            run(&mut sim, count);
+            (sim.interactions(), sim.states().to_vec())
         };
         let (t1, s1) = run(1);
         let (t2, s2) = run(3);

@@ -29,8 +29,9 @@
 //!
 //! Every path compares against a run with **no checkpointing at all** —
 //! the FIFO pair stream makes burst splitting trajectory-inert, so
-//! checkpointing itself must be invisible. The sharded API's reference
-//! is the sequential engine's uninterrupted run.
+//! checkpointing itself must be invisible. A sharded run resumes on the
+//! sequential engine, and its reference is that engine's uninterrupted
+//! run.
 
 use std::path::PathBuf;
 
@@ -239,8 +240,8 @@ fn double_resume_is_bit_for_bit() {
     );
 }
 
-/// The sharded keystone: a sharded run killed and resumed through the
-/// sharded API ends on the sequential engine's uninterrupted run.
+/// The sharded keystone: a sharded run killed and resumed on the
+/// sequential engine ends on that engine's uninterrupted run.
 fn assert_sharded_resume(tag: &str, kind: &'static str, shards: usize, seed: u64) {
     let (n, total, every) = (64usize, 60_000u64, 9_000u64);
     let crash = 31_013u64;
@@ -254,7 +255,14 @@ fn assert_sharded_resume(tag: &str, kind: &'static str, shards: usize, seed: u64
     let (p, init, mut hook) = make();
     let mut sink = SnapshotSink::every(dir.rotation(), every, Meta::bare(tag, seed));
     let mut sim = ShardedSimulator::new(p, init, seed, shards);
-    sim.run_faulted_checkpointed(crash, &mut hook, &mut sink);
+    drive(
+        &mut sim,
+        crash,
+        &mut hook,
+        &mut sink,
+        &mut NoPoll,
+        &mut NullProbe,
+    );
     drop((sim, hook, sink));
 
     let snap = dir.rotation().latest_valid().expect("a snapshot").snapshot;
@@ -262,7 +270,7 @@ fn assert_sharded_resume(tag: &str, kind: &'static str, shards: usize, seed: u64
     assert_eq!(snap.frame.cursors.len(), 1, "{tag}");
     let (p, _, mut hook) = make();
     snapshot::restore_hook(&mut hook, snap.fault.as_ref().unwrap()).unwrap();
-    let mut sim = ShardedSimulator::wrap(snapshot::resume_simulator(p, &snap).unwrap(), shards);
+    let mut sim = snapshot::resume_simulator(p, &snap).unwrap();
     let mut sink = SnapshotSink::resumed(dir.rotation(), every, t, Meta::bare(tag, seed));
     sim.run_faulted_checkpointed(total - t, &mut hook, &mut sink);
 
@@ -500,7 +508,7 @@ fn enum_rotations_resume_into_the_kernel_on_every_engine() {
             "enum-kernel-shard",
             sharded(),
             &churn,
-            |s| ShardedSimulator::wrap(snapshot::resume_simulator(kernel(), s).unwrap(), 2),
+            |s| snapshot::resume_simulator(kernel(), s).unwrap(),
             run,
         ),
         enum_uninterrupted(sharded(), &churn, run),

@@ -19,7 +19,7 @@
 
 use proptest::prelude::*;
 
-use silent_ranking::population::{NullProbe, Packed, Simulator, UnpackedHook};
+use silent_ranking::population::{NoFaults, NullProbe, Packed, Simulator, UnpackedHook};
 use silent_ranking::ranking::stable::{StableRanking, StableState};
 use silent_ranking::ranking::Params;
 use silent_ranking::scenarios::{ranking_faults, FaultPlan};
@@ -89,9 +89,9 @@ proptest! {
             };
             let (mut plain, mut nulled, mut recorded) = (make(), make(), make());
             let mut recorder = Recorder::new();
-            plain.run(budget(n));
-            nulled.run_probed(budget(n), &mut NullProbe);
-            recorded.run_probed(budget(n), &mut recorder);
+            plain.run_faulted_probed(budget(n), &mut NoFaults, &mut NullProbe);
+            nulled.run_faulted_probed(budget(n), &mut NoFaults, &mut NullProbe);
+            recorded.run_faulted_probed(budget(n), &mut NoFaults, &mut recorder);
             prop_assert_eq!(nulled.states(), plain.states(), "shards={}", shards);
             prop_assert_eq!(recorded.states(), plain.states(), "shards={}", shards);
             prop_assert_eq!(recorded.interactions(), plain.interactions());
@@ -125,7 +125,7 @@ fn recorded_runs_are_not_vacuous_over_multi_block_budgets() {
         ShardedSimulator::new(p, init, seed, 4)
     };
     let mut recorder = Recorder::new();
-    sharded.run_probed(budget, &mut recorder);
+    sharded.run_faulted_probed(budget, &mut NoFaults, &mut recorder);
     assert!(recorder.recorded() > 0, "sharded run traced no events");
     // The sharded API runs one lane: every event lands in shard 0's ring.
     assert_eq!(recorder.lane_count(), 1, "expected a one-lane trace");
@@ -153,7 +153,7 @@ fn enum_faulted_runs_are_probe_inert_for_every_injector() {
             let mut plain_plan = faulted_plan(kind, n, seed);
             let mut rec_plan = faulted_plan(kind, n, seed);
             let mut recorder = Recorder::new();
-            plain.run_faulted(budget(n), &mut plain_plan);
+            plain.run_faulted_probed(budget(n), &mut plain_plan, &mut NullProbe);
             recorded.run_faulted_probed(budget(n), &mut rec_plan, &mut recorder);
             assert_eq!(
                 recorded.states(),
@@ -182,7 +182,7 @@ fn kernel_faulted_runs_are_probe_inert_for_every_injector() {
             let (mut plain, mut plain_plan) = make(seed);
             let (mut recorded, mut rec_plan) = make(seed);
             let mut recorder = Recorder::new();
-            plain.run_faulted(budget(n), &mut plain_plan);
+            plain.run_faulted_probed(budget(n), &mut plain_plan, &mut NullProbe);
             recorded.run_faulted_probed(budget(n), &mut rec_plan, &mut recorder);
             assert_eq!(
                 recorded.states(),
@@ -247,7 +247,7 @@ fn sharded_faulted_runs_are_probe_inert() {
             let (mut plain, mut plain_plan) = make();
             let (mut recorded, mut rec_plan) = make();
             let mut recorder = Recorder::new();
-            plain.run_faulted(budget(n), &mut plain_plan);
+            plain.run_faulted_probed(budget(n), &mut plain_plan, &mut NullProbe);
             recorded.run_faulted_probed(budget(n), &mut rec_plan, &mut recorder);
             assert_eq!(
                 recorded.states(),
