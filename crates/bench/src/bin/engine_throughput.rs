@@ -50,7 +50,9 @@
 //! `run_probed::<NullProbe>` against the unprobed `run_batched` in
 //! interleaved pairs (in these rows the "scalar" column is the paired
 //! unprobed throughput), and `stable_ranking_kernel_recorded` times a
-//! full `telemetry::Recorder` riding the same blocks. The JSON artifact
+//! `telemetry::Recorder` riding the same blocks, handed at each block
+//! boundary the agents the marked kernel pass flagged (see
+//! `population::Probe::block`). The JSON artifact
 //! additionally records each size's best paired null-probe and
 //! recorded/unprobed ratios (`probe_overhead`), and every artifact now
 //! embeds a run-provenance `manifest` block (arguments, git revision,
@@ -224,6 +226,8 @@ fn ranked_init(n: usize) -> Vec<StableState> {
 /// fast-forwards it and every interaction reaches the transition.
 /// Blocks keep the inner protocol's feed: the kernel pulls pairs as
 /// the schedule draws them, while the enum rows read a sampled block.
+/// Probed blocks keep its marks, so the recorded row's recorder diffs
+/// only the agents whose class changed.
 struct Executes<P>(P);
 
 impl<P: Protocol> Protocol for Executes<P> {
@@ -248,6 +252,16 @@ impl<P: Protocol> Protocol for Executes<P> {
         max: usize,
     ) -> (usize, u64) {
         self.0.transition_from(states, source, max)
+    }
+
+    fn transition_marked<S: PairSource>(
+        &self,
+        states: &mut [P::State],
+        source: &mut S,
+        max: usize,
+        marks: &mut [u64],
+    ) -> (usize, u64) {
+        self.0.transition_marked(states, source, max, marks)
     }
 }
 

@@ -7,10 +7,10 @@
 //! ```text
 //!  transition_packed ── one pair ─────────────────────┐ (Simulator::step,
 //!                                                     │  sharded boundary
-//!  transition_block ─┐   in-order pass (≤ 4096 pairs) │  pairs)
-//!                    ├─► load u, v; ranked_null(u, v) │
-//!  transition_from ──┘   → count as main/main, next   │
-//!                        pair (no borrow, no store);  │
+//!  transition_block ──┐  in-order pass (≤ 4096 pairs) │  pairs)
+//!  transition_from ───┼► load u, v; ranked_null(u, v) │
+//!  transition_marked ─┘  → count as main/main, next   │
+//!   (MARK = true)        pair (no borrow, no store);  │
 //!                        else ────────────────────────┤
 //!                                                     ▼
 //!                                  step(t, half, u, v, tally)
@@ -29,6 +29,10 @@
 //!        │                   else ranking_plus
 //!        ▼  shared tail: branchless coin toggle + changed compare
 //!  words (flat SoA Vec<PackedState>)
+//!        │
+//!        ▼  MARK = true (transition_marked) only: one combined test of
+//!           (old ^ new) & class_mask(old) over both agents, rarely taken
+//!  marks (n-bit set; a hit sets the bit of each agent whose class changed)
 //! ```
 //!
 //! The block pass and the step add reset events and dispatch classes to
@@ -75,6 +79,14 @@
 //! while the reset and Ranking⁺ lanes still ran the same helper bodies.
 //! The in-order form pays none of that segmentation tax.)
 //!
+//! The marked pass (`transition_marked`, the probed block loop's entry)
+//! is the same pass with `MARK = true`: after each stepped pair it tests
+//! both agents for a class change in one combined, rarely taken branch
+//! and sets the bits of the agents that changed, so a flight recorder
+//! diffs only those agents at the next block boundary. Null exits change
+//! nothing and mark nothing. With `MARK = false` the test compiles away,
+//! so the unprobed entries pay nothing for it.
+//!
 //! Equivalence with the structured enum path
 //! ([`Protocol::transition`](population::Protocol::transition), the
 //! readable reference) is property-tested in
@@ -84,7 +96,9 @@
 use population::schedule::Pair;
 use population::{is_valid_ranking, pair_mut, PackedProtocol, PairSource};
 
-use crate::stable::packed::{PackedState, A_SHIFT, COIN_BIT, TAG_ELECT, TAG_MASK, TAG_RESET};
+use crate::stable::packed::{
+    class_mask, PackedState, A_SHIFT, COIN_BIT, TAG_ELECT, TAG_MASK, TAG_RESET,
+};
 use crate::stable::ranking_plus::ranking_plus_step_packed;
 use crate::stable::reset;
 use crate::stable::tables::StepTables;
@@ -235,8 +249,17 @@ impl StableRanking {
     /// before anything is borrowed, so a null pair costs no `pair_mut`,
     /// no class test and no store; only the other pairs take `step`.
     /// Null exits count as main/main, as `step` counts them.
+    ///
+    /// With `MARK`, every stepped agent whose class key changed gets its
+    /// bit set in `marks` (see [`class_mask`]); without it `marks` is
+    /// never touched.
     #[inline(always)]
-    fn kernel(&self, words: &mut [PackedState], pairs: impl Iterator<Item = Pair>) -> u64 {
+    fn kernel<const MARK: bool>(
+        &self,
+        words: &mut [PackedState],
+        pairs: impl Iterator<Item = Pair>,
+        marks: &mut [u64],
+    ) -> u64 {
         let (t, half) = (&self.tables, self.half());
         let mut tally = Tally::default();
         let (mut changed, mut nulls) = (0u64, 0u64);
@@ -247,7 +270,16 @@ impl StableRanking {
                 continue;
             }
             let (u, v) = pair_mut(words, i, j);
+            let (pu, pv) = (u.0, v.0);
             changed += u64::from(step(t, half, u, v, &mut tally));
+            if MARK {
+                let du = (pu ^ u.0) & class_mask(pu);
+                let dv = (pv ^ v.0) & class_mask(pv);
+                if du | dv != 0 {
+                    marks[i / 64] |= u64::from(du != 0) << (i % 64);
+                    marks[j / 64] |= u64::from(dv != 0) << (j % 64);
+                }
+            }
         }
         tally.mix[3] += nulls;
         // Flush the locally accumulated instrumentation: one relaxed
@@ -289,7 +321,7 @@ impl PackedProtocol for StableRanking {
     }
 
     fn transition_block(&self, words: &mut [PackedState], pairs: &[Pair]) -> u64 {
-        self.kernel(words, pairs.iter().copied())
+        self.kernel::<false>(words, pairs.iter().copied(), &mut [])
     }
 
     /// Inlined into every caller, so each engine loop holds the kernel
@@ -305,7 +337,21 @@ impl PackedProtocol for StableRanking {
     ) -> (usize, u64) {
         let pairs = source.pairs(max);
         let executed = pairs.len();
-        (executed, self.kernel(words, pairs))
+        (executed, self.kernel::<false>(words, pairs, &mut []))
+    }
+
+    /// The drawn feed through the marked pass: the agents whose class
+    /// changed get their bits set in `marks`.
+    fn transition_marked<S: PairSource>(
+        &self,
+        words: &mut [PackedState],
+        source: &mut S,
+        max: usize,
+        marks: &mut [u64],
+    ) -> (usize, u64) {
+        let pairs = source.pairs(max);
+        let executed = pairs.len();
+        (executed, self.kernel::<true>(words, pairs, marks))
     }
 
     /// A valid ranking is silent: every agent is ranked and the ranks

@@ -355,20 +355,28 @@ impl TraceState for PackedState {
         }
     }
 
-    /// The class key is the word with everything but the class masked
-    /// off — the key layout mirrors this one, so no branch and no
-    /// compare: a ranked word (tag 0) keeps all of its bits, a phase
-    /// word keeps its tag and lane B, every other word keeps its tag.
+    /// The class key is the word under its [`class_mask`]: the key
+    /// layout mirrors this one, so no branch and no compare.
     #[inline]
     fn class_key(&self) -> u64 {
-        let w = self.0;
-        let tag = w & TAG_MASK;
-        // All ones for TAG_RANKED; otherwise `tag - 1`, inside TAG_MASK.
-        let ranked = tag.wrapping_sub(1);
-        // Lane B for TAG_PHASE (the highest one-hot tag bit), else 0.
-        let phase = (tag >> 3).wrapping_neg() & (LANE_MASK << B_SHIFT);
-        w & (TAG_MASK | ranked | phase)
+        self.0 & class_mask(self.0)
     }
+}
+
+/// The bits of packed word `w` that carry its [`AgentClass`]: a ranked
+/// word (tag 0) keeps all of its bits, a phase word keeps its tag and
+/// lane B, every other word keeps its tag. The mask depends on the tag
+/// alone and always covers it, so a step from `old` to `new` changes
+/// the class key exactly when `(old ^ new) & class_mask(old) != 0` —
+/// the test the block kernel's marked pass makes per agent.
+#[inline(always)]
+pub fn class_mask(w: u64) -> u64 {
+    let tag = w & TAG_MASK;
+    // All ones for TAG_RANKED; otherwise `tag - 1`, inside TAG_MASK.
+    let ranked = tag.wrapping_sub(1);
+    // Lane B for TAG_PHASE (the highest one-hot tag bit), else 0.
+    let phase = (tag >> 3).wrapping_neg() & (LANE_MASK << B_SHIFT);
+    TAG_MASK | ranked | phase
 }
 
 #[cfg(test)]

@@ -49,6 +49,7 @@
 
 use std::collections::VecDeque;
 
+use population::schedule::BLOCK_PAIRS;
 use population::silence::Certificate;
 use population::{
     advance_blocks, drive, Capture, CursorSource, Engine, FaultHook, Frame, Membership, NoFaults,
@@ -786,6 +787,7 @@ impl<P: DynRanking> Engine for DynamicPopulation<P> {
             &mut self.silence,
             &mut self.interactions,
             count,
+            BLOCK_PAIRS as u64,
             probe,
         );
     }

@@ -50,10 +50,13 @@
 //!   [`Simulator::run_observed`]; [`Simulator::run_until`] is sugar for
 //!   the most common case.
 //!   Orthogonal to observers, the [`Probe`] seam lets a flight recorder
-//!   watch runs at block, exchange, checkpoint, and fault boundaries
+//!   watch runs at block, checkpoint, fault and membership boundaries
 //!   — read-only by construction, and compiled out entirely for
 //!   [`NullProbe`] (the `telemetry` crate's `Recorder` is the canonical
-//!   recording probe).
+//!   recording probe). At a block boundary the probe sees only the
+//!   agents the block kernel marked as changed
+//!   ([`Protocol::transition_marked`]), after the whole configuration at
+//!   the first boundary of each run segment.
 //!
 //! * **State representation** — protocols whose state space fits in a
 //!   machine word implement [`PackedProtocol`]: a lossless codec, a
@@ -86,7 +89,7 @@
 //!   reports it settled, jumped on a copy), so states, cursors,
 //!   snapshots and counters stay bit-for-bit those of the executing run
 //!   (`tests/fast_forward.rs`). It applies only without
-//!   an active [`Probe`], which must see every block, and only to
+//!   an active [`Probe`], which must see every block boundary, and only to
 //!   protocols with a certificate (`StableRanking` certifies a valid
 //!   ranking); the engine retries a failed certificate after
 //!   [`silence::RETRY_PER_AGENT`]`·n` interactions and drops it when a

@@ -1,6 +1,9 @@
 //! The instrumentation seam: a read-only [`Probe`] the run driver
 //! ([`drive`](fn@crate::drive)) and the engines' block loops invoke at
-//! block, exchange, checkpoint, and fault boundaries.
+//! block, checkpoint, fault and membership boundaries. At block
+//! boundaries a probe sees only the agents whose traced class may have
+//! changed (see [`Probe::block`]), so a recorder's cost follows the
+//! protocol's activity, not the population size.
 //!
 //! # Zero cost when disabled
 //!
@@ -58,16 +61,34 @@ pub trait Probe<P: Protocol> {
     /// so the check monomorphizes away.
     const ACTIVE: bool = true;
 
-    /// A schedule block finished executing. `t` is the engine's
-    /// interaction count *after* the block, `changed` the number of
-    /// state-changing interactions the block reported (0 where the
-    /// execution path does not track it), `shard` the shard index (0 on
-    /// every engine of this build), `start` the global index of
-    /// `lane[0]` (0 likewise), and `lane` the shard's slice of the
-    /// configuration after the block, the whole configuration on every
-    /// engine of this build. Event granularity is therefore the block:
-    /// probes see configurations at block boundaries, mirroring the
-    /// observer pipeline's `check_every` overshoot convention.
+    /// A block boundary: the engine's block loop
+    /// ([`advance_blocks`](crate::advance_blocks)) stopped at
+    /// interaction count `t`, after every block on [`Simulator`](crate::Simulator) and
+    /// the dynamic engine, after every `shards` blocks on the sharded
+    /// API, and at the end of every run segment. A boundary makes one or
+    /// more calls, all with the same `t`:
+    ///
+    /// * the **first boundary of every run segment** (every call of the
+    ///   block loop, so after any fault, lifecycle event, restore, or a
+    ///   fresh probe) makes one call with `start = 0` and the whole
+    ///   configuration as `lane`;
+    /// * every **later boundary** makes one call per run of adjacent
+    ///   agents the protocol marked since the previous boundary
+    ///   ([`Protocol::transition_marked`]), in ascending index order,
+    ///   with `start` the index of `lane[0]` and `lane` the marked
+    ///   agents' states; with no agent marked it makes one call with an
+    ///   empty lane. A protocol that does not mark marks every agent, so
+    ///   its probe sees the whole configuration at every boundary.
+    ///
+    /// An agent outside every lane of a boundary kept its traced class
+    /// since the previous boundary, so a probe that diffs per-agent
+    /// classes sees every change by diffing only the lanes. `changed`
+    /// is the number of state-changing interactions since the previous
+    /// boundary (0 where the execution path does not track it), carried
+    /// by the boundary's first call; the later calls carry 0. `shard`
+    /// is 0 on every engine of this build. Event granularity is the
+    /// boundary, mirroring the observer pipeline's `check_every`
+    /// overshoot convention.
     fn block(
         &mut self,
         protocol: &P,

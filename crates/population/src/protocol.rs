@@ -94,6 +94,28 @@ pub trait Protocol {
         (block.len(), self.transition_block(states, block))
     }
 
+    /// [`transition_from`](Protocol::transition_from) that also sets, in
+    /// the bitset `marks` (agent `i` is bit `i % 64` of `marks[i / 64]`),
+    /// the bit of every agent whose traced class may have changed. It
+    /// never clears a bit. This is the probed block loop's entry
+    /// ([`advance_blocks`](crate::advance_blocks)): an active
+    /// [`Probe`](crate::Probe) then sees only the marked agents. Marking
+    /// an agent whose class did not change is always safe; missing one
+    /// that did hides its change from the probe.
+    ///
+    /// The default marks every agent and runs `transition_from`, so the
+    /// probe sees the whole configuration at every boundary.
+    fn transition_marked<S: PairSource>(
+        &self,
+        states: &mut [Self::State],
+        source: &mut S,
+        max: usize,
+        marks: &mut [u64],
+    ) -> (usize, u64) {
+        marks.fill(!0);
+        self.transition_from(states, source, max)
+    }
+
     /// A certificate that `states` is silent: `true` must imply that
     /// every ordered pair of agents is a null interaction, so an engine
     /// may skip interactions without executing them (advancing its pair
@@ -199,6 +221,20 @@ pub trait PackedProtocol: Protocol {
         )
     }
 
+    /// [`Protocol::transition_marked`] over the packed words; [`Packed`]
+    /// forwards it. The default marks every agent and runs
+    /// [`transition_from`](PackedProtocol::transition_from).
+    fn transition_marked<S: PairSource>(
+        &self,
+        words: &mut [Self::Packed],
+        source: &mut S,
+        max: usize,
+        marks: &mut [u64],
+    ) -> (usize, u64) {
+        marks.fill(!0);
+        PackedProtocol::transition_from(self, words, source, max)
+    }
+
     /// [`Protocol::silent`] over the packed words; [`Packed`] forwards it.
     fn silent(&self, words: &[Self::Packed]) -> bool {
         let _ = words;
@@ -271,6 +307,16 @@ impl<P: PackedProtocol> Protocol for Packed<P> {
         max: usize,
     ) -> (usize, u64) {
         PackedProtocol::transition_from(&self.0, states, source, max)
+    }
+
+    fn transition_marked<S: PairSource>(
+        &self,
+        states: &mut [Self::State],
+        source: &mut S,
+        max: usize,
+        marks: &mut [u64],
+    ) -> (usize, u64) {
+        PackedProtocol::transition_marked(&self.0, states, source, max, marks)
     }
 
     fn silent(&self, states: &[Self::State]) -> bool {

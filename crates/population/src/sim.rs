@@ -374,6 +374,26 @@ impl<P: Protocol, S: PairSource> Simulator<P, S> {
     pub fn source(&self) -> &S {
         &self.schedule
     }
+
+    /// Advance exactly `count` interactions through the block loop
+    /// ([`advance_blocks`]), handing an active probe a boundary after
+    /// every `cadence` executed pairs and at the end. The run driver's
+    /// [`Engine::advance`] is this with a cadence of one block
+    /// ([`BLOCK_PAIRS`]); a coarser cadence shows the probe the same
+    /// changes in fewer, larger batches. The trajectory never depends on
+    /// it.
+    pub fn advance_every<B: Probe<P>>(&mut self, count: u64, cadence: u64, probe: &mut B) {
+        advance_blocks(
+            &self.protocol,
+            &mut self.states,
+            &mut self.schedule,
+            &mut self.silence,
+            &mut self.interactions,
+            count,
+            cadence,
+            probe,
+        );
+    }
 }
 
 impl<P: Protocol, S: CursorSource> Simulator<P, S> {
@@ -439,8 +459,16 @@ impl<P: WordState, S: CursorSource> Simulator<P, S> {
 /// `count`: the pair source jumps past it and the protocol credits the
 /// null pairs. Until then the blocks run through
 /// [`Protocol::transition_from`] in stretches that end where the
-/// certificate is due for another try. An active probe sees every
-/// block. The caller clears `silence` whenever it edits `states`.
+/// certificate is due for another try. The caller clears `silence`
+/// whenever it edits `states`.
+///
+/// An active probe is handed a boundary after every `cadence` executed
+/// pairs and at the end of `count`; the blocks then run through
+/// [`Protocol::transition_marked`], and each boundary hands the probe
+/// the agents marked since the last one (see [`Probe::block`]). The
+/// first boundary of every call hands it the whole configuration, since
+/// whatever edited `states` between calls marked nothing.
+#[allow(clippy::too_many_arguments)]
 pub fn advance_blocks<P: Protocol, S: PairSource, B: Probe<P>>(
     protocol: &P,
     states: &mut [P::State],
@@ -448,32 +476,88 @@ pub fn advance_blocks<P: Protocol, S: PairSource, B: Probe<P>>(
     silence: &mut Certificate,
     interactions: &mut u64,
     count: u64,
+    cadence: u64,
     probe: &mut B,
 ) {
     let end = *interactions + count;
+    if B::ACTIVE {
+        // Every agent starts marked, so the first boundary hands over
+        // the whole configuration.
+        let mut marks = vec![!0u64; states.len().div_ceil(64)];
+        let (mut since, mut changed) = (0u64, 0u64);
+        while *interactions < end {
+            let want = (end - *interactions).min(BLOCK_PAIRS as u64) as usize;
+            let (pairs, block_changed) =
+                protocol.transition_marked(states, source, want, &mut marks);
+            *interactions += pairs as u64;
+            since += pairs as u64;
+            changed += block_changed;
+            if since >= cadence || *interactions == end {
+                hand_marked(protocol, states, &mut marks, *interactions, changed, probe);
+                (since, changed) = (0, 0);
+            }
+        }
+        return;
+    }
     while *interactions < end {
         let now = *interactions;
-        let mut remaining = end - now;
-        if !B::ACTIVE {
-            if silence.check(now, states.len(), || protocol.silent(states)) {
-                source.skip(remaining);
-                protocol.count_null(remaining);
-                *interactions = end;
-                return;
-            }
-            remaining = remaining.min(silence.retry_in(now, BLOCK_PAIRS as u64));
+        if silence.check(now, states.len(), || protocol.silent(states)) {
+            let remaining = end - now;
+            source.skip(remaining);
+            protocol.count_null(remaining);
+            *interactions = end;
+            return;
         }
+        let mut remaining = (end - now).min(silence.retry_in(now, BLOCK_PAIRS as u64));
         while remaining > 0 {
             let want = remaining.min(BLOCK_PAIRS as u64) as usize;
-            let (pairs, changed) = protocol.transition_from(states, source, want);
-            let executed = pairs as u64;
-            *interactions += executed;
-            remaining -= executed;
-            if B::ACTIVE {
-                probe.block(protocol, *interactions, changed, 0, 0, states);
-            }
+            let (pairs, _) = protocol.transition_from(states, source, want);
+            *interactions += pairs as u64;
+            remaining -= pairs as u64;
         }
     }
+}
+
+/// One probe boundary over the marked agents: one [`Probe::block`] per
+/// run of adjacent marked agents, in ascending index order, the first
+/// carrying `changed` and the rest 0; one call with an empty lane if
+/// nothing is marked. Clears `marks`.
+fn hand_marked<P: Protocol, B: Probe<P>>(
+    protocol: &P,
+    states: &[P::State],
+    marks: &mut [u64],
+    t: u64,
+    mut changed: u64,
+    probe: &mut B,
+) {
+    let mut emit = |start: usize, end: usize| {
+        let carried = std::mem::take(&mut changed);
+        probe.block(protocol, t, carried, 0, start, &states[start..end]);
+    };
+    // The run being extended: runs that meet at a word edge are one.
+    let mut run: Option<(usize, usize)> = None;
+    for (w, slot) in marks.iter_mut().enumerate() {
+        let mut bits = std::mem::take(slot);
+        while bits != 0 {
+            let low = bits.trailing_zeros() as usize;
+            let ones = (!(bits >> low)).trailing_zeros() as usize;
+            // Clear the lowest run of ones.
+            bits &= bits.wrapping_add(bits & bits.wrapping_neg());
+            // A protocol that marks every agent also marks the bits past
+            // the last one.
+            let (start, end) = (w * 64 + low, (w * 64 + low + ones).min(states.len()));
+            run = match run {
+                Some((s, e)) if e == start => Some((s, end)),
+                Some((s, e)) => {
+                    emit(s, e);
+                    Some((start, end))
+                }
+                None => Some((start, end)),
+            };
+        }
+    }
+    let (s, e) = run.unwrap_or((0, 0));
+    emit(s, e);
 }
 
 impl<P: Protocol, S: PairSource> Engine for Simulator<P, S> {
@@ -488,15 +572,7 @@ impl<P: Protocol, S: PairSource> Engine for Simulator<P, S> {
     }
 
     fn advance<B: Probe<P>>(&mut self, count: u64, probe: &mut B) {
-        advance_blocks(
-            &self.protocol,
-            &mut self.states,
-            &mut self.schedule,
-            &mut self.silence,
-            &mut self.interactions,
-            count,
-            probe,
-        );
+        self.advance_every(count, BLOCK_PAIRS as u64, probe);
     }
 
     fn view<R>(&self, f: impl FnOnce(&[P::State]) -> R) -> R {
@@ -733,6 +809,114 @@ mod tests {
         // The t = 1000 fault fires after the last interaction, so the
         // final configuration is all-zero.
         assert!(sim.states().iter().all(|&s| s == (0, 0)));
+    }
+
+    /// `Count` marking a scripted set of agents per block: the sets of
+    /// consecutive blocks cycle through `sets`.
+    struct Marking {
+        sets: Vec<Vec<usize>>,
+        blocks: std::cell::Cell<usize>,
+    }
+
+    impl Protocol for Marking {
+        type State = (u64, u64);
+        fn n(&self) -> usize {
+            130
+        }
+        fn transition(&self, u: &mut Self::State, v: &mut Self::State) -> bool {
+            Count.transition(u, v)
+        }
+        fn transition_marked<S: PairSource>(
+            &self,
+            states: &mut [Self::State],
+            source: &mut S,
+            max: usize,
+            marks: &mut [u64],
+        ) -> (usize, u64) {
+            let k = self.blocks.replace(self.blocks.get() + 1);
+            for &i in &self.sets[k % self.sets.len()] {
+                marks[i / 64] |= 1 << (i % 64);
+            }
+            self.transition_from(states, source, max)
+        }
+    }
+
+    /// Logs every block call as `(t, changed, start, lane length)`.
+    #[derive(Default)]
+    struct Lanes(Vec<(u64, u64, usize, usize)>);
+
+    impl<P: Protocol> Probe<P> for Lanes {
+        fn block(
+            &mut self,
+            _: &P,
+            t: u64,
+            changed: u64,
+            _: usize,
+            start: usize,
+            lane: &[P::State],
+        ) {
+            self.0.push((t, changed, start, lane.len()));
+        }
+    }
+
+    #[test]
+    fn a_probe_sees_the_whole_configuration_first_then_the_marked_runs() {
+        let b = BLOCK_PAIRS as u64;
+        let protocol = Marking {
+            sets: vec![
+                vec![],
+                vec![],
+                vec![0, 2, 1],
+                vec![],
+                vec![3, 63, 64, 65, 127, 128, 129],
+            ],
+            blocks: Default::default(),
+        };
+        let mut sim = Simulator::new(protocol, vec![(0, 0); 130], 1);
+        let mut lanes = Lanes::default();
+        // Blocks 0–2, then blocks 3–4 in a second segment.
+        sim.run_probed(3 * b, &mut lanes);
+        sim.run_probed(b + 10, &mut lanes);
+        assert_eq!(
+            lanes.0,
+            [
+                // The first boundary of a segment: everyone.
+                (b, b, 0, 130),
+                // Block 1 marks nobody: one empty call.
+                (2 * b, b, 0, 0),
+                // Block 2 marks agents 0–2: one run.
+                (3 * b, b, 0, 3),
+                // A new segment starts with everyone again.
+                (4 * b, b, 0, 130),
+                // Block 4 (10 pairs): runs merge across word edges,
+                // and the boundary's count rides on its first call.
+                (4 * b + 10, 10, 3, 1),
+                (4 * b + 10, 0, 63, 3),
+                (4 * b + 10, 0, 127, 3),
+            ]
+        );
+    }
+
+    #[test]
+    fn a_coarser_cadence_hands_over_the_marks_of_several_blocks() {
+        let b = BLOCK_PAIRS as u64;
+        let protocol = Marking {
+            sets: vec![vec![5], vec![7], vec![100]],
+            blocks: Default::default(),
+        };
+        let mut sim = Simulator::new(protocol, vec![(0, 0); 130], 1);
+        let mut lanes = Lanes::default();
+        sim.advance_every(7 * b, 3 * b, &mut lanes);
+        assert_eq!(
+            lanes.0,
+            [
+                (3 * b, 3 * b, 0, 130),
+                (6 * b, 3 * b, 5, 1),
+                (6 * b, 0, 7, 1),
+                (6 * b, 0, 100, 1),
+                (7 * b, b, 5, 1),
+            ]
+        );
     }
 
     #[test]

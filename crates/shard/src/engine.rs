@@ -19,12 +19,14 @@ use population::{
 /// probes compose through the run driver exactly as on [`Simulator`],
 /// and saving is trajectory-inert.
 ///
-/// `shards` sets one thing: an active probe sees one
-/// [`Probe::block`] per `shards ×`[`BLOCK_PAIRS`] pairs (and one at the
-/// end of every run segment), with shard index 0, start 0 and the whole
-/// configuration as its lane, and `changed` summed over those pairs. A
-/// recorder that scans the configuration per block call therefore scans
-/// as often as it did on the lanes of the retired sharded trajectory.
+/// `shards` sets one thing: the cadence at which an active probe is
+/// handed a boundary, one per `shards ×`[`BLOCK_PAIRS`] pairs (and one
+/// at the end of every run segment) instead of one per block. At each
+/// boundary the probe sees what [`Probe::block`] promises: the whole
+/// configuration at the first boundary of a segment, then only the
+/// agents the protocol marked as changed since the last boundary
+/// (every agent, for a protocol that does not mark). `changed` sums
+/// over the pairs a boundary covers.
 ///
 /// `workers` defaults to the machine's parallelism capped at the shard
 /// count ([`population::runner::available_workers`], overridable with
@@ -107,36 +109,6 @@ impl<P: Protocol> ShardedSimulator<P> {
     }
 }
 
-/// Forwards one [`Probe::block`] per `every` executed pairs, and one at
-/// `end`, with the `changed` counts summed over the pairs it covers.
-struct Coarse<'a, B> {
-    inner: &'a mut B,
-    every: u64,
-    end: u64,
-    /// The interaction count of the last forwarded block.
-    last: u64,
-    changed: u64,
-}
-
-impl<P: Protocol, B: Probe<P>> Probe<P> for Coarse<'_, B> {
-    fn block(
-        &mut self,
-        protocol: &P,
-        t: u64,
-        changed: u64,
-        _shard: usize,
-        _start: usize,
-        states: &[P::State],
-    ) {
-        self.changed += changed;
-        if t - self.last >= self.every || t == self.end {
-            let changed = std::mem::take(&mut self.changed);
-            self.inner.block(protocol, t, changed, 0, 0, states);
-            self.last = t;
-        }
-    }
-}
-
 impl<P: Protocol> Engine for ShardedSimulator<P> {
     type Protocol = P;
 
@@ -148,22 +120,11 @@ impl<P: Protocol> Engine for ShardedSimulator<P> {
         self.sim.interactions()
     }
 
-    /// The sequential engine's advance. An active probe is handed one
-    /// block per `shards` schedule blocks; the unprobed path is
-    /// [`Simulator`]'s own.
+    /// The sequential engine's block loop with a probe cadence of
+    /// `shards` schedule blocks.
     fn advance<B: Probe<P>>(&mut self, count: u64, probe: &mut B) {
-        if !B::ACTIVE {
-            return self.sim.advance(count, probe);
-        }
-        let now = self.sim.interactions();
-        let mut coarse = Coarse {
-            inner: probe,
-            every: (self.shards * BLOCK_PAIRS) as u64,
-            end: now + count,
-            last: now,
-            changed: 0,
-        };
-        self.sim.advance(count, &mut coarse);
+        self.sim
+            .advance_every(count, (self.shards * BLOCK_PAIRS) as u64, probe);
     }
 
     fn view<R>(&self, f: impl FnOnce(&[P::State]) -> R) -> R {

@@ -7,7 +7,7 @@
 //! fast-forward. It implements [`Engine`](population::Engine) and
 //! [`Capture`](population::Capture), so [`drive`](population::drive())
 //! runs it under any hook set. The shard count only sets how often an
-//! active [`Probe`](population::Probe) sees a block; see
+//! active [`Probe`](population::Probe) gets a block boundary; see
 //! [`ShardedSimulator`].
 //!
 //! The lane-partitioned engine that followed a trajectory of its own

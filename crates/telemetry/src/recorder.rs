@@ -20,9 +20,9 @@ pub const DEFAULT_RING_CAPACITY: usize = 1 << 15;
 /// # What it records
 ///
 /// At every block boundary the recorder compares the class key
-/// ([`TraceState::class_key`]) of every agent in the block's lane with
-/// the key it stored last time, decodes the classes of the agents whose
-/// key changed, and emits:
+/// ([`TraceState::class_key`]) of every agent in the lanes it is handed
+/// with the key it stored last time, decodes the classes of the agents
+/// whose key changed, and emits:
 ///
 /// * [`EventKind::Reset`] — an agent entered the reset protocol;
 /// * [`EventKind::Elected`] — electing → waiting (a lottery win);
@@ -35,6 +35,16 @@ pub const DEFAULT_RING_CAPACITY: usize = 1 << 15;
 /// exchange rounds and observer checkpoints are recorded as
 /// population-wide events too. The first configuration seen is the
 /// baseline — initial states produce no events.
+///
+/// The lanes are what [`Probe::block`] promises: the whole configuration
+/// at the first boundary of every run segment, then only the agents the
+/// protocol marked as changed, in ascending index order. The block
+/// kernel of `Packed<StableRanking>` marks exactly the agents whose
+/// class key changed, so a boundary costs the recorder O(class changes)
+/// rather than O(n); a protocol that does not mark hands it the whole
+/// configuration every time. Either way the events, counters and
+/// histograms are those of a full scan at every boundary
+/// (`tests/telemetry_inert.rs`).
 ///
 /// # Storage discipline
 ///
