@@ -24,7 +24,7 @@ fn main() {
         let init = protocol.initial();
         let mut sim = Simulator::new(protocol, init, 7);
         bench("stable_ranking_1m_interactions_n1024", BURST, 1, 10, || {
-            sim.run(BURST);
+            sim.run_batched(BURST);
             black_box(sim.interactions());
         });
     }
@@ -33,7 +33,7 @@ fn main() {
         let init = protocol.all_equal();
         let mut sim = Simulator::new(protocol, init, 7);
         bench("cai_1m_interactions_n1024", BURST, 1, 10, || {
-            sim.run(BURST);
+            sim.run_batched(BURST);
             black_box(sim.interactions());
         });
     }
@@ -42,7 +42,7 @@ fn main() {
         let init = protocol.initial(N);
         let mut sim = Simulator::new(protocol, init, 7);
         bench("epidemic_1m_interactions_n1024", BURST, 1, 10, || {
-            sim.run(BURST);
+            sim.run_batched(BURST);
             black_box(sim.interactions());
         });
     }

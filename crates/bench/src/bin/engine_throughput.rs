@@ -47,9 +47,9 @@
 //!
 //! Two extra kernel rows measure the telemetry **probe seam**
 //! (`population::Probe`): `stable_ranking_kernel_null_probe` times
-//! `run_probed::<NullProbe>` against the unprobed `run_batched` in
-//! interleaved pairs (in these rows the "scalar" column is the paired
-//! unprobed throughput), and `stable_ranking_kernel_recorded` times a
+//! `population::drive` with `NullProbe` in its probe slot against
+//! `run_batched` in interleaved pairs (in these rows the "scalar"
+//! column is the paired unprobed throughput), and `stable_ranking_kernel_recorded` times a
 //! `telemetry::Recorder` riding the same blocks, handed at each block
 //! boundary the agents the marked kernel pass flagged (see
 //! `population::Probe::block`). The JSON artifact
@@ -84,7 +84,10 @@ use bench::timing::time_runs;
 use bench::{f3, Experiment, Json, Table};
 use population::primitives::epidemic::Epidemic;
 use population::schedule::Pair;
-use population::{CursorSource, NullProbe, Packed, PairSource, Protocol, Simulator};
+use population::{
+    drive, CursorSource, NoFaults, NoPoll, NoSaves, NullProbe, Packed, PairSource, Protocol,
+    Simulator,
+};
 use ranking::stable::state::StableState;
 use ranking::stable::StableRanking;
 use ranking::Params;
@@ -326,12 +329,13 @@ fn measure_fastforward(n: usize, interactions: u64, samples: usize) -> FastForwa
 /// The bench host shares its cores with other tenants and its clock is
 /// unstable: two independently timed medians of *identical* machine
 /// code routinely differ by ~10%, so an independent-median ratio cannot
-/// resolve a 5% seam regression. Instead every sample times the unprobed
-/// `run_batched` and the `NullProbe` `run_probed` back-to-back (same
-/// frequency window) and the smoke gate uses the **best** paired ratio
-/// across samples: if `run_probed::<NullProbe>` truly monomorphizes to
-/// the pre-seam code, at least one quiet window shows a ratio near 1.0,
-/// while a real codegen regression caps every window's ratio below it.
+/// resolve a 5% seam regression. Instead every sample times
+/// `run_batched` and a `drive` call with `NullProbe` in the probe slot
+/// back-to-back (same frequency window) and the smoke gate uses the
+/// **best** paired ratio across samples: if the `NullProbe` slot truly
+/// monomorphizes to the unprobed code, at least one quiet window shows a
+/// ratio near 1.0, while a real codegen regression caps every window's
+/// ratio below it.
 /// A `Recorder`-mode sample rides the same loop for the recorded-mode
 /// row; its best paired ratio gates the recorder's per-block cost the
 /// same way (active tracing may cost, but only so much).
@@ -359,25 +363,39 @@ fn measure_probe_rows(n: usize, interactions: u64, samples: usize) -> ProbeRows 
     // A small ring keeps the recorded row's memory bounded; overwritten
     // events are still counted, which is all this row needs.
     let mut recorder = telemetry::Recorder::with_capacity(1 << 12);
-    // One untimed warmup per path.
-    plain_sim.run_batched(interactions);
-    null_sim.run_probed(interactions, &mut NullProbe);
-    rec_sim.run_probed(interactions, &mut recorder);
     let mut plain_t = Vec::with_capacity(samples);
     let mut null_t = Vec::with_capacity(samples);
     let mut rec_t = Vec::with_capacity(samples);
     let mut best_null_ratio = 0.0f64;
     let mut best_recorded_ratio = 0.0f64;
-    for _ in 0..samples {
+    // Sample 0 is each path's untimed warmup.
+    for sample in 0..=samples {
         let t0 = Instant::now();
         plain_sim.run_batched(interactions);
         let tp = t0.elapsed().as_secs_f64();
         let t0 = Instant::now();
-        null_sim.run_probed(interactions, &mut NullProbe);
+        drive(
+            &mut null_sim,
+            interactions,
+            &mut NoFaults,
+            &mut NoSaves,
+            &mut NoPoll,
+            &mut NullProbe,
+        );
         let tn = t0.elapsed().as_secs_f64();
         let t0 = Instant::now();
-        rec_sim.run_probed(interactions, &mut recorder);
+        drive(
+            &mut rec_sim,
+            interactions,
+            &mut NoFaults,
+            &mut NoSaves,
+            &mut NoPoll,
+            &mut recorder,
+        );
         let tr = t0.elapsed().as_secs_f64();
+        if sample == 0 {
+            continue;
+        }
         best_null_ratio = best_null_ratio.max(tp / tn);
         best_recorded_ratio = best_recorded_ratio.max(tp / tr);
         plain_t.push(tp);

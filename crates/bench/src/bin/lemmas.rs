@@ -281,7 +281,7 @@ fn lemma_28_coins(exp: &Experiment, rows: &mut Rows) {
                 let protocol = CoinPopulation::new(n);
                 let init = protocol.all_tails();
                 let mut sim = Simulator::new(protocol, init, seed);
-                sim.run(warmup);
+                sim.run_batched(warmup);
                 let heads = CoinPopulation::heads_count(sim.states()) as f64;
                 (heads - n as f64 / 2.0).abs()
             });

@@ -52,9 +52,9 @@ use std::collections::VecDeque;
 use population::schedule::BLOCK_PAIRS;
 use population::silence::Certificate;
 use population::{
-    advance_blocks, drive, Capture, CursorSource, Engine, FaultHook, Frame, Membership, NoFaults,
-    NoPoll, NoSaves, NullProbe, PackedProtocol, Probe, Protocol, RankOutput, Schedule,
-    ScheduleCursor, WordState,
+    advance_blocks, drive, Capture, CursorSource, Engine, Frame, Membership, NoFaults, NoPoll,
+    NoSaves, NullProbe, PackedProtocol, Probe, Protocol, RankOutput, Schedule, ScheduleCursor,
+    WordState,
 };
 use ranking::stable::{PackedState, StableRanking, StableState};
 use ranking::{EpochParams, Params};
@@ -302,28 +302,20 @@ impl<P: DynRanking> DynamicPopulation<P> {
     // ------------------------------------------------------------------
 
     /// Execute `count` interactions (plus any lifecycle events falling
-    /// due along the way).
+    /// due along the way). Faults and probes ride on
+    /// [`drive`](fn@drive): the run splits exactly at fault fire points
+    /// and lifecycle event times, and at a shared count faults fire
+    /// first (matching the fixed-n engine's fault/checkpoint ordering),
+    /// then membership changes apply.
     pub fn run(&mut self, count: u64) {
-        self.run_probed(count, &mut NullProbe);
-    }
-
-    /// [`run`](Self::run) with a [`Probe`] invoked at block boundaries
-    /// and on every membership change.
-    pub fn run_probed<B: Probe<P>>(&mut self, count: u64, probe: &mut B) {
-        self.run_faulted_probed(count, &mut NoFaults, probe);
-    }
-
-    /// Run under a fault hook *and* a probe. The run splits exactly at
-    /// fault fire points and lifecycle event times; at a shared count
-    /// faults fire first (matching the fixed-n engine's fault/checkpoint
-    /// ordering), then membership changes apply.
-    pub fn run_faulted_probed<H: FaultHook<P>, B: Probe<P>>(
-        &mut self,
-        count: u64,
-        hook: &mut H,
-        probe: &mut B,
-    ) {
-        drive(self, count, hook, &mut NoSaves, &mut NoPoll, probe);
+        drive(
+            self,
+            count,
+            &mut NoFaults,
+            &mut NoSaves,
+            &mut NoPoll,
+            &mut NullProbe,
+        );
     }
 
     /// An active agent's lifetime ended: hibernate or leave for good.
@@ -696,6 +688,13 @@ impl<P: DynRanking> DynamicPopulation<P> {
         }
         if cursor.rng == [0; 4] {
             return Err(malformed("all-zero schedule RNG state"));
+        }
+        if cursor
+            .pending
+            .iter()
+            .any(|&(i, j)| i == j || i.max(j) as usize >= live)
+        {
+            return Err(malformed("pending pair outside the lane or a self-pair"));
         }
         let mut in_lane = vec![false; roster.len()];
         for (slot, &id) in ids.iter().enumerate() {
@@ -1143,6 +1142,33 @@ mod tests {
         snap.dynpop = good;
         snap.frame.words.pop();
         assert!(DynamicPopulation::<StableRanking>::restore(&snap).is_err());
+    }
+
+    #[test]
+    fn restore_rejects_a_pending_pair_outside_the_lane_or_a_self_pair() {
+        let engine = DynamicPopulation::<StableRanking>::new(
+            Params::new(16),
+            ChurnConfig::poisson(100.0, 10_000.0),
+            3,
+        );
+        for pair in [(3, 16), (2, 2)] {
+            let mut snap = saved(&engine);
+            snap.frame.cursors[0].pending = vec![pair];
+            assert!(
+                matches!(
+                    DynamicPopulation::<StableRanking>::restore(&snap),
+                    Err(SnapshotError::Malformed(_))
+                ),
+                "pending pair {pair:?}"
+            );
+            assert!(
+                matches!(
+                    SimSnapshot::decode(&snap.encode()),
+                    Err(SnapshotError::Malformed(_))
+                ),
+                "pending pair {pair:?}"
+            );
+        }
     }
 
     /// A checkpointer that keeps frames only.

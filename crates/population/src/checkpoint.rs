@@ -188,8 +188,9 @@ pub trait Checkpointer {
     }
 }
 
-/// The inactive checkpointer: `run_checkpointed` with this type *is*
-/// `run_batched` — its save calls compile away.
+/// The inactive checkpointer: in the saves slot of
+/// [`drive`](fn@crate::drive) it *is* [`NoSaves`](crate::NoSaves) — its
+/// save calls compile away.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NullCheckpointer;
 

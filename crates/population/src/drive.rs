@@ -1,4 +1,5 @@
-//! The run driver: the one loop behind every engine's `run*` methods.
+//! The run driver: the one loop every engine runs through, and the entry
+//! point for every run with hooks.
 //!
 //! [`drive`] splits a run at the next interaction count where a hook or
 //! the engine itself has something due; each engine implements the work

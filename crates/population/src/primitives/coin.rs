@@ -81,7 +81,7 @@ mod tests {
         let trials = 20;
         for seed in 0..trials {
             let mut sim = Simulator::new(protocol.clone(), protocol.all_tails(), seed);
-            sim.run(4 * n as u64);
+            sim.run_batched(4 * n as u64);
             let heads = CoinPopulation::heads_count(sim.states());
             let log2n = (n as f64).log2();
             let slack = (n as f64) / (4.0 * log2n) * (n as f64 / 2.0) / (n as f64 / 2.0);

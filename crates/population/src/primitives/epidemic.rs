@@ -111,7 +111,7 @@ mod tests {
         let protocol = Epidemic::new(50);
         let init = protocol.initial(10);
         let mut sim = Simulator::new(protocol, init, 3);
-        sim.run(200_000);
+        sim.run_batched(200_000);
         let bystanders = sim
             .states()
             .iter()
@@ -136,7 +136,7 @@ mod tests {
         let mut sim = Simulator::new(protocol, init, 9);
         let mut last = 1;
         for _ in 0..200 {
-            sim.run(25);
+            sim.run_batched(25);
             let now = Epidemic::infected_count(sim.states());
             assert!(now >= last, "infection count decreased: {last} -> {now}");
             last = now;

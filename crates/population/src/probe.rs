@@ -137,8 +137,9 @@ pub trait Probe<P: Protocol> {
 /// The disabled probe: observes nothing, costs nothing.
 ///
 /// `ACTIVE = false` compiles every probe call away, so
-/// `run_probed(count, &mut NullProbe)` *is* `run_batched(count)` — the
-/// identical code path, not an instrumented loop with no-op calls.
+/// [`drive`](fn@crate::drive) with `&mut NullProbe` in the probe slot
+/// *is* the unprobed run — the identical code path, not an instrumented
+/// loop with no-op calls.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NullProbe;
 

@@ -35,10 +35,11 @@ impl StopReason {
 /// The engine itself knows nothing about fault semantics; it only agrees
 /// to (a) ask the hook where it next wants control and (b) hand it
 /// mutable access to the configuration when the run reaches that point.
-/// The `scenarios` crate's `FaultPlan` is the canonical implementation;
-/// an empty plan leaves [`Simulator::run_faulted`] bit-for-bit
-/// trajectory-equivalent to [`Simulator::run_batched`] (faults only ever
-/// mutate states, never the pair stream).
+/// The `scenarios` crate's `FaultPlan` is the canonical implementation.
+/// A hook fills the faults slot of [`drive`]; an empty plan leaves the
+/// run bit-for-bit trajectory-equivalent to
+/// [`Simulator::run_batched`] (faults only ever mutate states, never
+/// the pair stream).
 pub trait FaultHook<P: Protocol> {
     /// `false` for [`NoFaults`]: the driver then never asks the hook for
     /// a fire time, so the disabled hook costs nothing.
@@ -59,8 +60,8 @@ pub trait FaultHook<P: Protocol> {
     fn fire(&mut self, protocol: &P, t: u64, states: &mut [P::State]);
 }
 
-/// The trivial hook: never fires. `run_faulted` with this hook is
-/// exactly `run_batched`.
+/// The trivial hook: never fires. [`drive`] with this hook and the
+/// other slots empty is exactly [`Simulator::run_batched`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoFaults;
 
@@ -144,10 +145,11 @@ impl<P: PackedProtocol, H: FaultHook<P>> FaultHook<Packed<P>> for UnpackedHook<H
 ///   pre-sampled in blocks and applied in a tight loop. **Bit-for-bit
 ///   trajectory-equivalent** to scalar stepping under the same seed.
 ///
-/// Observation happens through the [`Observer`] pipeline via
-/// [`run_observed`](Simulator::run_observed), with
-/// [`run_until`](Simulator::run_until) as sugar for the most common
-/// observer.
+/// [`run_until`](Simulator::run_until) runs until a predicate on the
+/// configuration holds. Every other combination of faults, saves,
+/// observer polls and probes is one call of [`drive`], which fills the
+/// unused slots with [`NoFaults`], [`NoSaves`], [`NoPoll`] and
+/// [`NullProbe`].
 ///
 /// ```
 /// use population::{Protocol, Simulator};
@@ -168,7 +170,7 @@ impl<P: PackedProtocol, H: FaultHook<P>> FaultHook<Packed<P>> for UnpackedHook<H
 /// }
 ///
 /// let mut sim = Simulator::new(Max, (0..8).collect(), 1);
-/// sim.run(10_000);
+/// sim.run_batched(10_000);
 /// assert!(sim.states().iter().all(|&s| s == 7));
 /// ```
 #[derive(Debug)]
@@ -264,26 +266,22 @@ impl<P: Protocol, S: PairSource> Simulator<P, S> {
     /// (kernels skip the write-back of unchanged words); this is why
     /// the `changed` flag's "no false negatives" contract exists.
     pub fn run_batched(&mut self, count: u64) {
-        self.run_probed(count, &mut NullProbe);
-    }
-
-    /// Execute exactly `count` interactions (batched).
-    pub fn run(&mut self, count: u64) {
-        self.run_batched(count);
-    }
-
-    /// [`run_batched`](Simulator::run_batched) with an instrumentation
-    /// [`Probe`] invoked after every executed block. Trajectory-inert:
-    /// probes only ever see `&`-references. For an inactive probe
-    /// ([`NullProbe`]) the probe calls compile away.
-    pub fn run_probed<B: Probe<P>>(&mut self, count: u64, probe: &mut B) {
-        self.run_faulted_probed(count, &mut NoFaults, probe);
+        drive(
+            self,
+            count,
+            &mut NoFaults,
+            &mut NoSaves,
+            &mut NoPoll,
+            &mut NullProbe,
+        );
     }
 
     /// Drive the simulation under an [`Observer`]: the observer is
     /// polled once before the first step, then every `check_every`
     /// interactions and at the end of the budget, until it stops the
-    /// run or `max_interactions` have been executed.
+    /// run or `max_interactions` have been executed. This is [`drive`]
+    /// with an [`Every`] poll, kept because the repository benchmark
+    /// (`perfbench/`) calls it.
     ///
     /// # Panics
     ///
@@ -294,23 +292,6 @@ impl<P: Protocol, S: PairSource> Simulator<P, S> {
         check_every: u64,
         observer: &mut O,
     ) -> StopReason {
-        self.run_observed_probed(max_interactions, check_every, observer, &mut NullProbe)
-    }
-
-    /// [`run_observed`](Simulator::run_observed) with an
-    /// instrumentation [`Probe`], whose [`checkpoint`](Probe::checkpoint)
-    /// hook fires at every observer poll.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `check_every == 0`.
-    pub fn run_observed_probed<O: Observer<P>, B: Probe<P>>(
-        &mut self,
-        max_interactions: u64,
-        check_every: u64,
-        observer: &mut O,
-        probe: &mut B,
-    ) -> StopReason {
         let mut poll = Every(check_every, observer);
         drive(
             self,
@@ -318,7 +299,7 @@ impl<P: Protocol, S: PairSource> Simulator<P, S> {
             &mut NoFaults,
             &mut NoSaves,
             &mut poll,
-            probe,
+            &mut NullProbe,
         )
     }
 
@@ -339,29 +320,6 @@ impl<P: Protocol, S: PairSource> Simulator<P, S> {
     ) -> StopReason {
         let mut observer = Convergence::new(converged);
         self.run_observed(max_interactions, check_every, &mut observer)
-    }
-
-    /// Execute exactly `count` interactions (batched), handing control
-    /// to `hook` at every interaction count where it asks to fire — a
-    /// fault scheduled at `t` sees the configuration after exactly `t`
-    /// interactions. Hooks only mutate states and the pair stream is
-    /// FIFO, so a hook that never fires leaves the trajectory
-    /// bit-for-bit that of [`run_batched`](Simulator::run_batched)
-    /// (property-tested in `tests/fault_recovery.rs`).
-    pub fn run_faulted<H: FaultHook<P>>(&mut self, count: u64, hook: &mut H) {
-        self.run_faulted_probed(count, hook, &mut NullProbe);
-    }
-
-    /// [`run_faulted`](Simulator::run_faulted) with an instrumentation
-    /// [`Probe`], whose [`fault`](Probe::fault) hook sees the
-    /// configuration after every firing.
-    pub fn run_faulted_probed<H: FaultHook<P>, B: Probe<P>>(
-        &mut self,
-        count: u64,
-        hook: &mut H,
-        probe: &mut B,
-    ) {
-        drive(self, count, hook, &mut NoSaves, &mut NoPoll, probe);
     }
 
     /// Consume the simulator, returning the final configuration.
@@ -429,19 +387,14 @@ impl<P: WordState, S: CursorSource> Simulator<P, S> {
         }
     }
 
-    /// [`run_batched`](Simulator::run_batched) with periodic state
-    /// saves through a [`Checkpointer`].
-    pub fn run_checkpointed<C: Checkpointer>(&mut self, count: u64, ckpt: &mut C) {
-        self.run_faulted_checkpointed(count, &mut NoFaults, ckpt);
-    }
-
-    /// [`run_faulted`](Simulator::run_faulted) with periodic state
-    /// saves at exact interaction counts. At a count where both are due
+    /// [`drive`] with a fault hook and periodic state saves at exact
+    /// interaction counts. At a count where both are due
     /// the fault fires first, so the saved frame holds the post-fault
     /// configuration and a hook already advanced past it: a resume
     /// replays nothing. Saving is trajectory-inert here, because the
     /// pair stream is FIFO (property-tested in
-    /// `tests/snapshot_resume.rs`).
+    /// `tests/snapshot_resume.rs`). Kept because the repository
+    /// benchmark (`perfbench/`) calls it.
     pub fn run_faulted_checkpointed<H, C>(&mut self, count: u64, hook: &mut H, ckpt: &mut C)
     where
         H: FaultHook<P> + HookState,
@@ -614,8 +567,8 @@ mod tests {
     fn same_seed_same_trajectory() {
         let mut a = Simulator::new(Count, vec![(0, 0); 16], 42);
         let mut b = Simulator::new(Count, vec![(0, 0); 16], 42);
-        a.run(5000);
-        b.run(5000);
+        a.run_batched(5000);
+        b.run_batched(5000);
         assert_eq!(a.states(), b.states());
     }
 
@@ -623,8 +576,8 @@ mod tests {
     fn different_seeds_diverge() {
         let mut a = Simulator::new(Count, vec![(0, 0); 16], 1);
         let mut b = Simulator::new(Count, vec![(0, 0); 16], 2);
-        a.run(5000);
-        b.run(5000);
+        a.run_batched(5000);
+        b.run_batched(5000);
         assert_ne!(a.states(), b.states());
     }
 
@@ -664,7 +617,7 @@ mod tests {
     #[test]
     fn interaction_counter_advances() {
         let mut sim = Simulator::new(Count, vec![(0, 0); 16], 3);
-        sim.run(123);
+        sim.run_batched(123);
         assert_eq!(sim.interactions(), 123);
         sim.step();
         assert_eq!(sim.interactions(), 124);
@@ -675,7 +628,7 @@ mod tests {
         // Every agent should be initiator and responder about equally often:
         // 60k interactions over 16 agents = 3750 expected per role per agent.
         let mut sim = Simulator::new(Count, vec![(0, 0); 16], 7);
-        sim.run(60_000);
+        sim.run_batched(60_000);
         for &(ini, res) in sim.states() {
             assert!(
                 (2800..4700).contains(&ini),
@@ -691,7 +644,7 @@ mod tests {
     #[test]
     fn initiator_totals_match_interactions() {
         let mut sim = Simulator::new(Count, vec![(0, 0); 16], 9);
-        sim.run(1000);
+        sim.run_batched(1000);
         let total: u64 = sim.states().iter().map(|s| s.0).sum();
         assert_eq!(total, 1000);
     }
@@ -763,8 +716,8 @@ mod tests {
     fn with_source_uniform_schedule_equals_new() {
         let mut a = Simulator::new(Count, vec![(0, 0); 16], 11);
         let mut b = Simulator::with_source(Count, vec![(0, 0); 16], Schedule::new(16, 11));
-        a.run(4000);
-        b.run(4000);
+        a.run_batched(4000);
+        b.run_batched(4000);
         assert_eq!(a.states(), b.states());
     }
 
@@ -773,7 +726,14 @@ mod tests {
         let mut plain = Simulator::new(Count, vec![(0, 0); 16], 9);
         let mut faulted = Simulator::new(Count, vec![(0, 0); 16], 9);
         plain.run_batched(12_345);
-        faulted.run_faulted(12_345, &mut NoFaults);
+        drive(
+            &mut faulted,
+            12_345,
+            &mut NoFaults,
+            &mut NoSaves,
+            &mut NoPoll,
+            &mut NullProbe,
+        );
         assert_eq!(plain.states(), faulted.states());
         assert_eq!(plain.interactions(), faulted.interactions());
     }
@@ -803,7 +763,14 @@ mod tests {
             times: vec![0, 100, 250, 1000],
             fired: Vec::new(),
         };
-        sim.run_faulted(1000, &mut hook);
+        drive(
+            &mut sim,
+            1000,
+            &mut hook,
+            &mut NoSaves,
+            &mut NoPoll,
+            &mut NullProbe,
+        );
         assert_eq!(hook.fired, vec![0, 100, 250, 1000]);
         assert_eq!(sim.interactions(), 1000);
         // The t = 1000 fault fires after the last interaction, so the
@@ -875,8 +842,22 @@ mod tests {
         let mut sim = Simulator::new(protocol, vec![(0, 0); 130], 1);
         let mut lanes = Lanes::default();
         // Blocks 0–2, then blocks 3–4 in a second segment.
-        sim.run_probed(3 * b, &mut lanes);
-        sim.run_probed(b + 10, &mut lanes);
+        drive(
+            &mut sim,
+            3 * b,
+            &mut NoFaults,
+            &mut NoSaves,
+            &mut NoPoll,
+            &mut lanes,
+        );
+        drive(
+            &mut sim,
+            b + 10,
+            &mut NoFaults,
+            &mut NoSaves,
+            &mut NoPoll,
+            &mut lanes,
+        );
         assert_eq!(
             lanes.0,
             [
@@ -929,7 +910,14 @@ mod tests {
             times: vec![400],
             fired: Vec::new(),
         };
-        sim.run_faulted(1000, &mut hook);
+        drive(
+            &mut sim,
+            1000,
+            &mut hook,
+            &mut NoSaves,
+            &mut NoPoll,
+            &mut NullProbe,
+        );
         let total: u64 = sim.states().iter().map(|s| s.0).sum();
         assert_eq!(total, 600);
     }

@@ -52,8 +52,8 @@
 //! function of `(seed, k, strategy)` on top of the scheduler seed.
 //! Adversary placement is a seeded draw ([`Byzantine::init`]), and
 //! strategies draw randomness only through the per-agent [`ByzRng`]
-//! carried *inside* the adversary's state — so `run_batched`,
-//! `run_faulted`, and sharded runs replay bit-for-bit, and with
+//! carried *inside* the adversary's state — so plain, faulted and
+//! sharded runs replay bit-for-bit, and with
 //! `k = 0` the wrapper is **bit-for-bit trajectory-equivalent** to the
 //! unwrapped protocol on both the structured and the packed path
 //! (property-tested in `tests/byzantine.rs`).
@@ -969,7 +969,7 @@ mod tests {
         assert_eq!(init.len(), 10);
         assert_eq!(init.iter().filter(|s| s.is_byzantine()).count(), 2);
         let mut sim = Simulator::new(byz, init, 5);
-        sim.run(10_000);
+        sim.run_batched(10_000);
         // Honest counters advance; adversary counters are pinned at 0.
         for s in sim.states() {
             match s {
@@ -986,7 +986,7 @@ mod tests {
             let byz = Byzantine::new(Count(12), Zero, 3, wrapper_seed);
             let init = byz.init(vec![(0, 0); 12]);
             let mut sim = Simulator::new(byz, init, sched_seed);
-            sim.run(5_000);
+            sim.run_batched(5_000);
             sim.into_states()
         };
         assert_eq!(run(1, 9), run(1, 9));

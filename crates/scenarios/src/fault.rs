@@ -5,8 +5,8 @@
 //! [`FaultPlan`] binds faults to *firing schedules* — exact interaction
 //! counts ([`FaultPlan::once`]), fixed periods ([`FaultPlan::periodic`]),
 //! or stochastic per-interaction rates ([`FaultPlan::poisson`]) — and
-//! implements [`population::FaultHook`], so the engine's
-//! [`run_faulted`](population::Simulator::run_faulted) splits its batched
+//! implements [`population::FaultHook`], so the run driver
+//! ([`population::drive`](fn@population::drive)) splits its batched
 //! loop exactly at the scheduled counts.
 //!
 //! Faults only ever mutate agent states. The pair stream is untouched,
@@ -287,7 +287,7 @@ impl<S> FaultPlan<S> {
         }
     }
 
-    /// An empty plan (never fires): `run_faulted` under this plan is
+    /// An empty plan (never fires): a run under this plan is
     /// trajectory-equivalent to `run_batched`.
     pub fn empty() -> Self {
         Self::new(0)
@@ -462,7 +462,7 @@ impl<P: Protocol> FaultHook<P> for FaultPlan<P::State> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use population::Simulator;
+    use population::{drive, NoPoll, NoSaves, NullProbe, Simulator};
 
     /// Counts interactions on each side (same as the engine's test
     /// protocol); faults zero the counters.
@@ -487,7 +487,14 @@ mod tests {
     fn once_fires_exactly_once_at_the_scheduled_count() {
         let mut sim = Simulator::new(Count(8), vec![(0, 0); 8], 1);
         let mut plan = FaultPlan::new(3).once(500, zeroing());
-        sim.run_faulted(2000, &mut plan);
+        drive(
+            &mut sim,
+            2000,
+            &mut plan,
+            &mut NoSaves,
+            &mut NoPoll,
+            &mut NullProbe,
+        );
         assert_eq!(
             plan.fired(),
             &[FiredFault {
@@ -503,7 +510,14 @@ mod tests {
     fn periodic_fires_on_the_grid() {
         let mut sim = Simulator::new(Count(8), vec![(0, 0); 8], 1);
         let mut plan = FaultPlan::new(3).periodic(100, 300, zeroing());
-        sim.run_faulted(1000, &mut plan);
+        drive(
+            &mut sim,
+            1000,
+            &mut plan,
+            &mut NoSaves,
+            &mut NoPoll,
+            &mut NullProbe,
+        );
         let times: Vec<u64> = plan.fired().iter().map(|f| f.at).collect();
         assert_eq!(times, vec![100, 400, 700, 1000]);
     }
@@ -512,7 +526,14 @@ mod tests {
     fn poisson_interarrivals_match_the_rate_roughly() {
         let mut sim = Simulator::new(Count(8), vec![(0, 0); 8], 1);
         let mut plan = FaultPlan::new(9).poisson(0.001, zeroing());
-        sim.run_faulted(1_000_000, &mut plan);
+        drive(
+            &mut sim,
+            1_000_000,
+            &mut plan,
+            &mut NoSaves,
+            &mut NoPoll,
+            &mut NullProbe,
+        );
         let count = plan.fired().len();
         // Expected 1000 firings; a very loose 5-sigma-ish band.
         assert!(
@@ -528,7 +549,14 @@ mod tests {
         let run = |seed| {
             let mut sim = Simulator::new(Count(8), vec![(0, 0); 8], 1);
             let mut plan = FaultPlan::new(seed).poisson(0.01, zeroing());
-            sim.run_faulted(10_000, &mut plan);
+            drive(
+                &mut sim,
+                10_000,
+                &mut plan,
+                &mut NoSaves,
+                &mut NoPoll,
+                &mut NullProbe,
+            );
             plan.fired().to_vec()
         };
         assert_eq!(run(5), run(5));
@@ -541,7 +569,14 @@ mod tests {
         let mut plan = FaultPlan::new(3)
             .once(200, StateRewrite::corrupt(2, |_: &mut SmallRng| (9, 9)))
             .once(200, zeroing());
-        sim.run_faulted(300, &mut plan);
+        drive(
+            &mut sim,
+            300,
+            &mut plan,
+            &mut NoSaves,
+            &mut NoPoll,
+            &mut NullProbe,
+        );
         let names: Vec<&str> = plan.fired().iter().map(|f| f.name).collect();
         assert_eq!(names, vec!["corrupt", "randomize"]);
     }
@@ -617,11 +652,25 @@ mod tests {
         };
         let mut reference = Simulator::new(Count(8), vec![(0, 0); 8], 4);
         let mut ref_plan = build();
-        reference.run_faulted(10_000, &mut ref_plan);
+        drive(
+            &mut reference,
+            10_000,
+            &mut ref_plan,
+            &mut NoSaves,
+            &mut NoPoll,
+            &mut NullProbe,
+        );
 
         let mut first = Simulator::new(Count(8), vec![(0, 0); 8], 4);
         let mut plan = build();
-        first.run_faulted(5_000, &mut plan);
+        drive(
+            &mut first,
+            5_000,
+            &mut plan,
+            &mut NoSaves,
+            &mut NoPoll,
+            &mut NullProbe,
+        );
         let exported = plan.export_state().expect("plans are stateful");
 
         let mut resumed_plan = build();
@@ -636,7 +685,14 @@ mod tests {
             population::Schedule::from_cursor(first.source().cursor()),
             first.interactions(),
         );
-        second.run_faulted(5_000, &mut resumed_plan);
+        drive(
+            &mut second,
+            5_000,
+            &mut resumed_plan,
+            &mut NoSaves,
+            &mut NoPoll,
+            &mut NullProbe,
+        );
         assert_eq!(resumed_plan.fired(), ref_plan.fired());
         assert_eq!(second.states(), reference.states());
     }
@@ -677,7 +733,14 @@ mod tests {
         let mut plan: FaultPlan<(u64, u64)> = FaultPlan::empty();
         assert!(plan.is_empty());
         assert_eq!(plan.peek_next(), None);
-        sim.run_faulted(5000, &mut plan);
+        drive(
+            &mut sim,
+            5000,
+            &mut plan,
+            &mut NoSaves,
+            &mut NoPoll,
+            &mut NullProbe,
+        );
         assert!(plan.fired().is_empty());
         assert_eq!(sim.interactions(), 5000);
     }

@@ -18,10 +18,11 @@
 //!   composable [`fault::Fault`] injectors bound to firing schedules by
 //!   a [`fault::FaultPlan`] (exact interaction counts, fixed periods,
 //!   or stochastic rates). The plan implements
-//!   [`population::FaultHook`], so
-//!   [`Simulator::run_faulted`](population::Simulator::run_faulted)
-//!   splits its batched loop at exactly the scheduled counts. An empty
-//!   plan is bit-for-bit trajectory-equivalent to `run_batched`.
+//!   [`population::FaultHook`], so the run driver
+//!   ([`population::drive`](fn@population::drive)) splits its batched
+//!   loop at exactly the scheduled counts. An empty plan is bit-for-bit
+//!   trajectory-equivalent to
+//!   [`run_batched`](population::Simulator::run_batched).
 //!   Ready-made injectors for `StableRanking` (corruption, churn, rank
 //!   duplication/erasure, coin bias, full randomization) live in
 //!   [`ranking_faults`]. The plan lifecycle is: build fluently (`once` /

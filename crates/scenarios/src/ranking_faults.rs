@@ -208,7 +208,9 @@ mod tests {
         // injector fires through `UnpackedHook` at the fault boundary
         // and the run continues on words.
         use crate::FaultPlan;
-        use population::{ranked_count, Packed, Simulator, UnpackedHook};
+        use population::{
+            drive, ranked_count, NoPoll, NoSaves, NullProbe, Packed, Simulator, UnpackedHook,
+        };
 
         let n = 32;
         let p = Packed(StableRanking::new(Params::new(n)));
@@ -217,7 +219,14 @@ mod tests {
         let mut hook = UnpackedHook::new(
             FaultPlan::new(7).once(1000, standard("erase_rank", sim.protocol().inner(), n)),
         );
-        sim.run_faulted(1001, &mut hook);
+        drive(
+            &mut sim,
+            1001,
+            &mut hook,
+            &mut NoSaves,
+            &mut NoPoll,
+            &mut NullProbe,
+        );
         assert_eq!(hook.inner().fired().len(), 1);
         // `PackedState` implements `RankOutput`, so the word-level
         // configuration is directly observable: exactly n/8 ranks lost.

@@ -176,7 +176,7 @@ mod tests {
     #[test]
     fn every_shard_and_worker_count_is_the_sequential_run() {
         let mut reference = Simulator::new(Count(16), init(16), 42);
-        reference.run(12_345);
+        reference.run_batched(12_345);
         for shards in [1, 2, 3, 16] {
             for workers in [1, 2, 8] {
                 let mut sim =
@@ -217,7 +217,7 @@ mod tests {
         let block = BLOCK_PAIRS as u64;
         for shards in [1, 3] {
             let mut plain = Simulator::new(Count(20), init(20), 13);
-            plain.run(25_000);
+            plain.run_batched(25_000);
             let mut probed = ShardedSimulator::new(Count(20), init(20), 13, shards);
             let mut tally = Tally::default();
             // Two segments: the cadence restarts at the second one.

@@ -42,7 +42,7 @@
 //! drive(&mut sim, 100_000, &mut NoFaults, &mut NoSaves, &mut NoPoll, &mut NullProbe);
 //! assert!(sim.states().iter().all(|&s| s == 63));
 //! let mut sequential = Simulator::new(Max, (0..64).collect(), 1);
-//! sequential.run(100_000);
+//! sequential.run_batched(100_000);
 //! assert_eq!(sim.states(), sequential.states());
 //! ```
 

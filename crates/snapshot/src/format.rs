@@ -278,7 +278,13 @@ fn decode_cursors(payload: &[u8]) -> Result<Vec<ScheduleCursor>, SnapshotError> 
         let pending_len = r.count(8)?;
         let mut pending = Vec::with_capacity(pending_len);
         for _ in 0..pending_len {
-            pending.push((r.u32()?, r.u32()?));
+            let (i, j) = (r.u32()?, r.u32()?);
+            if i == j || u64::from(i.max(j)) >= n {
+                return Err(SnapshotError::Malformed(format!(
+                    "cursor holds pending pair ({i}, {j}) for {n} agents"
+                )));
+            }
+            pending.push((i, j));
         }
         let topo_len = r.count(8)?;
         let mut topo = Vec::with_capacity(topo_len);
@@ -624,5 +630,21 @@ mod tests {
             SimSnapshot::decode(&snap.encode()),
             Err(SnapshotError::Malformed(_))
         ));
+    }
+
+    #[test]
+    fn out_of_range_or_self_pending_pairs_are_rejected() {
+        // The sample's cursors draw for 4 agents.
+        for pair in [(3, 4), (4, 0), (2, 2)] {
+            let mut snap = sample();
+            snap.frame.cursors[1].pending = vec![(0, 1), pair];
+            assert!(
+                matches!(
+                    SimSnapshot::decode(&snap.encode()),
+                    Err(SnapshotError::Malformed(_))
+                ),
+                "pending pair {pair:?}"
+            );
+        }
     }
 }

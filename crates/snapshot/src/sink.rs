@@ -111,7 +111,9 @@ impl Checkpointer for SnapshotSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use population::{MemoryCheckpointer, Simulator, WordState};
+    use population::{
+        drive, MemoryCheckpointer, NoFaults, NoPoll, NullProbe, Simulator, WordState,
+    };
 
     /// A protocol whose state is its own word.
     struct Ident(usize);
@@ -146,14 +148,28 @@ mod tests {
         let rot = Rotation::open(&dir).unwrap();
         let mut sink = SnapshotSink::every(rot, 5_000, Meta::bare("sink-test", 7));
         let mut sim = Simulator::new(Ident(16), (0..16).collect(), 7);
-        sim.run_checkpointed(12_000, &mut sink);
+        drive(
+            &mut sim,
+            12_000,
+            &mut NoFaults,
+            &mut sink,
+            &mut NoPoll,
+            &mut NullProbe,
+        );
         assert_eq!(sink.saves, 2);
         assert_eq!(sink.failures, 0);
         assert_eq!(sink.last_saved(), Some(10_000));
 
         let mut reference = Simulator::new(Ident(16), (0..16).collect(), 7);
         let mut memory = MemoryCheckpointer::every(5_000);
-        reference.run_checkpointed(12_000, &mut memory);
+        drive(
+            &mut reference,
+            12_000,
+            &mut NoFaults,
+            &mut memory,
+            &mut NoPoll,
+            &mut NullProbe,
+        );
 
         let loaded = sink.rotation().latest_valid().expect("snapshots on disk");
         assert_eq!(loaded.snapshot.frame, memory.saved.last().unwrap().0);
@@ -170,7 +186,14 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
         let mut sink = SnapshotSink::every(rot, 4_000, Meta::bare("sink-test", 7));
         let mut sim = Simulator::new(Ident(16), (0..16).collect(), 7);
-        sim.run_checkpointed(9_000, &mut sink);
+        drive(
+            &mut sim,
+            9_000,
+            &mut NoFaults,
+            &mut sink,
+            &mut NoPoll,
+            &mut NullProbe,
+        );
         assert_eq!(sim.interactions(), 9_000, "the run survives");
         assert_eq!(sink.saves, 0);
         assert_eq!(sink.failures, 2);

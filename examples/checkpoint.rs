@@ -15,7 +15,7 @@
 //!
 //! Run with: `cargo run --release --example checkpoint`
 
-use silent_ranking::population::Simulator;
+use silent_ranking::population::{drive, NoFaults, NoPoll, NullProbe, Simulator};
 use silent_ranking::ranking::audit::restore_audit;
 use silent_ranking::ranking::stable::StableRanking;
 use silent_ranking::ranking::Params;
@@ -39,7 +39,14 @@ fn main() {
     let p = protocol();
     let init = p.adversarial_uniform(7);
     let mut sim = Simulator::new(p, init, seed);
-    sim.run_checkpointed(crash_at, &mut sink);
+    drive(
+        &mut sim,
+        crash_at,
+        &mut NoFaults,
+        &mut sink,
+        &mut NoPoll,
+        &mut NullProbe,
+    );
     println!(
         "act 1: ran {} interactions, {} snapshot(s) on disk in {}",
         sim.interactions(),

@@ -107,7 +107,7 @@ fn trajectory_is_deterministic_in_seed_k_strategy() {
         );
         let init = byz.init(protocol(12).initial());
         let mut sim = Simulator::new(byz, init, sseed);
-        sim.run(30_000);
+        sim.run_batched(30_000);
         sim.into_states()
     };
     for kind in ranking_byz::STRATEGIES {

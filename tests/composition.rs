@@ -205,7 +205,7 @@ fn dynamic() -> DynamicPopulation<P> {
 #[test]
 fn every_hook_subset_is_inert_on_the_sequential_engine() {
     let mut plain = sequential();
-    plain.run(BUDGET);
+    plain.run_batched(BUDGET);
     for mask in 0..16 {
         let mut sim = sequential();
         let seen = run_subset!(&mut sim, mask);
@@ -218,7 +218,7 @@ fn every_hook_subset_is_inert_on_the_sequential_engine() {
 #[test]
 fn every_hook_subset_is_inert_on_the_sharded_engine() {
     let mut plain = sequential();
-    plain.run(BUDGET);
+    plain.run_batched(BUDGET);
     for shards in [1, 4] {
         for mask in 0..16 {
             let mut sim = sharded(shards);
@@ -311,7 +311,7 @@ fn a_fault_plan_with_every_hook_agrees_across_engines() {
 
     assert_eq!(seq.fired, vec![0, 4_000, 10_000, 16_000]);
     let mut plain = sequential_from_initial();
-    plain.run(BUDGET);
+    plain.run_batched(BUDGET);
     assert_ne!(seq.states, plain.states(), "the plan must perturb the run");
     assert_eq!(one_shard, seq);
     assert_eq!(four_shards, seq);

@@ -16,7 +16,7 @@
 use proptest::prelude::*;
 
 use silent_ranking::dynamic::{ChurnConfig, DynamicPopulation};
-use silent_ranking::population::{Packed, Simulator};
+use silent_ranking::population::{drive, NoFaults, NoPoll, NoSaves, Packed, Simulator};
 use silent_ranking::ranking::stable::StableRanking;
 use silent_ranking::ranking::Params;
 use silent_ranking::telemetry::Recorder;
@@ -111,7 +111,7 @@ proptest! {
         let (mut plain, mut recorded) = (make(), make());
         let mut recorder = Recorder::new();
         plain.run(budget(n));
-        recorded.run_probed(budget(n), &mut recorder);
+        drive(&mut recorded, budget(n), &mut NoFaults, &mut NoSaves, &mut NoPoll, &mut recorder);
         prop_assert_eq!(recorded.states(), plain.states());
         prop_assert_eq!(recorded.ids(), plain.ids());
         prop_assert_eq!(recorded.interactions(), plain.interactions());
@@ -130,7 +130,14 @@ fn churn_properties_are_not_vacuous() {
     let mut recorder = Recorder::new();
     // Longer than the property budget: at λ=800 the small property
     // budgets can legitimately see zero arrivals on an unlucky seed.
-    engine.run_probed(50_000, &mut recorder);
+    drive(
+        &mut engine,
+        50_000,
+        &mut NoFaults,
+        &mut NoSaves,
+        &mut NoPoll,
+        &mut recorder,
+    );
     let metrics = engine.metrics().snapshot();
     let counter = |name: &str| metrics.counter(name).unwrap_or(0);
     assert!(counter("dyn_joins") > 0, "no joins — config too quiet");

@@ -93,7 +93,7 @@ fn simulations_are_reproducible_across_protocol_instances() {
         let protocol = StableRanking::new(Params::new(n));
         let init = protocol.adversarial_uniform(99);
         let mut sim = Simulator::new(protocol, init, sim_seed);
-        sim.run(100_000);
+        sim.run_batched(100_000);
         sim.into_states()
     };
     assert_eq!(run(4), run(4));
@@ -127,6 +127,6 @@ fn silent_configurations_stay_silent_under_long_runs() {
     let protocol = StableRanking::new(Params::new(n));
     let legal = protocol.legal();
     let mut sim = Simulator::new(protocol, legal.clone(), 3);
-    sim.run(500_000);
+    sim.run_batched(500_000);
     assert_eq!(sim.states(), legal.as_slice());
 }

@@ -19,7 +19,8 @@ use silent_ranking::population::primitives::coin::CoinPopulation;
 use silent_ranking::population::primitives::epidemic::Epidemic;
 use silent_ranking::population::schedule::Pair;
 use silent_ranking::population::{
-    Capture, CursorSource, Packed, PairSource, Probe, Protocol, Schedule, ScheduleCursor, Simulator,
+    drive, Capture, CursorSource, NoFaults, NoPoll, NoSaves, Packed, PairSource, Probe, Protocol,
+    Schedule, ScheduleCursor, Simulator,
 };
 use silent_ranking::ranking::stable::StableRanking;
 use silent_ranking::ranking::Params;
@@ -258,8 +259,8 @@ proptest! {
 
         let (mut fused_log, mut buffered_log) = (BlockLog::default(), BlockLog::default());
         for (k, burst) in bursts(burst_seed).into_iter().enumerate() {
-            fused.run_probed(burst, &mut fused_log);
-            buffered.run_probed(burst, &mut buffered_log);
+            drive(&mut fused, burst, &mut NoFaults, &mut NoSaves, &mut NoPoll, &mut fused_log);
+            drive(&mut buffered, burst, &mut NoFaults, &mut NoSaves, &mut NoPoll, &mut buffered_log);
             for _ in 0..k % 3 {
                 prop_assert_eq!(fused.step(), buffered.step());
             }

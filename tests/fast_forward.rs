@@ -576,8 +576,22 @@ fn a_cursor_restored_with_pending_pairs_fast_forwards_exactly() {
 fn the_structured_states_fast_forward_exactly() {
     let mut got = Simulator::new(certifies(protocol()), protocol().legal(), SEED);
     let mut want = Simulator::new(Executes(protocol()), protocol().legal(), SEED);
-    got.run_faulted(BUDGET, &mut Plan(faults()));
-    want.run_faulted(BUDGET, &mut Plan(faults()));
+    drive(
+        &mut got,
+        BUDGET,
+        &mut Plan(faults()),
+        &mut NoSaves,
+        &mut NoPoll,
+        &mut NullProbe,
+    );
+    drive(
+        &mut want,
+        BUDGET,
+        &mut Plan(faults()),
+        &mut NoSaves,
+        &mut NoPoll,
+        &mut NullProbe,
+    );
     assert_eq!(got.frame(), want.frame());
     assert_eq!(
         got.protocol().0.resets_triggered(),
@@ -605,8 +619,22 @@ fn two_agents_fast_forward_exactly() {
     };
     let mut got = Simulator::new(certifies(p()), legal.clone(), SEED);
     let mut want = Simulator::new(Executes(p()), legal, SEED);
-    got.run_faulted(BUDGET, &mut plan());
-    want.run_faulted(BUDGET, &mut plan());
+    drive(
+        &mut got,
+        BUDGET,
+        &mut plan(),
+        &mut NoSaves,
+        &mut NoPoll,
+        &mut NullProbe,
+    );
+    drive(
+        &mut want,
+        BUDGET,
+        &mut plan(),
+        &mut NoSaves,
+        &mut NoPoll,
+        &mut NullProbe,
+    );
     assert_eq!(got.frame(), want.frame());
     let (g, w) = (got.protocol().0.inner(), want.protocol().0.inner());
     assert_eq!(g.dispatch_mix(), w.dispatch_mix());
@@ -731,8 +759,22 @@ fn the_dynamic_engine_fast_forwards_exactly_under_churn_and_faults() {
     let mut got = dynamic::<Certifies<P>>(churn.clone());
     let mut want = dynamic::<Executes<P>>(churn);
     let (mut got_plan, mut want_plan) = (plan(), plan());
-    got.run_faulted_probed(budget, &mut got_plan, &mut NullProbe);
-    want.run_faulted_probed(budget, &mut want_plan, &mut NullProbe);
+    drive(
+        &mut got,
+        budget,
+        &mut got_plan,
+        &mut NoSaves,
+        &mut NoPoll,
+        &mut NullProbe,
+    );
+    drive(
+        &mut want,
+        budget,
+        &mut want_plan,
+        &mut NoSaves,
+        &mut NoPoll,
+        &mut NullProbe,
+    );
     assert_eq!(got.frame(), want.frame());
     assert_eq!(got.section(), want.section());
     assert_eq!(got_plan.fired(), want_plan.fired());

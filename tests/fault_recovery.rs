@@ -4,7 +4,7 @@
 //!    silence) after *every* injector kind fires mid-run, single-shot
 //!    and sustained (Theorem 2 exercised as fault recovery rather than
 //!    adversarial initialization).
-//! 2. **Purity** — `run_faulted` under an **empty** `FaultPlan` is
+//! 2. **Purity** — a faulted `drive` under an **empty** `FaultPlan` is
 //!    bit-for-bit trajectory-equivalent to `run_batched` for every
 //!    chunk decomposition: the fault hook must be a no-op when no fault
 //!    fires, or every unfaulted measurement in this repository would be
@@ -17,7 +17,7 @@
 use proptest::prelude::*;
 
 use silent_ranking::population::silence::is_silent;
-use silent_ranking::population::{is_valid_ranking, Simulator};
+use silent_ranking::population::{drive, is_valid_ranking, NoPoll, NoSaves, NullProbe, Simulator};
 use silent_ranking::ranking::stable::{StableRanking, StableState};
 use silent_ranking::ranking::Params;
 use silent_ranking::scenarios::fault::Fault;
@@ -168,8 +168,8 @@ fn coin_bias_is_a_noop_on_silent_legal_configurations() {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 15, ..ProptestConfig::default() })]
 
-    /// The empty-plan purity property (ISSUE 2 acceptance): `run_faulted`
-    /// with an empty `FaultPlan` must reproduce `run_batched`'s
+    /// The empty-plan purity property: a faulted `drive` with an
+    /// empty `FaultPlan` must reproduce `run_batched`'s
     /// trajectory exactly, for any seed, adversarial initialization,
     /// horizon, and chunk decomposition.
     #[test]
@@ -195,7 +195,7 @@ proptest! {
         let mut left = total;
         while left > 0 {
             let step = chunk.min(left);
-            faulted.run_faulted(step, &mut plan);
+            drive(&mut faulted, step, &mut plan, &mut NoSaves, &mut NoPoll, &mut NullProbe);
             left -= step;
         }
 

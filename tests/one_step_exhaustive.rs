@@ -99,6 +99,14 @@ fn the_kernel_and_its_marks_agree_with_the_enum_on_every_state_pair_at_24() {
     check_every_pair(24);
 }
 
+/// n = 64: 3,014 states make 9.08·10⁶ ordered pairs, the size ROADMAP
+/// E.0 names. Release builds only; a debug build takes minutes.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release-only: 9.08e6 pairs")]
+fn the_kernel_and_its_marks_agree_with_the_enum_on_every_state_pair_at_64() {
+    check_every_pair(64);
+}
+
 /// The marks cover the word edges: agents 63 and 64 of a 65-agent
 /// configuration land in two mark words.
 #[test]

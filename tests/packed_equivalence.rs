@@ -9,7 +9,7 @@
 //!    (`Packed<StableRanking>`, whose blocks run the word-step kernel
 //!    of `ranking::stable::kernel`) is bit-for-bit trajectory-equivalent
 //!    to the structured enum path, the readable reference, through
-//!    `run_batched` *and* through `run_faulted` under every injector
+//!    `run_batched` *and* through a faulted `drive` under every injector
 //!    kind, for multiple population sizes and seeds, across block
 //!    boundaries, on blocks that repeat agents, and through the sharded
 //!    API. The packed path must be a pure optimization, exactly like
@@ -22,7 +22,9 @@ use proptest::prelude::*;
 
 use silent_ranking::leader_election::fast::{FastLe, FastLeState};
 use silent_ranking::population::observe::{Convergence, Unpacked};
-use silent_ranking::population::{is_valid_ranking, Packed, Simulator, UnpackedHook};
+use silent_ranking::population::{
+    drive, is_valid_ranking, NoPoll, NoSaves, NullProbe, Packed, Simulator, UnpackedHook,
+};
 use silent_ranking::ranking::stable::state::{MainKind, UnRole, UnState};
 use silent_ranking::ranking::stable::{PackedState, StableRanking, StableState};
 use silent_ranking::ranking::Params;
@@ -220,13 +222,27 @@ fn packed_equals_enum_through_run_faulted_for_every_injector() {
             let init = p.figure3();
             let mut plan = plan_for(kind, &p, n, at, seed);
             let mut enum_sim = Simulator::new(p, init, seed);
-            enum_sim.run_faulted(total, &mut plan);
+            drive(
+                &mut enum_sim,
+                total,
+                &mut plan,
+                &mut NoSaves,
+                &mut NoPoll,
+                &mut NullProbe,
+            );
 
             let p = Packed(protocol(n));
             let init = p.pack_all(&p.inner().figure3());
             let mut hook = UnpackedHook::new(plan_for(kind, p.inner(), n, at, seed));
             let mut packed_sim = Simulator::new(p, init, seed);
-            packed_sim.run_faulted(total, &mut hook);
+            drive(
+                &mut packed_sim,
+                total,
+                &mut hook,
+                &mut NoSaves,
+                &mut NoPoll,
+                &mut NullProbe,
+            );
 
             assert_eq!(
                 plan.fired(),
@@ -302,7 +318,7 @@ proptest! {
         let mut plan = FaultPlan::new(seed)
             .periodic(every, every, ranking_faults::corrupt(&p, n / 2));
         let mut enum_sim = Simulator::new(p, init, seed);
-        enum_sim.run_faulted(total, &mut plan);
+        drive(&mut enum_sim, total, &mut plan, &mut NoSaves, &mut NoPoll, &mut NullProbe);
 
         let p = Packed(protocol(n));
         let init = p.pack_all(&p.inner().adversarial_uniform(seed));
@@ -310,7 +326,7 @@ proptest! {
             FaultPlan::new(seed).periodic(every, every, ranking_faults::corrupt(p.inner(), n / 2)),
         );
         let mut packed_sim = Simulator::new(p, init, seed);
-        packed_sim.run_faulted(total, &mut hook);
+        drive(&mut packed_sim, total, &mut hook, &mut NoSaves, &mut NoPoll, &mut NullProbe);
 
         prop_assert_eq!(plan.fired(), hook.inner().fired());
         let unpacked = packed_sim.protocol().unpack_all(packed_sim.states());
@@ -488,13 +504,27 @@ fn kernel_equals_scalar_block_through_run_faulted() {
         let init = p.0.pack_all(&p.0.inner().figure3());
         let mut scalar_hook = UnpackedHook::new(plan_for(kind, p.0.inner(), n, at, seed));
         let mut scalar_sim = Simulator::new(p, init, seed);
-        scalar_sim.run_faulted(total, &mut scalar_hook);
+        drive(
+            &mut scalar_sim,
+            total,
+            &mut scalar_hook,
+            &mut NoSaves,
+            &mut NoPoll,
+            &mut NullProbe,
+        );
 
         let p = Packed(protocol(n));
         let init = p.pack_all(&p.inner().figure3());
         let mut kernel_hook = UnpackedHook::new(plan_for(kind, p.inner(), n, at, seed));
         let mut kernel_sim = Simulator::new(p, init, seed);
-        kernel_sim.run_faulted(total, &mut kernel_hook);
+        drive(
+            &mut kernel_sim,
+            total,
+            &mut kernel_hook,
+            &mut NoSaves,
+            &mut NoPoll,
+            &mut NullProbe,
+        );
 
         assert_eq!(
             scalar_hook.inner().fired(),

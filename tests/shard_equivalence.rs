@@ -125,7 +125,14 @@ fn one_shard_faulted_run_matches_sequential_faulted_run() {
             seed,
         );
         let mut seq_hook = UnpackedHook::new(make_plan());
-        seq.run_faulted(15_000, &mut seq_hook);
+        drive(
+            &mut seq,
+            15_000,
+            &mut seq_hook,
+            &mut NoSaves,
+            &mut NoPoll,
+            &mut NullProbe,
+        );
 
         let mut sharded = ShardedSimulator::new(
             packed_protocol(n),
@@ -223,7 +230,7 @@ fn wrapper_equals_simulator_for_every_shard_and_worker_count() {
         let init = packed_init(&protocol, 40 + k as u64);
         let mut reference = Simulator::new(packed_protocol(N), init.clone(), 60 + k as u64);
         for &burst in bursts {
-            reference.run(burst);
+            reference.run_batched(burst);
         }
         for shards in [1, 2, 4, 8] {
             for workers in [1, 2, 3] {
@@ -267,7 +274,14 @@ fn faulted_probed_sharded_run_equals_the_sequential_one() {
             }
             None => {
                 let mut sim = Simulator::new(protocol, legal, 17);
-                sim.run_faulted_probed(150_000, &mut plan, &mut recorder);
+                drive(
+                    &mut sim,
+                    150_000,
+                    &mut plan,
+                    &mut NoSaves,
+                    &mut NoPoll,
+                    &mut recorder,
+                );
                 (sim.frame(), sim.protocol().inner().dispatch_mix())
             }
         };
@@ -413,7 +427,7 @@ proptest! {
         prop_assert_eq!(t2, count);
         prop_assert_eq!(&s1, &s2);
         let mut reference = Simulator::new(packed_protocol(n), packed_init(&packed_protocol(n), seed), seed);
-        reference.run(count);
+        reference.run_batched(count);
         prop_assert_eq!(s1, reference.states().to_vec());
     }
 }

@@ -37,8 +37,8 @@ use std::path::PathBuf;
 
 use silent_ranking::dynamic::{ChurnConfig, DynRanking, DynamicPopulation};
 use silent_ranking::population::{
-    drive, Capture, FaultHook, Frame, HookState, MemoryCheckpointer, NoFaults, NoPoll, NullProbe,
-    Packed, Simulator, UnpackedHook, WordState,
+    drive, Capture, FaultHook, Frame, HookState, MemoryCheckpointer, NoFaults, NoPoll, NoSaves,
+    NullProbe, Packed, Simulator, UnpackedHook, WordState,
 };
 use silent_ranking::ranking::stable::{PackedState, StableRanking, StableState};
 use silent_ranking::ranking::Params;
@@ -97,7 +97,14 @@ fn assert_seq_resume<P, H>(
 {
     let (p, init, mut ref_hook) = make();
     let mut reference = Simulator::new(p, init, seed);
-    reference.run_faulted(total, &mut ref_hook);
+    drive(
+        &mut reference,
+        total,
+        &mut ref_hook,
+        &mut NoSaves,
+        &mut NoPoll,
+        &mut NullProbe,
+    );
 
     let dir = TempDir::new(tag);
     let (p, init, mut hook) = make();
@@ -249,7 +256,14 @@ fn assert_sharded_resume(tag: &str, kind: &'static str, shards: usize, seed: u64
 
     let (p, init, mut ref_hook) = make();
     let mut reference = Simulator::new(p, init, seed);
-    reference.run_faulted(total, &mut ref_hook);
+    drive(
+        &mut reference,
+        total,
+        &mut ref_hook,
+        &mut NoSaves,
+        &mut NoPoll,
+        &mut NullProbe,
+    );
 
     let dir = TempDir::new(tag);
     let (p, init, mut hook) = make();
@@ -313,7 +327,14 @@ fn resume_degrades_past_a_corrupted_newest_snapshot() {
 
         let (p, init, mut ref_hook) = make();
         let mut reference = Simulator::new(p, init, seed);
-        reference.run_faulted(total, &mut ref_hook);
+        drive(
+            &mut reference,
+            total,
+            &mut ref_hook,
+            &mut NoSaves,
+            &mut NoPoll,
+            &mut NullProbe,
+        );
 
         let dir = TempDir::new(&tag);
         let (p, init, mut hook) = make();

@@ -9,7 +9,7 @@
 //! * the structured enum path (`Simulator<StableRanking>`),
 //! * the block transition kernel (`Packed<StableRanking>`),
 //! * the sharded API at 1 and 4 shards, and
-//! * `run_faulted` under **every** canonical injector, on the enum path
+//! * a faulted `drive` under **every** canonical injector, on the enum path
 //!   and through `UnpackedHook` on the kernel path.
 //!
 //! Non-vacuousness is checked separately with multi-block budgets (the
@@ -19,7 +19,9 @@
 
 use proptest::prelude::*;
 
-use silent_ranking::population::{NoFaults, NullProbe, Packed, Simulator, UnpackedHook};
+use silent_ranking::population::{
+    drive, Every, NoFaults, NoPoll, NoSaves, NullProbe, Packed, Simulator, UnpackedHook,
+};
 use silent_ranking::ranking::stable::{StableRanking, StableState};
 use silent_ranking::ranking::Params;
 use silent_ranking::scenarios::{ranking_faults, FaultPlan};
@@ -51,8 +53,8 @@ proptest! {
         let mut recorded = Simulator::new(protocol(n), init, seed);
         let mut recorder = Recorder::new();
         plain.run_batched(budget(n));
-        nulled.run_probed(budget(n), &mut NullProbe);
-        recorded.run_probed(budget(n), &mut recorder);
+        drive(&mut nulled, budget(n), &mut NoFaults, &mut NoSaves, &mut NoPoll, &mut NullProbe);
+        drive(&mut recorded, budget(n), &mut NoFaults, &mut NoSaves, &mut NoPoll, &mut recorder);
         prop_assert_eq!(nulled.states(), plain.states());
         prop_assert_eq!(recorded.states(), plain.states());
         prop_assert_eq!(recorded.interactions(), plain.interactions());
@@ -68,8 +70,8 @@ proptest! {
         let (mut plain, mut nulled, mut recorded) = (make(), make(), make());
         let mut recorder = Recorder::new();
         plain.run_batched(budget(n));
-        nulled.run_probed(budget(n), &mut NullProbe);
-        recorded.run_probed(budget(n), &mut recorder);
+        drive(&mut nulled, budget(n), &mut NoFaults, &mut NoSaves, &mut NoPoll, &mut NullProbe);
+        drive(&mut recorded, budget(n), &mut NoFaults, &mut NoSaves, &mut NoPoll, &mut recorder);
         prop_assert_eq!(nulled.states(), plain.states());
         prop_assert_eq!(recorded.states(), plain.states());
         prop_assert_eq!(recorded.interactions(), plain.interactions());
@@ -116,7 +118,14 @@ fn recorded_runs_are_not_vacuous_over_multi_block_budgets() {
         Simulator::new(p, init, seed)
     };
     let mut recorder = Recorder::new();
-    kernel.run_probed(budget, &mut recorder);
+    drive(
+        &mut kernel,
+        budget,
+        &mut NoFaults,
+        &mut NoSaves,
+        &mut NoPoll,
+        &mut recorder,
+    );
     assert!(recorder.recorded() > 0, "kernel run traced no events");
 
     let mut sharded = {
@@ -132,7 +141,7 @@ fn recorded_runs_are_not_vacuous_over_multi_block_budgets() {
 }
 
 // ----------------------------------------------------------------------
-// run_faulted under every canonical injector
+// A faulted drive under every canonical injector
 // ----------------------------------------------------------------------
 
 fn faulted_plan(kind: &str, n: usize, seed: u64) -> FaultPlan<StableState> {
@@ -153,8 +162,22 @@ fn enum_faulted_runs_are_probe_inert_for_every_injector() {
             let mut plain_plan = faulted_plan(kind, n, seed);
             let mut rec_plan = faulted_plan(kind, n, seed);
             let mut recorder = Recorder::new();
-            plain.run_faulted_probed(budget(n), &mut plain_plan, &mut NullProbe);
-            recorded.run_faulted_probed(budget(n), &mut rec_plan, &mut recorder);
+            drive(
+                &mut plain,
+                budget(n),
+                &mut plain_plan,
+                &mut NoSaves,
+                &mut NoPoll,
+                &mut NullProbe,
+            );
+            drive(
+                &mut recorded,
+                budget(n),
+                &mut rec_plan,
+                &mut NoSaves,
+                &mut NoPoll,
+                &mut recorder,
+            );
             assert_eq!(
                 recorded.states(),
                 plain.states(),
@@ -182,8 +205,22 @@ fn kernel_faulted_runs_are_probe_inert_for_every_injector() {
             let (mut plain, mut plain_plan) = make(seed);
             let (mut recorded, mut rec_plan) = make(seed);
             let mut recorder = Recorder::new();
-            plain.run_faulted_probed(budget(n), &mut plain_plan, &mut NullProbe);
-            recorded.run_faulted_probed(budget(n), &mut rec_plan, &mut recorder);
+            drive(
+                &mut plain,
+                budget(n),
+                &mut plain_plan,
+                &mut NoSaves,
+                &mut NoPoll,
+                &mut NullProbe,
+            );
+            drive(
+                &mut recorded,
+                budget(n),
+                &mut rec_plan,
+                &mut NoSaves,
+                &mut NoPoll,
+                &mut recorder,
+            );
             assert_eq!(
                 recorded.states(),
                 plain.states(),
@@ -207,14 +244,28 @@ fn enum_and_kernel_faulted_runs_record_identical_events() {
             let mut enum_sim = Simulator::new(protocol(n), init.clone(), seed);
             let mut enum_plan = faulted_plan(kind, n, seed);
             let mut enum_rec = Recorder::new();
-            enum_sim.run_faulted_probed(budget(n), &mut enum_plan, &mut enum_rec);
+            drive(
+                &mut enum_sim,
+                budget(n),
+                &mut enum_plan,
+                &mut NoSaves,
+                &mut NoPoll,
+                &mut enum_rec,
+            );
 
             let packed = Packed(protocol(n));
             let packed_init = packed.pack_all(&init);
             let mut kernel_sim = Simulator::new(packed, packed_init, seed);
             let mut kernel_plan = UnpackedHook::new(faulted_plan(kind, n, seed));
             let mut kernel_rec = Recorder::new();
-            kernel_sim.run_faulted_probed(budget(n), &mut kernel_plan, &mut kernel_rec);
+            drive(
+                &mut kernel_sim,
+                budget(n),
+                &mut kernel_plan,
+                &mut NoSaves,
+                &mut NoPoll,
+                &mut kernel_rec,
+            );
 
             assert!(enum_rec.recorded() > 0, "{kind}: no events traced");
             assert_eq!(
@@ -281,7 +332,14 @@ fn observed_runs_are_probe_inert_and_stop_at_the_same_time() {
         let mut recorder = Recorder::new();
         let budget = (n * n * n) as u64;
         let stop_plain = plain.run_observed(budget, n as u64, &mut plain_obs);
-        let stop_rec = recorded.run_observed_probed(budget, n as u64, &mut rec_obs, &mut recorder);
+        let stop_rec = drive(
+            &mut recorded,
+            budget,
+            &mut NoFaults,
+            &mut NoSaves,
+            &mut Every(n as u64, &mut rec_obs),
+            &mut recorder,
+        );
         assert_eq!(stop_plain, stop_rec, "seed={seed}");
         assert_eq!(recorded.states(), plain.states());
         assert_eq!(recorded.interactions(), plain.interactions());
@@ -331,7 +389,14 @@ fn every_run_ending_records_one_checkpoint_per_poll() {
         let mut sim = kernel(protocol(n).adversarial_uniform(5));
         let mut obs = Convergence::new(|s: &[_]| is_valid_ranking(s));
         let mut recorder = Recorder::new();
-        sim.run_observed_probed(budget, check_every, &mut obs, &mut recorder);
+        drive(
+            &mut sim,
+            budget,
+            &mut NoFaults,
+            &mut NoSaves,
+            &mut Every(check_every, &mut obs),
+            &mut recorder,
+        );
         assert_eq!(budget == u64::MAX, sim.interactions() < budget, "{case}");
         assert_one_checkpoint_per_poll(&recorder, check_every, sim.interactions(), case);
     }

@@ -12,7 +12,7 @@
 //! past the dispenser. On a ring the run livelocks forever; on an
 //! expander it makes strong partial progress but still resets. So:
 //!
-//! 1. **Fault recovery** composes `run_faulted` + every
+//! 1. **Fault recovery** composes a faulted `drive` + every
 //!    `ranking_faults::KINDS` injector with a `GraphSchedule` over the
 //!    complete graph — the one topology where recovery to a valid
 //!    *silent* ranking is possible — exercising the full seam
@@ -25,7 +25,9 @@
 //!    expander reaches half-ranked in the same budget — the partial
 //!    progress the spectral gap predicts.
 
-use silent_ranking::population::{is_valid_ranking, ranked_count, silence, Simulator};
+use silent_ranking::population::{
+    drive, is_valid_ranking, ranked_count, silence, NoPoll, NoSaves, NullProbe, Simulator,
+};
 use silent_ranking::ranking::stable::StableRanking;
 use silent_ranking::ranking::Params;
 use silent_ranking::scenarios::byzantine::{run_honest, Byzantine};
@@ -57,7 +59,14 @@ fn every_fault_kind_recovers_on_the_graph_scheduled_clique() {
             7_919,
             ranking_faults::standard(kind, sim.protocol(), N),
         );
-        sim.run_faulted(FAULTY_PREFIX, &mut plan);
+        drive(
+            &mut sim,
+            FAULTY_PREFIX,
+            &mut plan,
+            &mut NoSaves,
+            &mut NoPoll,
+            &mut NullProbe,
+        );
 
         let stop = sim.run_until(is_valid_ranking, RECOVERY_BUDGET, N as u64);
         assert!(

@@ -25,7 +25,7 @@ use std::path::PathBuf;
 
 use proptest::prelude::*;
 
-use silent_ranking::population::{Schedule, Simulator};
+use silent_ranking::population::{drive, NoFaults, NoPoll, NullProbe, Schedule, Simulator};
 use silent_ranking::ranking::stable::StableRanking;
 use silent_ranking::ranking::Params;
 use silent_ranking::snapshot::{self, Meta, Rotation, SnapshotSink};
@@ -314,7 +314,7 @@ fn assert_graph_resume(tag: &str, spec: TopologySpec, total: u64, every: u64, cr
     };
 
     let mut reference = make();
-    reference.run(total);
+    reference.run_batched(total);
 
     let dir = TempDir::new(tag);
     let mut sink = SnapshotSink::every(dir.rotation(), every, Meta::bare(tag, seed));
@@ -322,7 +322,14 @@ fn assert_graph_resume(tag: &str, spec: TopologySpec, total: u64, every: u64, cr
     let mut t = 0;
     for &crash in crashes {
         assert!(crash > t && crash < total, "bad crash matrix for {tag}");
-        sim.run_checkpointed(crash - t, &mut sink);
+        drive(
+            &mut sim,
+            crash - t,
+            &mut NoFaults,
+            &mut sink,
+            &mut NoPoll,
+            &mut NullProbe,
+        );
         // The kill: the live engine is dropped; only the rotation
         // directory survives.
         drop((sim, sink));
@@ -340,7 +347,14 @@ fn assert_graph_resume(tag: &str, spec: TopologySpec, total: u64, every: u64, cr
         assert_eq!(sim.source().topology().spec(), &spec);
         sink = SnapshotSink::resumed(dir.rotation(), every, t, Meta::bare(tag, seed));
     }
-    sim.run_checkpointed(total - t, &mut sink);
+    drive(
+        &mut sim,
+        total - t,
+        &mut NoFaults,
+        &mut sink,
+        &mut NoPoll,
+        &mut NullProbe,
+    );
 
     assert_eq!(sim.interactions(), reference.interactions(), "{tag}");
     assert_eq!(
