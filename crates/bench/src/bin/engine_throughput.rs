@@ -45,18 +45,16 @@
 //! All paths execute the identical trajectory, so every comparison is
 //! pure representation/engine overhead.
 //!
-//! Two extra kernel rows measure the telemetry **probe seam**
-//! (`population::Probe`): `stable_ranking_kernel_null_probe` times
-//! `population::drive` with `NullProbe` in its probe slot against
-//! `run_batched` in interleaved pairs (in these rows the "scalar"
-//! column is the paired unprobed throughput), and `stable_ranking_kernel_recorded` times a
-//! `telemetry::Recorder` riding the same blocks, handed at each block
-//! boundary the agents the marked kernel pass flagged (see
-//! `population::Probe::block`). The JSON artifact
-//! additionally records each size's best paired null-probe and
-//! recorded/unprobed ratios (`probe_overhead`), and every artifact now
-//! embeds a run-provenance `manifest` block (arguments, git revision,
-//! rustc, host cores).
+//! One extra kernel row measures an active **probe**
+//! (`population::Probe`): `stable_ranking_kernel_recorded` times a
+//! `telemetry::Recorder` riding the kernel's blocks, handed at each
+//! block boundary the agents the marked kernel pass flagged (see
+//! `population::Probe::block`), against `run_batched` in interleaved
+//! pairs (in this row the "scalar" column is the paired unprobed
+//! throughput). The JSON artifact additionally records each size's best
+//! paired recorded/unprobed ratio (`probe_overhead`), and every
+//! artifact embeds a run-provenance `manifest` block (arguments, git
+//! revision, rustc, host cores).
 //!
 //! Writes `BENCH_engine.json` (override with `out=`) so later
 //! performance work has a recorded trajectory to beat. Pass
@@ -65,17 +63,14 @@
 //! command. Pass `--smoke` to assert (exit 1 on failure) that the
 //! kernel is at least `floor=` (default 0.9) times the enum path on
 //! the transient workload and, at `n ≥ 10⁴`, at least `silent_floor=`
-//! (default 1.05) times it on the converged workload, that the best
-//! paired null-probe ratio
-//! reaches `probe_floor=` (default 0.95), and that at `n = 10⁴` the best
-//! paired recorded/unprobed ratio reaches `RECORD_FLOOR` (0.7) — the CI
-//! throughput smoke.
+//! (default 1.05) times it on the converged workload, and that at
+//! `n = 10⁴` the best paired recorded/unprobed ratio reaches
+//! `RECORD_FLOOR` (0.7) — the CI throughput smoke.
 //!
 //! Usage: `cargo run --release -p bench --bin engine_throughput --
 //! [interactions=20000000] [samples=5] [sizes=1000,10000,100000]
 //! [out=BENCH_engine.json] [baseline=PATH] [floor=0.9]
-//! [silent_floor=1.05] [probe_floor=0.95]
-//! [--smoke] [--csv]`
+//! [silent_floor=1.05] [--smoke] [--csv]`
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -85,8 +80,7 @@ use bench::{f3, Experiment, Json, Table};
 use population::primitives::epidemic::Epidemic;
 use population::schedule::Pair;
 use population::{
-    drive, CursorSource, NoFaults, NoPoll, NoSaves, NullProbe, Packed, PairSource, Protocol,
-    Simulator,
+    drive, CursorSource, NoFaults, NoPoll, NoSaves, Packed, PairSource, Protocol, Simulator,
 };
 use ranking::stable::state::StableState;
 use ranking::stable::StableRanking;
@@ -323,31 +317,24 @@ fn measure_fastforward(n: usize, interactions: u64, samples: usize) -> FastForwa
     }
 }
 
-/// Probe-seam overhead rows, measured by **interleaved paired
-/// sampling**.
+/// The recorded row, measured by **interleaved paired sampling**.
 ///
 /// The bench host shares its cores with other tenants and its clock is
 /// unstable: two independently timed medians of *identical* machine
-/// code routinely differ by ~10%, so an independent-median ratio cannot
-/// resolve a 5% seam regression. Instead every sample times
-/// `run_batched` and a `drive` call with `NullProbe` in the probe slot
-/// back-to-back (same frequency window) and the smoke gate uses the
-/// **best** paired ratio across samples: if the `NullProbe` slot truly
-/// monomorphizes to the unprobed code, at least one quiet window shows a
-/// ratio near 1.0, while a real codegen regression caps every window's
-/// ratio below it.
-/// A `Recorder`-mode sample rides the same loop for the recorded-mode
-/// row; its best paired ratio gates the recorder's per-block cost the
-/// same way (active tracing may cost, but only so much).
+/// code routinely differ by ~10%. Instead every sample times
+/// `run_batched` and a `drive` call with a `Recorder` in the probe slot
+/// back-to-back (same frequency window), and the smoke gate uses the
+/// **best** paired ratio across samples: at least one quiet window shows
+/// the recorder's real per-block cost, while a real regression caps
+/// every window's ratio below the floor (active tracing may cost, but
+/// only so much).
 struct ProbeRows {
     n: usize,
     interactions: u64,
     plain_ips: f64,
-    null_ips: f64,
     recorded_ips: f64,
-    /// Best (max) per-sample ratio `t_plain / t_null` — the smoke gate.
-    best_null_ratio: f64,
-    /// Best (max) per-sample ratio `t_plain / t_recorded`.
+    /// Best (max) per-sample ratio `t_plain / t_recorded` — the smoke
+    /// gate.
     best_recorded_ratio: f64,
 }
 
@@ -358,31 +345,18 @@ fn measure_probe_rows(n: usize, interactions: u64, samples: usize) -> ProbeRows 
         Simulator::new(Executes(p), init, 7)
     };
     let mut plain_sim = fresh();
-    let mut null_sim = fresh();
     let mut rec_sim = fresh();
     // A small ring keeps the recorded row's memory bounded; overwritten
     // events are still counted, which is all this row needs.
     let mut recorder = telemetry::Recorder::with_capacity(1 << 12);
     let mut plain_t = Vec::with_capacity(samples);
-    let mut null_t = Vec::with_capacity(samples);
     let mut rec_t = Vec::with_capacity(samples);
-    let mut best_null_ratio = 0.0f64;
     let mut best_recorded_ratio = 0.0f64;
     // Sample 0 is each path's untimed warmup.
     for sample in 0..=samples {
         let t0 = Instant::now();
         plain_sim.run_batched(interactions);
         let tp = t0.elapsed().as_secs_f64();
-        let t0 = Instant::now();
-        drive(
-            &mut null_sim,
-            interactions,
-            &mut NoFaults,
-            &mut NoSaves,
-            &mut NoPoll,
-            &mut NullProbe,
-        );
-        let tn = t0.elapsed().as_secs_f64();
         let t0 = Instant::now();
         drive(
             &mut rec_sim,
@@ -396,10 +370,8 @@ fn measure_probe_rows(n: usize, interactions: u64, samples: usize) -> ProbeRows 
         if sample == 0 {
             continue;
         }
-        best_null_ratio = best_null_ratio.max(tp / tn);
         best_recorded_ratio = best_recorded_ratio.max(tp / tr);
         plain_t.push(tp);
-        null_t.push(tn);
         rec_t.push(tr);
     }
     let median = |mut v: Vec<f64>| {
@@ -410,9 +382,7 @@ fn measure_probe_rows(n: usize, interactions: u64, samples: usize) -> ProbeRows 
         n,
         interactions,
         plain_ips: interactions as f64 / median(plain_t),
-        null_ips: interactions as f64 / median(null_t),
         recorded_ips: interactions as f64 / median(rec_t),
-        best_null_ratio,
         best_recorded_ratio,
     }
 }
@@ -512,23 +482,15 @@ fn main() -> ExitCode {
         });
     }
 
-    // Probe-seam overhead rows: paired unprobed vs NullProbe vs
-    // Recorder samples over the kernel path (see [`measure_probe_rows`]).
-    // In these rows the "scalar" column is the *paired unprobed*
-    // `run_batched` throughput, not a step loop.
+    // The recorded row: paired unprobed vs Recorder samples over the
+    // kernel path (see [`measure_probe_rows`]). In this row the
+    // "scalar" column is the *paired unprobed* `run_batched`
+    // throughput, not a step loop.
     let probe_rows: Vec<ProbeRows> = sizes
         .iter()
         .map(|&n| measure_probe_rows(n, interactions / 4, samples))
         .collect();
     for p in &probe_rows {
-        results.push(Measurement {
-            protocol: "stable_ranking_kernel_null_probe",
-            n: p.n,
-            interactions: p.interactions,
-            scalar_ips: p.plain_ips,
-            batched_ips: p.null_ips,
-            dispatch_mix: None,
-        });
         results.push(Measurement {
             protocol: "stable_ranking_kernel_recorded",
             n: p.n,
@@ -606,7 +568,6 @@ fn main() -> ExitCode {
                     .map(|p| {
                         Json::obj([
                             ("n", p.n.into()),
-                            ("best_null_paired_ratio", p.best_null_ratio.into()),
                             ("best_recorded_paired_ratio", p.best_recorded_ratio.into()),
                         ])
                     })
@@ -686,44 +647,23 @@ fn main() -> ExitCode {
     if exp.flag("smoke") {
         let floor: f64 = exp.get("floor", 0.9);
         let silent_floor: f64 = exp.get("silent_floor", 1.05);
-        let probe_floor: f64 = exp.get("probe_floor", 0.95);
         let mut ok = true;
-        // The probe-seam guard: on at least one paired sample the
-        // NullProbe path must reach probe_floor of the unprobed path
-        // (tiny populations blur under measurement noise, so the gate
-        // starts at n = 1e4 like the silent floor below).
-        for p in probe_rows.iter().filter(|p| p.n >= 10_000) {
+        // The recorder guard: at n = 1e4 a key-diffing scan of the
+        // marked agents keeps the recorded run well above the floor, a
+        // per-agent class decode does not.
+        for p in probe_rows.iter().filter(|p| p.n == 10_000) {
             exp.note(&format!(
-                "smoke n={}: best paired null-probe/unprobed ratio {:.3} (floor {probe_floor})",
-                p.n, p.best_null_ratio
+                "smoke n={}: best paired recorded/unprobed ratio {:.3} (floor {RECORD_FLOOR})",
+                p.n, p.best_recorded_ratio
             ));
-            if p.best_null_ratio < probe_floor {
+            if p.best_recorded_ratio < RECORD_FLOOR {
                 eprintln!(
-                    "SMOKE FAILURE: NullProbe kernel path reached only {:.3}x the \
+                    "SMOKE FAILURE: Recorder kernel path reached only {:.3}x the \
                      unprobed path at n={} across every paired sample \
-                     (floor {probe_floor}) — the probe seam is no longer free",
-                    p.best_null_ratio, p.n
+                     (floor {RECORD_FLOOR}) — the recorder's block scan regressed",
+                    p.best_recorded_ratio, p.n
                 );
                 ok = false;
-            }
-            // The recorder guard: it scans every agent of the lane after
-            // each block, so its cost per interaction grows with n; at
-            // n = 1e4 a key-diffing scan keeps the recorded run well
-            // above the floor, a per-agent class decode does not.
-            if p.n == 10_000 {
-                exp.note(&format!(
-                    "smoke n={}: best paired recorded/unprobed ratio {:.3} (floor {RECORD_FLOOR})",
-                    p.n, p.best_recorded_ratio
-                ));
-                if p.best_recorded_ratio < RECORD_FLOOR {
-                    eprintln!(
-                        "SMOKE FAILURE: Recorder kernel path reached only {:.3}x the \
-                         unprobed path at n={} across every paired sample \
-                         (floor {RECORD_FLOOR}) — the recorder's block scan regressed",
-                        p.best_recorded_ratio, p.n
-                    );
-                    ok = false;
-                }
             }
         }
         for &n in &sizes {

@@ -70,11 +70,6 @@ impl ChurnConfig {
             rank_lease: true,
         }
     }
-
-    /// Whether this config can ever generate a lifecycle event.
-    pub fn is_quiescent(&self) -> bool {
-        self.arrivals_per_million <= 0.0 && self.mean_lifetime <= 0.0
-    }
 }
 
 /// Domain-separation constant folded into the engine seed so the churn

@@ -49,7 +49,6 @@
 
 use std::collections::VecDeque;
 
-use population::schedule::BLOCK_PAIRS;
 use population::silence::Certificate;
 use population::{
     advance_blocks, drive, Capture, CursorSource, Engine, Frame, Membership, NoFaults, NoPoll,
@@ -786,7 +785,6 @@ impl<P: DynRanking> Engine for DynamicPopulation<P> {
             &mut self.silence,
             &mut self.interactions,
             count,
-            BLOCK_PAIRS as u64,
             probe,
         );
     }

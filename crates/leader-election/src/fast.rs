@@ -216,11 +216,6 @@ impl FastLeLottery {
     pub fn winner_count(states: &[LotteryState]) -> usize {
         states.iter().filter(|s| s.le.is_leader).count()
     }
-
-    /// Any agent timed out?
-    pub fn any_timeout(states: &[LotteryState]) -> bool {
-        states.iter().any(|s| s.timed_out)
-    }
 }
 
 impl Protocol for FastLeLottery {

@@ -78,11 +78,6 @@ impl<L: LeaderElectionBehavior> LeaderElectionProtocol<L> {
     pub fn leader_count(&self, states: &[L::State]) -> usize {
         states.iter().filter(|s| self.behavior.is_leader(s)).count()
     }
-
-    /// True when every agent has set `leaderDone`.
-    pub fn all_done(&self, states: &[L::State]) -> bool {
-        states.iter().all(|s| self.behavior.leader_done(s))
-    }
 }
 
 impl<L: LeaderElectionBehavior> Protocol for LeaderElectionProtocol<L> {

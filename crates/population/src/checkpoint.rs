@@ -4,8 +4,9 @@
 //!
 //! Like the [`Probe`](crate::Probe) seam, checkpointing is **zero-cost
 //! when off**: the run driver ([`drive`](fn@crate::drive)) gates on
-//! [`Checkpointer::ACTIVE`], so for [`NullCheckpointer`] the save calls
-//! compile away and the hot path is not a loop of no-op saves.
+//! [`Saves::ACTIVE`](crate::Saves::ACTIVE), so for
+//! [`NoSaves`](crate::NoSaves) the save calls compile away and the hot
+//! path is not a loop of no-op saves.
 //!
 //! The seam deliberately knows nothing about files, formats, or
 //! checksums — a [`Checkpointer`] receives a [`Frame`] (interaction
@@ -165,8 +166,9 @@ impl<H: HookState> HookState for crate::UnpackedHook<H> {
 /// trajectory-inert: the pair stream is FIFO, so splitting bursts at
 /// save points changes nothing.
 pub trait Checkpointer {
-    /// `false` for [`NullCheckpointer`]: the driver then never asks for
-    /// a due time, so the disabled seam costs nothing.
+    /// `false` makes the driver skip the saves slot, as it does for
+    /// [`NoSaves`](crate::NoSaves): it then never asks for a due time, so
+    /// the disabled seam costs nothing.
     const ACTIVE: bool;
 
     /// The earliest interaction count at (or after) `now` where the
@@ -186,22 +188,6 @@ pub trait Checkpointer {
         );
         self.save(frame, fault);
     }
-}
-
-/// The inactive checkpointer: in the saves slot of
-/// [`drive`](fn@crate::drive) it *is* [`NoSaves`](crate::NoSaves) — its
-/// save calls compile away.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullCheckpointer;
-
-impl Checkpointer for NullCheckpointer {
-    const ACTIVE: bool = false;
-
-    fn next_due(&mut self, _now: u64) -> Option<u64> {
-        None
-    }
-
-    fn save(&mut self, _frame: &Frame, _fault: Option<&FaultState>) {}
 }
 
 /// An interaction-count save cadence: due at every positive multiple of
@@ -330,12 +316,6 @@ mod tests {
     #[should_panic(expected = "must be positive")]
     fn zero_cadence_rejected() {
         let _ = Cadence::every(0);
-    }
-
-    #[test]
-    fn null_checkpointer_is_inactive_and_never_due() {
-        const { assert!(!NullCheckpointer::ACTIVE) };
-        assert_eq!(NullCheckpointer.next_due(0), None);
     }
 
     #[test]

@@ -42,9 +42,8 @@
 //! * **Observation** — the [`observe::Observer`] pipeline. The engine
 //!   polls observers at checkpoints (every `check_every` interactions);
 //!   observers decide when to stop and what to record. Convergence
-//!   predicates ([`observe::Convergence`]), silence detection
-//!   ([`observe::Silence`]), time-series sampling ([`observe::Series`],
-//!   [`observe::Sampler`]), and threshold crossings
+//!   predicates ([`observe::Convergence`]), time-series sampling
+//!   ([`observe::Series`], [`observe::Sampler`]), and threshold crossings
 //!   ([`observe::Thresholds`]) are all observers, and tuples of
 //!   observers compose. The entry point is
 //!   [`Simulator::run_observed`]; [`Simulator::run_until`] is sugar for
@@ -188,8 +187,7 @@ pub mod schedule;
 pub mod silence;
 
 pub use checkpoint::{
-    Cadence, Checkpointer, FaultState, Frame, HookState, MemoryCheckpointer, NullCheckpointer,
-    WordState,
+    Cadence, Checkpointer, FaultState, Frame, HookState, MemoryCheckpointer, WordState,
 };
 pub use drive::{drive, Capture, Engine, Every, NoPoll, NoSaves, Poll, Saves};
 pub use observe::{Control, HonestRanking, Observer};

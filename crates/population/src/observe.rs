@@ -8,8 +8,6 @@
 //!
 //! * [`Convergence`] — stop when a predicate over the configuration
 //!   first holds, recording the hitting time;
-//! * [`Silence`] — stop when the configuration is *silent* (no ordered
-//!   pair would change state; the paper's absorbing criterion);
 //! * [`Sampler`] — invoke a closure at every checkpoint (time series);
 //! * [`Series`] — record `(t, metric)` rows at every checkpoint;
 //! * [`Thresholds`] — record the first time a monotone metric reaches
@@ -22,7 +20,6 @@
 //! pipeline.
 
 use crate::protocol::{Packed, PackedProtocol, Protocol};
-use crate::silence::is_silent;
 
 /// Verdict returned by an observer at a checkpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,39 +100,6 @@ impl<P: Protocol, F: FnMut(&[P::State]) -> bool> Observer<P> for Convergence<F> 
     }
 }
 
-/// Stops when the configuration is silent (no ordered pair would change
-/// state). The check is `O(n²)` transitions per checkpoint — poll it
-/// sparsely on large populations.
-#[derive(Debug, Default)]
-pub struct Silence {
-    hit: Option<u64>,
-}
-
-impl Silence {
-    /// New silence detector.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Checkpoint time at which silence was first observed, if any.
-    pub fn silent_at(&self) -> Option<u64> {
-        self.hit
-    }
-}
-
-impl<P: Protocol> Observer<P> for Silence {
-    fn observe(&mut self, protocol: &P, t: u64, states: &[P::State]) -> Control {
-        if self.hit.is_none() && is_silent(protocol, states) {
-            self.hit = Some(t);
-        }
-        if self.hit.is_some() {
-            Control::Stop
-        } else {
-            Control::Continue
-        }
-    }
-}
-
 /// Invokes a closure at every checkpoint; never stops the run.
 #[derive(Debug)]
 pub struct Sampler<F> {
@@ -175,11 +139,6 @@ impl<F, T> Series<F, T> {
     /// The recorded `(t, value)` rows.
     pub fn rows(&self) -> &[(u64, T)] {
         &self.rows
-    }
-
-    /// Consume the observer, returning the recorded rows.
-    pub fn into_rows(self) -> Vec<(u64, T)> {
-        self.rows
     }
 }
 
@@ -361,15 +320,6 @@ mod tests {
         let t = conv.converged_at().expect("epidemic completes");
         assert_eq!(stop, StopReason::Converged(t));
         assert_eq!(t, sim.interactions());
-    }
-
-    #[test]
-    fn silence_observer_stops_absorbed_runs() {
-        let mut sim = epidemic_sim(16, 16, 2);
-        let mut silence = Silence::new();
-        let stop = sim.run_observed(1_000_000, 16, &mut silence);
-        assert!(stop.converged_at().is_some());
-        assert_eq!(silence.silent_at(), stop.converged_at());
     }
 
     #[test]

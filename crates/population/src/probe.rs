@@ -12,9 +12,9 @@
 //! each call with the associated constant [`Probe::ACTIVE`]. For
 //! [`NullProbe`] (`ACTIVE = false`) the guards are constant-false, so a
 //! `NullProbe` run is the unprobed block loop — the same machine code,
-//! not a loop of no-op calls. The CI throughput smoke guards this
-//! contract with a paired A/B measurement (`probe_floor`, default
-//! `0.95×`).
+//! not a loop of no-op calls. The contract holds by construction: the
+//! unprobed run *is* [`drive`](fn@crate::drive) with `&mut NullProbe`,
+//! so there is no second path to compare it against.
 //!
 //! # Read-only by contract
 //!
@@ -63,17 +63,16 @@ pub trait Probe<P: Protocol> {
 
     /// A block boundary: the engine's block loop
     /// ([`advance_blocks`](crate::advance_blocks)) stopped at
-    /// interaction count `t`, after every block on [`Simulator`](crate::Simulator) and
-    /// the dynamic engine, after every `shards` blocks on the sharded
-    /// API, and at the end of every run segment. A boundary makes one or
-    /// more calls, all with the same `t`:
+    /// interaction count `t`, after every schedule block on every engine
+    /// (the last block of a run segment may be short). A boundary makes
+    /// one or more calls, all with the same `t`:
     ///
     /// * the **first boundary of every run segment** (every call of the
     ///   block loop, so after any fault, lifecycle event, restore, or a
     ///   fresh probe) makes one call with `start = 0` and the whole
     ///   configuration as `lane`;
     /// * every **later boundary** makes one call per run of adjacent
-    ///   agents the protocol marked since the previous boundary
+    ///   agents the protocol marked during the block
     ///   ([`Protocol::transition_marked`]), in ascending index order,
     ///   with `start` the index of `lane[0]` and `lane` the marked
     ///   agents' states; with no agent marked it makes one call with an
@@ -83,10 +82,10 @@ pub trait Probe<P: Protocol> {
     /// An agent outside every lane of a boundary kept its traced class
     /// since the previous boundary, so a probe that diffs per-agent
     /// classes sees every change by diffing only the lanes. `changed`
-    /// is the number of state-changing interactions since the previous
-    /// boundary (0 where the execution path does not track it), carried
-    /// by the boundary's first call; the later calls carry 0. `shard`
-    /// is 0 on every engine of this build. Event granularity is the
+    /// is the number of state-changing interactions in the block (0
+    /// where the execution path does not track it), carried by the
+    /// boundary's first call; the later calls carry 0. `shard` is 0 on
+    /// every engine of this build. Event granularity is the
     /// boundary, mirroring the observer pipeline's `check_every`
     /// overshoot convention.
     fn block(

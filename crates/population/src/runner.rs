@@ -86,7 +86,8 @@ where
 /// zero values are ignored. `SSR_WORKERS` is read on every call; the
 /// machine's parallelism is asked once per process and cached, since
 /// the query reads cgroup files (12–26 µs a call on a 2-core Linux
-/// host) and every `shard::ShardedSimulator` asks when it is built.
+/// host) and every `shard::ShardedSimulator` asks when it is built, for
+/// a worker count it only reports.
 pub fn available_workers() -> NonZeroUsize {
     static PARALLELISM: OnceLock<NonZeroUsize> = OnceLock::new();
     if let Ok(v) = std::env::var("SSR_WORKERS") {

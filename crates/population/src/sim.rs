@@ -332,26 +332,6 @@ impl<P: Protocol, S: PairSource> Simulator<P, S> {
     pub fn source(&self) -> &S {
         &self.schedule
     }
-
-    /// Advance exactly `count` interactions through the block loop
-    /// ([`advance_blocks`]), handing an active probe a boundary after
-    /// every `cadence` executed pairs and at the end. The run driver's
-    /// [`Engine::advance`] is this with a cadence of one block
-    /// ([`BLOCK_PAIRS`]); a coarser cadence shows the probe the same
-    /// changes in fewer, larger batches. The trajectory never depends on
-    /// it.
-    pub fn advance_every<B: Probe<P>>(&mut self, count: u64, cadence: u64, probe: &mut B) {
-        advance_blocks(
-            &self.protocol,
-            &mut self.states,
-            &mut self.schedule,
-            &mut self.silence,
-            &mut self.interactions,
-            count,
-            cadence,
-            probe,
-        );
-    }
 }
 
 impl<P: Protocol, S: CursorSource> Simulator<P, S> {
@@ -415,13 +395,12 @@ impl<P: WordState, S: CursorSource> Simulator<P, S> {
 /// certificate is due for another try. The caller clears `silence`
 /// whenever it edits `states`.
 ///
-/// An active probe is handed a boundary after every `cadence` executed
-/// pairs and at the end of `count`; the blocks then run through
-/// [`Protocol::transition_marked`], and each boundary hands the probe
-/// the agents marked since the last one (see [`Probe::block`]). The
-/// first boundary of every call hands it the whole configuration, since
-/// whatever edited `states` between calls marked nothing.
-#[allow(clippy::too_many_arguments)]
+/// An active probe is handed a boundary after every block; the blocks
+/// then run through [`Protocol::transition_marked`], and each boundary
+/// hands the probe the agents marked during that block (see
+/// [`Probe::block`]). The first boundary of every call hands it the
+/// whole configuration, since whatever edited `states` between calls
+/// marked nothing.
 pub fn advance_blocks<P: Protocol, S: PairSource, B: Probe<P>>(
     protocol: &P,
     states: &mut [P::State],
@@ -429,7 +408,6 @@ pub fn advance_blocks<P: Protocol, S: PairSource, B: Probe<P>>(
     silence: &mut Certificate,
     interactions: &mut u64,
     count: u64,
-    cadence: u64,
     probe: &mut B,
 ) {
     let end = *interactions + count;
@@ -437,18 +415,11 @@ pub fn advance_blocks<P: Protocol, S: PairSource, B: Probe<P>>(
         // Every agent starts marked, so the first boundary hands over
         // the whole configuration.
         let mut marks = vec![!0u64; states.len().div_ceil(64)];
-        let (mut since, mut changed) = (0u64, 0u64);
         while *interactions < end {
             let want = (end - *interactions).min(BLOCK_PAIRS as u64) as usize;
-            let (pairs, block_changed) =
-                protocol.transition_marked(states, source, want, &mut marks);
+            let (pairs, changed) = protocol.transition_marked(states, source, want, &mut marks);
             *interactions += pairs as u64;
-            since += pairs as u64;
-            changed += block_changed;
-            if since >= cadence || *interactions == end {
-                hand_marked(protocol, states, &mut marks, *interactions, changed, probe);
-                (since, changed) = (0, 0);
-            }
+            hand_marked(protocol, states, &mut marks, *interactions, changed, probe);
         }
         return;
     }
@@ -490,6 +461,11 @@ fn hand_marked<P: Protocol, B: Probe<P>>(
     // The run being extended: runs that meet at a word edge are one.
     let mut run: Option<(usize, usize)> = None;
     for (w, slot) in marks.iter_mut().enumerate() {
+        // Most words are clear after one block: skip them without a
+        // store, so a boundary costs a read of the marks, not a rewrite.
+        if *slot == 0 {
+            continue;
+        }
         let mut bits = std::mem::take(slot);
         while bits != 0 {
             let low = bits.trailing_zeros() as usize;
@@ -525,7 +501,15 @@ impl<P: Protocol, S: PairSource> Engine for Simulator<P, S> {
     }
 
     fn advance<B: Probe<P>>(&mut self, count: u64, probe: &mut B) {
-        self.advance_every(count, BLOCK_PAIRS as u64, probe);
+        advance_blocks(
+            &self.protocol,
+            &mut self.states,
+            &mut self.schedule,
+            &mut self.silence,
+            &mut self.interactions,
+            count,
+            probe,
+        );
     }
 
     fn view<R>(&self, f: impl FnOnce(&[P::State]) -> R) -> R {
@@ -874,28 +858,6 @@ mod tests {
                 (4 * b + 10, 10, 3, 1),
                 (4 * b + 10, 0, 63, 3),
                 (4 * b + 10, 0, 127, 3),
-            ]
-        );
-    }
-
-    #[test]
-    fn a_coarser_cadence_hands_over_the_marks_of_several_blocks() {
-        let b = BLOCK_PAIRS as u64;
-        let protocol = Marking {
-            sets: vec![vec![5], vec![7], vec![100]],
-            blocks: Default::default(),
-        };
-        let mut sim = Simulator::new(protocol, vec![(0, 0); 130], 1);
-        let mut lanes = Lanes::default();
-        sim.advance_every(7 * b, 3 * b, &mut lanes);
-        assert_eq!(
-            lanes.0,
-            [
-                (3 * b, 3 * b, 0, 130),
-                (6 * b, 3 * b, 5, 1),
-                (6 * b, 0, 7, 1),
-                (6 * b, 0, 100, 1),
-                (7 * b, b, 5, 1),
             ]
         );
     }

@@ -488,13 +488,6 @@ impl<S> ByzState<S> {
     pub fn is_byzantine(&self) -> bool {
         matches!(self, ByzState::Byz { .. })
     }
-
-    /// Unwrap into the presented state.
-    pub fn into_state(self) -> S {
-        match self {
-            ByzState::Honest(s) | ByzState::Byz { disguise: s, .. } => s,
-        }
-    }
 }
 
 impl<S: RankOutput> RankOutput for ByzState<S> {

@@ -137,11 +137,6 @@ impl ClusteredSchedule {
         i * self.clusters / self.n
     }
 
-    /// The agent-index range `[start, end)` of cluster `c`.
-    pub fn cluster_range(&self, c: usize) -> (usize, usize) {
-        cluster_bounds(self.n, self.clusters, c)
-    }
-
     fn draw(rng: &mut SmallRng, n: usize, clusters: usize, p_cross: f64) -> Pair {
         let i = rng.random_range(0..n as u32) as usize;
         if p_cross > 0.0 && rng.random_bool(p_cross) {

@@ -1,6 +1,5 @@
 //! The sharded API over the sequential engine.
 
-use population::schedule::BLOCK_PAIRS;
 use population::{
     drive, Capture, Engine, FaultHook, Frame, NoPoll, NoSaves, Probe, Protocol, Simulator,
     WordState,
@@ -19,14 +18,10 @@ use population::{
 /// probes compose through the run driver exactly as on [`Simulator`],
 /// and saving is trajectory-inert.
 ///
-/// `shards` sets one thing: the cadence at which an active probe is
-/// handed a boundary, one per `shards ×`[`BLOCK_PAIRS`] pairs (and one
-/// at the end of every run segment) instead of one per block. At each
-/// boundary the probe sees what [`Probe::block`] promises: the whole
-/// configuration at the first boundary of a segment, then only the
-/// agents the protocol marked as changed since the last boundary
-/// (every agent, for a protocol that does not mark). `changed` sums
-/// over the pairs a boundary covers.
+/// An active probe gets what it gets on [`Simulator`]: one boundary
+/// after every schedule block, showing what [`Probe::block`] promises.
+/// `shards` changes nothing in a run. It is validated by the
+/// constructor and bounds [`workers`](Self::workers), and nothing else.
 ///
 /// `workers` defaults to the machine's parallelism capped at the shard
 /// count ([`population::runner::available_workers`], overridable with
@@ -96,9 +91,8 @@ impl<P: Protocol> ShardedSimulator<P> {
 
     /// Execute exactly `count` interactions, handing the configuration
     /// to `hook` at every interaction count where it asks to fire and
-    /// reporting blocks to `probe` at the sharded cadence (see the
-    /// type-level docs). [`Probe::fault`] fires after every firing with
-    /// the post-fault configuration.
+    /// reporting every schedule block to `probe`. [`Probe::fault`] fires
+    /// after every firing with the post-fault configuration.
     pub fn run_faulted_probed<H: FaultHook<P>, B: Probe<P>>(
         &mut self,
         count: u64,
@@ -120,11 +114,8 @@ impl<P: Protocol> Engine for ShardedSimulator<P> {
         self.sim.interactions()
     }
 
-    /// The sequential engine's block loop with a probe cadence of
-    /// `shards` schedule blocks.
     fn advance<B: Probe<P>>(&mut self, count: u64, probe: &mut B) {
-        self.sim
-            .advance_every(count, (self.shards * BLOCK_PAIRS) as u64, probe);
+        self.sim.advance(count, probe);
     }
 
     fn view<R>(&self, f: impl FnOnce(&[P::State]) -> R) -> R {
@@ -153,6 +144,7 @@ impl<P: WordState> Capture for ShardedSimulator<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use population::schedule::BLOCK_PAIRS;
     use population::{NoFaults, NullProbe};
 
     /// Counts interactions on each side.
@@ -213,21 +205,20 @@ mod tests {
     }
 
     #[test]
-    fn a_probe_sees_one_block_per_shards_schedule_blocks() {
+    fn a_probe_sees_one_block_per_schedule_block_at_any_shard_count() {
         let block = BLOCK_PAIRS as u64;
         for shards in [1, 3] {
             let mut plain = Simulator::new(Count(20), init(20), 13);
             plain.run_batched(25_000);
             let mut probed = ShardedSimulator::new(Count(20), init(20), 13, shards);
             let mut tally = Tally::default();
-            // Two segments: the cadence restarts at the second one.
+            // Two segments: the blocks restart at the second one.
             probed.run_faulted_probed(20_000, &mut NoFaults, &mut tally);
             probed.run_faulted_probed(5_000, &mut NoFaults, &mut tally);
             assert_eq!(probed.states(), plain.states(), "shards={shards}");
-            let every = shards as u64 * block;
-            let mut want: Vec<u64> = (1..=20_000 / every).map(|k| k * every).collect();
+            let mut want: Vec<u64> = (1..=20_000 / block).map(|k| k * block).collect();
             want.push(20_000);
-            want.extend((1..=5_000 / every).map(|k| 20_000 + k * every));
+            want.extend((1..=5_000 / block).map(|k| 20_000 + k * block));
             want.push(25_000);
             want.dedup();
             assert_eq!(tally.blocks, want, "shards={shards}");

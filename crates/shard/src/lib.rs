@@ -6,8 +6,8 @@
 //! trajectory for the same seed, through its block kernel and its silent
 //! fast-forward. It implements [`Engine`](population::Engine) and
 //! [`Capture`](population::Capture), so [`drive`](population::drive())
-//! runs it under any hook set. The shard count only sets how often an
-//! active [`Probe`](population::Probe) gets a block boundary; see
+//! runs it under any hook set. The shard count changes nothing in a
+//! run: it is validated and bounds the reported worker count; see
 //! [`ShardedSimulator`].
 //!
 //! The lane-partitioned engine that followed a trajectory of its own

@@ -105,8 +105,8 @@ pub trait TraceState {
     }
 }
 
-/// The `agent` field value for population-wide events (faults, exchange
-/// rounds, checkpoints) that are not about any single agent.
+/// The `agent` field value for population-wide events (faults,
+/// checkpoints) that are not about any single agent.
 pub const NO_AGENT: u32 = u32::MAX;
 
 /// One recorded event.
@@ -115,9 +115,6 @@ pub struct Event {
     /// Interaction count at the end of the block where the event was
     /// observed (block-granular, see the module docs).
     pub t: u64,
-    /// Shard whose lane produced the event; 0 on the sequential engine.
-    /// Population-wide events record shard 0.
-    pub shard: u32,
     /// Global agent index, or [`NO_AGENT`] for population-wide events.
     pub agent: u32,
     /// What happened.
@@ -158,13 +155,6 @@ pub enum EventKind {
         /// Injector name, once attached.
         name: Option<&'static str>,
     },
-    /// A sharded block's exchange rounds executed `pairs` cross-shard
-    /// boundary pairs (the retired sharded engine emitted it; no engine
-    /// of this build does).
-    Exchange {
-        /// Boundary pairs executed.
-        pairs: u64,
-    },
     /// An observer checkpoint was polled.
     Checkpoint {
         /// Whether the run stopped at this checkpoint.
@@ -191,7 +181,6 @@ impl EventKind {
             EventKind::RankClaim { .. } => "rank_claim",
             EventKind::RankRelease { .. } => "rank_release",
             EventKind::Fault { .. } => "fault",
-            EventKind::Exchange { .. } => "exchange",
             EventKind::Checkpoint { .. } => "checkpoint",
             EventKind::Join => "join",
             EventKind::Leave => "leave",
@@ -214,7 +203,6 @@ mod tests {
             EventKind::RankClaim { rank: 1 },
             EventKind::RankRelease { rank: 1 },
             EventKind::Fault { hit: 0, name: None },
-            EventKind::Exchange { pairs: 0 },
             EventKind::Checkpoint { stopping: false },
             EventKind::Join,
             EventKind::Leave,

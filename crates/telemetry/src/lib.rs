@@ -9,11 +9,11 @@
 //!
 //! * [`Recorder`] — the canonical recording probe. Derives structured
 //!   events (resets, elections, rank claims/releases, phase entries,
-//!   fault firings, shard exchange rounds, observer checkpoints) by
-//!   diffing per-agent [`AgentClass`]es at block boundaries, and stores
-//!   them in per-shard fixed-capacity *ring buffers* with drop counters
-//!   — flight-recorder semantics: bounded memory, newest events win,
-//!   never an unbounded allocation in the hot loop.
+//!   fault firings, observer checkpoints) by diffing per-agent
+//!   [`AgentClass`]es at block boundaries, and stores them in one
+//!   fixed-capacity *ring buffer* with a drop counter — flight-recorder
+//!   semantics: bounded memory, newest events win, never an unbounded
+//!   allocation in the hot loop.
 //! * [`metrics`] — the unified registry of named [`Counter`]s and
 //!   log₂-bucketed [`Histogram`]s. `StableRanking`'s reset counter and
 //!   the kernel's dispatch mix live here (one source of truth), as do
@@ -29,12 +29,11 @@
 //!   1-core frequency-unstable host" prose caveats with recorded facts.
 //!
 //! Probing is *read-only and trajectory-inert* by construction (probes
-//! see `&`-references only), and zero-cost when disabled: the engine's
-//! `*_probed` run paths delegate to their unprobed twins for
-//! `NullProbe`. Both properties are tested — inertness bit-for-bit in
-//! `tests/telemetry_inert.rs`, cost by the paired `probe_floor` guard in
-//! the CI throughput smoke. See `docs/OBSERVABILITY.md` for the event
-//! taxonomy and schema reference.
+//! see `&`-references only), and zero-cost when disabled: the unprobed
+//! run is the run driver with `NullProbe` in the probe slot, whose
+//! `ACTIVE = false` compiles every probe call away. Inertness is tested
+//! bit-for-bit in `tests/telemetry_inert.rs`. See
+//! `docs/OBSERVABILITY.md` for the event taxonomy and schema reference.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,6 +1,6 @@
 //! The canonical recording probe: derives structured events by diffing
-//! per-agent [`AgentClass`]es at block boundaries and stores them in
-//! per-shard ring buffers, while feeding derived statistics
+//! per-agent [`AgentClass`]es at block boundaries and stores them in one
+//! ring buffer, while feeding derived statistics
 //! (time-between-reset-waves, per-rank occupancy dwell) into its own
 //! metrics [`Registry`].
 
@@ -10,8 +10,8 @@ use crate::event::{AgentClass, Event, EventKind, TraceState, NO_AGENT};
 use crate::metrics::{Counter, Histogram, Registry};
 use crate::ring::RingBuffer;
 
-/// Default per-shard ring capacity (events). At ~40 bytes per event
-/// this bounds a shard's trace memory at ~1.3 MiB.
+/// Default ring capacity (events). At ~40 bytes per event this bounds
+/// the trace memory at ~1.3 MiB.
 pub const DEFAULT_RING_CAPACITY: usize = 1 << 15;
 
 /// A flight recorder implementing the engine's [`Probe`] seam for any
@@ -32,33 +32,31 @@ pub const DEFAULT_RING_CAPACITY: usize = 1 << 15;
 ///
 /// Fault firings re-baseline silently (the damage is the fault's, not
 /// the protocol's) and emit one population-wide [`EventKind::Fault`];
-/// exchange rounds and observer checkpoints are recorded as
-/// population-wide events too. The first configuration seen is the
-/// baseline — initial states produce no events.
+/// observer checkpoints are recorded as population-wide events too. The
+/// first configuration seen is the baseline — initial states produce no
+/// events.
 ///
 /// The lanes are what [`Probe::block`] promises: the whole configuration
 /// at the first boundary of every run segment, then only the agents the
-/// protocol marked as changed, in ascending index order. The block
-/// kernel of `Packed<StableRanking>` marks exactly the agents whose
-/// class key changed, so a boundary costs the recorder O(class changes)
-/// rather than O(n); a protocol that does not mark hands it the whole
-/// configuration every time. Either way the events, counters and
-/// histograms are those of a full scan at every boundary
+/// protocol marked as changed during the block, in ascending index
+/// order. The block kernel of `Packed<StableRanking>` marks exactly the
+/// agents whose class key changed, so a boundary costs the recorder
+/// O(class changes) rather than O(n); a protocol that does not mark
+/// hands it the whole configuration every time. Either way the events,
+/// counters and histograms are those of a full scan at every boundary
 /// (`tests/telemetry_inert.rs`).
 ///
 /// # Storage discipline
 ///
-/// Events land in one fixed-capacity [`RingBuffer`] per shard
-/// (overwrite-oldest, drop-counted — see [`RingBuffer`]); rings are
-/// allocated once per shard on first sight, never in the steady-state
-/// hot loop. Recording never blocks and never grows unboundedly:
-/// long runs keep the newest events per shard and an exact count of
+/// Events land in one fixed-capacity [`RingBuffer`] (overwrite-oldest,
+/// drop-counted — see [`RingBuffer`]), reserved in full by the first
+/// event and never grown after it. Recording never blocks and never
+/// grows unboundedly: long runs keep the newest events and an exact count of
 /// what was overwritten ([`Recorder::dropped`], also emitted in the
 /// trace header).
 #[derive(Debug)]
 pub struct Recorder {
-    capacity: usize,
-    lanes: Vec<RingBuffer<Event>>,
+    ring: RingBuffer<Event>,
     /// Per-agent class key ([`AgentClass::key`]) at the last observed
     /// boundary; [`AgentClass::UNSEEN_KEY`] until the agent has been
     /// seen once.
@@ -82,12 +80,12 @@ impl Default for Recorder {
 }
 
 impl Recorder {
-    /// A recorder with the default per-shard ring capacity.
+    /// A recorder with the default ring capacity.
     pub fn new() -> Self {
         Self::with_capacity(DEFAULT_RING_CAPACITY)
     }
 
-    /// A recorder whose per-shard rings hold `capacity` events each.
+    /// A recorder whose ring holds `capacity` events.
     pub fn with_capacity(capacity: usize) -> Self {
         let mut registry = Registry::new();
         let events_recorded = registry.counter("recorder_events");
@@ -95,8 +93,7 @@ impl Recorder {
         let reset_interval = registry.histogram("reset_interval");
         let rank_dwell = registry.histogram("rank_dwell");
         Self {
-            capacity: capacity.max(1),
-            lanes: Vec::new(),
+            ring: RingBuffer::new(capacity),
             keys: Vec::new(),
             claimed_at: Vec::new(),
             last_reset_wave: None,
@@ -115,14 +112,9 @@ impl Recorder {
         &self.registry
     }
 
-    /// Number of shards that have produced events so far.
-    pub fn lane_count(&self) -> usize {
-        self.lanes.len()
-    }
-
-    /// Total events overwritten across all shard rings.
+    /// Total events overwritten in the ring.
     pub fn dropped(&self) -> u64 {
-        self.lanes.iter().map(RingBuffer::dropped).sum()
+        self.ring.dropped()
     }
 
     /// Total events recorded (including any since overwritten).
@@ -130,17 +122,9 @@ impl Recorder {
         self.events_recorded.get()
     }
 
-    /// The surviving events of every shard ring, merged oldest-first
-    /// (stable sort by timestamp, so same-`t` events keep shard order).
+    /// The surviving events, oldest first.
     pub fn events(&self) -> Vec<Event> {
-        let mut all: Vec<Event> = self
-            .lanes
-            .iter()
-            .flat_map(RingBuffer::iter)
-            .copied()
-            .collect();
-        all.sort_by_key(|e| e.t);
-        all
+        self.ring.iter().copied().collect()
     }
 
     /// Attach injector names to recorded [`EventKind::Fault`] events by
@@ -148,12 +132,10 @@ impl Recorder {
     /// (`FaultPlan::fired`), which is where the names live.
     pub fn name_faults<I: IntoIterator<Item = (u64, &'static str)>>(&mut self, fired: I) {
         let fired: Vec<(u64, &'static str)> = fired.into_iter().collect();
-        for lane in &mut self.lanes {
-            for ev in lane.iter_mut() {
-                if let EventKind::Fault { hit, name: None } = ev.kind {
-                    if let Some(&(_, n)) = fired.iter().find(|&&(at, _)| at == ev.t) {
-                        ev.kind = EventKind::Fault { hit, name: Some(n) };
-                    }
+        for ev in self.ring.iter_mut() {
+            if let EventKind::Fault { hit, name: None } = ev.kind {
+                if let Some(&(_, n)) = fired.iter().find(|&&(at, _)| at == ev.t) {
+                    ev.kind = EventKind::Fault { hit, name: Some(n) };
                 }
             }
         }
@@ -182,24 +164,11 @@ impl Recorder {
             Membership::Hibernate => EventKind::Hibernate,
             Membership::Revive => EventKind::Revive,
         };
-        self.push(
-            0,
-            Event {
-                t,
-                shard: 0,
-                agent,
-                kind,
-            },
-        );
+        self.push(Event { t, agent, kind });
     }
 
-    fn push(&mut self, shard: usize, event: Event) {
-        if self.lanes.len() <= shard {
-            let capacity = self.capacity;
-            self.lanes
-                .resize_with(shard + 1, || RingBuffer::new(capacity));
-        }
-        self.lanes[shard].push(event);
+    fn push(&mut self, event: Event) {
+        self.ring.push(event);
         self.events_recorded.inc();
     }
 
@@ -218,7 +187,7 @@ impl Recorder {
     }
 
     /// Diff one lane of agents against the stored baseline, emitting
-    /// events into shard `shard`'s ring. `quiet` suppresses per-agent
+    /// events into the ring. `quiet` suppresses per-agent
     /// events (fault re-baselining) and returns the number of agents
     /// whose class changed.
     ///
@@ -226,14 +195,7 @@ impl Recorder {
     /// and no branch; only a chunk holding a changed key is walked agent
     /// by agent (in index order, so events come out exactly as a plain
     /// per-agent diff would emit them).
-    fn scan<S: TraceState>(
-        &mut self,
-        t: u64,
-        shard: usize,
-        start: usize,
-        lane: &[S],
-        quiet: bool,
-    ) -> u32 {
+    fn scan<S: TraceState>(&mut self, t: u64, start: usize, lane: &[S], quiet: bool) -> u32 {
         let end = start + lane.len();
         if self.keys.len() < end {
             self.keys.resize(end, AgentClass::UNSEEN_KEY);
@@ -248,7 +210,7 @@ impl Recorder {
                 .fold(0, |d, (state, &key)| d | (state.class_key() ^ key));
             if dirty != 0 {
                 for (i, state) in chunk.iter().enumerate() {
-                    hit += self.diff(t, shard, at + i, state.class_key(), quiet);
+                    hit += self.diff(t, at + i, state.class_key(), quiet);
                 }
             }
         }
@@ -257,7 +219,7 @@ impl Recorder {
 
     /// Diff one agent's class key against its stored one; returns 1 if
     /// a previously seen class changed, else 0.
-    fn diff(&mut self, t: u64, shard: usize, agent: usize, key: u64, quiet: bool) -> u32 {
+    fn diff(&mut self, t: u64, agent: usize, key: u64, quiet: bool) -> u32 {
         let prev = self.keys[agent];
         if prev == key {
             return 0;
@@ -283,15 +245,11 @@ impl Recorder {
         let agent32 = agent as u32;
         if let AgentClass::Ranked(rank) = prev {
             self.rank_dwell.record(t - self.claimed_at[agent]);
-            self.push(
-                shard,
-                Event {
-                    t,
-                    shard: shard as u32,
-                    agent: agent32,
-                    kind: EventKind::RankRelease { rank },
-                },
-            );
+            self.push(Event {
+                t,
+                agent: agent32,
+                kind: EventKind::RankRelease { rank },
+            });
         }
         let kind = match now {
             AgentClass::Resetting => {
@@ -307,15 +265,11 @@ impl Recorder {
             _ => None,
         };
         if let Some(kind) = kind {
-            self.push(
-                shard,
-                Event {
-                    t,
-                    shard: shard as u32,
-                    agent: agent32,
-                    kind,
-                },
-            );
+            self.push(Event {
+                t,
+                agent: agent32,
+                kind,
+            });
         }
         1
     }
@@ -340,48 +294,28 @@ where
         _protocol: &P,
         t: u64,
         _changed: u64,
-        shard: usize,
+        _shard: usize,
         start: usize,
         lane: &[P::State],
     ) {
-        self.scan(t, shard, start, lane, false);
-    }
-
-    fn exchange(&mut self, _protocol: &P, t: u64, pairs: u64) {
-        self.push(
-            0,
-            Event {
-                t,
-                shard: 0,
-                agent: NO_AGENT,
-                kind: EventKind::Exchange { pairs },
-            },
-        );
+        self.scan(t, start, lane, false);
     }
 
     fn checkpoint(&mut self, _protocol: &P, t: u64, stopping: bool) {
-        self.push(
-            0,
-            Event {
-                t,
-                shard: 0,
-                agent: NO_AGENT,
-                kind: EventKind::Checkpoint { stopping },
-            },
-        );
+        self.push(Event {
+            t,
+            agent: NO_AGENT,
+            kind: EventKind::Checkpoint { stopping },
+        });
     }
 
     fn fault(&mut self, _protocol: &P, t: u64, states: &[P::State]) {
-        let hit = self.scan(t, 0, 0, states, true);
-        self.push(
-            0,
-            Event {
-                t,
-                shard: 0,
-                agent: NO_AGENT,
-                kind: EventKind::Fault { hit, name: None },
-            },
-        );
+        let hit = self.scan(t, 0, states, true);
+        self.push(Event {
+            t,
+            agent: NO_AGENT,
+            kind: EventKind::Fault { hit, name: None },
+        });
     }
 
     fn membership(&mut self, _protocol: &P, t: u64, agent: u32, change: Membership) {
@@ -403,7 +337,7 @@ mod tests {
     fn first_sight_is_baseline_not_events() {
         let mut rec = Recorder::new();
         let lane = [AgentClass::Electing, AgentClass::Ranked(1)];
-        rec.scan(10, 0, 0, &lane, false);
+        rec.scan(10, 0, &lane, false);
         assert!(rec.events().is_empty());
         assert_eq!(rec.recorded(), 0);
     }
@@ -412,7 +346,6 @@ mod tests {
     fn diffs_emit_the_taxonomy() {
         let mut rec = Recorder::new();
         rec.scan(
-            0,
             0,
             0,
             &[
@@ -424,7 +357,6 @@ mod tests {
         );
         rec.scan(
             100,
-            0,
             0,
             &[
                 AgentClass::Waiting,   // elected
@@ -452,10 +384,10 @@ mod tests {
     #[test]
     fn reset_waves_collapse_equal_timestamps() {
         let mut rec = Recorder::new();
-        rec.scan(0, 0, 0, &[AgentClass::Waiting; 4], false);
-        rec.scan(50, 0, 0, &[AgentClass::Resetting; 4], false); // one wave
-        rec.scan(50, 0, 0, &[AgentClass::Waiting; 4], false);
-        rec.scan(200, 0, 0, &[AgentClass::Resetting; 4], false); // next wave
+        rec.scan(0, 0, &[AgentClass::Waiting; 4], false);
+        rec.scan(50, 0, &[AgentClass::Resetting; 4], false); // one wave
+        rec.scan(50, 0, &[AgentClass::Waiting; 4], false);
+        rec.scan(200, 0, &[AgentClass::Resetting; 4], false); // next wave
         let snap = rec.metrics().snapshot();
         let h = snap.histogram("reset_interval").unwrap();
         assert_eq!(h.count, 1, "two waves, one interval");
@@ -466,26 +398,13 @@ mod tests {
     #[test]
     fn fault_scan_is_quiet_but_counted() {
         let mut rec = Recorder::new();
-        rec.scan(
-            0,
-            0,
-            0,
-            &[AgentClass::Ranked(1), AgentClass::Ranked(2)],
-            false,
-        );
-        let hit = rec.scan(
-            10,
-            0,
-            0,
-            &[AgentClass::Ranked(1), AgentClass::Resetting],
-            true,
-        );
+        rec.scan(0, 0, &[AgentClass::Ranked(1), AgentClass::Ranked(2)], false);
+        let hit = rec.scan(10, 0, &[AgentClass::Ranked(1), AgentClass::Resetting], true);
         assert_eq!(hit, 1);
         assert!(rec.events().is_empty(), "quiet scan emits nothing");
         // The next normal scan diffs against the *post-fault* baseline.
         rec.scan(
             20,
-            0,
             0,
             &[AgentClass::Ranked(1), AgentClass::Resetting],
             false,
@@ -496,15 +415,11 @@ mod tests {
     #[test]
     fn name_faults_joins_by_time() {
         let mut rec = Recorder::new();
-        rec.push(
-            0,
-            Event {
-                t: 7,
-                shard: 0,
-                agent: NO_AGENT,
-                kind: EventKind::Fault { hit: 3, name: None },
-            },
-        );
+        rec.push(Event {
+            t: 7,
+            agent: NO_AGENT,
+            kind: EventKind::Fault { hit: 3, name: None },
+        });
         rec.name_faults([(7, "corrupt"), (9, "churn")]);
         assert_eq!(
             rec.events()[0].kind,
@@ -518,25 +433,13 @@ mod tests {
     #[test]
     fn lifecycle_events_rebaseline_recycled_ids() {
         let mut rec = Recorder::new();
-        rec.scan(
-            0,
-            0,
-            0,
-            &[AgentClass::Ranked(2), AgentClass::Waiting],
-            false,
-        );
+        rec.scan(0, 0, &[AgentClass::Ranked(2), AgentClass::Waiting], false);
         // Agent 0 leaves while ranked: the dwell interval closes and the
         // baseline clears, so a recycled id produces no spurious diff.
         rec.lifecycle(30, 0, Membership::Leave);
         let snap = rec.metrics().snapshot();
         assert_eq!(snap.histogram("rank_dwell").unwrap().sum, 30);
-        rec.scan(
-            40,
-            0,
-            0,
-            &[AgentClass::Electing, AgentClass::Waiting],
-            false,
-        );
+        rec.scan(40, 0, &[AgentClass::Electing, AgentClass::Waiting], false);
         let kinds: Vec<EventKind> = rec.events().iter().map(|e| e.kind).collect();
         assert_eq!(kinds, vec![EventKind::Leave], "recycled slot re-baselines");
         assert_eq!(rec.events()[0].agent, 0);
@@ -574,14 +477,7 @@ mod tests {
             }
         }
 
-        fn scan(
-            &mut self,
-            t: u64,
-            shard: usize,
-            start: usize,
-            lane: &[AgentClass],
-            quiet: bool,
-        ) -> u32 {
+        fn scan(&mut self, t: u64, start: usize, lane: &[AgentClass], quiet: bool) -> u32 {
             let rec = &mut self.rec;
             let end = start + lane.len();
             if self.classes.len() < end {
@@ -613,15 +509,11 @@ mod tests {
                 let agent32 = agent as u32;
                 if let AgentClass::Ranked(rank) = prev {
                     rec.rank_dwell.record(t - rec.claimed_at[agent]);
-                    rec.push(
-                        shard,
-                        Event {
-                            t,
-                            shard: shard as u32,
-                            agent: agent32,
-                            kind: EventKind::RankRelease { rank },
-                        },
-                    );
+                    rec.push(Event {
+                        t,
+                        agent: agent32,
+                        kind: EventKind::RankRelease { rank },
+                    });
                 }
                 let kind = match now {
                     AgentClass::Resetting => {
@@ -637,15 +529,11 @@ mod tests {
                     _ => None,
                 };
                 if let Some(kind) = kind {
-                    rec.push(
-                        shard,
-                        Event {
-                            t,
-                            shard: shard as u32,
-                            agent: agent32,
-                            kind,
-                        },
-                    );
+                    rec.push(Event {
+                        t,
+                        agent: agent32,
+                        kind,
+                    });
                 }
             }
             hit
@@ -696,7 +584,7 @@ mod tests {
     }
 
     /// The key-diffing recorder is bit-identical to the reference on
-    /// random multi-shard lanes (lengths around the chunk width, lanes at
+    /// random multi-lane boundaries (lengths around the chunk width, lanes at
     /// nonzero starts), with quiet fault scans and departures mixed in,
     /// and small rings so drops happen.
     #[test]
@@ -704,8 +592,8 @@ mod tests {
         for seed in 0..48 {
             let mut script = Script(seed);
             let lens = [1usize, 15, 16, 17, 4097];
-            let shards = 1 + script.below(3) as usize;
-            let lanes: Vec<usize> = (0..shards)
+            let runs = 1 + script.below(3) as usize;
+            let lanes: Vec<usize> = (0..runs)
                 .map(|_| lens[script.below(lens.len() as u64) as usize])
                 .collect();
             let starts: Vec<usize> = lanes
@@ -716,7 +604,7 @@ mod tests {
                     Some(s)
                 })
                 .collect();
-            let n = starts[shards - 1] + lanes[shards - 1];
+            let n = starts[runs - 1] + lanes[runs - 1];
             let capacity = [8usize, 64, 1 << 12][script.below(3) as usize];
             // Per-agent change probability per step, in 1/64ths: from
             // almost-quiet (most chunks skipped) to churning.
@@ -734,8 +622,8 @@ mod tests {
                 }
                 match script.below(8) {
                     0 => {
-                        let hit = rec.scan(t, 0, 0, &states, true);
-                        assert_eq!(hit, reference.scan(t, 0, 0, &states, true), "seed {seed}");
+                        let hit = rec.scan(t, 0, &states, true);
+                        assert_eq!(hit, reference.scan(t, 0, &states, true), "seed {seed}");
                     }
                     1 => {
                         let agent = script.below(n as u64 + 2) as u32;
@@ -749,10 +637,10 @@ mod tests {
                         reference.lifecycle(t, agent, change);
                     }
                     _ => {
-                        for (shard, (&start, &len)) in starts.iter().zip(&lanes).enumerate() {
+                        for (&start, &len) in starts.iter().zip(&lanes) {
                             let lane = &states[start..start + len];
-                            rec.scan(t, shard, start, lane, false);
-                            reference.scan(t, shard, start, lane, false);
+                            rec.scan(t, start, lane, false);
+                            reference.scan(t, start, lane, false);
                         }
                     }
                 }
@@ -766,24 +654,5 @@ mod tests {
                 "seed {seed}"
             );
         }
-    }
-
-    #[test]
-    fn events_merge_across_lanes_by_time() {
-        let mut rec = Recorder::with_capacity(8);
-        for (shard, t) in [(1usize, 5u64), (0, 3), (1, 9), (0, 7)] {
-            rec.push(
-                shard,
-                Event {
-                    t,
-                    shard: shard as u32,
-                    agent: 0,
-                    kind: EventKind::Reset,
-                },
-            );
-        }
-        let ts: Vec<u64> = rec.events().iter().map(|e| e.t).collect();
-        assert_eq!(ts, [3, 5, 7, 9]);
-        assert_eq!(rec.lane_count(), 2);
     }
 }

@@ -1,6 +1,6 @@
 //! Fixed-capacity overwrite-oldest ring buffers — the flight-recorder
-//! storage discipline: memory is bounded and preallocated, pushes never
-//! allocate, and when the buffer is full the *newest* events win (the
+//! storage discipline: memory is bounded and reserved in full by the
+//! first push, later pushes never allocate, and when the buffer is full the *newest* events win (the
 //! interesting part of a crash trace is its tail). Overwrites are
 //! counted so a truncated trace is always visibly truncated.
 
@@ -18,12 +18,12 @@ pub struct RingBuffer<T> {
 impl<T: Copy> RingBuffer<T> {
     /// An empty ring holding at most `capacity` elements (at least 1).
     ///
-    /// Storage is reserved up front: pushing never allocates.
+    /// Storage is reserved in full by the first push: a ring nothing is
+    /// pushed to allocates nothing, and no later push allocates.
     pub fn new(capacity: usize) -> Self {
-        let cap = capacity.max(1);
         Self {
-            buf: Vec::with_capacity(cap),
-            cap,
+            buf: Vec::new(),
+            cap: capacity.max(1),
             start: 0,
             dropped: 0,
         }
@@ -33,6 +33,9 @@ impl<T: Copy> RingBuffer<T> {
     /// the ring is full.
     pub fn push(&mut self, item: T) {
         if self.buf.len() < self.cap {
+            if self.buf.capacity() == 0 {
+                self.buf.reserve_exact(self.cap);
+            }
             self.buf.push(item);
         } else {
             self.buf[self.start] = item;
@@ -81,8 +84,10 @@ mod tests {
     #[test]
     fn fills_then_overwrites_oldest() {
         let mut r = RingBuffer::new(3);
+        assert_eq!(r.buf.capacity(), 0, "an unused ring allocates nothing");
         for v in 1..=3 {
             r.push(v);
+            assert_eq!(r.buf.capacity(), 3, "the first push reserves it all");
         }
         assert_eq!(r.dropped(), 0);
         assert_eq!(r.iter().copied().collect::<Vec<_>>(), [1, 2, 3]);

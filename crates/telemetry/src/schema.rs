@@ -10,9 +10,9 @@
 //!    `dropped`);
 //! 2. at most one `manifest` line (flattened [`RunManifest`] fields);
 //! 3. event lines (`reset`, `elected`, `phase_enter`, `rank_claim`,
-//!    `rank_release`, `fault`, `exchange`, `checkpoint`, and — since
-//!    schema v2 — the lifecycle kinds `join`, `leave`, `hibernate`,
-//!    `revive`) whose `t` fields are monotone nondecreasing;
+//!    `rank_release`, `fault`, `checkpoint`, and the lifecycle kinds
+//!    `join`, `leave`, `hibernate`, `revive`) whose `t` fields are
+//!    monotone nondecreasing;
 //! 4. `metric` and `histogram` lines snapshotting the run's registries.
 //!
 //! The format is hand-rendered and hand-parsed — the workspace
@@ -31,8 +31,10 @@ use crate::metrics::Snapshot;
 /// change in `docs/OBSERVABILITY.md`.
 ///
 /// v2 added the four dynamic-population lifecycle kinds (`join`,
-/// `leave`, `hibernate`, `revive`).
-pub const SCHEMA_VERSION: u64 = 2;
+/// `leave`, `hibernate`, `revive`). v3 dropped the event lines' `shard`
+/// field (every engine runs one lane) and the `exchange` kind (no engine
+/// emits it).
+pub const SCHEMA_VERSION: u64 = 3;
 
 // ----------------------------------------------------------------------
 // Rendering
@@ -55,12 +57,7 @@ fn esc(s: &str) -> String {
 }
 
 fn push_event(out: &mut String, e: &Event) {
-    out.push_str(&format!(
-        "{{\"kind\":\"{}\",\"t\":{},\"shard\":{}",
-        e.kind.name(),
-        e.t,
-        e.shard
-    ));
+    out.push_str(&format!("{{\"kind\":\"{}\",\"t\":{}", e.kind.name(), e.t));
     if e.agent != NO_AGENT {
         out.push_str(&format!(",\"agent\":{}", e.agent));
     }
@@ -76,7 +73,6 @@ fn push_event(out: &mut String, e: &Event) {
                 None => out.push_str(",\"name\":null"),
             }
         }
-        EventKind::Exchange { pairs } => out.push_str(&format!(",\"pairs\":{pairs}")),
         EventKind::Checkpoint { stopping } => out.push_str(&format!(",\"stopping\":{stopping}")),
         EventKind::Reset
         | EventKind::Elected
@@ -404,14 +400,13 @@ pub struct TraceSummary {
     pub faults: Vec<(u64, Option<String>)>,
 }
 
-const EVENT_KINDS: [&str; 12] = [
+const EVENT_KINDS: [&str; 11] = [
     "reset",
     "elected",
     "phase_enter",
     "rank_claim",
     "rank_release",
     "fault",
-    "exchange",
     "checkpoint",
     "join",
     "leave",
@@ -538,7 +533,6 @@ pub fn validate(text: &str) -> Result<TraceSummary, SchemaError> {
                     });
                 }
                 last_t = Some(t);
-                require_u64(&map, "shard", line)?;
                 match k {
                     "reset" | "elected" | "join" | "leave" | "hibernate" | "revive" => {
                         require_u64(&map, "agent", line)?;
@@ -565,9 +559,6 @@ pub fn validate(text: &str) -> Result<TraceSummary, SchemaError> {
                         };
                         let _ = hit;
                         summary.faults.push((t, name));
-                    }
-                    "exchange" => {
-                        require_u64(&map, "pairs", line)?;
                     }
                     "checkpoint" => {
                         if !matches!(map.get("stopping"), Some(Value::Bool(_))) {
@@ -612,19 +603,16 @@ mod tests {
         vec![
             Event {
                 t: 10,
-                shard: 0,
                 agent: 3,
                 kind: EventKind::Reset,
             },
             Event {
                 t: 10,
-                shard: 1,
                 agent: 9,
                 kind: EventKind::RankClaim { rank: 4 },
             },
             Event {
                 t: 25,
-                shard: 0,
                 agent: NO_AGENT,
                 kind: EventKind::Fault {
                     hit: 7,
@@ -632,38 +620,27 @@ mod tests {
                 },
             },
             Event {
-                t: 30,
-                shard: 0,
-                agent: NO_AGENT,
-                kind: EventKind::Exchange { pairs: 12 },
-            },
-            Event {
                 t: 40,
-                shard: 0,
                 agent: NO_AGENT,
                 kind: EventKind::Checkpoint { stopping: true },
             },
             Event {
                 t: 41,
-                shard: 0,
                 agent: 17,
                 kind: EventKind::Join,
             },
             Event {
                 t: 55,
-                shard: 0,
                 agent: 17,
                 kind: EventKind::Leave,
             },
             Event {
                 t: 55,
-                shard: 0,
                 agent: 2,
                 kind: EventKind::Hibernate,
             },
             Event {
                 t: 60,
-                shard: 0,
                 agent: 2,
                 kind: EventKind::Revive,
             },
@@ -678,7 +655,7 @@ mod tests {
         let text = render_trace(&sample_events(), &[reg.snapshot()], None, 2);
         let summary = validate(&text).expect("must validate");
         assert_eq!(summary.version, SCHEMA_VERSION);
-        assert_eq!(summary.events, 9);
+        assert_eq!(summary.events, 8);
         assert_eq!(summary.dropped, 2);
         assert_eq!(summary.t_range, Some((10, 60)));
         assert_eq!(summary.by_kind["reset"], 1);
@@ -719,8 +696,8 @@ mod tests {
     fn missing_fields_are_rejected() {
         let text = format!(
             "{}\n{}\n",
-            "{\"kind\":\"header\",\"schema\":\"ssr-trace\",\"version\":2,\"events\":1,\"dropped\":0}",
-            "{\"kind\":\"rank_claim\",\"t\":5,\"shard\":0,\"agent\":1}"
+            "{\"kind\":\"header\",\"schema\":\"ssr-trace\",\"version\":3,\"events\":1,\"dropped\":0}",
+            "{\"kind\":\"rank_claim\",\"t\":5,\"agent\":1}"
         );
         let err = validate(&text).unwrap_err();
         assert_eq!(err.line, 2);
@@ -735,9 +712,27 @@ mod tests {
     }
 
     #[test]
+    fn v3_event_lines_carry_no_shard_key_and_v2_is_refused() {
+        assert_eq!(SCHEMA_VERSION, 3);
+        let text = render_trace(&sample_events(), &[], None, 0);
+        for line in text.lines().skip(1) {
+            assert!(!parse_line(line).unwrap().contains_key("shard"), "{line}");
+        }
+        assert_eq!(validate(&text).expect("must validate").version, 3);
+        let v2 = "{\"kind\":\"header\",\"schema\":\"ssr-trace\",\"version\":2,\"events\":1,\"dropped\":0}\n{\"kind\":\"reset\",\"t\":5,\"shard\":0,\"agent\":1}\n";
+        let err = validate(v2).unwrap_err();
+        assert_eq!(err.line, 1);
+        assert!(
+            err.message
+                .contains("schema version 2 (this build reads 3)"),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn unknown_kinds_and_headerless_traces_are_rejected() {
         assert!(validate("").is_err());
-        let text = "{\"kind\":\"header\",\"schema\":\"ssr-trace\",\"version\":2,\"events\":0,\"dropped\":0}\n{\"kind\":\"mystery\"}\n";
+        let text = "{\"kind\":\"header\",\"schema\":\"ssr-trace\",\"version\":3,\"events\":0,\"dropped\":0}\n{\"kind\":\"mystery\"}\n";
         let err = validate(text).unwrap_err();
         assert!(err.message.contains("unknown kind"), "{err}");
     }

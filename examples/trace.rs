@@ -111,7 +111,6 @@ fn main() {
                 "FAULT `{}` rewrites {hit} agent(s)",
                 name.unwrap_or("unnamed")
             ),
-            EventKind::Exchange { pairs } => format!("exchange of {pairs} boundary pairs"),
             EventKind::Checkpoint { stopping } => format!("checkpoint (stopping: {stopping})"),
             EventKind::Join => "joins the population".to_string(),
             EventKind::Leave => "leaves the population".to_string(),
