@@ -242,23 +242,15 @@ impl<P: Protocol> Protocol for Executes<P> {
         self.0.transition_block(states, pairs)
     }
 
-    fn transition_from<S: PairSource>(
-        &self,
-        states: &mut [P::State],
-        source: &mut S,
-        max: usize,
-    ) -> (usize, u64) {
-        self.0.transition_from(states, source, max)
-    }
-
-    fn transition_marked<S: PairSource>(
+    fn transition_from<const MARK: bool, S: PairSource>(
         &self,
         states: &mut [P::State],
         source: &mut S,
         max: usize,
         marks: &mut [u64],
     ) -> (usize, u64) {
-        self.0.transition_marked(states, source, max, marks)
+        self.0
+            .transition_from::<MARK, S>(states, source, max, marks)
     }
 }
 

@@ -5,12 +5,12 @@
 //! implementation of the transition. Every packed entry runs it:
 //!
 //! ```text
-//!  transition_packed ── one pair ─────────────────────┐ (Simulator::step,
-//!                                                     │  sharded boundary
-//!  transition_block ──┐  in-order pass (≤ 4096 pairs) │  pairs)
-//!  transition_from ───┼► load u, v; ranked_null(u, v) │
-//!  transition_marked ─┘  → count as main/main, next   │
-//!   (MARK = true)        pair (no borrow, no store);  │
+//!  transition_packed ── one pair ─────────────────────┐ (Simulator::step)
+//!                                                     │
+//!  transition_block ──┐  in-order pass (≤ 4096 pairs) │
+//!  transition_from ───┴► load u, v; ranked_null(u, v) │
+//!   (MARK or not)        → count as main/main, next   │
+//!                        pair (no borrow, no store);  │
 //!                        else ────────────────────────┤
 //!                                                     ▼
 //!                                  step(t, half, u, v, tally)
@@ -30,7 +30,7 @@
 //!        ▼  shared tail: branchless coin toggle + changed compare
 //!  words (flat SoA Vec<PackedState>)
 //!        │
-//!        ▼  MARK = true (transition_marked) only: one combined test of
+//!        ▼  MARK = true (the probed loop's feed) only: one combined test of
 //!           (old ^ new) & class_mask(old) over both agents, rarely taken
 //!  marks (n-bit set; a hit sets the bit of each agent whose class changed)
 //! ```
@@ -79,13 +79,13 @@
 //! while the reset and Ranking⁺ lanes still ran the same helper bodies.
 //! The in-order form pays none of that segmentation tax.)
 //!
-//! The marked pass (`transition_marked`, the probed block loop's entry)
-//! is the same pass with `MARK = true`: after each stepped pair it tests
-//! both agents for a class change in one combined, rarely taken branch
-//! and sets the bits of the agents that changed, so a flight recorder
-//! diffs only those agents at the next block boundary. Null exits change
-//! nothing and mark nothing. With `MARK = false` the test compiles away,
-//! so the unprobed entries pay nothing for it.
+//! The marked pass (`transition_from::<true, _>`, the probed block
+//! loop's feed) is the same pass with `MARK = true`: after each stepped
+//! pair it tests both agents for a class change in one combined, rarely
+//! taken branch and sets the bits of the agents that changed, so a
+//! flight recorder diffs only those agents at the next block boundary.
+//! Null exits change nothing and mark nothing. With `MARK = false` the
+//! test compiles away, so the unprobed entries pay nothing for it.
 //!
 //! Equivalence with the structured enum path
 //! ([`Protocol::transition`](population::Protocol::transition), the
@@ -324,25 +324,12 @@ impl PackedProtocol for StableRanking {
         self.kernel::<false>(words, pairs.iter().copied(), &mut [])
     }
 
-    /// Inlined into every caller, so each engine loop holds the kernel
-    /// itself: left to the optimizer, a second caller (an engine loop
-    /// with an active probe) moves it out of line, and the unprobed loop
-    /// read about 0.93× on perfbench `stabilize` that way.
+    /// The drawn feed through the pass. Inlined into every caller, so
+    /// each engine loop holds the kernel itself: left to the optimizer,
+    /// a second caller moves it out of line, and the unprobed loop read
+    /// about 0.93× on perfbench `stabilize` that way.
     #[inline(always)]
-    fn transition_from<S: PairSource>(
-        &self,
-        words: &mut [PackedState],
-        source: &mut S,
-        max: usize,
-    ) -> (usize, u64) {
-        let pairs = source.pairs(max);
-        let executed = pairs.len();
-        (executed, self.kernel::<false>(words, pairs, &mut []))
-    }
-
-    /// The drawn feed through the marked pass: the agents whose class
-    /// changed get their bits set in `marks`.
-    fn transition_marked<S: PairSource>(
+    fn transition_from<const MARK: bool, S: PairSource>(
         &self,
         words: &mut [PackedState],
         source: &mut S,
@@ -351,7 +338,7 @@ impl PackedProtocol for StableRanking {
     ) -> (usize, u64) {
         let pairs = source.pairs(max);
         let executed = pairs.len();
-        (executed, self.kernel::<true>(words, pairs, marks))
+        (executed, self.kernel::<MARK>(words, pairs, marks))
     }
 
     /// A valid ranking is silent: every agent is ranked and the ranks
@@ -495,11 +482,12 @@ mod tests {
             let drawn_changed: Vec<u64> = blocks
                 .iter()
                 .map(|block| {
-                    let (executed, changed) = Protocol::transition_from(
+                    let (executed, changed) = Protocol::transition_from::<false, _>(
                         &drawn,
                         &mut drawn_words,
                         &mut schedule,
                         BLOCK_PAIRS,
+                        &mut [],
                     );
                     assert_eq!(executed, block.len(), "case {case}: block length");
                     changed
@@ -629,8 +617,13 @@ mod tests {
                     pending: block.clone(),
                     ..Schedule::new(n as usize, 0).cursor()
                 });
-                let (executed, drawn_changed) =
-                    Protocol::transition_from(&drawn, &mut drawn_words, &mut schedule, len);
+                let (executed, drawn_changed) = Protocol::transition_from::<false, _>(
+                    &drawn,
+                    &mut drawn_words,
+                    &mut schedule,
+                    len,
+                    &mut [],
+                );
                 assert_eq!(executed, len, "{at}: drawn block length");
 
                 for (feed, p, words, changed) in [

@@ -44,8 +44,8 @@ pub use crate::stable::state::StableState;
 /// The value is `Sync`: all transition state (`Params`, `FSeq`,
 /// [`StepTables`]) is immutable after construction, and the
 /// instrumentation lives in relaxed-atomic counters on the protocol's
-/// [metrics registry](StableRanking::metrics), so one protocol value can
-/// drive a sharded multi-threaded run (`crates/shard`) without locking.
+/// [metrics registry](StableRanking::metrics), so threads may share one
+/// protocol value without locking.
 #[derive(Debug, Clone)]
 pub struct StableRanking {
     params: Params,
@@ -161,9 +161,9 @@ impl StableRanking {
     /// Number of resets triggered so far across all interactions executed
     /// through this protocol value (experiment instrumentation) — a view
     /// of the [`RESETS_COUNTER`] counter on the
-    /// [metrics registry](StableRanking::metrics). In a sharded run the
-    /// counter aggregates across threads (relaxed ordering: the total is
-    /// exact once the run has joined, but mid-run reads may lag).
+    /// [metrics registry](StableRanking::metrics). Shared across threads,
+    /// the counter aggregates them (relaxed ordering: the total is exact
+    /// once the threads have joined, but mid-run reads may lag).
     pub fn resets_triggered(&self) -> u64 {
         self.metrics.resets.get()
     }
@@ -178,9 +178,7 @@ impl StableRanking {
     /// [`transition`](Protocol::transition) does not classify, and
     /// [`transition_packed`](population::PackedProtocol::transition_packed)
     /// runs the same word step as the kernel but flushes only its reset
-    /// count. Single pairs are what [`Simulator::step`] and the sharded
-    /// engine's boundary pairs execute, so a sharded run's mix covers
-    /// its lane-local pairs only.
+    /// count. Single pairs are what [`Simulator::step`] executes.
     /// Pairs an engine skips in a valid ranking (silent fast-forward,
     /// see `population`'s crate docs) count as main/main, exactly as
     /// the kernel would have counted them.

@@ -73,7 +73,7 @@ use crate::lifecycle::{AgentRecord, Lifecycle};
 /// (`StableRanking`, the readable reference) and the packed block
 /// kernel (`Packed<StableRanking>`) — so dynamic runs inherit the same
 /// representation/performance menu as static ones.
-pub trait DynRanking: Protocol + WordState {
+pub trait DynRanking: Protocol<State: RankOutput> + WordState {
     /// Build the protocol for the given parameters.
     fn with_params(params: Params) -> Self;
 
@@ -85,9 +85,6 @@ pub trait DynRanking: Protocol + WordState {
     /// enters as. `rank` must be within `1..=n` for the current
     /// parameters.
     fn ranked(&self, rank: u64) -> Self::State;
-
-    /// The rank this state outputs, if any.
-    fn rank_of(&self, state: &Self::State) -> Option<u64>;
 }
 
 impl DynRanking for StableRanking {
@@ -103,10 +100,6 @@ impl DynRanking for StableRanking {
         debug_assert!(rank >= 1 && rank <= self.params().n() as u64);
         StableState::Ranked(rank)
     }
-
-    fn rank_of(&self, state: &StableState) -> Option<u64> {
-        state.rank()
-    }
 }
 
 impl DynRanking for population::Packed<StableRanking> {
@@ -121,10 +114,6 @@ impl DynRanking for population::Packed<StableRanking> {
     fn ranked(&self, rank: u64) -> PackedState {
         debug_assert!(rank >= 1 && rank <= self.inner().params().n() as u64);
         self.inner().pack(&StableState::Ranked(rank))
-    }
-
-    fn rank_of(&self, state: &PackedState) -> Option<u64> {
-        state.rank()
     }
 }
 
@@ -286,7 +275,7 @@ impl<P: DynRanking> DynamicPopulation<P> {
         let mut seen = vec![false; nominal as usize + 1];
         let mut valid = 0usize;
         for s in &self.states {
-            if let Some(r) = self.protocol.rank_of(s) {
+            if let Some(r) = s.rank() {
                 if r >= 1 && r <= nominal && !seen[r as usize] {
                     seen[r as usize] = true;
                     valid += 1;
@@ -329,7 +318,7 @@ impl<P: DynRanking> DynamicPopulation<P> {
         let state = self.remove_from_lane(self.roster[id as usize].slot as usize);
         if hibernate {
             let parked = self.protocol.state_to_word(&state);
-            let rank = self.protocol.rank_of(&state);
+            let rank = state.rank();
             let due = now + self.churn.hibernate_dwell();
             let rec = &mut self.roster[id as usize];
             rec.phase = Lifecycle::Hibernating;
@@ -351,7 +340,7 @@ impl<P: DynRanking> DynamicPopulation<P> {
     /// Agent `id`, already out of the lane holding `state`, leaves for
     /// good: its rank goes to the free-list and its id is recycled.
     fn retire(&mut self, id: u32, state: &P::State, now: u64) {
-        if let Some(rank) = self.protocol.rank_of(state) {
+        if let Some(rank) = state.rank() {
             self.release_rank(rank, now);
         }
         let rec = &mut self.roster[id as usize];
@@ -386,7 +375,7 @@ impl<P: DynRanking> DynamicPopulation<P> {
             .protocol
             .state_from_word(self.roster[id as usize].parked)
         {
-            Ok(s) if self.protocol.rank_of(&s).is_none() => s,
+            Ok(s) if s.rank().is_none() => s,
             _ => {
                 let coin = self.churn.coin();
                 self.protocol.fresh(coin)
@@ -996,7 +985,7 @@ mod tests {
         engine.spawn(now, &mut NullProbe);
         assert_eq!(engine.live(), 8);
         let leased = engine.states().last().unwrap();
-        assert_eq!(engine.protocol().rank_of(leased), Some(5));
+        assert_eq!(leased.rank(), Some(5));
         assert!(engine.free_ranks().next().is_none(), "rank was consumed");
         let metrics = engine.metrics().snapshot();
         let dwell = metrics.histogram("rank_reuse_dwell").unwrap();

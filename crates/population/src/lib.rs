@@ -54,8 +54,8 @@
 //!   [`NullProbe`] (the `telemetry` crate's `Recorder` is the canonical
 //!   recording probe). At a block boundary the probe sees only the
 //!   agents the block kernel marked as changed
-//!   ([`Protocol::transition_marked`]), after the whole configuration at
-//!   the first boundary of each run segment.
+//!   ([`Protocol::transition_from`] with `MARK`), after the whole
+//!   configuration at the first boundary of each run segment.
 //!
 //! * **State representation** — protocols whose state space fits in a
 //!   machine word implement [`PackedProtocol`]: a lossless codec, a

@@ -238,11 +238,6 @@ impl<P: PackedProtocol, O> Unpacked<P, O> {
     pub fn inner(&self) -> &O {
         &self.inner
     }
-
-    /// Consume the adapter, returning the wrapped observer.
-    pub fn into_inner(self) -> O {
-        self.inner
-    }
 }
 
 impl<P: PackedProtocol, O: Observer<P>> Observer<Packed<P>> for Unpacked<P, O> {

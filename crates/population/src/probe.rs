@@ -73,8 +73,8 @@ pub trait Probe<P: Protocol> {
     ///   configuration as `lane`;
     /// * every **later boundary** makes one call per run of adjacent
     ///   agents the protocol marked during the block
-    ///   ([`Protocol::transition_marked`]), in ascending index order,
-    ///   with `start` the index of `lane[0]` and `lane` the marked
+    ///   ([`Protocol::transition_from`] with `MARK`), in ascending index
+    ///   order, with `start` the index of `lane[0]` and `lane` the marked
     ///   agents' states; with no agent marked it makes one call with an
     ///   empty lane. A protocol that does not mark marks every agent, so
     ///   its probe sees the whole configuration at every boundary.

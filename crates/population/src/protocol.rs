@@ -75,45 +75,38 @@ pub trait Protocol {
     /// returning how many pairs ran and how many of them changed a state.
     /// This is the sequential engines' per-block entry point
     /// ([`Simulator`](crate::Simulator) and the `dynamic` crate's engine
-    /// call it once per block).
+    /// call it once per block, through
+    /// [`advance_blocks`](crate::advance_blocks)).
     ///
-    /// The default samples a block ([`PairSource::sample_block`]) and
-    /// hands it to [`transition_block`](Protocol::transition_block).
-    /// A protocol may override it to pull pairs from the source's
+    /// With `MARK` (the probed block loop), it also sets, in the bitset
+    /// `marks` (agent `i` is bit `i % 64` of `marks[i / 64]`), the bit of
+    /// every agent whose traced class may have changed, and never clears
+    /// a bit; an active [`Probe`](crate::Probe) then sees only the marked
+    /// agents. Marking an agent whose class did not change is always
+    /// safe; missing one that did hides its change from the probe.
+    /// Without `MARK`, `marks` is never touched (callers pass `&mut []`).
+    ///
+    /// The default marks every agent (so the probe sees the whole
+    /// configuration at every boundary), samples a block
+    /// ([`PairSource::sample_block`]) and hands it to
+    /// [`transition_block`](Protocol::transition_block). A protocol may
+    /// override it to pull pairs from the source's
     /// [`pairs`](PairSource::pairs) feed instead, so a source that draws
     /// pairs lazily (the uniform [`Schedule`](crate::Schedule)) never
     /// writes the block to memory. The override must execute exactly
     /// the pairs `sample_block(max)` would return, in the same order.
-    fn transition_from<S: PairSource>(
-        &self,
-        states: &mut [Self::State],
-        source: &mut S,
-        max: usize,
-    ) -> (usize, u64) {
-        let block = source.sample_block(max);
-        (block.len(), self.transition_block(states, block))
-    }
-
-    /// [`transition_from`](Protocol::transition_from) that also sets, in
-    /// the bitset `marks` (agent `i` is bit `i % 64` of `marks[i / 64]`),
-    /// the bit of every agent whose traced class may have changed. It
-    /// never clears a bit. This is the probed block loop's entry
-    /// ([`advance_blocks`](crate::advance_blocks)): an active
-    /// [`Probe`](crate::Probe) then sees only the marked agents. Marking
-    /// an agent whose class did not change is always safe; missing one
-    /// that did hides its change from the probe.
-    ///
-    /// The default marks every agent and runs `transition_from`, so the
-    /// probe sees the whole configuration at every boundary.
-    fn transition_marked<S: PairSource>(
+    fn transition_from<const MARK: bool, S: PairSource>(
         &self,
         states: &mut [Self::State],
         source: &mut S,
         max: usize,
         marks: &mut [u64],
     ) -> (usize, u64) {
-        marks.fill(!0);
-        self.transition_from(states, source, max)
+        if MARK {
+            marks.fill(!0);
+        }
+        let block = source.sample_block(max);
+        (block.len(), self.transition_block(states, block))
     }
 
     /// A certificate that `states` is silent: `true` must imply that
@@ -168,8 +161,6 @@ pub trait Protocol {
 /// [`Schedule`](crate::Schedule) draws as the kernel consumes them
 /// (see `StableRanking`'s `ranking::stable::kernel`, whose one word step
 /// also serves [`transition_packed`](PackedProtocol::transition_packed)).
-/// The provided block defaults are the pair-at-a-time loop over
-/// `transition_packed`.
 ///
 /// Run a protocol packed by wrapping it in [`Packed`], which implements
 /// [`Protocol`] over the packed words: the simulator then stores the
@@ -196,56 +187,24 @@ pub trait PackedProtocol: Protocol {
 
     /// [`Protocol::transition_block`] over the packed words; [`Packed`]
     /// forwards it.
-    fn transition_block(&self, words: &mut [Self::Packed], pairs: &[Pair]) -> u64 {
-        let mut changed = 0;
-        for &(i, j) in pairs {
-            let (u, v) = pair_mut(words, i as usize, j as usize);
-            changed += u64::from(self.transition_packed(u, v));
-        }
-        changed
-    }
+    fn transition_block(&self, words: &mut [Self::Packed], pairs: &[Pair]) -> u64;
 
-    /// [`Protocol::transition_from`] over the packed words; [`Packed`]
-    /// forwards it. The default samples a block and runs
-    /// [`transition_block`](PackedProtocol::transition_block) on it.
-    fn transition_from<S: PairSource>(
-        &self,
-        words: &mut [Self::Packed],
-        source: &mut S,
-        max: usize,
-    ) -> (usize, u64) {
-        let block = source.sample_block(max);
-        (
-            block.len(),
-            PackedProtocol::transition_block(self, words, block),
-        )
-    }
-
-    /// [`Protocol::transition_marked`] over the packed words; [`Packed`]
-    /// forwards it. The default marks every agent and runs
-    /// [`transition_from`](PackedProtocol::transition_from).
-    fn transition_marked<S: PairSource>(
+    /// [`Protocol::transition_from`] over the packed words, with the same
+    /// `MARK`/`marks` contract; [`Packed`] forwards it.
+    fn transition_from<const MARK: bool, S: PairSource>(
         &self,
         words: &mut [Self::Packed],
         source: &mut S,
         max: usize,
         marks: &mut [u64],
-    ) -> (usize, u64) {
-        marks.fill(!0);
-        PackedProtocol::transition_from(self, words, source, max)
-    }
+    ) -> (usize, u64);
 
     /// [`Protocol::silent`] over the packed words; [`Packed`] forwards it.
-    fn silent(&self, words: &[Self::Packed]) -> bool {
-        let _ = words;
-        false
-    }
+    fn silent(&self, words: &[Self::Packed]) -> bool;
 
     /// [`Protocol::count_null`] for the block kernel's counters;
     /// [`Packed`] forwards it.
-    fn count_null(&self, pairs: u64) {
-        let _ = pairs;
-    }
+    fn count_null(&self, pairs: u64);
 }
 
 /// Adapter running a [`PackedProtocol`] over its packed words: the
@@ -300,23 +259,14 @@ impl<P: PackedProtocol> Protocol for Packed<P> {
     }
 
     #[inline(always)]
-    fn transition_from<S: PairSource>(
-        &self,
-        states: &mut [Self::State],
-        source: &mut S,
-        max: usize,
-    ) -> (usize, u64) {
-        PackedProtocol::transition_from(&self.0, states, source, max)
-    }
-
-    fn transition_marked<S: PairSource>(
+    fn transition_from<const MARK: bool, S: PairSource>(
         &self,
         states: &mut [Self::State],
         source: &mut S,
         max: usize,
         marks: &mut [u64],
     ) -> (usize, u64) {
-        PackedProtocol::transition_marked(&self.0, states, source, max, marks)
+        PackedProtocol::transition_from::<MARK, S>(&self.0, states, source, max, marks)
     }
 
     fn silent(&self, states: &[Self::State]) -> bool {

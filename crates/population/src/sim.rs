@@ -107,11 +107,6 @@ impl<H> UnpackedHook<H> {
     pub fn inner_mut(&mut self) -> &mut H {
         &mut self.inner
     }
-
-    /// Consume the adapter, returning the wrapped hook.
-    pub fn into_inner(self) -> H {
-        self.inner
-    }
 }
 
 impl<P: PackedProtocol, H: FaultHook<P>> FaultHook<Packed<P>> for UnpackedHook<H> {
@@ -396,7 +391,7 @@ impl<P: WordState, S: CursorSource> Simulator<P, S> {
 /// whenever it edits `states`.
 ///
 /// An active probe is handed a boundary after every block; the blocks
-/// then run through [`Protocol::transition_marked`], and each boundary
+/// then run through `transition_from` with `MARK`, and each boundary
 /// hands the probe the agents marked during that block (see
 /// [`Probe::block`]). The first boundary of every call hands it the
 /// whole configuration, since whatever edited `states` between calls
@@ -417,7 +412,8 @@ pub fn advance_blocks<P: Protocol, S: PairSource, B: Probe<P>>(
         let mut marks = vec![!0u64; states.len().div_ceil(64)];
         while *interactions < end {
             let want = (end - *interactions).min(BLOCK_PAIRS as u64) as usize;
-            let (pairs, changed) = protocol.transition_marked(states, source, want, &mut marks);
+            let (pairs, changed) =
+                protocol.transition_from::<true, _>(states, source, want, &mut marks);
             *interactions += pairs as u64;
             hand_marked(protocol, states, &mut marks, *interactions, changed, probe);
         }
@@ -435,7 +431,7 @@ pub fn advance_blocks<P: Protocol, S: PairSource, B: Probe<P>>(
         let mut remaining = (end - now).min(silence.retry_in(now, BLOCK_PAIRS as u64));
         while remaining > 0 {
             let want = remaining.min(BLOCK_PAIRS as u64) as usize;
-            let (pairs, _) = protocol.transition_from(states, source, want);
+            let (pairs, _) = protocol.transition_from::<false, _>(states, source, want, &mut []);
             *interactions += pairs as u64;
             remaining -= pairs as u64;
         }
@@ -777,18 +773,20 @@ mod tests {
         fn transition(&self, u: &mut Self::State, v: &mut Self::State) -> bool {
             Count.transition(u, v)
         }
-        fn transition_marked<S: PairSource>(
+        fn transition_from<const MARK: bool, S: PairSource>(
             &self,
             states: &mut [Self::State],
             source: &mut S,
             max: usize,
             marks: &mut [u64],
         ) -> (usize, u64) {
-            let k = self.blocks.replace(self.blocks.get() + 1);
-            for &i in &self.sets[k % self.sets.len()] {
-                marks[i / 64] |= 1 << (i % 64);
+            if MARK {
+                let k = self.blocks.replace(self.blocks.get() + 1);
+                for &i in &self.sets[k % self.sets.len()] {
+                    marks[i / 64] |= 1 << (i % 64);
+                }
             }
-            self.transition_from(states, source, max)
+            Count.transition_from::<false, _>(states, source, max, marks)
         }
     }
 

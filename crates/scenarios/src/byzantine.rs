@@ -159,7 +159,7 @@ impl<'a> ByzRng<'a> {
 /// Strategies are immutable values (`&self` everywhere): all mutable
 /// adversary state lives in the [`ByzState`] — the disguise it
 /// presents plus its private RNG word — which is what keeps wrapped
-/// protocols `Sync` for sharded runs and trajectories replayable.
+/// protocols `Sync` and trajectories replayable.
 pub trait Strategy<P: Protocol>: Send + Sync {
     /// Short stable identifier, used in benchmark artifacts
     /// (e.g. `"rank_squatter"`).

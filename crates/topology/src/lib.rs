@@ -33,11 +33,9 @@
 //! every run mode — scalar, batched, observed, faulted, probed — works
 //! unchanged; the [`population::CursorSource`] implementation threads
 //! it through checkpoint/restore (`snapshot::resume_simulator_with`).
-//! Sharded execution is the one seam **not** yet covered: the sharded
-//! engine partitions *initiators* into contiguous lanes, while a graph
-//! workload needs an *edge* partition to keep cross-shard traffic
-//! bounded — graph runs are single-shard for now (see
-//! `docs/TOPOLOGY.md` for the follow-up design note).
+//! The sharded API (`shard::ShardedSimulator`) is the one seam that
+//! takes no graph: it always builds its engine on the uniform
+//! `Schedule`, so graph runs go through `Simulator::with_source`.
 //!
 //! See `docs/TOPOLOGY.md` for the abstraction guide and
 //! `BENCH_topo.json` (the `topology` bench binary) for the measured

@@ -91,13 +91,15 @@ impl<Q: Protocol> Protocol for Executes<Q> {
         self.0.transition_block(states, pairs)
     }
 
-    fn transition_from<S: PairSource>(
+    fn transition_from<const MARK: bool, S: PairSource>(
         &self,
         states: &mut [Q::State],
         source: &mut S,
         max: usize,
+        marks: &mut [u64],
     ) -> (usize, u64) {
-        self.0.transition_from(states, source, max)
+        self.0
+            .transition_from::<MARK, S>(states, source, max, marks)
     }
 }
 
@@ -143,13 +145,15 @@ impl<Q: Protocol> Protocol for Certifies<Q> {
         self.0.transition_block(states, pairs)
     }
 
-    fn transition_from<S: PairSource>(
+    fn transition_from<const MARK: bool, S: PairSource>(
         &self,
         states: &mut [Q::State],
         source: &mut S,
         max: usize,
+        marks: &mut [u64],
     ) -> (usize, u64) {
-        self.0.transition_from(states, source, max)
+        self.0
+            .transition_from::<MARK, S>(states, source, max, marks)
     }
 
     fn silent(&self, states: &[Q::State]) -> bool {
@@ -196,10 +200,6 @@ impl<Q: DynRanking> DynRanking for Executes<Q> {
     fn ranked(&self, rank: u64) -> Q::State {
         self.0.ranked(rank)
     }
-
-    fn rank_of(&self, state: &Q::State) -> Option<u64> {
-        self.0.rank_of(state)
-    }
 }
 
 impl<Q: DynRanking> DynRanking for Certifies<Q> {
@@ -213,10 +213,6 @@ impl<Q: DynRanking> DynRanking for Certifies<Q> {
 
     fn ranked(&self, rank: u64) -> Q::State {
         self.0.ranked(rank)
-    }
-
-    fn rank_of(&self, state: &Q::State) -> Option<u64> {
-        self.0.rank_of(state)
     }
 }
 

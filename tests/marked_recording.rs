@@ -3,16 +3,16 @@
 //!
 //! At every block boundary after the first of a run segment, the block
 //! loop hands an active probe only the agents the kernel marked as
-//! changed (`Protocol::transition_marked`). `Packed<StableRanking>` marks
-//! exactly the agents whose class key changed; `FullScan`, its twin,
-//! forwards every method but that one, so the default marks every agent
-//! and its recorder scans the whole configuration at every boundary, as
-//! the recorder did before marks existed. Both run the same trajectory,
-//! so their recorders must end with identical events, counts and metric
-//! snapshots, on
+//! changed (`Protocol::transition_from` with `MARK`).
+//! `Packed<StableRanking>` marks exactly the agents whose class key
+//! changed; `FullScan`, its twin, forwards every method but marks every
+//! agent, so its recorder scans the whole configuration at every
+//! boundary, as the recorder did before marks existed. Both run the
+//! same trajectory, so their recorders must end with identical events,
+//! counts and metric snapshots, on
 //!
-//! * `Simulator` and the sharded API at 1, 2 and 3 shards, whose
-//!   boundaries fall every block and every `shards` blocks;
+//! * `Simulator` and the sharded API at 1, 2 and 3 shards, all with a
+//!   boundary after every block;
 //! * runs split into segments of random lengths, with `erase_rank`,
 //!   `corrupt` and `randomize` firing inside and at the edges of
 //!   segments;
@@ -38,7 +38,8 @@ use silent_ranking::telemetry::Recorder;
 type Kernel = Packed<StableRanking>;
 
 /// `Packed<StableRanking>` without its marks: everything that executes,
-/// skips or encodes forwards, and `transition_marked` keeps the default.
+/// skips or encodes forwards, but a marked block marks every agent and
+/// then runs the unmarked kernel.
 #[derive(Debug, Clone)]
 struct FullScan(Kernel);
 
@@ -57,13 +58,18 @@ impl Protocol for FullScan {
         self.0.transition_block(states, pairs)
     }
 
-    fn transition_from<S: PairSource>(
+    fn transition_from<const MARK: bool, S: PairSource>(
         &self,
         states: &mut [PackedState],
         source: &mut S,
         max: usize,
+        marks: &mut [u64],
     ) -> (usize, u64) {
-        self.0.transition_from(states, source, max)
+        if MARK {
+            marks.fill(!0);
+        }
+        self.0
+            .transition_from::<false, S>(states, source, max, &mut [])
     }
 
     fn silent(&self, states: &[PackedState]) -> bool {
@@ -96,10 +102,6 @@ impl DynRanking for FullScan {
 
     fn ranked(&self, rank: u64) -> PackedState {
         self.0.ranked(rank)
-    }
-
-    fn rank_of(&self, state: &PackedState) -> Option<u64> {
-        self.0.rank_of(state)
     }
 }
 

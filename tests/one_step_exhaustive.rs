@@ -5,18 +5,19 @@
 //! Random runs only reach the states their trajectories visit. This
 //! suite runs every ordered pair of `audit::enumerate_states` (the whole
 //! declared state space, adversarial corner cases included) through one
-//! interaction on three paths:
+//! interaction on four paths:
 //!
 //! * the enum `Protocol::transition` (the readable reference);
 //! * the block kernel, through `Packed<StableRanking>::transition_block`;
-//! * the marked block kernel, through `transition_marked` on a one-pair
-//!   source.
+//! * the drawn feed, through `transition_from` on a one-pair source,
+//!   unmarked and marked.
 //!
-//! The two kernel paths must reproduce the reference's two states, its
-//! changed flag and its reset count, and the marked path must set the
-//! bit of exactly the agents whose class key changed: a missed mark would
-//! hide a class change from a flight recorder, and a spurious one costs
-//! the recorder a diff for nothing.
+//! The three kernel paths must reproduce the reference's two states, its
+//! changed flag and its reset count. The marked path must set the bit of
+//! exactly the agents whose class key changed: a missed mark would hide
+//! a class change from a flight recorder, and a spurious one costs the
+//! recorder a diff for nothing. The unmarked path must not touch the
+//! marks at all.
 
 use silent_ranking::population::schedule::Pair;
 use silent_ranking::population::{Packed, PackedProtocol, PairSource, Protocol};
@@ -47,6 +48,7 @@ fn check_every_pair(n: usize) {
     let states = enumerate_states(&params);
     let reference = StableRanking::new(params.clone());
     let block = Packed(StableRanking::new(params.clone()));
+    let unmarked = Packed(StableRanking::new(params.clone()));
     let marked = Packed(StableRanking::new(params));
     for a in &states {
         for b in &states {
@@ -60,9 +62,23 @@ fn check_every_pair(n: usize) {
             assert_eq!(block.unpack_all(&words), [u, v], "{}", at());
             assert_eq!(block_changed, u64::from(changed), "{}", at());
 
+            let mut unmarked_words = before;
+            let mut sentinel = [0x5a5a_5a5a_5a5a_5a5au64];
+            let (executed, unmarked_changed) = Protocol::transition_from::<false, _>(
+                &unmarked,
+                &mut unmarked_words,
+                &mut OnePair,
+                1,
+                &mut sentinel,
+            );
+            assert_eq!(executed, 1, "{}", at());
+            assert_eq!(unmarked_words, words, "{}", at());
+            assert_eq!(unmarked_changed, block_changed, "{}", at());
+            assert_eq!(sentinel, [0x5a5a_5a5a_5a5a_5a5a], "marks, {}", at());
+
             let mut marked_words = before;
             let mut marks = [0u64];
-            let (executed, marked_changed) = Protocol::transition_marked(
+            let (executed, marked_changed) = Protocol::transition_from::<true, _>(
                 &marked,
                 &mut marked_words,
                 &mut OnePair,
@@ -78,6 +94,7 @@ fn check_every_pair(n: usize) {
 
             let resets = reference.resets_triggered();
             assert_eq!(block.inner().resets_triggered(), resets, "{}", at());
+            assert_eq!(unmarked.inner().resets_triggered(), resets, "{}", at());
             assert_eq!(marked.inner().resets_triggered(), resets, "{}", at());
         }
     }
@@ -129,8 +146,13 @@ fn marks_land_on_the_agents_of_the_pair() {
     words[64] = words[63];
     let before = words.clone();
     let mut marks = [0u64; 2];
-    let (executed, changed) =
-        Protocol::transition_marked(&p, &mut words, &mut Pairs(vec![(63, 64)]), 1, &mut marks);
+    let (executed, changed) = Protocol::transition_from::<true, _>(
+        &p,
+        &mut words,
+        &mut Pairs(vec![(63, 64)]),
+        1,
+        &mut marks,
+    );
     assert_eq!((executed, changed), (1, 1));
     let mut want = [0u64; 2];
     for i in 0..65 {
