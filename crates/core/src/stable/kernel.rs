@@ -30,7 +30,8 @@
 //!        ▼  shared tail: branchless coin toggle + changed compare
 //!  words (flat SoA Vec<PackedState>)
 //!        │
-//!        ▼  MARK = true (the probed loop's feed) only: one combined test of
+//!        ▼  MARK = true (the probed loop's feed) only, and only if a tag
+//!           changed or the pair is main/main: one combined test of
 //!           (old ^ new) & class_mask(old) over both agents, rarely taken
 //!  marks (n-bit set; a hit sets the bit of each agent whose class changed)
 //! ```
@@ -53,8 +54,8 @@
 //!   class tests and the `pair_mut` borrow; this raised perfbench
 //!   `stabilize` by about 1.2× (see docs/BENCHMARKS.md). A pair that
 //!   fails the test pays one more branch before the class chain; in a
-//!   reset-heavy run (perfbench `traced_sharded`: 45% of pairs involve
-//!   a reset, 37% are null) that is most pairs. `transition_packed`
+//!   reset-heavy run (perfbench `traced_sharded`: about 90% of pairs
+//!   are not main/main) that is most pairs. `transition_packed`
 //!   keeps the class chain first: the null test is the main/main arm's
 //!   first step.
 //! * **both-electing**: the embedded Protocol 5 lottery runs as
@@ -81,11 +82,28 @@
 //!
 //! The marked pass (`transition_from::<true, _>`, the probed block
 //! loop's feed) is the same pass with `MARK = true`: after each stepped
-//! pair it tests both agents for a class change in one combined, rarely
-//! taken branch and sets the bits of the agents that changed, so a
+//! pair it sets the bits of the agents whose class key changed, so a
 //! flight recorder diffs only those agents at the next block boundary.
-//! Null exits change nothing and mark nothing. With `MARK = false` the
-//! test compiles away, so the unprobed entries pay nothing for it.
+//! Null exits change nothing and mark nothing. A stepped pair first
+//! passes a filter on its four words: a tag changed,
+//! `((pu ^ u) | (pv ^ v)) & TAG_MASK != 0`, or the pair is main/main,
+//! `(pu | pv) & (TAG_RESET | TAG_ELECT) == 0`. Only then does it build
+//! the two class masks and test `(old ^ new) & class_mask(old)` for
+//! both agents in one combined, rarely taken branch. The filter is
+//! exact, so the marks are those of the unfiltered test. A class key is
+//! the tag, plus the rank of a ranked word and the phase of a phase
+//! word, and ranks and phases move only in the main/main arm
+//! (Ranking⁺). Every other arm changes a key only with its tag: the
+//! reset arm either infects its partner (a new tag) or counts down
+//! reset lanes, the electing arms rewrite lottery lanes or move an
+//! agent to another tag, and the responder coin toggle lies outside
+//! every non-ranked `class_mask` (a ranked agent has no coin).
+//! `tests/one_step_exhaustive.rs` checks this on every ordered pair of
+//! states. Most pairs of a reset wave keep both tags (perfbench
+//! `traced_sharded` sends about two thirds of its pairs through the
+//! reset arm and a quarter through the both-electing arm), so they skip
+//! the masks. With `MARK = false` the whole test compiles away, so the
+//! unprobed entries pay nothing for it.
 //!
 //! Equivalence with the structured enum path
 //! ([`Protocol::transition`](population::Protocol::transition), the
@@ -251,8 +269,8 @@ impl StableRanking {
     /// Null exits count as main/main, as `step` counts them.
     ///
     /// With `MARK`, every stepped agent whose class key changed gets its
-    /// bit set in `marks` (see [`class_mask`]); without it `marks` is
-    /// never touched.
+    /// bit set in `marks` (see [`class_mask`] and the module doc's
+    /// tag filter); without it `marks` is never touched.
     #[inline(always)]
     fn kernel<const MARK: bool>(
         &self,
@@ -272,7 +290,13 @@ impl StableRanking {
             let (u, v) = pair_mut(words, i, j);
             let (pu, pv) = (u.0, v.0);
             changed += u64::from(step(t, half, u, v, &mut tally));
-            if MARK {
+            // Outside main/main a class key changes only with its tag
+            // (see the module doc), so only a main/main pair or a tag
+            // change needs the masks.
+            if MARK
+                && (((pu ^ u.0) | (pv ^ v.0)) & TAG_MASK != 0
+                    || (pu | pv) & (TAG_RESET | TAG_ELECT) == 0)
+            {
                 let du = (pu ^ u.0) & class_mask(pu);
                 let dv = (pv ^ v.0) & class_mask(pv);
                 if du | dv != 0 {

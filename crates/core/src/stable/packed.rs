@@ -367,8 +367,11 @@ impl TraceState for PackedState {
 /// word (tag 0) keeps all of its bits, a phase word keeps its tag and
 /// lane B, every other word keeps its tag. The mask depends on the tag
 /// alone and always covers it, so a step from `old` to `new` changes
-/// the class key exactly when `(old ^ new) & class_mask(old) != 0` —
-/// the test the block kernel's marked pass makes per agent.
+/// the class key exactly when `(old ^ new) & class_mask(old) != 0`.
+/// The block kernel's marked pass makes this test for the two agents of
+/// a main/main pair and of any pair that changed a tag; every other
+/// pair keeps both class keys (the tag filter in
+/// [`kernel`](crate::stable::kernel)'s module doc).
 #[inline(always)]
 pub fn class_mask(w: u64) -> u64 {
     let tag = w & TAG_MASK;

@@ -17,7 +17,10 @@
 //!   `corrupt` and `randomize` firing inside and at the edges of
 //!   segments;
 //! * the dynamic engine under churn, whose joins, departures and epoch
-//!   rolls edit the lane between segments.
+//!   rolls edit the lane between segments;
+//! * perfbench `traced_sharded`'s size on `Simulator` (release builds
+//!   only): n = 10⁵ from a legal ranking, one `erase_rank` at t = 0, and
+//!   10⁷ interactions of the reset wave and the new election.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -33,6 +36,7 @@ use silent_ranking::ranking::stable::{PackedState, StableRanking, StableState};
 use silent_ranking::ranking::Params;
 use silent_ranking::scenarios::{ranking_faults, FaultPlan};
 use silent_ranking::shard::ShardedSimulator;
+use silent_ranking::telemetry::recorder::DEFAULT_RING_CAPACITY;
 use silent_ranking::telemetry::Recorder;
 
 type Kernel = Packed<StableRanking>;
@@ -151,14 +155,18 @@ fn plan(n: usize, seed: u64, at: [u64; 3]) -> UnpackedHook<FaultPlan<StableState
     )
 }
 
-/// Run `engine` segment by segment under `hook`, recording.
+/// A small ring, so that both recorders of a short run drop events too.
+const SMALL_RING: usize = 16;
+
+/// Run `engine` segment by segment under `hook`, recording into a ring
+/// of `capacity` events.
 fn record<E: Engine<Protocol = P>, P: Protocol<State = PackedState>>(
     engine: &mut E,
     segments: &[u64],
     hook: &mut impl FaultHook<P>,
+    capacity: usize,
 ) -> Recorder {
-    // A small ring, so that both recorders drop events too.
-    let mut recorder = Recorder::with_capacity(16);
+    let mut recorder = Recorder::with_capacity(capacity);
     for &count in segments {
         drive(
             engine,
@@ -193,6 +201,33 @@ fn churn(n: usize, lambda: f64) -> ChurnConfig {
     ChurnConfig::poisson(lambda, n as f64 * 1.0e6 / lambda)
 }
 
+/// perfbench `traced_sharded`'s shape on `Simulator`: n = 10⁵ from
+/// `legal()`, one `erase_rank` at t = 0, then 10⁷ interactions in one
+/// segment with a default-sized ring. Almost every pair of the reset
+/// wave keeps both tags, so this is the size at which the marked pass
+/// skips most class-mask tests. Release builds only: the full-scan twin
+/// compares all 10⁵ keys at each of about 2,400 boundaries.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release-only: n = 1e5, 1e7 interactions")]
+fn marked_recording_equals_full_scans_at_traced_sharded_size() {
+    const N: usize = 100_000;
+    const INTERACTIONS: u64 = 10_000_000;
+    let p = protocol(N);
+    let erase = || {
+        UnpackedHook::new(
+            FaultPlan::new(0x5EED).once(0, ranking_faults::standard("erase_rank", &p, N)),
+        )
+    };
+    let init = Packed(protocol(N)).pack_all(&p.legal());
+    let mut marked = Simulator::new(Packed(protocol(N)), init.clone(), 0);
+    let mut full = Simulator::new(FullScan(Packed(protocol(N))), init, 0);
+    let ring = DEFAULT_RING_CAPACITY;
+    let marked_rec = record(&mut marked, &[INTERACTIONS], &mut erase(), ring);
+    let full_rec = record(&mut full, &[INTERACTIONS], &mut OnTwin(erase()), ring);
+    assert_eq!(marked.states(), full.states());
+    assert_same_recording(&marked_rec, &full_rec, "n=100000 erase_rank");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
@@ -205,8 +240,8 @@ proptest! {
         let init = Packed(protocol(n)).pack_all(&protocol(n).adversarial_uniform(seed));
         let mut marked = Simulator::new(Packed(protocol(n)), init.clone(), seed);
         let mut full = Simulator::new(FullScan(Packed(protocol(n))), init, seed);
-        let marked_rec = record(&mut marked, &segments, &mut plan(n, seed, faults));
-        let full_rec = record(&mut full, &segments, &mut OnTwin(plan(n, seed, faults)));
+        let marked_rec = record(&mut marked, &segments, &mut plan(n, seed, faults), SMALL_RING);
+        let full_rec = record(&mut full, &segments, &mut OnTwin(plan(n, seed, faults)), SMALL_RING);
         prop_assert_eq!(marked.states(), full.states());
         assert_same_recording(&marked_rec, &full_rec, &format!("n={n} seed={seed}"));
     }
@@ -222,8 +257,8 @@ proptest! {
             let mut marked = ShardedSimulator::new(Packed(protocol(n)), init.clone(), seed, shards);
             let mut full =
                 ShardedSimulator::new(FullScan(Packed(protocol(n))), init.clone(), seed, shards);
-            let marked_rec = record(&mut marked, &segments, &mut plan(n, seed, faults));
-            let full_rec = record(&mut full, &segments, &mut OnTwin(plan(n, seed, faults)));
+            let marked_rec = record(&mut marked, &segments, &mut plan(n, seed, faults), SMALL_RING);
+            let full_rec = record(&mut full, &segments, &mut OnTwin(plan(n, seed, faults)), SMALL_RING);
             prop_assert_eq!(marked.states(), full.states());
             assert_same_recording(
                 &marked_rec,
@@ -240,8 +275,8 @@ proptest! {
             let config = churn(n, lambda);
             let mut marked = DynamicPopulation::<Kernel>::new(Params::new(n), config.clone(), seed);
             let mut full = DynamicPopulation::<FullScan>::new(Params::new(n), config, seed);
-            let marked_rec = record(&mut marked, &segments, &mut NoFaults);
-            let full_rec = record(&mut full, &segments, &mut NoFaults);
+            let marked_rec = record(&mut marked, &segments, &mut NoFaults, SMALL_RING);
+            let full_rec = record(&mut full, &segments, &mut NoFaults, SMALL_RING);
             prop_assert_eq!(marked.states(), full.states());
             prop_assert_eq!(marked.ids(), full.ids());
             assert_same_recording(

@@ -18,10 +18,17 @@
 //! a class change from a flight recorder, and a spurious one costs the
 //! recorder a diff for nothing. The unmarked path must not touch the
 //! marks at all.
+//!
+//! The marked pass builds class masks only for a main/main pair or a
+//! pair that changed a tag. That is exact only because, outside
+//! main/main, an agent's class key changes exactly when its tag does;
+//! the suite asserts this for every pair, so an arm that one day moves
+//! a rank or a phase outside main/main fails here by name.
 
 use silent_ranking::population::schedule::Pair;
 use silent_ranking::population::{Packed, PackedProtocol, PairSource, Protocol};
 use silent_ranking::ranking::audit::enumerate_states;
+use silent_ranking::ranking::stable::packed::{TAG_ELECT, TAG_RESET};
 use silent_ranking::ranking::stable::{PackedState, StableRanking};
 use silent_ranking::ranking::Params;
 use silent_ranking::telemetry::TraceState;
@@ -89,6 +96,17 @@ fn check_every_pair(n: usize) {
             assert_eq!(marked_words, words, "{}", at());
             assert_eq!(marked_changed, block_changed, "{}", at());
             let class_changed = |k: usize| before[k].class_key() != words[k].class_key();
+            if (before[0].bits() | before[1].bits()) & (TAG_RESET | TAG_ELECT) != 0 {
+                for k in 0..2 {
+                    assert_eq!(
+                        class_changed(k),
+                        before[k].tag() != words[k].tag(),
+                        "outside main/main, agent {k}'s class key must change \
+                         exactly with its tag: {}",
+                        at()
+                    );
+                }
+            }
             let want = u64::from(class_changed(0)) | u64::from(class_changed(1)) << 1;
             assert_eq!(marks[0], want, "marks, {}", at());
 
